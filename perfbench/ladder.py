@@ -8,12 +8,15 @@ dropped.
 """
 
 import json
+import random
 import statistics
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import workloads as wl
 
 HERE = Path(__file__).resolve().parent
 TIMEOUT_S = 20.0
@@ -30,8 +33,6 @@ LADDERS = {
 
 def _case(tc, name: str, workdir: Path):
     """A zero-argument callable performing one rung."""
-    import workloads as wl
-
     knob, _, arg = name.partition("-")
     if knob == "n":
         n = int(arg)
@@ -58,7 +59,6 @@ def _case(tc, name: str, workdir: Path):
         fa, fb = wl.unit_form(tc, *a), wl.unit_form(tc, *b)
         return lambda: tc.invariants.homotopy_certificate(fa, fb)
     if knob == "bits":
-        import random
         rng = random.Random(int(arg))
         spec = wl.gen_cut(rng, f"bits{arg}", 8, collapse_bits=int(arg))
         path = workdir / f"ladder-bits{arg}.cut"

@@ -216,8 +216,7 @@ def report_failures(failures: Counter) -> None:
 
 def end_to_end(workload, seed, seconds, workdir) -> dict:
     setups, setup_kernels = setup_seconds(workload, seed, workdir)
-    wl = workloads.build(workload, seed, workdir / "main")
-    ops = wl.ops
+    ops = workloads.build(workload, seed, workdir / "main")
     warm_until = time.perf_counter() + min(1.0, seconds / 10)
     for i in range(len(ops)):
         if time.perf_counter() >= warm_until:
@@ -274,20 +273,20 @@ def traced(workload, seed, workdir) -> dict:
         took = time.perf_counter() - t0
         return records, took * REF_KERNEL_S / ((before + calibration_kernel()) / 2)
 
-    wl = workloads.build(workload, seed, workdir / "untraced")
-    run_ops(wl.ops, range(len(wl.ops)))  # warm-up
+    ops = workloads.build(workload, seed, workdir / "untraced")
+    run_ops(ops, range(len(ops)))  # warm-up
     # the faster of two untraced passes is the base
-    plain, plain_s = min((one_pass(wl.ops) for _ in range(2)), key=lambda p: p[1])
-    p_failed, p_wrong, _ = judge(wl.ops, plain)
+    plain, plain_s = min((one_pass(ops) for _ in range(2)), key=lambda p: p[1])
+    p_failed, p_wrong, _ = judge(ops, plain)
 
     tracer = Tracer()
     tracer.install(toruscut)
     try:
-        wl2 = workloads.build(workload, seed, workdir / "traced")
-        records, traced_s = one_pass(wl2.ops, tracer)
+        traced_ops = workloads.build(workload, seed, workdir / "traced")
+        records, traced_s = one_pass(traced_ops, tracer)
     finally:
         tracer.uninstall()
-    failed, wrong, failures = judge(wl2.ops, records)
+    failed, wrong, failures = judge(traced_ops, records)
     metrics = tracer.layer_metrics(len(records))
     metrics["trace.overhead"] = (traced_s / plain_s, "ratio")
     OUT.mkdir(exist_ok=True)

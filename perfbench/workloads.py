@@ -56,12 +56,6 @@ class Op:
     check: Callable[[object], tuple[str, str]]
 
 
-@dataclass
-class Workload:
-    name: str
-    ops: list[Op]
-
-
 # -- CLI plumbing -----------------------------------------------------------
 
 _LINE = re.compile(r"\bline (\d+)\b")
@@ -468,7 +462,7 @@ def _malformed(rng) -> list[tuple[str, str, int, int, list[str]]]:
     ]
 
 
-def build_cli_mix(tc, rng, workdir: Path) -> Workload:
+def build_cli_mix(tc, rng, workdir: Path) -> list[Op]:
     """A corpus of small spec files and the CLI calls made on them."""
     cuts = [gen_cut(rng, f"cut8-{i}", 8) for i in range(31)]
     cuts += [gen_cut(rng, f"cut64-{i}", 64) for i in range(7)]
@@ -511,7 +505,7 @@ def build_cli_mix(tc, rng, workdir: Path) -> Workload:
             ops.append(Op(f"cli {sub} {spec.name} {' '.join(extra + ['--format', fmt])}",
                           lambda argv=argv: call_cli(tc, argv), cli_check(code, line=line)))
     rng.shuffle(ops)
-    return Workload("cli-mix", ops)
+    return ops
 
 
 # -- library plumbing ---------------------------------------------------------
@@ -679,7 +673,7 @@ def _point_op(tc, rng, form, breaks, values, alpha, k: int, label) -> Op:
     return Op(label, run, check)
 
 
-def build_dense_profile(tc, rng, workdir) -> Workload:
+def build_dense_profile(tc, rng, workdir) -> list[Op]:
     """Enumeration and point queries on profiles with many breakpoints.
 
     One cycle: eleven point-query batches (three at n = 10, seven at
@@ -711,7 +705,7 @@ def build_dense_profile(tc, rng, workdir) -> Workload:
             ops.append(_reduce_op(tc, form, breaks, values, eta, f"contact_reduce n={n} k={k} eta={eta}"))
     ops.append(_line_slice_op(tc, rng, line_form, line_turns))
     rng.shuffle(ops)
-    return Workload("dense-profile", ops)
+    return ops
 
 
 # -- workload: exact-ties -----------------------------------------------------
@@ -797,7 +791,7 @@ def _tie_op(tc, rng, q: int) -> Op:
     return Op(f"compare_at ties q={q} w={w}", run, check)
 
 
-def build_exact_ties(tc, rng, workdir) -> Workload:
+def build_exact_ties(tc, rng, workdir) -> list[Op]:
     """One cycle: every homotopy rung once, 41/43 in all four variants,
     and eight tie batches; the seed picks the variants and tie points."""
     ops = []
@@ -808,7 +802,7 @@ def build_exact_ties(tc, rng, workdir) -> Workload:
             ops.append(_homotopy_lib_op(tc, a, b, f"homotopy 1/{p} vs 1/{q} inner {v[0]},{v[1]} turns {v[2]},{v[3]}"))
     ops += [_tie_op(tc, rng, q) for q in TIE_SIZES]
     rng.shuffle(ops)
-    return Workload("exact-ties", ops)
+    return ops
 
 
 # -- workload: paper-families -----------------------------------------------------
@@ -942,7 +936,7 @@ def _lens_op(tc, rng, k: int, l: int) -> Op:
     return Op(f"lens_cutspec({k},{l},{j})", run, check)
 
 
-def build_paper_families(tc, rng, workdir: Path) -> Workload:
+def build_paper_families(tc, rng, workdir: Path) -> list[Op]:
     """One cycle: reproduce-paper --kmax 20 in both formats, three
     symplectization checks (two library, one CLI), seven distinguish
     sweeps and eight lens-table entries."""
@@ -974,7 +968,7 @@ def build_paper_families(tc, rng, workdir: Path) -> Workload:
     pairs = list(LENS_TABLE) + [rng.choice(((3, 1), (1, 3), (3, 2), (2, 5), (5, 3), (4, 3))) for _ in range(4)]
     ops += [_lens_op(tc, rng, k, l) for k, l in pairs]
     rng.shuffle(ops)
-    return Workload("paper-families", ops)
+    return ops
 
 
 BUILDERS = {
@@ -985,8 +979,8 @@ BUILDERS = {
 }
 
 
-def build(name: str, seed: int, workdir: Path) -> Workload:
-    """Import toruscut and build one workload's inputs from the seed."""
+def build(name: str, seed: int, workdir: Path) -> list[Op]:
+    """Import toruscut and build one workload's operations from the seed."""
     import toruscut as tc
     import toruscut.cli  # noqa: F401  (the CLI module is not imported by the package)
 
