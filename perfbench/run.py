@@ -312,7 +312,7 @@ def traced(workload, seed, workdir) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=tuple(workloads.BUILDERS))
+    parser.add_argument("--workload", required=True, choices=tuple(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

@@ -971,7 +971,7 @@ def build_paper_families(tc, rng, workdir: Path) -> list[Op]:
     return ops
 
 
-BUILDERS = {
+WORKLOADS = {
     "cli-mix": build_cli_mix,
     "dense-profile": build_dense_profile,
     "exact-ties": build_exact_ties,
@@ -985,4 +985,4 @@ def build(name: str, seed: int, workdir: Path) -> list[Op]:
     import toruscut.cli  # noqa: F401  (the CLI module is not imported by the package)
 
     workdir.mkdir(parents=True, exist_ok=True)
-    return BUILDERS[name](tc, random.Random(f"{name}:{seed}"), workdir)
+    return WORKLOADS[name](tc, random.Random(f"{name}:{seed}"), workdir)
