@@ -14,7 +14,10 @@ checkout this file sits in.
                toruscut, generating, writing, parsing and constructing
                every spec and profile);
   ops_per_s    operations per cycle over the median cycle time; the timed
-               loop runs whole cycles for --seconds (at least 100 operations);
+               loop runs a fixed number of whole cycles, about --seconds
+               of work on the host the benchmark was built on (see
+               CYCLE_S), so every run of a seed attempts the same
+               operations and fails the same ones;
   op_p50_ms, op_p90_ms   per-operation latency percentiles;
   error_rate   failed / attempted operations;
   peak_rss_mb  peak resident memory of this process.
@@ -68,6 +71,12 @@ OUT = HERE / "out"
 SETUP_PROBES = 11
 MIN_OPS = 100
 HARD_STOP_S = 150.0
+# Wall time of one cycle of each workload on the host the benchmark was
+# built on (2 shared cores, Python 3); a run makes --seconds / CYCLE_S
+# whole cycles, at least MIN_OPS operations.  The count depends on
+# nothing measured, so attempted and failed are the same in every run of
+# a seed.
+CYCLE_S = {"cli-mix": 0.7, "dense-profile": 1.0, "exact-ties": 1.5, "paper-families": 0.75}
 # Time of calibration_kernel() on the reference machine; timings are
 # scaled by REF_KERNEL_S / (the kernel's time measured next to them).
 REF_KERNEL_S = 0.010
@@ -147,9 +156,14 @@ def run_ops(ops, indices, tracer=None, seen=None):
     return records
 
 
-def timed_loop(ops, seconds: float):
-    """Run whole cycles of ops until `seconds` have passed and MIN_OPS are
-    done; whole cycles keep the mix of operations the same in every run.
+def cycle_count(workload: str, n_ops: int, seconds: float) -> int:
+    return max(math.ceil(MIN_OPS / n_ops), round(seconds / CYCLE_S[workload]))
+
+
+def timed_loop(ops, n_cycles: int):
+    """Run n_cycles whole cycles of ops; whole cycles keep the mix of
+    operations the same in every run.  Only a host slow enough to pass
+    HARD_STOP_S cuts the run short, after the cycle under way.
 
     The calibration kernel runs between chunks of about CHUNK_S seconds
     of operations; every operation in a chunk gets the scale
@@ -160,10 +174,7 @@ def timed_loop(ops, seconds: float):
     records, scales, raw_cycles, cycles, seen = [], [], [], [], {}
     start = time.perf_counter()
     kernel = calibration_kernel()
-    while True:
-        elapsed = time.perf_counter() - start
-        if (elapsed >= seconds and len(records) >= MIN_OPS) or elapsed >= HARD_STOP_S:
-            break
+    while len(cycles) < n_cycles and time.perf_counter() - start < HARD_STOP_S:
         raw = scaled = 0.0
         i = 0
         while i < len(ops):
@@ -223,7 +234,7 @@ def end_to_end(workload, seed, seconds, workdir) -> dict:
             break
         run_ops(ops, [i])
     gc.collect()
-    records, scales, cycles, cycle_s = timed_loop(ops, seconds)
+    records, scales, cycles, cycle_s = timed_loop(ops, cycle_count(workload, len(ops), seconds))
     failed, wrong, failures = judge(ops, records)
     raw_ms = [r[1] * 1000 for r in records]
     lat_ms = [ms * k for ms, k in zip(raw_ms, scales)]
