@@ -30,6 +30,7 @@ from .angles import (
     parse_angle,
 )
 from .errors import (
+    BadBreakpoints,
     EndpointMismatch,
     GeometryError,
     InvalidCutSpec,
@@ -51,7 +52,6 @@ from .forms import (
     RadialProfile,
     contact_check,
     moment_eval,
-    moment_float,
     moment_sign,
     rescale,
     sweep,
@@ -104,7 +104,6 @@ from .specfile import parse_spec, parse_spec_file
 from .symplectization import (
     CheckRow,
     CommutationReport,
-    SymplectizedMoment,
     check_cut_symplectization_commute,
     sympl_moment_eval,
     sympl_moment_sign,

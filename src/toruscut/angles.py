@@ -212,9 +212,10 @@ def compare_scaled(a: Angle, p: int, b: Angle, q: int) -> int:
 
     A float estimate with a rigorous error bound settles the generic case
     in constant time; only near-ties (within ~1e-14 relative) fall back to
-    the exact integer multiples, whose cost grows with the bit length of
-    p and q.  Exact hits, such as a parameter landing precisely on a
-    moment zero, always take the exact path.
+    the exact integer multiples.  Those raise each direction's Gaussian
+    integer to the power p or q, so their bit length and cost grow at
+    least linearly in p and q themselves.  Exact hits, such as a parameter
+    landing precisely on a moment zero, always take the exact path.
     """
     if p < 0 or q < 0:
         raise ValueError("scalars must be nonnegative")

@@ -21,7 +21,7 @@ carved out by one moment inequality f_eta >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -72,31 +72,36 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class CutSpec:
-    """Cut datum: a form on T^2 x [0, 1] with collapse vectors at the ends.
-
-    Forms on other intervals are reparametrized affinely onto [0, 1] on
-    construction; nothing downstream depends on the parametrization.
-    """
-
-    form: InvariantContactForm
-    v0: Direction
-    v1: Direction
-
-    def __post_init__(self):
-        object.__setattr__(self, "v0", _dir(self.v0))
-        object.__setattr__(self, "v1", _dir(self.v1))
-        if self.form.domain != (Fraction(0), Fraction(1)):
-            object.__setattr__(self, "form", self.form.reparametrized(0, 1))
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed validity condition of a cut datum."""
 
     code: str  # "not-contact" | "nonzero-boundary-moment" | "wrong-sign"
     end: int | None  # boundary side 0 or 1; None for form-level failures
     message: str
+
+
+@dataclass(frozen=True)
+class CutSpec:
+    """Cut datum: a form on T^2 x [0, 1] with collapse vectors at the ends.
+
+    Forms on other intervals are reparametrized affinely onto [0, 1] on
+    construction; nothing downstream depends on the parametrization.
+    Validity is decided once, on construction: violations holds every
+    failed cut condition, and is not part of equality or hashing since
+    it follows from the other fields.
+    """
+
+    form: InvariantContactForm
+    v0: Direction
+    v1: Direction
+    violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "v0", _dir(self.v0))
+        object.__setattr__(self, "v1", _dir(self.v1))
+        if self.form.domain != (Fraction(0), Fraction(1)):
+            object.__setattr__(self, "form", self.form.reparametrized(0, 1))
+        object.__setattr__(self, "violations", _violations(self))
 
 
 class LensKind(Enum):
@@ -179,8 +184,8 @@ def _boundary_checks(
     return []
 
 
-def validate_cutspec(spec: CutSpec) -> list[Violation]:
-    """All violated cut conditions; an empty list means the datum is valid.
+def _violations(spec: CutSpec) -> tuple[Violation, ...]:
+    """Every violated cut condition of spec; empty when the datum is valid.
 
     Conditions: the form is contact; the v0-moment vanishes exactly at
     t = 0 and is positive on (0, eps); mirror conditions for v1 at t = 1.
@@ -189,16 +194,21 @@ def validate_cutspec(spec: CutSpec) -> list[Violation]:
     try:
         orientation = contact_check(spec.form)
     except (ZeroSlopeSegment, NonMonotone) as e:
-        return [Violation("not-contact", None, str(e))]
-    return _boundary_checks(spec.form, spec.v0, 0, orientation) + _boundary_checks(
-        spec.form, spec.v1, 1, orientation
+        return (Violation("not-contact", None, str(e)),)
+    return tuple(
+        _boundary_checks(spec.form, spec.v0, 0, orientation)
+        + _boundary_checks(spec.form, spec.v1, 1, orientation)
     )
 
 
+def validate_cutspec(spec: CutSpec) -> list[Violation]:
+    """All violated cut conditions; an empty list means the datum is valid."""
+    return list(spec.violations)
+
+
 def require_valid(spec: CutSpec) -> None:
-    violations = validate_cutspec(spec)
-    if violations:
-        raise InvalidCutSpec(violations)
+    if spec.violations:
+        raise InvalidCutSpec(spec.violations)
 
 
 def classify_lens(spec: CutSpec) -> LensDescriptor:

@@ -49,6 +49,10 @@ class NonPositiveRadial(GeometryError):
         super().__init__(f"radial profile must be positive; value at t={t} is {value}")
 
 
+class BadBreakpoints(GeometryError):
+    """Profile breakpoints that are too few, not ascending, or span another domain."""
+
+
 class OutsideDomain(GeometryError):
     def __init__(self, t, lo, hi):
         super().__init__(f"t={t} lies outside the domain [{lo}, {hi}]")

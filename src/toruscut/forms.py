@@ -49,6 +49,7 @@ from .angles import (
     floor_half_turns,
 )
 from .errors import (
+    BadBreakpoints,
     NonMonotone,
     NonPositiveRadial,
     OutsideDomain,
@@ -130,7 +131,7 @@ class AngleProfile:
         object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
-            raise ValueError("profile needs matching breaks/values with at least two entries")
+            raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
         degenerate = (
             len(self.breaks) == 2
             and self.breaks[0] == self.breaks[1]
@@ -139,7 +140,7 @@ class AngleProfile:
         if not degenerate:
             for i in range(len(self.breaks) - 1):
                 if not self.breaks[i] < self.breaks[i + 1]:
-                    raise ValueError("breakpoints must be strictly ascending")
+                    raise BadBreakpoints("breakpoints must be strictly ascending")
 
     # -- basic queries ---------------------------------------------------
 
@@ -352,7 +353,7 @@ class RadialProfile:
         breaks = [_frac(t) for t in breaks]
         values = [_frac(v) for v in values]
         if len(breaks) != len(values) or len(breaks) < 2:
-            raise ValueError("radial profile needs matching breaks/values, at least two")
+            raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
         for t, v in zip(breaks, values):
             if v <= 0:
                 raise NonPositiveRadial(t, v)
@@ -360,7 +361,7 @@ class RadialProfile:
         for i in range(len(breaks) - 1):
             span = breaks[i + 1] - breaks[i]
             if span <= 0:
-                raise ValueError("breakpoints must be strictly ascending")
+                raise BadBreakpoints("breakpoints must be strictly ascending")
             pieces.append((values[i], (values[i + 1] - values[i]) / span))
         return RadialProfile(tuple(breaks), tuple(pieces))
 
@@ -454,7 +455,7 @@ class InvariantContactForm:
 
     def __post_init__(self):
         if (self.phi.t0, self.phi.t1) != (self.radial.t0, self.radial.t1):
-            raise ValueError("phi and radial must share their domain")
+            raise BadBreakpoints("phi and radial must share their domain")
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -541,17 +542,6 @@ def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     r = float(form.radial.evaluate(t))
     a = form.phi.eval_float(float(t))
     return MomentValue(r * (m * math.cos(a) + n * math.sin(a)), sign)
-
-
-def moment_float(form: InvariantContactForm, eta: tuple[int, int], t: float) -> float:
-    """Float-only moment of eta at t; no exact sign, no zero snapping.
-
-    The tool for dense sampling, where t is not rational and the caller
-    only compares magnitudes against a tolerance.
-    """
-    m, n = eta
-    c1, c2 = form.covector_float(t)
-    return m * c1 + n * c2
 
 
 def rescale(form: InvariantContactForm, radial2: RadialProfile) -> InvariantContactForm:

@@ -68,7 +68,7 @@ _STANDARD_DIRECTIONS = (
 
 
 def _phi_of(obj) -> AngleProfile:
-    # cut data are validated; bare forms and profiles are taken as-is
+    # a cut datum must be valid; bare forms and profiles are taken as-is
     if isinstance(obj, CutSpec):
         require_valid(obj)
         return obj.form.phi

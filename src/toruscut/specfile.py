@@ -88,22 +88,25 @@ def _parse_phi(value: str, line: int) -> AngleProfile:
         raise SpecSemanticError(line, str(e)) from e
 
 
-def _parse_radial(value: str, line: int, phi: AngleProfile) -> RadialProfile:
+def _parse_form(phi: AngleProfile, value: str, line: int) -> InvariantContactForm:
+    """The form of phi with the radial profile given on this line."""
     tokens = value.split()
     try:
         if len(tokens) == 1 and ":" not in tokens[0]:
-            return RadialProfile.constant(
+            radial = RadialProfile.constant(
                 _fraction(tokens[0], line), (phi.t0, phi.t1)
             )
-        breaks = []
-        values = []
-        for token in tokens:
-            t_text, sep, v_text = token.partition(":")
-            if not sep:
-                raise SpecSyntaxError(line, f"expected t:value but got {token!r}")
-            breaks.append(_fraction(t_text, line))
-            values.append(_fraction(v_text, line))
-        return RadialProfile.from_values(breaks, values)
+        else:
+            breaks = []
+            values = []
+            for token in tokens:
+                t_text, sep, v_text = token.partition(":")
+                if not sep:
+                    raise SpecSyntaxError(line, f"expected t:value but got {token!r}")
+                breaks.append(_fraction(t_text, line))
+                values.append(_fraction(v_text, line))
+            radial = RadialProfile.from_values(breaks, values)
+        return InvariantContactForm(phi, radial)
     except GeometryError as e:
         raise SpecSemanticError(line, str(e)) from e
 
@@ -137,12 +140,11 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
 
     if "form.radial" in entries:
         rad_line, rad_text = entries["form.radial"]
-        radial = _parse_radial(rad_text, rad_line, phi)
+        form = _parse_form(phi, rad_text, rad_line)
     else:
-        radial = RadialProfile.constant(Fraction(1), (phi.t0, phi.t1))
+        form = InvariantContactForm.unit(phi)
 
     try:
-        form = InvariantContactForm(phi, radial)
         contact_check(form)
     except GeometryError as e:
         raise SpecSemanticError(phi_line, str(e)) from e

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from toruscut import cuts
 from toruscut import (
     Angle,
     AngleProfile,
@@ -222,6 +223,21 @@ class TestDistinguish:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             distinguish(alpha_cutspec(1), alpha_cutspec(2), "sideways")
+
+    def test_queries_do_not_revalidate(self, monkeypatch):
+        # validity is decided when a CutSpec is built; queries only read it
+        a, b = alpha_cutspec(3), alpha_cutspec(7)
+        calls = []
+        for name in ("contact_check", "_boundary_checks"):
+
+            def counted(*args, name=name, original=getattr(cuts, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(cuts, name, counted)
+        for mode in (MODE_FIXED, MODE_GL2Z):
+            assert distinguish(a, b, mode) is not None
+        assert calls == []
 
     @given(dirs(), dirs(), st.integers(0, 40))
     def test_none_is_honest_on_sampled_rays(self, v0, v1, seed):

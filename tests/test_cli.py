@@ -110,6 +110,28 @@ class TestParseSpec:
         assert e.value.line == 1
         assert "slope changes sign" in str(e.value)
 
+    @pytest.mark.parametrize("breaks", ["0:1,0 0:0,1", "0:1,0 1/2:0,1 1/4:1,1"])
+    def test_unordered_breakpoints(self, breaks):
+        with pytest.raises(SpecSemanticError) as e:
+            parse_spec(f"form.phi.breaks = {breaks}\n")
+        assert e.value.line == 1
+        assert "strictly ascending" in str(e.value)
+
+    @pytest.mark.parametrize(
+        "radial, message",
+        [
+            ("0:1 0:2 1:1", "strictly ascending"),
+            ("0:1", "at least two"),
+            ("0:1 2:1", "share their domain"),
+        ],
+    )
+    def test_bad_radial_breakpoints(self, radial, message):
+        text = ALPHA1.replace("form.radial = 1", f"form.radial = {radial}")
+        with pytest.raises(SpecSemanticError) as e:
+            parse_spec(text)
+        assert e.value.line == 2
+        assert message in str(e.value)
+
     def test_nonpositive_radial(self):
         text = LINE + "form.radial = -3:1 3:-2\n"
         with pytest.raises(SpecSemanticError) as e:

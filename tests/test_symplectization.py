@@ -16,12 +16,10 @@ from toruscut import (
     alpha_form,
     lens_cutspec,
     moment_eval,
-    moment_sign,
     rotating_line_form,
 )
 from toruscut.symplectization import (
     CommutationReport,
-    SymplectizedMoment,
     check_cut_symplectization_commute,
     sympl_moment_eval,
     sympl_moment_sign,
@@ -74,12 +72,6 @@ class TestEval:
         assert sympl_moment_sign(form, eta, t) == -sign
         assert (psi == 0.0) == (sign == 0)
 
-    def test_evaluator_object(self):
-        mom = SymplectizedMoment(alpha_form(1), (0, 1))
-        assert mom.eta == D(0, 1)
-        assert mom.sign(F(1, 4)) == -moment_sign(alpha_form(1), (0, 1), F(1, 4))
-        assert mom.evaluate(F(2, 5), 1.0) == 0.0
-
 
 class TestCommutationReport:
     def test_alpha0_all_rows_pass(self):
@@ -102,14 +94,6 @@ class TestCommutationReport:
     @pytest.mark.parametrize("kl", [(1, 2), (2, 3)])
     def test_lens_spec_passes(self, kl):
         assert check_cut_symplectization_commute(lens_cutspec(*kl)).passed
-
-    def test_corrupted_collapse_vector_flagged(self):
-        bad = CutSpec(alpha_form(0), D(1, 1), D(1, 0))
-        rep = check_cut_symplectization_commute(bad, validate=False)
-        assert not rep.passed
-        assert not rep.rows[0].passed
-        assert "not in the zero locus" in rep.rows[0].detail
-        assert all(r.passed for r in rep.rows[2:])
 
     def test_validation_raises_by_default(self):
         bad = CutSpec(alpha_form(0), D(1, 1), D(1, 0))
