@@ -59,18 +59,31 @@ class Direction:
         """The primitive vector on the same ray as (x, y)."""
         if x == 0 and y == 0:
             raise ZeroVector()
-        g = math.gcd(abs(x), abs(y))
-        return Direction(x // g, y // g)
+        g = math.gcd(x, y)
+        return _primitive(x // g, y // g)
 
     def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y)
+        return _primitive(-self.x, -self.y)
 
     def perp(self) -> "Direction":
         """Rotate by +90 degrees."""
-        return Direction(-self.y, self.x)
+        return _primitive(-self.y, self.x)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.x, self.y)
+
+
+def _primitive(x: int, y: int) -> Direction:
+    """Direction(x, y) for a pair already known to be primitive.
+
+    Skips the gcd of `__post_init__`; sign flips and swaps of a primitive
+    pair, and a pair divided by its gcd, are primitive by construction.
+    """
+    d = object.__new__(Direction)
+    fields = d.__dict__
+    fields["x"] = x
+    fields["y"] = y
+    return d
 
 
 def cross(a: Direction, b: Direction) -> int:
@@ -164,7 +177,7 @@ def negate(a: Angle) -> Angle:
     # -(pi + 2*pi*n) = pi + 2*pi*(-n - 1): the branch endpoint flips turns.
     if a.dir == NEG_X:
         return Angle(NEG_X, -a.turns - 1)
-    return Angle(Direction(a.dir.x, -a.dir.y), -a.turns)
+    return Angle(_primitive(a.dir.x, -a.dir.y), -a.turns)
 
 
 def angle_add(a: Angle, b: Angle) -> Angle:

@@ -32,9 +32,10 @@ Fraction exactly when both differences are rational multiples of pi.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .angles import (
@@ -156,11 +157,17 @@ class AngleProfile:
     def is_degenerate(self) -> bool:
         return self.breaks[0] == self.breaks[-1]
 
+    @cached_property
+    def _sweeps(self) -> tuple[Angle, ...]:
+        """values[i+1] - values[i] per segment, computed on first use."""
+        v = self.values
+        return tuple(angle_sub(v[i + 1], v[i]) for i in range(len(v) - 1))
+
     def segments(self) -> Iterator[tuple[int, Fraction, Fraction, Angle, Angle, Angle]]:
         """Yield (index, t_lo, t_hi, v_lo, v_hi, sweep) per affine piece."""
-        for i in range(len(self.breaks) - 1):
-            v0, v1 = self.values[i], self.values[i + 1]
-            yield i, self.breaks[i], self.breaks[i + 1], v0, v1, angle_sub(v1, v0)
+        b, v = self.breaks, self.values
+        for i, sweep in enumerate(self._sweeps):
+            yield i, b[i], b[i + 1], v[i], v[i + 1], sweep
 
     def orientation(self) -> int:
         """+1 if strictly increasing, -1 if strictly decreasing.
@@ -171,8 +178,9 @@ class AngleProfile:
         if self.is_degenerate:
             raise ZeroSlopeSegment(0)
         sign = 0
-        for i, _, _, v0, v1, _ in self.segments():
-            s = angle_compare(v1, v0)
+        v = self.values
+        for i in range(len(v) - 1):
+            s = angle_compare(v[i + 1], v[i])
             if s == 0:
                 raise ZeroSlopeSegment(i)
             if sign == 0:
@@ -225,27 +233,41 @@ class AngleProfile:
     def solve(self, target: Angle) -> ProfilePoint | None:
         """The unique parameter with phi(t) = target, or None if out of range.
 
-        Requires a monotone profile.  A hit at a shared breakpoint is
-        reported on the earlier segment.
+        Requires a strictly monotone profile (either orientation); the
+        answer is not meaningful otherwise.  A degenerate or zero-sweep
+        profile returns None.  A hit at a shared breakpoint is reported
+        on the earlier segment.
+
+        Cost: O(log n) angle comparisons for n breakpoints, by bisection
+        of the monotone breakpoint values, plus one angle difference.  The
+        first call on a profile also computes its n - 1 segment sweeps.
         """
-        for i, t_lo, t_hi, v0, v1, sweep in self.segments():
-            c0 = angle_compare(target, v0)
-            c1 = angle_compare(target, v1)
-            s = angle_compare(v1, v0)
-            if s == 0:
-                continue
-            if s > 0 and (c0 < 0 or c1 > 0):
-                continue
-            if s < 0 and (c0 > 0 or c1 < 0):
-                continue
-            return ProfilePoint(i, t_lo, t_hi, angle_sub(target, v0), sweep)
-        return None
+        v = self.values
+        sign = angle_compare(v[-1], v[0])
+        if sign == 0:
+            return None
+        if sign * angle_compare(target, v[0]) < 0 or sign * angle_compare(target, v[-1]) > 0:
+            return None
+        # Smallest i >= 1 with v[i] at or past the target; the hit is on
+        # segment i - 1, so a breakpoint hit lands on the earlier segment.
+        lo, hi = 1, len(v) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * angle_compare(v[mid], target) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        i = lo - 1
+        return ProfilePoint(
+            i, self.breaks[i], self.breaks[lo], angle_sub(target, v[i]), self._sweeps[i]
+        )
 
     def solve_half_turn_lattice(self, base: Angle) -> list[tuple[int, ProfilePoint]]:
         """All (j, point) with phi(point) = base + j*pi, ordered by parameter.
 
-        Requires a monotone profile; each lattice value in range is hit
-        exactly once.
+        Requires a strictly monotone profile; each lattice value in range
+        is hit exactly once.  Cost: O(J log n) angle comparisons for J hits
+        and n breakpoints, one `solve` per hit.
         """
         lo, hi = self.value_bounds()
         j_min = ceil_half_turns(angle_sub(lo, base))
@@ -287,14 +309,11 @@ class AngleProfile:
         already solved exactly (they must lie on the existing pieces)."""
         if not (self.t0 <= t_a < t_b <= self.t1):
             raise ValueError("restriction interval must be ordered and inside the domain")
-        mid = [
-            (t, v)
-            for t, v in zip(self.breaks, self.values)
-            if t_a < t < t_b
-        ]
+        # breakpoints strictly inside (t_a, t_b)
+        i0, i1 = bisect_right(self.breaks, t_a), bisect_left(self.breaks, t_b)
         return AngleProfile(
-            (t_a, *[t for t, _ in mid], t_b),
-            (value_a, *[v for _, v in mid], value_b),
+            (t_a, *self.breaks[i0:i1], t_b),
+            (value_a, *self.values[i0:i1], value_b),
         )
 
 
@@ -440,10 +459,14 @@ class RadialProfile:
     def restricted(self, t_a: Fraction, t_b: Fraction) -> "RadialProfile":
         if not (self.t0 <= t_a < t_b <= self.t1):
             raise ValueError("restriction interval must be ordered and inside the domain")
-        fine = self.refined([t_a, t_b])
-        i0 = fine.breaks.index(t_a)
-        i1 = fine.breaks.index(t_b)
-        return RadialProfile(fine.breaks[i0 : i1 + 1], fine.pieces[i0:i1])
+        # piece i0 holds t_a; breakpoints i0+1 .. i1-1 lie strictly inside
+        i0, i1 = bisect_right(self.breaks, t_a) - 1, bisect_left(self.breaks, t_b)
+        starts = (t_a, *self.breaks[i0 + 1 : i1])
+        pieces = tuple(
+            _poly_shift(self.pieces[i], t - self.breaks[i])
+            for i, t in enumerate(starts, start=i0)
+        )
+        return RadialProfile((*starts, t_b), pieces)
 
 
 @dataclass(frozen=True)

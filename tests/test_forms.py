@@ -1,6 +1,7 @@
 """Profiles, forms, and exact moment signs."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from toruscut import (
     NonMonotone,
     NonPositiveRadial,
     OutsideDomain,
+    ProfilePoint,
     RadialProfile,
     ZeroSlopeSegment,
     angle_add,
@@ -22,12 +24,15 @@ from toruscut import (
     angle_sub,
     as_pi_multiple,
     contact_check,
+    contact_reduce,
     direction_angle,
     moment_eval,
     moment_sign,
     rescale,
     sweep,
 )
+from toruscut import forms
+from toruscut.angles import negate
 
 A = Angle
 D = Direction
@@ -63,19 +68,54 @@ def positive_angles(draw):
 
 
 @st.composite
-def monotone_profiles(draw, max_segments=4):
+def ascending_breaks(draw, max_segments=4):
     k = draw(st.integers(1, max_segments))
     t = draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
     breaks = [t]
     for _ in range(k):
         gap = draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
         breaks.append(breaks[-1] + gap)
+    return breaks
+
+
+@st.composite
+def monotone_profiles(draw, max_segments=4, orientation=None):
+    """Strictly monotone profiles; orientation +1 or -1 fixes the direction,
+    None draws it.  Every segment sweeps at least Arg(5, 1) ~ 0.197."""
+    breaks = draw(ascending_breaks(max_segments))
     vals = [draw(angles())]
-    for _ in range(k):
+    for _ in range(len(breaks) - 1):
         vals.append(angle_add(vals[-1], draw(positive_angles())))
-    if draw(st.booleans()):
+    if orientation == -1 or (orientation is None and draw(st.booleans())):
         vals.reverse()
     return AngleProfile(tuple(breaks), tuple(vals))
+
+
+@st.composite
+def radial_profiles(draw, max_segments=4):
+    """Affine profiles, and products of two with interleaved breakpoints."""
+    breaks = draw(ascending_breaks(max_segments))
+    positive = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+    r = RadialProfile.from_values(breaks, [draw(positive) for _ in breaks])
+    if draw(st.booleans()):
+        mid = breaks[0] + (breaks[-1] - breaks[0]) * draw(st.sampled_from([F(1, 3), F(1, 2)]))
+        other = [breaks[0], mid, breaks[-1]]
+        r = r.multiply(RadialProfile.from_values(other, [draw(positive) for _ in other]))
+    return r
+
+
+@st.composite
+def sub_intervals(draw, breaks):
+    """t_a < t_b inside [breaks[0], breaks[-1]]; endpoints often breakpoints."""
+
+    def point():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(breaks))
+        return draw(rational_in(breaks[0], breaks[-1]))
+
+    t_a, t_b = point(), point()
+    assume(t_a != t_b)
+    return min(t_a, t_b), max(t_a, t_b)
 
 
 def rational_in(lo, hi, q=840):
@@ -179,6 +219,104 @@ class TestAngleProfile:
         assert sub.breaks == (F(1, 10), F(9, 10))
         assert as_pi_multiple(angle_sub(sub.values[1], sub.values[0])) == F(2)
         assert sub.compare_at(F(1, 2), A(D(-1, -1), 1)) == 0  # phi(1/2) = 5 pi/4
+
+
+def scan_solve(phi, target):
+    """Reference solve: the first segment in parameter order whose closed
+    value range contains the target; zero-sweep segments never match."""
+    for i in range(len(phi.breaks) - 1):
+        v0, v1 = phi.values[i], phi.values[i + 1]
+        s = angle_compare(v1, v0)
+        if s != 0 and s * angle_compare(target, v0) >= 0 and s * angle_compare(v1, target) >= 0:
+            return ProfilePoint(
+                i, phi.breaks[i], phi.breaks[i + 1], angle_sub(target, v0), angle_sub(v1, v0)
+            )
+    return None
+
+
+def scan_restricted_exact(phi, t_a, value_a, t_b, value_b):
+    """Reference restriction: keep the breakpoints strictly inside (t_a, t_b)."""
+    mid = [(t, v) for t, v in zip(phi.breaks, phi.values) if t_a < t < t_b]
+    return AngleProfile(
+        (t_a, *[t for t, _ in mid], t_b), (value_a, *[v for _, v in mid], value_b)
+    )
+
+
+def refine_restricted(r, t_a, t_b):
+    """Reference restriction: refine at both ends, then cut."""
+    fine = r.refined([t_a, t_b])
+    i0, i1 = fine.breaks.index(t_a), fine.breaks.index(t_b)
+    return RadialProfile(fine.breaks[i0 : i1 + 1], fine.pieces[i0:i1])
+
+
+# about 1e-3 rad: far inside every segment of monotone_profiles()
+NUDGE = direction_angle((1000, 1))
+
+
+class TestSolveBisection:
+    @given(
+        st.one_of(monotone_profiles(), monotone_profiles(orientation=-1)),
+        angles(max_turns=15),
+    )
+    @settings(max_examples=150)
+    def test_matches_linear_scan(self, phi, drawn):
+        v = phi.values
+        step = NUDGE if phi.orientation() > 0 else negate(NUDGE)
+        inside = [angle_add(x, step) for x in v[:-1]] + [angle_sub(x, step) for x in v[1:]]
+        outside = [angle_sub(v[0], step), angle_add(v[-1], step)]
+        for target in (*v, *inside, *outside, drawn):
+            assert phi.solve(target) == scan_solve(phi, target)
+        for target in v[1:-1]:  # a shared breakpoint belongs to the earlier segment
+            pt = phi.solve(target)
+            assert pt.offset == pt.span and pt.t_hi == phi.breaks[v.index(target)]
+        for target in inside:
+            pt = phi.solve(target)
+            assert 0 < pt.t_float() - float(pt.t_lo) < float(pt.t_hi - pt.t_lo)
+        for target in outside:
+            assert phi.solve(target) is None
+
+    @given(angles(), angles(), st.fractions(min_value=-2, max_value=2, max_denominator=6))
+    def test_degenerate_and_zero_sweep_profiles_have_no_solution(self, a, target, t):
+        for phi in (AngleProfile((t, t), (a, a)), AngleProfile((t, t + 1), (a, a))):
+            assert phi.solve(a) is None and scan_solve(phi, a) is None
+            assert phi.solve(target) is None
+
+    def test_lattice_enumeration_cost_is_n_plus_j_log_n(self, monkeypatch):
+        # the n = 1000 rung of the contact_reduce ladder (perfbench/ladder.py)
+        n = 1000
+        phi = AngleProfile(
+            tuple(F(i, n - 1) for i in range(n)), tuple(A(D(1, 0), i) for i in range(n))
+        )
+        calls = Counter()
+        for name in ("angle_compare", "angle_sub"):
+
+            def counted(*args, _real=getattr(forms, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(forms, name, counted)
+        circles = contact_reduce(InvariantContactForm.unit(phi), (1, 0))
+        hits = len(circles)
+        assert hits == 2 * (n - 1)
+        # a per-hit scan of the segments makes about n * J / 2 calls
+        assert sum(calls.values()) <= 2 * (n + hits * math.log2(n))
+
+    @given(monotone_profiles(), st.data())
+    def test_restricted_exact_matches_scan(self, phi, data):
+        t_a, t_b = data.draw(sub_intervals(phi.breaks))
+        value_a, value_b = phi.values[0], phi.values[-1]
+        sub = phi.restricted_exact(t_a, value_a, t_b, value_b)
+        ref = scan_restricted_exact(phi, t_a, value_a, t_b, value_b)
+        assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
+
+    @given(radial_profiles(), st.data())
+    def test_radial_restricted_matches_refine(self, r, data):
+        t_a, t_b = data.draw(sub_intervals(r.breaks))
+        sub = r.restricted(t_a, t_b)
+        ref = refine_restricted(r, t_a, t_b)
+        assert (sub.breaks, sub.pieces) == (ref.breaks, ref.pieces)
+        for t in sub.breaks:
+            assert sub.evaluate(t) == r.evaluate(t)
 
 
 class TestRadialProfile:
