@@ -9,6 +9,7 @@ floats appear only in reported approximations.
 
 from .angles import (
     Angle,
+    AngleForm,
     Direction,
     QUARTER_TURN,
     ZERO_ANGLE,
@@ -16,7 +17,6 @@ from .angles import (
     add_turns,
     angle_add,
     angle_compare,
-    angle_mul_int,
     angle_sub,
     as_pi_multiple,
     ceil_turns,

@@ -17,12 +17,20 @@ values is decided entirely with integer sign, cross and dot products:
 
 Addition and subtraction multiply the underlying Gaussian integers and
 correct the branch by an exactly determined element of {-1, 0, +1}.
-Integer multiples are square-and-add on top of that, which is what lets
-callers compare rational multiples of two angles exactly: p*a vs q*b is
-again a comparison of two stored angles.
 
-Floating point appears only in `Angle.value()` (display, numeric
-cross-checks).  No predicate in this module consults it.
+Rational combinations of angles, such as p*a - q*b or a profile value
+between two breakpoints, are `AngleForm`s: sum(c_i * Arg(z_i)) + r*pi with
+rational c_i and r.  No Gaussian integer is ever raised to the power of a
+coefficient.  The sign of a form is read off a float estimate with a
+stated error bound; only near a tie is it decided exactly, by factoring
+the z_i and their conjugates over a coprime base in Z[i] (gcds and exact
+divisions, no integer factorization; D. J. Bernstein, "Factoring into
+coprimes in essentially linear time", J. Algorithms 54, 2005), and, for a
+near-tie that is not a tie, by fixed-point Args in integer arithmetic.
+
+Floating point appears in `Angle.value()` (display, numeric cross-checks)
+and in the float stage of `compare_scaled` and `AngleForm.sign`, which
+decides only outside its error bound.
 
 Only eight primitive directions have an argument that is a rational
 multiple of pi (the axes and diagonals); `as_pi_multiple` recognises them,
@@ -134,8 +142,22 @@ class Angle:
     turns: int = 0
 
     def value(self) -> float:
-        """Float approximation; never used for decisions."""
-        return math.atan2(self.dir.y, self.dir.x) + TWO_PI * self.turns
+        """Float approximation, within 2**-50 + 2**-51 * |value|, for
+        directions of any size; decisions use it only outside that bound."""
+        return _arg(self.dir) + TWO_PI * self.turns
+
+    def ratio(self, den: "Angle") -> float:
+        """self / den as a float.  `value()` is accurate relative to the
+        value (it is below pi in size only when turns is 0), so the float
+        quotient is too."""
+        return self.value() / den.value()
+
+    def pi_multiple(self) -> Fraction | None:
+        """value / pi as an exact Fraction, or None when it is irrational."""
+        q = _PI_MULTIPLES.get((self.dir.x, self.dir.y))
+        if q is None:
+            return None
+        return q + 2 * self.turns
 
     def __lt__(self, other):
         return angle_compare(self, other) < 0
@@ -206,40 +228,31 @@ def angle_sub(a: Angle, b: Angle) -> Angle:
     return angle_add(a, negate(b))
 
 
-def angle_mul_int(a: Angle, n: int) -> Angle:
-    """Exact integer multiple n*a (square-and-add)."""
-    if n < 0:
-        return negate(angle_mul_int(a, -n))
-    acc = ZERO_ANGLE
-    base = a
-    while n:
-        if n & 1:
-            acc = angle_add(acc, base)
-        base = angle_add(base, base)
-        n >>= 1
-    return acc
-
-
 def compare_scaled(a: Angle, p: int, b: Angle, q: int) -> int:
     """Exact sign of p*a - q*b for nonnegative integer scalars.
 
-    A float estimate with a rigorous error bound settles the generic case
-    in constant time; only near-ties (within ~1e-14 relative) fall back to
-    the exact integer multiples.  Those raise each direction's Gaussian
-    integer to the power p or q, so their bit length and cost grow at
-    least linearly in p and q themselves.  Exact hits, such as a parameter
-    landing precisely on a moment zero, always take the exact path.
+    The float test settles every case with |p*a - q*b| above
+    1e-14 * (p * (1 + |a|) + q * (1 + |b|)), which bounds the rounding of
+    `Angle.value()` and of the products; it never raises, however large p
+    or q.  Everything else, exact hits included, is the sign of the
+    `AngleForm` p*a - q*b: a float estimate, then only at a possible tie
+    gcds on the two directions and their conjugates.  That fallback does
+    not raise anything to the power p or q; its cost depends on the bit
+    length of the directions, not on the size of p or q.
     """
     if p < 0 or q < 0:
         raise ValueError("scalars must be nonnegative")
-    av, bv = a.value(), b.value()
-    gap = p * av - q * bv
-    err = 1e-14 * (p * (1.0 + abs(av)) + q * (1.0 + abs(bv)))
+    try:
+        av, bv = a.value(), b.value()
+        gap = p * av - q * bv
+        err = 1e-14 * (p * (1.0 + abs(av)) + q * (1.0 + abs(bv)))
+    except OverflowError:  # p or q beyond float range
+        gap, err = 0.0, math.inf
     if gap > err:
         return 1
     if gap < -err:
         return -1
-    return angle_compare(angle_mul_int(a, p), angle_mul_int(b, q))
+    return (AngleForm.of(a) * p - AngleForm.of(b) * q).sign()
 
 
 def add_half_turns(a: Angle, j: int) -> Angle:
@@ -338,10 +351,388 @@ _PI_MULTIPLES = {
 
 def as_pi_multiple(a: Angle) -> Fraction | None:
     """value / pi as an exact Fraction, or None when it is irrational."""
-    q = _PI_MULTIPLES.get((a.dir.x, a.dir.y))
-    if q is None:
+    return a.pi_multiple()
+
+
+# -- rational linear forms in angles ---------------------------------------------
+
+_QUARTER_PI = math.pi / 4
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _fraction(x: Fraction | int) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _term_key(term) -> tuple[int, int]:
+    return (term[0].x, term[0].y)
+
+
+def _arg(d: Direction) -> float:
+    """Arg(d) in floats, within 2**-50 for any coordinate size.
+
+    Coordinates beyond float range are both shifted right by the same
+    amount, until the larger keeps 64 bits, which moves the angle by less
+    than 2**-61.
+    """
+    try:
+        return math.atan2(d.y, d.x)
+    except OverflowError:
+        s = max(abs(d.x).bit_length(), abs(d.y).bit_length()) - 64
+        return math.atan2(d.y >> s, d.x >> s)
+
+
+def _float_sum(terms, r) -> tuple[float, float]:
+    """(v, e) with |sum(c * Arg(d)) + r*pi - v| <= e, for rational c and r.
+
+    Each float Arg is within 2**-50 (`_arg`), and every conversion,
+    product and sum rounds by at most 2**-53 relative, so with k terms
+    and S = sum |c| + |r| the error is below (k + 4) * 2**-50 * S; e
+    doubles that, to cover the rounding of S itself, and adds 2**-1000
+    for coefficients that underflow.  A coefficient beyond float range
+    gives e = inf.
+    """
+    try:
+        fr = float(r)
+        v, size = fr * math.pi, abs(fr)
+        for d, c in terms:
+            fc = float(c)
+            v += fc * _arg(d)
+            size += abs(fc)
+    except OverflowError:
+        return math.nan, math.inf
+    return v, (len(terms) + 4) * 2.0**-49 * size + 2.0**-1000
+
+
+# Gaussian integers are pairs (x, y) <-> x + iy.
+
+
+def _norm(a) -> int:
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gdiv(a, b):
+    """a / b when b divides a in Z[i], else None."""
+    n = _norm(b)
+    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+    if re % n or im % n:
         return None
-    return q + 2 * a.turns
+    return (re // n, im // n)
+
+
+def _ggcd(a, b):
+    """A greatest common divisor in Z[i]: Euclid with rounded quotients."""
+    while b[0] or b[1]:
+        n = _norm(b)
+        re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        qb = _gmul(((2 * re + n) // (2 * n), (2 * im + n) // (2 * n)), b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
+
+
+def _coprime_base(elems) -> list:
+    """Pairwise coprime non-units of Z[i] such that every element of elems
+    is a unit times a product of their powers.
+
+    Two elements a, b with a nontrivial gcd g are replaced by g and by a
+    and b with every factor g divided out, until no pair shares a factor;
+    each split lowers the product of all norms, so this ends.  Coprime
+    norms skip the Gaussian gcd.
+    """
+    base, todo = [], [z for z in elems if _norm(z) > 1]
+    while todo:
+        a = todo.pop()
+        na = _norm(a)
+        for k, (b, nb) in enumerate(base):
+            if math.gcd(na, nb) == 1:
+                continue
+            g = _ggcd(a, b)
+            if _norm(g) > 1:
+                del base[k]
+                todo += [z for z in (g, _strip(a, g)[1], _strip(b, g)[1]) if _norm(z) > 1]
+                break
+        else:
+            base.append((a, na))
+    return [b for b, _ in base]
+
+
+def _strip(z, b) -> tuple[int, tuple[int, int]]:
+    """(e, z / b**e) for the largest e with b**e dividing z, by repeated
+    squaring of b: O(log e) divisions."""
+    q = _gdiv(z, b)
+    if q is None:
+        return 0, z
+    e, q = _strip(q, _gmul(b, b))
+    r = _gdiv(q, b)
+    return (2 * e + 2, r) if r is not None else (2 * e + 1, q)
+
+
+def _in_quarter_turns(terms) -> bool:
+    """Whether sum(n * Arg(d)) over integer n is a multiple of pi/4, exactly.
+
+    It is iff w = prod d**n has w / conj(w) in {1, i, -1, -i}.  Over a
+    coprime base of the d and their conjugates (conjugation permutes it),
+    that holds iff every base element occurs in w and in conj(w) to the
+    same exponent; the exponents are valuations, never powers of d.
+    """
+    zs = [(d.x, d.y) for d, _ in terms]
+    conj = [(x, -y) for x, y in zs]
+    for b in _coprime_base(zs + conj):
+        if sum(n * (_strip(z, b)[0] - _strip(c, b)[0]) for (_, n), z, c in zip(terms, zs, conj)):
+            return False
+    return True
+
+
+# Fixed point: integers standing for multiples of 2**-prec.
+_GUARD = 32
+_HALVINGS = 8
+
+
+def _atan_fixed(num: int, den: int, prec: int) -> int:
+    """atan(num / den) * 2**prec within 2, for 0 <= num <= den.
+
+    Eight halvings t -> t / (1 + sqrt(1 + t*t)) bring t below 2**-8, then
+    the Taylor series runs with 32 guard bits, which hold the rounding of
+    every step (each halving at most halves the error carried in).
+    """
+    w = prec + _GUARD
+    one = 1 << w
+    t = (num << w) // den
+    for _ in range(_HALVINGS):
+        t = (t << w) // (one + math.isqrt((one << w) + t * t))
+    t2 = (t * t) >> w
+    total, power, k = t, t, 1
+    while power:
+        power = (power * t2) >> w
+        k += 2
+        total += -(power // k) if k % 4 == 3 else power // k
+    return (total << _HALVINGS) >> _GUARD
+
+
+def _fixed_sum(terms, r: int, prec: int) -> tuple[int, int]:
+    """(x, e) with |x - 2**prec * (sum(n * Arg(d)) + r*pi)| <= e, for
+    integer n and r.  Arg is the atan of the smaller over the larger
+    coordinate magnitude, moved to its octant with pi/2 and pi."""
+    pi = _atan_fixed(1, 1, prec + 2)  # 4 * atan(1), within 2
+    x, e = r * pi, 2 * abs(r)
+    for d, n in terms:
+        a, b = abs(d.x), abs(d.y)
+        arg = _atan_fixed(min(a, b), max(a, b), prec)
+        if b > a:
+            arg = (pi >> 1) - arg
+        if d.x < 0:
+            arg = pi - arg
+        x += -n * arg if d.y < 0 else n * arg
+        e += 6 * abs(n)
+    return x, e
+
+
+@dataclass(frozen=True, eq=False)
+class AngleForm:
+    """sum(c * Arg(d) for d, c in terms) + r*pi, with rational c and r.
+
+    The d are primitive directions.  On construction the eight at
+    multiples of pi/4 are folded into r, equal directions are merged,
+    zero coefficients dropped and the terms sorted by (x, y).  Equal
+    values need not be structurally equal (Arg(2,1) + Arg(2,-1) = 0), so
+    `==` is the `sign()` of the difference and forms are not hashable.
+    """
+
+    terms: tuple[tuple[Direction, Fraction], ...] = ()
+    r: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        r = _fraction(self.r)
+        coeffs: dict[Direction, Fraction] = {}
+        for d, c in self.terms:
+            q = _PI_MULTIPLES.get((d.x, d.y))
+            if q is not None:
+                r += c * q
+            elif d in coeffs:
+                coeffs[d] += c
+            else:
+                coeffs[d] = c
+        terms = sorted(((d, _fraction(c)) for d, c in coeffs.items() if c), key=_term_key)
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "r", r)
+
+    @staticmethod
+    def _normal(terms, r: Fraction) -> "AngleForm":
+        """A form from terms that are already folded, merged, nonzero and sorted."""
+        f = object.__new__(AngleForm)
+        f.__dict__.update(terms=terms, r=r)
+        return f
+
+    @staticmethod
+    def of(a: Angle) -> "AngleForm":
+        q = a.pi_multiple()
+        if q is not None:
+            return AngleForm._normal((), q)
+        return AngleForm._normal(((a.dir, Fraction(1)),), Fraction(2 * a.turns))
+
+    def __add__(self, other: "AngleForm") -> "AngleForm":
+        if not isinstance(other, AngleForm):
+            return NotImplemented
+        return AngleForm(self.terms + other.terms, self.r + other.r)
+
+    def __neg__(self) -> "AngleForm":
+        return AngleForm._normal(tuple((d, -c) for d, c in self.terms), -self.r)
+
+    def __sub__(self, other: "AngleForm") -> "AngleForm":
+        if not isinstance(other, AngleForm):
+            return NotImplemented
+        return AngleForm(self.terms + tuple((d, -c) for d, c in other.terms), self.r - other.r)
+
+    def __mul__(self, k: Fraction | int) -> "AngleForm":
+        if not isinstance(k, (int, Fraction)):
+            return NotImplemented
+        if not k:
+            return AngleForm()
+        return AngleForm._normal(tuple((d, c * k) for d, c in self.terms), self.r * k)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AngleForm):
+            return NotImplemented
+        return (self - other).sign() == 0
+
+    def __str__(self) -> str:
+        parts = [f"{c}*Arg({d.x},{d.y})" for d, c in self.terms]
+        if self.r or not parts:
+            parts.append(f"{self.r}*pi")
+        return " + ".join(parts)
+
+    def value(self) -> float:
+        """Float approximation, within the bound of `_float_sum`."""
+        return _float_sum(self.terms, self.r)[0]
+
+    def _integral(self):
+        """(n, integer terms, integer r) of n * self, n > 0 the lcm of all
+        denominators."""
+        n = math.lcm(self.r.denominator, *(c.denominator for _, c in self.terms))
+        terms = tuple((d, c.numerator * (n // c.denominator)) for d, c in self.terms)
+        return n, terms, self.r.numerator * (n // self.r.denominator)
+
+    def sign(self) -> int:
+        """-1, 0 or +1 as the value is negative, zero or positive.  Exact.
+
+        1. Float: the estimate decides when it is farther from 0 than its
+           error bound, (k + 4) * 2**-49 * (sum |c| + |r|) for k terms (see
+           `_float_sum`).  One pass over the terms; it never raises.
+        2. Tie test: otherwise `pi_multiple()` decides whether the value
+           is a rational multiple of pi, and if it is, its exact sign.  Its
+           cost depends on the bit length of the directions only.
+        3. Fixed point: otherwise the value is irrational, hence not 0,
+           and the Args are evaluated in integers at 64, 128, ... bits
+           until the sign clears the error bound.  The bits needed grow
+           with log(1 / |value|) and the bit length of the coefficients.
+        """
+        if not self.terms:
+            return _sign(self.r)
+        v, e = _float_sum(self.terms, self.r)
+        if v > e:
+            return 1
+        if v < -e:
+            return -1
+        m = self.pi_multiple()
+        if m is not None:
+            return _sign(m)
+        _, terms, r = self._integral()
+        prec = 64
+        while True:
+            x, err = _fixed_sum(terms, r, prec)
+            if abs(x) > err:
+                return _sign(x)
+            prec *= 2
+
+    def pi_multiple(self) -> Fraction | None:
+        """value / pi as an exact Fraction, or None when it is irrational.
+
+        With n clearing all denominators, x = sum(n*c * Arg(d)) is, up to
+        whole turns, the argument of a Gaussian integer, so it is a
+        rational multiple of pi exactly when it is a multiple of pi/4.
+        When the float estimate of x is farther than its bound from every
+        multiple of pi/4 the answer is None at once; otherwise the coprime
+        base test decides (`_in_quarter_turns`), and the multiple is
+        rounded from the estimate, or, when the bound is not below pi/16,
+        from a fixed-point evaluation.
+        """
+        if not self.terms:
+            return self.r
+        n, terms, _ = self._integral()
+        v, e = _float_sum(terms, 0)
+        precise = e < _QUARTER_PI / 4
+        if precise:
+            k = round(v / _QUARTER_PI)
+            if abs(v - k * _QUARTER_PI) > 2 * e:
+                return None
+        if not _in_quarter_turns(terms):
+            return None
+        if not precise:
+            prec = sum(abs(c) for _, c in terms).bit_length() + 8
+            x, _ = _fixed_sum(terms, 0, prec)
+            pi = _atan_fixed(1, 1, prec + 2)
+            k = (8 * x + pi) // (2 * pi)  # round(x / (pi/4))
+        return Fraction(k, 4 * n) + self.r
+
+    def ratio(self, den: "AngleForm") -> float:
+        """self / den as a float, for a den whose value is not 0.
+
+        The float estimates of both forms are used when den is more than
+        2**40 times the sum of their error bounds (`_float_sum`); else
+        both are evaluated in fixed point at 64, 128, ... bits until den
+        is.  Either way the result is within 2**-40 * (1 + |ratio|) of the
+        true ratio, also when den is a tiny difference of large Args.
+        """
+        vn, en = _float_sum(self.terms, self.r)
+        vd, ed = _float_sum(den.terms, den.r)
+        if abs(vd) > (en + ed) * 2.0**40:
+            return vn / vd
+        if den.sign() == 0:
+            raise ZeroDivisionError("AngleForm ratio by a zero form")
+        nn, tn, rn = self._integral()
+        nd, td, rd = den._integral()
+        prec = 64
+        while True:
+            xn, en = _fixed_sum(tn, rn, prec)
+            xd, ed = _fixed_sum(td, rd, prec)
+            # in value units: |xd / nd| > 2**40 * (en / nn + ed / nd)
+            if abs(xd) * nn > (en * nd + ed * nn) << 40:
+                return (xn * nd) / (xd * nn)
+            prec *= 2
+
+    def floor(self, step: Fraction | int = 1) -> int:
+        """floor(value / (step*pi)), exactly, for a positive rational step.
+
+        A float estimate whose bound is below step brackets the answer
+        between the floors of its two ends, widened by the bound once more
+        for the rounding of the division; usually they agree and no exact
+        sign is needed.  Otherwise |value| <= pi * (sum |c| + |r|) brackets
+        it.  Bisection with `sign()` finishes.
+        """
+        step = _fraction(step)
+        v, e = _float_sum(self.terms, self.r)
+        if e < step and math.isfinite(v):
+            unit = float(step) * math.pi
+            lo, hi = math.floor((v - 2 * e) / unit), math.floor((v + 2 * e) / unit)
+        else:
+            t = math.ceil((sum(abs(c) for _, c in self.terms) + abs(self.r)) / step)
+            lo, hi = -t - 1, t
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if AngleForm._normal(self.terms, self.r - step * mid).sign() >= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
 
 def format_angle(a: Angle) -> str:

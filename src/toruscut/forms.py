@@ -14,9 +14,11 @@ half-turn lattice through Arg(-n, m).
 
 Exact sign policy.  moment_eval reports a zero only when it can prove one:
 phi(t) at a rational t is compared against candidate lattice angles by
-clearing denominators (p * segment_sweep vs q * offset, both exact angle
-comparisons).  Otherwise the sign is read off from the parity of the
-lattice interval that provably brackets phi(t).  No epsilons anywhere.
+clearing the denominator of the position inside the segment, which gives
+the sign of p * segment_sweep - q * offset (`compare_scaled`: a float
+test with a stated bound, then an exact `AngleForm` sign).  Otherwise the
+sign is read off from the parity of the lattice interval that provably
+brackets phi(t).  No decision rests on an unbounded float.
 
 The radial profile is piecewise polynomial with rational coefficients.
 Users build affine profiles from breakpoint values; products (needed for
@@ -25,8 +27,9 @@ for affine pieces and is preserved by products.
 
 Parameter values where a profile attains a given lattice angle are
 returned as `ProfilePoint`s: the exact ratio of two angle differences
-inside a segment, plus a float approximation.  The ratio collapses to a
-Fraction exactly when both differences are rational multiples of pi.
+(`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
+The ratio collapses to a Fraction exactly when both differences are
+rational multiples of pi.
 """
 
 from __future__ import annotations
@@ -40,14 +43,15 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .angles import (
     Angle,
+    AngleForm,
     add_half_turns,
     angle_compare,
     angle_sub,
-    as_pi_multiple,
     ceil_half_turns,
     compare_scaled,
     direction_angle,
     floor_half_turns,
+    format_angle,
 )
 from .errors import (
     BadBreakpoints,
@@ -64,30 +68,37 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _literal(a: Angle | AngleForm) -> str:
+    return format_angle(a) if isinstance(a, Angle) else str(a)
+
+
 @dataclass(frozen=True)
 class ProfilePoint:
     """Parameter value where a profile meets a target angle.
 
     The location inside segment [t_lo, t_hi] is the ratio of angle values
-    offset/span (span is the segment's total sweep, offset the part of it
-    up to the target).  Both may carry a common positive integer scale, so
-    only their ratio is meaningful.
+    offset/span (span is the sweep across the segment, offset the part of
+    it up to the target).  Both are `Angle`s, or both `AngleForm`s where
+    the swept quantity is itself a combination of angles (the difference
+    of two profiles); either type answers `value()`, `pi_multiple()` and
+    an exact `==`, and `ratio()`, which for forms stays accurate when the
+    span is a tiny difference of large Args.
     """
 
     segment: int
     t_lo: Fraction
     t_hi: Fraction
-    offset: Angle
-    span: Angle
+    offset: Angle | AngleForm
+    span: Angle | AngleForm
 
     def t_fraction(self) -> Fraction | None:
         """Exact parameter value, when the ratio is rational."""
         if self.offset == self.span:
             return self.t_hi
-        num = as_pi_multiple(self.offset)
+        num = self.offset.pi_multiple()
         if num == 0:
             return self.t_lo
-        den = as_pi_multiple(self.span)
+        den = self.span.pi_multiple()
         if num is None or den is None:
             return None
         return self.t_lo + (self.t_hi - self.t_lo) * num / den
@@ -96,7 +107,7 @@ class ProfilePoint:
         exact = self.t_fraction()
         if exact is not None:
             return float(exact)
-        lam = self.offset.value() / self.span.value()
+        lam = self.offset.ratio(self.span)
         return float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
 
     def __str__(self) -> str:
@@ -105,8 +116,7 @@ class ProfilePoint:
             return str(exact)
         return (
             f"{self.t_lo} + ({self.t_hi}-{self.t_lo})"
-            f"*ratio[{self.offset.dir.x},{self.offset.dir.y};{self.offset.turns}"
-            f" / {self.span.dir.x},{self.span.dir.y};{self.span.turns}]"
+            f"*ratio[{_literal(self.offset)} / {_literal(self.span)}]"
         )
 
 
@@ -211,24 +221,43 @@ class AngleProfile:
         lam = (t - t_lo) / (t_hi - t_lo)
         return v_lo + lam * (v_hi - v_lo)
 
+    def _locate(self, t: Fraction) -> tuple[int, Fraction]:
+        """(segment, lambda) of t: phi(t) = v[i] + lambda * sweep[i], with
+        lambda in [0, 1] and 0 on a degenerate profile."""
+        i = self._segment_of(t)
+        t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
+        if t == t_lo or self.is_degenerate:
+            return i, Fraction(0)
+        return i, (t - t_lo) / (t_hi - t_lo)
+
+    def _compare_located(self, i: int, lam: Fraction, target: Angle) -> int:
+        """Sign of v[i] + lam * sweep[i] - target; with lam = p/q that is
+        the sign of p*sweep - q*(target - v[i])."""
+        if lam == 0:
+            return angle_compare(self.values[i], target)
+        if lam == 1:
+            return angle_compare(self.values[i + 1], target)
+        offset = angle_sub(target, self.values[i])
+        return compare_scaled(self._sweeps[i], lam.numerator, offset, lam.denominator)
+
     def compare_at(self, t: Rational, target: Angle) -> int:
         """Sign of phi(t) - target, decided exactly at rational t.
 
         Clears the denominator of the position inside the segment: with
         lambda = p/q, the comparison becomes p*sweep vs q*(target - v_lo),
-        two exact integer-angle comparisons.
+        which `compare_scaled` decides exactly.
         """
-        t = _frac(t)
-        i = self._segment_of(t)
-        t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
-        if t == t_lo or self.is_degenerate:
-            return angle_compare(self.values[i], target)
-        if t == t_hi:
-            return angle_compare(self.values[i + 1], target)
-        lam = (t - t_lo) / (t_hi - t_lo)
-        sweep = angle_sub(self.values[i + 1], self.values[i])
-        offset = angle_sub(target, self.values[i])
-        return compare_scaled(sweep, lam.numerator, offset, lam.denominator)
+        return self._compare_located(*self._locate(_frac(t)), target)
+
+    def form_at(self, t: Rational) -> AngleForm:
+        """phi(t) exactly: the breakpoint value at a breakpoint, else
+        v[i] + lambda * sweep[i] as an `AngleForm`."""
+        i, lam = self._locate(_frac(t))
+        if lam == 0:
+            return AngleForm.of(self.values[i])
+        if lam == 1:
+            return AngleForm.of(self.values[i + 1])
+        return AngleForm.of(self.values[i]) + AngleForm.of(self._sweeps[i]) * lam
 
     def solve(self, target: Angle) -> ProfilePoint | None:
         """The unique parameter with phi(t) = target, or None if out of range.
@@ -526,25 +555,28 @@ def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     The moment vanishes iff phi(t) lies on the half-turn lattice through
     base = Arg(-n, m); between consecutive lattice points the sign
     alternates, positive just above odd lattice indices.  The position of
-    phi(t) in the lattice is found by exact bisection.
+    phi(t) in the lattice is found by exact bisection, with the segment
+    of t located once.
     """
     m, n = eta
     base = direction_angle((-n, m))
-    lo, hi = form.phi.value_bounds()
+    phi = form.phi
+    i, lam = phi._locate(_frac(t))
+    lo, hi = phi.value_bounds()
     j_lo = ceil_half_turns(angle_sub(lo, base))
     j_hi = floor_half_turns(angle_sub(hi, base))
     # Largest j with base + j*pi <= phi(t); phi(t) >= lo > base + (j_lo-1)*pi.
     lo_j, hi_j = j_lo - 1, j_hi
     while lo_j < hi_j:
         mid = (lo_j + hi_j + 1) // 2
-        c = form.phi.compare_at(t, add_half_turns(base, mid))
+        c = phi._compare_located(i, lam, add_half_turns(base, mid))
         if c == 0:
             return 0
         if c > 0:
             lo_j = mid
         else:
             hi_j = mid - 1
-    if lo_j >= j_lo and form.phi.compare_at(t, add_half_turns(base, lo_j)) == 0:
+    if lo_j >= j_lo and phi._compare_located(i, lam, add_half_turns(base, lo_j)) == 0:
         return 0
     return 1 if lo_j % 2 else -1
 

@@ -27,25 +27,21 @@ its planar zeros are enumerated exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import (
     Angle,
+    AngleForm,
     Direction,
     ZERO_ANGLE,
     add_half_turns,
     add_turns,
-    angle_add,
     angle_compare,
-    angle_mul_int,
     angle_sub,
-    ceil_turns,
     count_lattice,
     direction_angle,
     floor_div_2pi,
-    floor_turns,
     is_zero,
 )
 from .cuts import CutSpec, require_valid
@@ -309,6 +305,8 @@ class HomotopyCertificate:
     argument: str
 
 
+_PI = AngleForm((), Fraction(1))
+
 _H_RULE = (
     "H(s,t) = ((1-s) cos a(t) + s cos b(t), (1-s) sin a(t) + s sin b(t), s(1-s))"
 )
@@ -319,36 +317,16 @@ _H_ARGUMENT = (
 )
 
 
-def _scaled_value(phi: AngleProfile, seg: int, lam: Fraction, q: int) -> Angle:
-    """q * phi at the point of segment seg with local coordinate lam."""
-    v = phi.values[seg]
-    sweep = angle_sub(phi.values[seg + 1], phi.values[seg])
-    scaled = angle_mul_int(v, q)
-    step = lam * q
-    assert step.denominator == 1
-    return angle_add(scaled, angle_mul_int(sweep, step.numerator))
-
-
-def _lambda_pair(
-    phi: AngleProfile, u0: Fraction, u1: Fraction
-) -> tuple[int, Fraction, Fraction]:
-    """Segment index of phi containing [u0, u1] with both local coordinates.
-
-    Assumes [u0, u1] comes from a refinement of phi's breakpoints, so it
-    lies inside a single segment.
-    """
-    i = phi._segment_of(u0)
-    t_lo, t_hi = phi.breaks[i], phi.breaks[i + 1]
-    den = t_hi - t_lo
-    return i, (u0 - t_lo) / den, (u1 - t_lo) / den
-
-
 def homotopy_certificate(a, b) -> HomotopyCertificate:
     """Nowhere-zero interpolation between the unit covector fields.
 
     Requires both boundary directions to agree (turn counts are free); the
     planar zeros, where the profiles differ by an odd multiple of pi, are
-    enumerated exactly segment by segment after clearing denominators.
+    enumerated exactly segment by segment: the difference is an
+    `AngleForm` at each merged breakpoint and affine in between, so each
+    zero is a point whose offset and span are forms.  The cost per
+    segment depends on the bit length of the breakpoint directions, not
+    on the breakpoint denominators.
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
@@ -361,39 +339,37 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
             raise EndpointMismatch(end, va.dir, vb.dir)
 
     merged = sorted(set(pa.breaks) | set(pb.breaks))
-    zeros: list[tuple[float, PlanarZero]] = []
+    # psi = phi_a - phi_b is affine on each merged segment
+    psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
+    # zeros keyed by (segment, slope * n): psi is affine and monotone on a
+    # segment, so this is their exact order in t
+    zeros: list[tuple[tuple[int, int], PlanarZero]] = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for seg, (u0, u1) in enumerate(zip(merged, merged[1:])):
-        ia, la0, la1 = _lambda_pair(pa, u0, u1)
-        ib, lb0, lb1 = _lambda_pair(pb, u0, u1)
-        q = math.lcm(
-            la0.denominator, la1.denominator, lb0.denominator, lb1.denominator
-        )
-        q0 = angle_sub(_scaled_value(pa, ia, la0, q), _scaled_value(pb, ib, lb0, q))
-        q1 = angle_sub(_scaled_value(pa, ia, la1, q), _scaled_value(pb, ib, lb1, q))
-        half = add_half_turns(ZERO_ANGLE, q)  # q * pi
-        span = angle_sub(q1, q0)
-        if is_zero(span):
-            rel = angle_sub(q0, half)
-            if rel.dir.as_tuple() == (1, 0) and rel.turns % q == 0:
+        d0, d1 = psi[seg], psi[seg + 1]
+        span = d1 - d0
+        slope = span.sign()
+        if slope == 0:
+            m = d0.pi_multiple()
+            if m is not None and m.denominator == 1 and m % 2 == 1:
                 if intervals and intervals[-1][1] == u0:
                     intervals[-1] = (intervals[-1][0], u1)
                 else:
                     intervals.append((u0, u1))
             continue
-        v_lo, v_hi = (q0, q1) if angle_compare(q0, q1) < 0 else (q1, q0)
-        n_lo = ceil_turns(angle_sub(v_lo, half), q)
-        n_hi = floor_turns(angle_sub(v_hi, half), q)
+        v_lo, v_hi = (d0, d1) if slope > 0 else (d1, d0)
+        # odd multiples (2n + 1) pi inside [v_lo, v_hi]
+        n_lo = -(_PI - v_lo).floor(2)
+        n_hi = (v_hi - _PI).floor(2)
         for n in range(n_lo, n_hi + 1):
-            target = add_turns(half, q * n)
-            offset = angle_sub(target, q0)
-            if is_zero(offset) and seg > 0:
+            offset = AngleForm((), Fraction(2 * n + 1)) - d0
+            if seg > 0 and offset.sign() == 0:
                 continue  # the hit belongs to the previous segment's end
             pt = ProfilePoint(seg, u0, u1, offset, span)
-            zeros.append((pt.t_float(), PlanarZero(pt, odd_multiple=2 * n + 1)))
+            zeros.append(((seg, slope * n), PlanarZero(pt, odd_multiple=2 * n + 1)))
     intervals_t = tuple(intervals)
     kept = []
-    for pos, z in sorted(zeros, key=lambda x: x[0]):
+    for _, z in sorted(zeros, key=lambda x: x[0]):
         t = z.point.t_fraction()
         if t is not None and any(lo <= t <= hi for lo, hi in intervals_t):
             continue  # already covered by a constant zero interval

@@ -14,7 +14,6 @@ from toruscut.angles import (
     add_turns,
     angle_add,
     angle_compare,
-    angle_mul_int,
     angle_sub,
     as_pi_multiple,
     ceil_half_turns,
@@ -132,15 +131,6 @@ class TestAddSub:
     def test_negate_involution(self, a):
         assert negate(negate(a)) == a
         assert math.isclose(negate(a).value(), -a.value(), abs_tol=1e-9)
-
-    @given(angles(max_turns=20), st.integers(-13, 13))
-    def test_mul_matches_repeated_addition(self, a, n):
-        m = angle_mul_int(a, n)
-        acc = A(1, 0)
-        step = a if n >= 0 else negate(a)
-        for _ in range(abs(n)):
-            acc = angle_add(acc, step)
-        assert m == acc
 
     @given(angles(max_turns=20), st.integers(-9, 9))
     def test_half_turn_shift(self, a, j):

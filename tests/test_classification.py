@@ -2,13 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from toruscut import cuts
+from toruscut import angles, cuts
 from toruscut import (
     Angle,
     AngleProfile,
@@ -451,3 +452,138 @@ class TestHomotopyCertificate:
                 hits += 1
             prev_sign = s
         assert len(cert.zeros) == hits
+
+
+# Three-breakpoint profiles 0 -> inner -> pi/2 + 2 pi with inner values at
+# t = 1/p and t = 1/q: the inner directions of norm 5 and their turn
+# offsets of the exact-ties benchmark workload.
+LADDER_VARIANTS = (
+    ((2, 1), (1, 2), 0, 1),
+    ((1, 2), (2, 1), 1, 0),
+    ((2, 1), (1, 2), 1, 0),
+    ((1, 2), (2, 1), 0, 1),
+)
+
+
+def ladder_pair(p, q, variant):
+    za, zb, ma, mb = variant
+    first, last = A(D(1, 0)), A(D(0, 1), 1)
+    a = piecewise((0, F(1, p), 1), [first, A(D(*za), ma), last])
+    b = piecewise((0, F(1, q), 1), [first, A(D(*zb), mb), last])
+    return a, b
+
+
+def scan_crossings(a, b, breaks, per_segment=2000):
+    """Grid brackets (t, t') where phi_a - phi_b crosses an odd multiple of
+    pi: sign changes of cos(psi / 2) on a grid refined in every segment."""
+    ts = sorted(
+        {
+            float(lo) + (float(hi) - float(lo)) * i / per_segment
+            for lo, hi in zip(breaks, breaks[1:])
+            for i in range(per_segment + 1)
+        }
+    )
+    out, prev = [], None
+    for t in ts:
+        c = math.cos((a.phi.eval_float(t) - b.phi.eval_float(t)) / 2)
+        s = (c > 0) - (c < 0)
+        if prev is not None and s != prev[1]:
+            out.append((prev[0], t))
+        prev = (t, s)
+    return out
+
+
+def oracle_zeros(a, b):
+    """(t, odd multiple) where phi_a - phi_b crosses an odd multiple of pi,
+    in t order, from 200-digit values at the merged breakpoints; a hit on
+    a shared breakpoint belongs to the earlier segment."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 200
+
+    def mpq(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    def value(phi, u):
+        i = max(j for j in range(len(phi.breaks) - 1) if phi.breaks[j] <= u)
+        v0, v1 = (
+            mpmath.atan2(v.dir.y, v.dir.x) + 2 * mpmath.pi * v.turns
+            for v in phi.values[i : i + 2]
+        )
+        return v0 + (v1 - v0) * mpq((u - phi.breaks[i]) / (phi.breaks[i + 1] - phi.breaks[i]))
+
+    merged = sorted(set(a.phi.breaks) | set(b.phi.breaks))
+    psi = [value(a.phi, u) - value(b.phi, u) for u in merged]
+    out = []
+    for seg, (u0, u1) in enumerate(zip(merged, merged[1:])):
+        d0, d1 = psi[seg], psi[seg + 1]
+        lo, hi = (x / mpmath.pi for x in sorted((d0, d1)))
+        ns = range(int(mpmath.ceil((lo - 1) / 2)), int(mpmath.floor((hi - 1) / 2)) + 1)
+        for m in sorted((2 * n + 1 for n in ns), reverse=d1 < d0):
+            lam = (m * mpmath.pi - d0) / (d1 - d0)
+            if seg == 0 or abs(lam) > 1e-150:
+                out.append((mpq(u0) + mpq(u1 - u0) * lam, m))
+    return out
+
+
+class TestHomotopyLadder:
+    @pytest.mark.parametrize("variant", LADDER_VARIANTS)
+    @pytest.mark.parametrize("p,q", [(41, 43), (101, 103), (997, 991)])
+    def test_zeros_match_float_scan(self, p, q, variant):
+        a, b = ladder_pair(p, q, variant)
+        cert = homotopy_certificate(a, b)
+        assert cert.zero_intervals == ()
+        crossings = scan_crossings(a, b, sorted({F(0), F(1, p), F(1, q), F(1)}))
+        assert len(cert.zeros) == len(crossings) > 0
+        for z, (lo, hi) in zip(cert.zeros, crossings):
+            assert lo - 1e-12 <= z.point.t_float() <= hi + 1e-12
+            assert z.odd_multiple % 2 == 1
+
+    def test_tiny_span_across_pi(self):
+        # psi goes from pi - 2e-20 to pi + 1e-60 on [1/3, 2/3], whose float
+        # sweep estimate is exactly 0, then back to 0 on [2/3, 1]
+        a = piecewise(
+            (0, F(1, 3), F(2, 3), 1),
+            [A(D(1, 0)), A(D(-(10**20), 1)), A(D(-(10**20 - 1), -1), 1), A(D(0, -1), 1)],
+        )
+        b = piecewise(
+            (0, F(1, 3), F(2, 3), 1),
+            [A(D(1, 0)), A(D(10**20 + 1, 1)), A(D(10**20, 1)), A(D(0, -1), 1)],
+        )
+        cert = homotopy_certificate(a, b)
+        assert [z.odd_multiple for z in cert.zeros] == [1, 1]
+        assert [z.point.segment for z in cert.zeros] == [1, 2]
+        for z in cert.zeros:
+            assert float(z.point.t_lo) <= z.point.t_float() <= float(z.point.t_hi)
+            assert z.point.t_fraction() is None
+        want = oracle_zeros(a, b)
+        assert [m for _, m in want] == [1, 1]
+        for z, (t, _) in zip(cert.zeros, want):
+            assert abs(z.point.t_float() - float(t)) <= 2.0**-40
+
+    def test_cost_does_not_grow_with_denominators(self, monkeypatch):
+        calls = Counter()
+        real = angles.angle_add
+
+        def counted(*args):
+            calls["angle_add"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(angles, "angle_add", counted)
+        counts = []
+        for p, q in ((3, 5), (101, 103)):
+            a, b = ladder_pair(p, q, LADDER_VARIANTS[0])
+            calls.clear()
+            homotopy_certificate(a, b)
+            counts.append(calls["angle_add"])
+        assert counts[0] == counts[1]
+
+    def test_irrational_zeros_render_their_forms(self):
+        a, b = ladder_pair(3, 5, LADDER_VARIANTS[0])
+        zeros = homotopy_certificate(a, b).zeros
+        assert [z.point.t_fraction() for z in zeros] == [None, None]
+        assert [str(z.point) for z in zeros] == [
+            "0 + (1/5-0)*ratio[-1*pi / -1*Arg(1,2) + 3/5*Arg(2,1) + -2*pi]",
+            "1/3 + (1-1/3)*ratio[1*Arg(1,2) + -5/6*Arg(2,1) + 1*pi"
+            " / 1*Arg(1,2) + -5/6*Arg(2,1) + 2*pi]",
+        ]
+        assert [round(z.point.t_float(), 12) for z in zeros] == [0.088344443219, 0.700969908718]

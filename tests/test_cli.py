@@ -351,6 +351,34 @@ class TestCliCommands:
         assert rc == 3
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["cut"], ["profile"], ["overtwisted"], ["invariants", "--direction", "1,0"]],
+    )
+    def test_400_digit_collapse_direction(self, tmp_path, capsys, argv):
+        # collapse0 beyond float range: phi(0) = Arg(collapse0) - pi/2
+        x = 10**400
+        text = (
+            f"form.phi.breaks = 0:{x - 1},{-x} 1:0,1;1\n"
+            f"form.radial = 1\ncollapse0 = {x},{x - 1}\ncollapse1 = 1,0\n"
+        )
+        path = spec_path(tmp_path, text)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and err == ""
+
+    def test_homotopy_with_a_tiny_span_across_pi(self, tmp_path, capsys):
+        # phi_a - phi_b sweeps about 2e-20 across pi on [1/3, 2/3]; the
+        # float estimate of that sweep cancels to exactly 0
+        x = 10**20
+        tail = "1:0,-1;1\nform.radial = 1\ncollapse0 = 0,1\ncollapse1 = -1,0\n"
+        a = spec_path(tmp_path, f"form.phi.breaks = 0:1,0 1/3:{-x},1 2/3:{-(x - 1)},-1;1 {tail}", "a")
+        b = spec_path(tmp_path, f"form.phi.breaks = 0:1,0 1/3:{x + 1},1 2/3:{x},1 {tail}", "b")
+        assert main(["homotopy", a, b]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "planar-zeros = 2" in out
+        assert out.count("(~0.666666666667)") == 2
+
     def test_symplectization_check(self, tmp_path, capsys):
         assert main(["symplectization-check", spec_path(tmp_path, ALPHA1)]) == 0
         out = capsys.readouterr().out

@@ -440,6 +440,43 @@ class TestMoment:
         if mv.sign != 0:
             assert mv.value * mv.sign > 0
 
+    def test_moment_sign_locates_the_segment_once(self, monkeypatch):
+        n = 300
+        phi = AngleProfile(
+            tuple(F(i, n - 1) for i in range(n)), tuple(A(D(1, 0), i) for i in range(n))
+        )
+        form = InvariantContactForm.unit(phi)
+        phi._sweeps  # computed once per profile, on first use
+        calls = Counter()
+        for name in ("angle_sub", "add_half_turns", "compare_scaled"):
+
+            def counted(*args, _real=getattr(forms, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(forms, name, counted)
+        real_segment_of = AngleProfile._segment_of
+
+        def segment_of(self, t):
+            calls["_segment_of"] += 1
+            return real_segment_of(self, t)
+
+        monkeypatch.setattr(AngleProfile, "_segment_of", segment_of)
+        assert moment_sign(form, (1, 2), F(1, 3)) == -1  # phi(1/3) = 2 pi (99 + 2/3)
+        steps = calls["add_half_turns"]  # one lattice target per comparison
+        assert steps >= 8 and calls["compare_scaled"] == steps
+        assert calls["_segment_of"] == 1
+        assert calls["angle_sub"] <= steps + 2
+
+    def test_compare_at_beyond_float_range(self):
+        # phi(t) = 5 pi t / 2; at t = 10**-400 it is about 7.85e-400
+        phi = alpha_phi(1)
+        t = F(1, 10**400)
+        assert phi.compare_at(t, A(D(1, 0))) == 1
+        assert phi.compare_at(t, A(D(10**399, 1))) == -1
+        assert phi.compare_at(t, A(D(10**400, 1))) == 1
+        assert phi.compare_at(1 - t, A(D(0, 1), 1)) == -1
+
     @given(monotone_profiles(), dirs())
     @settings(max_examples=60)
     def test_zero_exactly_on_lattice(self, phi, d):
