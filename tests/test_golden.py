@@ -4,7 +4,9 @@ Each case runs the command line in-process from the repository root, so
 the paths echoed in reports are stable, and compares its exit code,
 stdout and stderr with tests/golden/<case>.out.  The corpus pins the
 output of the code as it stands; a deliberate output change edits the
-affected files by hand.
+affected files by hand.  Besides the reports it pins the bytes argparse
+prints: usage errors, and the help of the program and of every
+subcommand, at a fixed terminal width (COLUMNS=80).
 """
 
 import contextlib
@@ -21,29 +23,51 @@ GOLDEN = ROOT / "tests" / "golden"
 SPECS = [p.relative_to(ROOT).as_posix() for p in sorted((ROOT / "specs").glob("*.cut"))]
 SPECS.append("tests/golden/wrong_sign.cut")
 PARTNER = "specs/alpha1.cut"
+SUBCOMMANDS = (
+    "check", "cut", "invariants", "profile", "distinguish", "overtwisted",
+    "homotopy", "slice", "symplectization-check", "reproduce-paper",
+)
 
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for spec in SPECS:
         stem = Path(spec).stem
-        for argv in (
-            ["check", spec],
-            ["cut", spec],
-            ["invariants", spec, "--direction", "-1,1"],
-            ["profile", spec],
-            ["distinguish", spec, PARTNER],
-            ["overtwisted", spec],
-            ["homotopy", spec, PARTNER],
-            ["slice", spec, "--eta", "0,1", "--window", "-1,0;-2", "-1,0;1"],
-            ["symplectization-check", spec],
+        for label, argv in (
+            ("check", ["check", spec]),
+            ("cut", ["cut", spec]),
+            ("invariants", ["invariants", spec, "--direction", "-1,1"]),
+            ("profile", ["profile", spec]),
+            ("distinguish", ["distinguish", spec, PARTNER]),
+            ("distinguish-mod-gl2z", ["distinguish", spec, PARTNER, "--mod-gl2z"]),
+            ("overtwisted", ["overtwisted", spec]),
+            ("homotopy", ["homotopy", spec, PARTNER]),
+            ("slice", ["slice", spec, "--eta", "0,1", "--window", "-1,0;-2", "-1,0;1"]),
+            ("symplectization-check", ["symplectization-check", spec]),
         ):
             for fmt in ("text", "json"):
-                cases[f"{argv[0]}-{stem}-{fmt}"] = argv + ["--format", fmt]
-    for fmt in ("text", "json"):
-        cases[f"reproduce-paper-kmax3-{fmt}"] = [
-            "reproduce-paper", "--kmax", "3", "--format", fmt
-        ]
+                cases[f"{label}-{stem}-{fmt}"] = argv + ["--format", fmt]
+    for kmax in ("0", "3"):
+        for fmt in ("text", "json"):
+            cases[f"reproduce-paper-kmax{kmax}-{fmt}"] = [
+                "reproduce-paper", "--kmax", kmax, "--format", fmt
+            ]
+    cases["reproduce-paper-kmax-negative"] = ["reproduce-paper", "--kmax", "-1"]
+    cases["check-unreadable"] = ["check", "specs/missing.cut"]
+    cases["usage-no-subcommand"] = []
+    cases["usage-unknown-subcommand"] = ["frobnicate", PARTNER]
+    cases["usage-invariants-no-direction"] = ["invariants", PARTNER]
+    cases["usage-invariants-direction-1"] = ["invariants", PARTNER, "--direction", "1"]
+    cases["usage-slice-bad-window"] = [
+        "slice", "specs/line.cut", "--eta", "0,1", "--window", "1,x", "-1,0;1"
+    ]
+    # not a negative number literal, so argparse reads it as an option
+    cases["usage-slice-dash-word"] = [
+        "slice", "specs/line.cut", "--eta", "0,1", "--window", "-1,0;x", "-1,0;1"
+    ]
+    cases["help"] = ["--help"]
+    for name in SUBCOMMANDS:
+        cases[f"help-{name}"] = [name, "--help"]
     return cases
 
 
@@ -62,4 +86,5 @@ def run_case(argv: list[str]) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
     assert run_case(CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
