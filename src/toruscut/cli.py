@@ -4,13 +4,21 @@ Subcommands operate on cut spec files (see specfile) and print a Report
 in text or JSON form.  Exit codes: 0 on success, 2 for unreadable input
 or grammar errors, 3 for semantic violations (non-contact profiles,
 invalid cut data, mismatched endpoints).
+
+Each subcommand is one row of `_COMMANDS`: its spec-file positionals,
+its options and a function from the loaded specs to records and an exit
+code.  One runner loads the files, echoes the command line, digests the
+input and builds the Report; the argparse parser is built from the table
+once per process, on the first call of `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from .angles import Angle, Direction, QUARTER_TURN, format_angle, parse_angle
 from .cuts import (
@@ -50,23 +58,18 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
+def _load(path: str, validate: bool) -> tuple[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as e:
         raise _CliError(EXIT_SYNTAX, f"cannot read {path}: {e.strerror or e}")
-
-
-def _load(path: str, validate: bool = True):
-    text = _read(path)
     try:
-        obj = parse_spec(text, validate=validate)
+        return text, parse_spec(text, validate=validate)
     except SpecSyntaxError as e:
         raise _CliError(EXIT_SYNTAX, f"{path}: {e}")
     except SpecSemanticError as e:
         raise _CliError(EXIT_SEMANTIC, f"{path}: {e}")
-    return text, obj
 
 
 def _require_cut(obj, path: str) -> CutSpec:
@@ -76,6 +79,9 @@ def _require_cut(obj, path: str) -> CutSpec:
             f"{path}: no collapse data; this command needs collapse0 and collapse1",
         )
     return obj
+
+
+# -- items shared by the commands -------------------------------------------
 
 
 def _angle_item(key: str, a: Angle) -> Item:
@@ -88,24 +94,24 @@ def _pair_str(v) -> str:
 
 
 def _classification_items(desc: LensDescriptor) -> list[Item]:
+    nf = desc.normal_form
     return [
         Item("kind", desc.kind.value),
         Item("slope", "-" if desc.slope is None else str(desc.slope)),
-        Item(
-            "normal-form",
-            "-" if desc.normal_form is None else _pair_str(desc.normal_form),
-        ),
+        Item("normal-form", "-" if nf is None else _pair_str(nf)),
         Item("basis-image", _pair_str(desc.raw_basis_data)),
     ]
 
 
-def _is_standard_tight(spec: CutSpec, desc: LensDescriptor) -> bool:
-    return (
+def _tag_items(spec: CutSpec, desc: LensDescriptor) -> list[Item]:
+    """The standard-tight tag, when the cut is the tight sphere."""
+    tight = (
         desc.kind is LensKind.SPHERE
         and desc.slope == 0
         and detect_overtwisted(spec) is None
         and sweep(spec.form) == QUARTER_TURN
     )
+    return [Item("tag", "standard-tight")] if tight else []
 
 
 def _overtwisted_items(spec) -> list[Item]:
@@ -123,6 +129,10 @@ def _overtwisted_items(spec) -> list[Item]:
     ]
 
 
+def _bounds_items(prof) -> list[Item]:
+    return [Item("profile-min", str(prof.min_count)), Item("profile-max", str(prof.max_count))]
+
+
 def _profile_items(prof) -> list[Item]:
     items = [
         _angle_item("swept", prof.swept),
@@ -130,268 +140,185 @@ def _profile_items(prof) -> list[Item]:
         Item("max", str(prof.max_count)),
     ]
     for i, arc in enumerate(prof.arcs):
-        items.append(
-            Item(
-                f"arc{i}",
-                f"[{format_angle(arc.start)} .. {format_angle(arc.end)}] "
-                f"span {format_angle(arc.span)} count {arc.count}",
-                arc.span.value(),
-            )
+        text = (
+            f"[{format_angle(arc.start)} .. {format_angle(arc.end)}] "
+            f"span {format_angle(arc.span)} count {arc.count}"
         )
+        items.append(Item(f"arc{i}", text, arc.span.value()))
     return items
 
 
-def _witness_items(w) -> list[Item]:
-    if w is None:
-        return [Item("result", "indistinguishable")]
-    items = [Item("result", "distinguished"), Item("mode", w.mode)]
-    items.append(Item("xi+", _pair_str(w.xi_plus)))
+def _verdict(w) -> str:
+    return "indistinguishable" if w is None else "distinguished"
+
+
+def _counts_items(w) -> list[Item]:
+    items = [Item("xi+", _pair_str(w.xi_plus))]
     items.append(Item("counts+", f"{w.counts_plus[0]} vs {w.counts_plus[1]}"))
     if w.xi_minus is not None:
         items.append(Item("xi-", _pair_str(w.xi_minus)))
         items.append(Item("counts-", f"{w.counts_minus[0]} vs {w.counts_minus[1]}"))
-    items.append(Item("summary-a", f"min {w.summary_a[0]} max {w.summary_a[1]}"))
-    items.append(Item("summary-b", f"min {w.summary_b[0]} max {w.summary_b[1]}"))
     return items
 
 
-# -- handlers -------------------------------------------------------------
+def _summary_items(w) -> list[Item]:
+    return [
+        Item("summary-a", f"min {w.summary_a[0]} max {w.summary_a[1]}"),
+        Item("summary-b", f"min {w.summary_b[0]} max {w.summary_b[1]}"),
+    ]
 
 
-def _cmd_check(args) -> tuple[Report, int]:
-    text, obj = _load(args.file, validate=False)
+def _witness_items(w) -> list[Item]:
+    items = [Item("result", _verdict(w))]
+    if w is not None:
+        items += [Item("mode", w.mode), *_counts_items(w), *_summary_items(w)]
+    return items
+
+
+def _window_items(eta, window, count: int) -> list[Item]:
+    return [
+        Item("eta", _pair_str(eta)),
+        _angle_item("window-lo", window[0]),
+        _angle_item("window-hi", window[1]),
+        Item("count", str(count)),
+    ]
+
+
+# -- commands: (args, *specs) -> (records, exit code) ------------------------
+
+
+def _one(title: str, items, code: int = EXIT_OK) -> tuple[list[Record], int]:
+    """A single record and an exit code, which is what most commands give."""
+    return [Record(title, tuple(items))], code
+
+
+def _check(args, obj):
     if isinstance(obj, InvariantContactForm):
-        rec = Record(
-            "contact-check",
-            (
-                Item("input", "invariant form (no collapse data)"),
-                Item("contact", "yes"),
-                Item("orientation", f"{contact_check(obj):+d}"),
-                _angle_item("sweep", sweep(obj)),
-            ),
-        )
-        return Report(f"check {args.file}", digest(text), (rec,)), EXIT_OK
+        return _one("contact-check", [
+            Item("input", "invariant form (no collapse data)"),
+            Item("contact", "yes"),
+            Item("orientation", f"{contact_check(obj):+d}"),
+            _angle_item("sweep", sweep(obj)),
+        ])
     violations = validate_cutspec(obj)
     items = [
         Item("collapse0", _pair_str(obj.v0)),
         Item("collapse1", _pair_str(obj.v1)),
-        Item("valid", "yes" if not violations else "no"),
+        Item("valid", "no" if violations else "yes"),
     ]
     for i, v in enumerate(violations):
         where = "form" if v.end is None else f"end {v.end}"
         items.append(Item(f"violation{i}", f"{v.code} at {where}: {v.message}"))
-    rec = Record("cut-validation", tuple(items))
-    code = EXIT_OK if not violations else EXIT_SEMANTIC
-    return Report(f"check {args.file}", digest(text), (rec,)), code
+    return _one("cut-validation", items, EXIT_SEMANTIC if violations else EXIT_OK)
 
 
-def _cmd_cut(args) -> tuple[Report, int]:
-    text, obj = _load(args.file)
+def _cut(args, obj):
     spec = _require_cut(obj, args.file)
     desc = classify_lens(spec)
-    items = _classification_items(desc)
-    if _is_standard_tight(spec, desc):
-        items.append(Item("tag", "standard-tight"))
-    rec = Record("classification", tuple(items))
-    return Report(f"cut {args.file}", digest(text), (rec,)), EXIT_OK
+    return _one("classification", _classification_items(desc) + _tag_items(spec, desc))
 
 
-def _cmd_invariants(args) -> tuple[Report, int]:
-    text, obj = _load(args.file)
+def _invariants(args, obj):
     m, n = args.direction
     count = cc_count(obj, (m, n))
-    rec = Record(
-        "invariants",
-        (
-            Item("direction", _pair_str((m, n))),
-            Item(f"cc({m},{n})", str(count)),
-        ),
-    )
-    return Report(
-        f"invariants {args.file} --direction {m},{n}", digest(text), (rec,)
-    ), EXIT_OK
+    return _one("invariants", [Item("direction", f"{m},{n}"), Item(f"cc({m},{n})", str(count))])
 
 
-def _cmd_profile(args) -> tuple[Report, int]:
-    text, obj = _load(args.file)
-    rec = Record("cc-profile", tuple(_profile_items(cc_profile(obj))))
-    return Report(f"profile {args.file}", digest(text), (rec,)), EXIT_OK
+def _distinguish(args, a, b):
+    w = distinguish(a, b, MODE_GL2Z if args.mod_gl2z else MODE_FIXED)
+    return _one("distinguish", _witness_items(w))
 
 
-def _cmd_distinguish(args) -> tuple[Report, int]:
-    text_a, a = _load(args.file_a)
-    text_b, b = _load(args.file_b)
-    mode = MODE_GL2Z if args.mod_gl2z else MODE_FIXED
-    rec = Record("distinguish", tuple(_witness_items(distinguish(a, b, mode))))
-    echo = f"distinguish {args.file_a} {args.file_b}"
-    if args.mod_gl2z:
-        echo += " --mod-gl2z"
-    return Report(echo, digest(text_a + "\x00" + text_b), (rec,)), EXIT_OK
-
-
-def _cmd_overtwisted(args) -> tuple[Report, int]:
-    text, obj = _load(args.file)
-    rec = Record("overtwisted", tuple(_overtwisted_items(obj)))
-    return Report(f"overtwisted {args.file}", digest(text), (rec,)), EXIT_OK
-
-
-def _cmd_homotopy(args) -> tuple[Report, int]:
-    text_a, a = _load(args.file_a)
-    text_b, b = _load(args.file_b)
+def _homotopy(args, a, b):
     cert = homotopy_certificate(a, b)
     items = [Item("rule", cert.rule)]
     for i, z in enumerate(cert.zeros):
-        items.append(
-            Item(
-                f"zero{i}",
-                f"t = {z.point}, profiles differ by {z.odd_multiple} pi, "
-                f"s = {z.s}, third component {z.third_component}",
-                z.point.t_float(),
-            )
+        text = (
+            f"t = {z.point}, profiles differ by {z.odd_multiple} pi, "
+            f"s = {z.s}, third component {z.third_component}"
         )
+        items.append(Item(f"zero{i}", text, z.point.t_float()))
     for i, (lo, hi) in enumerate(cert.zero_intervals):
         items.append(Item(f"interval{i}", f"t in [{lo}, {hi}], s = 0.5"))
     items.append(Item("planar-zeros", str(len(cert.zeros))))
     items.append(Item("zero-intervals", str(len(cert.zero_intervals))))
     items.append(Item("argument", cert.argument))
-    rec = Record("homotopy", tuple(items))
-    echo = f"homotopy {args.file_a} {args.file_b}"
-    return Report(echo, digest(text_a + "\x00" + text_b), (rec,)), EXIT_OK
+    return _one("homotopy", items)
 
 
-def _cmd_slice(args) -> tuple[Report, int]:
-    text, obj = _load(args.file)
+def _slice(args, obj):
     form = obj.form if isinstance(obj, CutSpec) else obj
-    m, n = args.eta
-    w0, w1 = args.window
-    pieces = slice_by_ray(form, (m, n), (w0, w1))
-    records = [
-        Record(
-            "slices",
-            (
-                Item("eta", _pair_str((m, n))),
-                _angle_item("window-lo", w0),
-                _angle_item("window-hi", w1),
-                Item("count", str(len(pieces))),
-            ),
-        )
-    ]
+    pieces = slice_by_ray(form, args.eta, tuple(args.window))
+    records = [Record("slices", tuple(_window_items(args.eta, args.window, len(pieces))))]
     for i, piece in enumerate(pieces):
-        desc = classify_lens(piece)
         items = [
-            Item("valid", "yes" if not validate_cutspec(piece) else "no"),
+            Item("valid", "no" if validate_cutspec(piece) else "yes"),
             _angle_item("value-lo", piece.form.phi.values[0]),
             _angle_item("value-hi", piece.form.phi.values[-1]),
         ]
-        items += _classification_items(desc)
+        items += _classification_items(classify_lens(piece))
         items += _overtwisted_items(piece)
         records.append(Record(f"slice{i}", tuple(items)))
-    echo = (
-        f"slice {args.file} --eta {m},{n} "
-        f"--window {format_angle(w0)} {format_angle(w1)}"
-    )
-    return Report(echo, digest(text), tuple(records)), EXIT_OK
+    return records, EXIT_OK
 
 
-def _cmd_symplectization(args) -> tuple[Report, int]:
-    text, obj = _load(args.file)
-    spec = _require_cut(obj, args.file)
-    rep = check_cut_symplectization_commute(spec)
+def _symplectization(args, obj):
+    rep = check_cut_symplectization_commute(_require_cut(obj, args.file))
     items = [
         Item(row.name, f"{'pass' if row.passed else 'FAIL'}: {row.detail}")
         for row in rep.rows
     ]
     items.append(Item("verdict", "commute" if rep.passed else "failed"))
-    rec = Record("symplectization", tuple(items))
-    code = EXIT_OK if rep.passed else EXIT_SEMANTIC
-    return Report(f"symplectization-check {args.file}", digest(text), (rec,)), code
+    return _one("symplectization", items, EXIT_OK if rep.passed else EXIT_SEMANTIC)
 
 
-def _reproduce_records(kmax: int) -> list[Record]:
+def _reproduce(args):
+    if args.kmax < 0:
+        raise _CliError(EXIT_SYNTAX, "--kmax must be nonnegative")
     records = []
-    specs = {k: alpha_cutspec(k) for k in range(kmax + 1)}
-    for k in range(kmax + 1):
-        spec = specs[k]
+    specs = [alpha_cutspec(k) for k in range(args.kmax + 1)]
+    for k, spec in enumerate(specs):
         desc = classify_lens(spec)
-        prof = cc_profile(spec)
         items = _classification_items(desc)
         items.append(Item("cc(-1,1)", str(cc_count(spec, (-1, 1)))))
         items.append(Item("cc(1,-1)", str(cc_count(spec, (1, -1)))))
-        items.append(Item("profile-min", str(prof.min_count)))
-        items.append(Item("profile-max", str(prof.max_count)))
-        items += _overtwisted_items(spec)
-        if _is_standard_tight(spec, desc):
-            items.append(Item("tag", "standard-tight"))
+        items += _bounds_items(cc_profile(spec))
+        items += _overtwisted_items(spec) + _tag_items(spec, desc)
         records.append(Record(f"alpha[k={k}]", tuple(items)))
-    for k in range(1, kmax + 1):
-        for l in range(k + 1, kmax + 1):
-            items = []
+    for k in range(1, args.kmax + 1):
+        for l in range(k + 1, args.kmax + 1):
             w = distinguish(specs[k], specs[l], MODE_FIXED)
-            items.append(Item("fixed-action", "distinguished" if w else "indistinguishable"))
+            items = [Item("fixed-action", _verdict(w))]
             if w is not None:
-                items.append(Item("xi+", _pair_str(w.xi_plus)))
-                items.append(
-                    Item("counts+", f"{w.counts_plus[0]} vs {w.counts_plus[1]}")
-                )
-                items.append(Item("xi-", _pair_str(w.xi_minus)))
-                items.append(
-                    Item("counts-", f"{w.counts_minus[0]} vs {w.counts_minus[1]}")
-                )
+                items += _counts_items(w)
             g = distinguish(specs[k], specs[l], MODE_GL2Z)
-            items.append(Item("modulo-GL2Z", "distinguished" if g else "indistinguishable"))
+            items.append(Item("modulo-GL2Z", _verdict(g)))
             if g is not None:
-                items.append(Item("summary-a", f"min {g.summary_a[0]} max {g.summary_a[1]}"))
-                items.append(Item("summary-b", f"min {g.summary_b[0]} max {g.summary_b[1]}"))
+                items += _summary_items(g)
             records.append(Record(f"distinguish[k={k},l={l}]", tuple(items)))
     for k, l in _LENS_TABLE:
         for j in (1, 2, 3):
             spec = lens_cutspec(k, l, j)
-            desc = classify_lens(spec)
-            prof = cc_profile(spec)
-            items = _classification_items(desc)
-            items.append(Item("profile-min", str(prof.min_count)))
-            items.append(Item("profile-max", str(prof.max_count)))
+            items = _classification_items(classify_lens(spec)) + _bounds_items(cc_profile(spec))
             records.append(Record(f"lens[k={k},l={l},j={j}]", tuple(items)))
-    line = rotating_line_form(3)
     window = (Angle(Direction(-1, 0), -2), Angle(Direction(-1, 0), 1))
-    pieces = slice_by_ray(line, (0, 1), window)
-    items = [
-        Item("eta", "0,1"),
-        _angle_item("window-lo", window[0]),
-        _angle_item("window-hi", window[1]),
-        Item("count", str(len(pieces))),
-    ]
+    pieces = slice_by_ray(rotating_line_form(3), (0, 1), window)
+    items = _window_items((0, 1), window, len(pieces))
     for i, piece in enumerate(pieces):
-        desc = classify_lens(piece)
-        ot = detect_overtwisted(piece)
-        items.append(
-            Item(
-                f"slice{i}",
-                f"kind {desc.kind.value}, overtwisted "
-                f"{'none-found' if ot is None else 'disk-found'}",
-            )
-        )
+        disk = "none-found" if detect_overtwisted(piece) is None else "disk-found"
+        kind = classify_lens(piece).kind.value
+        items.append(Item(f"slice{i}", f"kind {kind}, overtwisted {disk}"))
     records.append(Record("line-slices", tuple(items)))
-    return records
+    return records, EXIT_OK
 
 
-def _cmd_reproduce(args) -> tuple[Report, int]:
-    if args.kmax < 0:
-        raise _CliError(EXIT_SYNTAX, "--kmax must be nonnegative")
-    records = _reproduce_records(args.kmax)
-    echo = f"reproduce-paper --kmax {args.kmax}"
-    return Report(echo, digest(echo), tuple(records)), EXIT_OK
-
-
-# -- argument parsing ------------------------------------------------------
+# -- the command table --------------------------------------------------------
 
 
 def _pair_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected an integer pair m,n, got {text!r}")
+    m, _, n = text.partition(",")
     try:
-        return int(parts[0]), int(parts[1])
+        return int(m), int(n)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer pair m,n, got {text!r}")
 
@@ -403,95 +330,111 @@ def _angle_arg(text: str) -> Angle:
         raise argparse.ArgumentTypeError(str(e))
 
 
+class _Command(NamedTuple):
+    name: str
+    help: str
+    files: tuple[str, ...]  # spec-file positionals
+    options: tuple[tuple[str, dict], ...]  # (flag, argparse kwargs)
+    run: Callable  # (args, *specs) -> (records, exit code)
+    validate: bool = True  # passed to parse_spec
+
+
+_FORMAT = {
+    "choices": ("text", "json"), "default": "text", "help": "output rendering (default: text)",
+}
+_PAIR = {"type": _pair_arg, "required": True, "metavar": "M,N"}
+_WINDOW = {
+    "type": _angle_arg, "nargs": 2, "required": True, "metavar": ("W0", "W1"),
+    "help": "angle literals x,y;n bounding the profile values",
+}
+_MOD_GL2Z = {"action": "store_true", "help": "compare modulo relabeling"}
+_ONE, _TWO = ("file",), ("file_a", "file_b")
+
+_COMMANDS = (
+    _Command("check", "validate a spec file and report violations", _ONE, (), _check,
+             validate=False),
+    _Command("cut", "classify the closed cut space", _ONE, (), _cut),
+    _Command("invariants", "ray component count along a direction", _ONE,
+             (("--direction", _PAIR),), _invariants),
+    _Command("profile", "full count-by-ray profile", _ONE, (),
+             lambda args, obj: _one("cc-profile", _profile_items(cc_profile(obj)))),
+    _Command("distinguish", "compare two cut data by their counts", _TWO,
+             (("--mod-gl2z", _MOD_GL2Z),), _distinguish),
+    _Command("overtwisted", "search the standard disk family", _ONE, (),
+             lambda args, obj: _one("overtwisted", _overtwisted_items(obj))),
+    _Command("homotopy", "explicit homotopy between covector fields", _TWO, (), _homotopy),
+    _Command("slice", "cut pieces of a long form along a ray", _ONE,
+             (("--eta", _PAIR), ("--window", _WINDOW)), _slice),
+    _Command("symplectization-check", "verify cut and symplectization commute", _ONE, (),
+             _symplectization),
+    _Command("reproduce-paper", "recompute the worked examples", (),
+             (("--kmax", {"type": int, "default": 3}),), _reproduce),
+)
+
 # Integer pairs and angle literals may start with '-', which argparse
-# would read as an option; widening the negative-number matcher makes
-# tokens like -1,1 and -1,0;-2 parse as values.
+# would read as an option; widening the negative-number matcher of the
+# subcommands that take them makes tokens like -1,1 and -1,0;-2 values.
 _DASH_VALUE = re.compile(r"^-\d+(?:,-?\d+)?(?:;-?\d+)?$")
 
 
-def _allow_dash_values(p: argparse.ArgumentParser) -> None:
-    if hasattr(p, "_negative_number_matcher"):
-        p._negative_number_matcher = _DASH_VALUE
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toruscut",
         description="exact invariants of torus-invariant contact cuts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output rendering (default: text)",
-        )
-        return p
-
-    p = add("check", _cmd_check, "validate a spec file and report violations")
-    p.add_argument("file")
-
-    p = add("cut", _cmd_cut, "classify the closed cut space")
-    p.add_argument("file")
-
-    p = add("invariants", _cmd_invariants, "ray component count along a direction")
-    _allow_dash_values(p)
-    p.add_argument("file")
-    p.add_argument("--direction", type=_pair_arg, required=True, metavar="M,N")
-
-    p = add("profile", _cmd_profile, "full count-by-ray profile")
-    p.add_argument("file")
-
-    p = add("distinguish", _cmd_distinguish, "compare two cut data by their counts")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--mod-gl2z", action="store_true", help="compare modulo relabeling")
-
-    p = add("overtwisted", _cmd_overtwisted, "search the standard disk family")
-    p.add_argument("file")
-
-    p = add("homotopy", _cmd_homotopy, "explicit homotopy between covector fields")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-
-    p = add("slice", _cmd_slice, "cut pieces of a long form along a ray")
-    _allow_dash_values(p)
-    p.add_argument("file")
-    p.add_argument("--eta", type=_pair_arg, required=True, metavar="M,N")
-    p.add_argument(
-        "--window",
-        type=_angle_arg,
-        nargs=2,
-        required=True,
-        metavar=("W0", "W1"),
-        help="angle literals x,y;n bounding the profile values",
-    )
-
-    p = add(
-        "symplectization-check",
-        _cmd_symplectization,
-        "verify cut and symplectization commute",
-    )
-    p.add_argument("file")
-
-    p = add("reproduce-paper", _cmd_reproduce, "recompute the worked examples")
-    p.add_argument("--kmax", type=int, default=3)
-
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(handler=cmd)
+        p.add_argument("--format", **_FORMAT)
+        dash = any(kw.get("type") in (_pair_arg, _angle_arg) for _, kw in cmd.options)
+        if dash and hasattr(p, "_negative_number_matcher"):
+            p._negative_number_matcher = _DASH_VALUE
+        for name in cmd.files:
+            p.add_argument(name)
+        for flag, kw in cmd.options:
+            p.add_argument(flag, **kw)
     return parser
 
 
+def _echo_value(v) -> str:
+    if isinstance(v, list):
+        return " ".join(map(_echo_value, v))
+    if isinstance(v, Angle):
+        return format_angle(v)
+    return _pair_str(v) if isinstance(v, tuple) else str(v)
+
+
+def _run(cmd: _Command, args) -> tuple[Report, int]:
+    """Load the spec files, run the command and build its one Report.
+
+    The echo is the name, the paths, then each option in table order (a
+    flag only when set); the digest is over the file texts joined by NUL,
+    or over the echo when the command reads no file.
+    """
+    paths = [getattr(args, name) for name in cmd.files]
+    loaded = [_load(path, cmd.validate) for path in paths]
+    words = [cmd.name, *paths]
+    for flag, _ in cmd.options:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is True:
+            words.append(flag)
+        elif value is not False:
+            words += [flag, _echo_value(value)]
+    echo = " ".join(words)
+    records, code = cmd.run(args, *(obj for _, obj in loaded))
+    text = "\x00".join(text for text, _ in loaded) if loaded else echo
+    return Report(echo, digest(text), tuple(records)), code
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        report, code = args.handler(args)
+        report, code = _run(args.handler, args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -82,7 +82,8 @@ class ProfilePoint:
     the swept quantity is itself a combination of angles (the difference
     of two profiles); either type answers `value()`, `pi_multiple()` and
     an exact `==`, and `ratio()`, which for forms stays accurate when the
-    span is a tiny difference of large Args.
+    span is a tiny difference of large Args.  The exact parameter value is
+    computed once per point, on first use.
     """
 
     segment: int
@@ -91,8 +92,8 @@ class ProfilePoint:
     offset: Angle | AngleForm
     span: Angle | AngleForm
 
-    def t_fraction(self) -> Fraction | None:
-        """Exact parameter value, when the ratio is rational."""
+    @cached_property
+    def _t_exact(self) -> Fraction | None:
         if self.offset == self.span:
             return self.t_hi
         num = self.offset.pi_multiple()
@@ -103,15 +104,19 @@ class ProfilePoint:
             return None
         return self.t_lo + (self.t_hi - self.t_lo) * num / den
 
+    def t_fraction(self) -> Fraction | None:
+        """Exact parameter value, when the ratio is rational."""
+        return self._t_exact
+
     def t_float(self) -> float:
-        exact = self.t_fraction()
+        exact = self._t_exact
         if exact is not None:
             return float(exact)
         lam = self.offset.ratio(self.span)
         return float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
 
     def __str__(self) -> str:
-        exact = self.t_fraction()
+        exact = self._t_exact
         if exact is not None:
             return str(exact)
         return (

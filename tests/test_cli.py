@@ -1,12 +1,17 @@
 """Spec file parsing, report rendering, and the command line surface."""
 
+import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from toruscut import (
     Angle,
+    AngleForm,
     CutSpec,
     Direction,
     InvariantContactForm,
@@ -15,6 +20,7 @@ from toruscut import (
     Report,
     SpecSemanticError,
     SpecSyntaxError,
+    homotopy_certificate,
     parse_spec,
     parse_spec_file,
     render_json,
@@ -26,6 +32,7 @@ from toruscut.cli import main
 
 A = Angle
 D = Direction
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 ALPHA1 = """\
 form.phi.breaks = 0:1,0 1:0,1;1
@@ -413,3 +420,43 @@ class TestReproduce:
         r = report_from_json(out)
         assert render_json(r) == out
         assert r.records[0].title == "alpha[k=0]"
+
+
+class TestCliCost:
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        spec = str(SPECS / "alpha1.cut")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cut", spec]) == 0  # warm-up: may build the parser
+            built.clear()
+            assert main(["cut", spec]) == 0
+            assert main(["invariants", spec, "--direction", "-1,1"]) == 0
+        assert built == []
+
+    def test_homotopy_zero_positions_are_computed_once(self, monkeypatch):
+        # the CLI renders each zero with str(point) and t_float(); both must
+        # reuse the exact t the certificate computed for its interval filter
+        calls = []
+        pi_multiple = AngleForm.pi_multiple
+
+        def counting(self):
+            calls.append(self)
+            return pi_multiple(self)
+
+        monkeypatch.setattr(AngleForm, "pi_multiple", counting)
+        a, b = (str(SPECS / name) for name in ("alpha0.cut", "alpha2.cut"))
+        cert = homotopy_certificate(parse_spec_file(a), parse_spec_file(b))
+        direct = len(calls)
+        assert len(cert.zeros) == 2 and direct > 0
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["homotopy", a, b]) == 0
+        assert "planar-zeros = 2" in out.getvalue()
+        assert len(calls) == direct
