@@ -18,13 +18,11 @@ from .angles import (
     angle_add,
     angle_compare,
     angle_sub,
-    as_pi_multiple,
-    ceil_turns,
+    ceil_half_turns,
     compare_scaled,
     count_lattice,
     direction_angle,
-    floor_div_2pi,
-    floor_turns,
+    floor_half_turns,
     format_angle,
     is_zero,
     parse_angle,

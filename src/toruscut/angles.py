@@ -33,7 +33,7 @@ and in the float stage of `compare_scaled` and `AngleForm.sign`, which
 decides only outside its error bound.
 
 Only eight primitive directions have an argument that is a rational
-multiple of pi (the axes and diagonals); `as_pi_multiple` recognises them,
+multiple of pi (the axes and diagonals); `Angle.pi_multiple` recognises them,
 which is how downstream code tells exactly representable parameter values
 apart from irrational ones.
 """
@@ -273,56 +273,18 @@ def is_zero(a: Angle) -> bool:
     return a.dir == UNIT_X and a.turns == 0
 
 
-def floor_div_2pi(a: Angle) -> int:
-    """floor(value / 2*pi), exactly."""
-    return a.turns - (1 if _argclass(a.dir) == 0 else 0)
-
-
-def ceil_div_2pi(a: Angle) -> int:
-    """ceil(value / 2*pi), exactly."""
-    return a.turns + (1 if _argclass(a.dir) >= 2 else 0)
-
-
-def floor_div_pi(a: Angle) -> int:
-    """floor(value / pi), exactly."""
-    k = _argclass(a.dir)
-    return 2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))
-
-
-def ceil_div_pi(a: Angle) -> int:
-    """ceil(value / pi), exactly."""
-    k = _argclass(a.dir)
-    return 2 * a.turns + (1 if k >= 2 else 0)
-
-
-def floor_turns(a: Angle, q: int = 1) -> int:
-    """floor(value / (2*pi*q)) for q >= 1, exactly.
-
-    When the value is not an exact multiple of 2*pi it lies strictly inside
-    (F, F+1) turns with F = floor_div_2pi, and no multiple of q sits inside
-    an open unit interval, so the answer is F // q.
-    """
-    if a.dir == UNIT_X:
-        return a.turns // q
-    return floor_div_2pi(a) // q
-
-
-def ceil_turns(a: Angle, q: int = 1) -> int:
-    """ceil(value / (2*pi*q)) for q >= 1, exactly."""
-    return -floor_turns(negate(a), q)
-
-
 def floor_half_turns(a: Angle, q: int = 1) -> int:
-    """floor(value / (pi*q)) for q >= 1, exactly."""
-    if a.dir == UNIT_X or a.dir == NEG_X:
-        m = 2 * a.turns + (1 if a.dir == NEG_X else 0)
-        return m // q
-    return floor_div_pi(a) // q
+    """floor(value / (q*pi)) for q >= 1, exactly: floor(floor(value/pi) / q).
+
+    q = 2 counts whole turns.
+    """
+    k = _argclass(a.dir)
+    return (2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))) // q
 
 
 def ceil_half_turns(a: Angle, q: int = 1) -> int:
-    """ceil(value / (pi*q)) for q >= 1, exactly."""
-    return -floor_half_turns(negate(a), q)
+    """ceil(value / (q*pi)) for q >= 1, exactly: ceil(ceil(value/pi) / q)."""
+    return -(-(2 * a.turns + (1 if _argclass(a.dir) >= 2 else 0)) // q)
 
 
 def count_lattice(theta: Angle, a0: Angle, a1: Angle) -> int:
@@ -330,8 +292,8 @@ def count_lattice(theta: Angle, a0: Angle, a1: Angle) -> int:
     [a0, a1] of angle values.  Requires a0 <= a1.  Endpoints count."""
     if angle_compare(a0, a1) > 0:
         raise ValueError("count_lattice needs a0 <= a1")
-    hi = floor_div_2pi(angle_sub(a1, theta))
-    lo = ceil_div_2pi(angle_sub(a0, theta))
+    hi = floor_half_turns(angle_sub(a1, theta), 2)
+    lo = ceil_half_turns(angle_sub(a0, theta), 2)
     return max(0, hi - lo + 1)
 
 
@@ -347,11 +309,6 @@ _PI_MULTIPLES = {
     (0, -1): Fraction(-1, 2),
     (1, -1): Fraction(-1, 4),
 }
-
-
-def as_pi_multiple(a: Angle) -> Fraction | None:
-    """value / pi as an exact Fraction, or None when it is irrational."""
-    return a.pi_multiple()
 
 
 # -- rational linear forms in angles ---------------------------------------------

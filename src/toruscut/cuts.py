@@ -34,9 +34,9 @@ from .angles import (
     angle_add,
     angle_compare,
     angle_sub,
-    ceil_turns,
+    ceil_half_turns,
     direction_angle,
-    floor_turns,
+    floor_half_turns,
 )
 from .errors import (
     InvalidCutSpec,
@@ -302,8 +302,8 @@ def slice_by_ray(
     hi = min(w1, v_hi)
     start = angle_sub(beta, QUARTER_TURN)
     stop = angle_add(beta, QUARTER_TURN)
-    j_min = ceil_turns(angle_sub(lo, start), 1)
-    j_max = floor_turns(angle_sub(hi, stop), 1)
+    j_min = ceil_half_turns(angle_sub(lo, start), 2)
+    j_max = floor_half_turns(angle_sub(hi, stop), 2)
     pieces = []
     for j in range(j_min, j_max + 1):
         a, b = add_turns(start, j), add_turns(stop, j)

@@ -41,7 +41,7 @@ from .angles import (
     angle_sub,
     count_lattice,
     direction_angle,
-    floor_div_2pi,
+    floor_half_turns,
     is_zero,
 )
 from .cuts import CutSpec, require_valid
@@ -125,7 +125,7 @@ def cc_profile(spec) -> CCProfile:
     phi = _phi_of(spec)
     lo, hi = phi.value_bounds()
     swept = angle_sub(hi, lo)
-    q = floor_div_2pi(swept)
+    q = floor_half_turns(swept, 2)
     c_lo = Angle(lo.dir)
     c_hi = Angle(hi.dir)
     rho = angle_sub(c_hi, c_lo)

@@ -203,7 +203,7 @@ class TestFloorAndPiMultiple:
            st.integers(-50, 50), rationals())
     def test_single_angle_forms_match_as_pi_multiple(self, v, turns, c):
         a = angles.Angle(D.reduced(*v), turns)
-        q = angles.as_pi_multiple(a)
+        q = a.pi_multiple()
         assert AngleForm.of(a).pi_multiple() == q
         want = 0 if c == 0 else None if q is None else q * c
         assert (AngleForm.of(a) * c).pi_multiple() == want

@@ -15,13 +15,10 @@ from toruscut.angles import (
     angle_add,
     angle_compare,
     angle_sub,
-    as_pi_multiple,
     ceil_half_turns,
-    ceil_turns,
     count_lattice,
     direction_angle,
     floor_half_turns,
-    floor_turns,
     format_angle,
     negate,
     parse_angle,
@@ -143,31 +140,30 @@ class TestFloorCeil:
     @given(angles(), st.integers(1, 7))
     def test_against_float(self, a, q):
         # Floats are a safe oracle away from exact lattice hits; the exact
-        # hits are covered separately below.
+        # hits are covered separately below.  Modulus 2q counts q whole turns.
         v = a.value()
-        for fn, step in (
-            (floor_turns, 2 * math.pi * q),
-            (floor_half_turns, math.pi * q),
-        ):
-            got = fn(a, q)
-            approx = v / step
+        for m in (q, 2 * q):
+            approx = v / (math.pi * m)
             if abs(approx - round(approx)) > 1e-6:
-                assert got == math.floor(approx)
+                assert floor_half_turns(a, m) == math.floor(approx)
+                assert ceil_half_turns(a, m) == math.ceil(approx)
 
     def test_exact_multiples(self):
-        assert floor_turns(A(1, 0, 6), 3) == 2
-        assert ceil_turns(A(1, 0, 6), 3) == 2
+        assert floor_half_turns(A(1, 0, 6), 6) == 2  # 12pi / 6pi
+        assert ceil_half_turns(A(1, 0, 6), 6) == 2
         assert floor_half_turns(A(-1, 0, 1), 3) == 1  # 3pi / 3pi
         assert ceil_half_turns(A(-1, 0, 1), 3) == 1
-        assert floor_turns(A(-1, 0, 0)) == 0  # pi
-        assert ceil_turns(A(-1, 0, 0)) == 1
+        assert floor_half_turns(A(-1, 0, 0), 2) == 0  # pi / 2pi
+        assert ceil_half_turns(A(-1, 0, 0), 2) == 1
+        assert floor_half_turns(A(-1, 0, 0)) == ceil_half_turns(A(-1, 0, 0)) == 1
 
     @given(angles(max_turns=30), st.integers(1, 5))
     def test_floor_ceil_sandwich(self, a, q):
-        f, c = floor_turns(a, q), ceil_turns(a, q)
-        assert f <= c <= f + 1
-        exact = a.dir == Direction(1, 0) and a.turns % q == 0
-        assert (f == c) == exact
+        for m in (q, 2 * q):
+            f, c = floor_half_turns(a, m), ceil_half_turns(a, m)
+            assert f <= c <= f + 1
+            exact = a.pi_multiple()
+            assert (f == c) == (exact is not None and exact % m == 0)
 
 
 class TestCountLattice:
@@ -216,14 +212,14 @@ class TestCountLattice:
 
 class TestPiMultiples:
     def test_table(self):
-        assert as_pi_multiple(A(1, 0)) == 0
-        assert as_pi_multiple(A(-1, 1)) == Fraction(3, 4)
-        assert as_pi_multiple(A(0, -1, 2)) == Fraction(7, 2)
-        assert as_pi_multiple(A(2, 1)) is None
+        assert A(1, 0).pi_multiple() == 0
+        assert A(-1, 1).pi_multiple() == Fraction(3, 4)
+        assert A(0, -1, 2).pi_multiple() == Fraction(7, 2)
+        assert A(2, 1).pi_multiple() is None
 
     @given(angles())
     def test_consistent_with_float(self, a):
-        q = as_pi_multiple(a)
+        q = a.pi_multiple()
         if q is not None:
             assert math.isclose(float(q) * math.pi, a.value(), abs_tol=1e-9)
 

@@ -22,7 +22,6 @@ from toruscut import (
     angle_add,
     angle_compare,
     angle_sub,
-    as_pi_multiple,
     contact_check,
     contact_reduce,
     direction_angle,
@@ -180,6 +179,17 @@ class TestAngleProfile:
         assert phi.solve(A(D(1, 0))).t_fraction() == F(0)
         assert phi.solve(A(D(0, 1), 1)).t_fraction() == F(1)
 
+    def test_exact_t_is_computed_once(self, monkeypatch):
+        calls = []
+        pi_multiple = Angle.pi_multiple
+        monkeypatch.setattr(Angle, "pi_multiple", lambda a: calls.append(a) or pi_multiple(a))
+        pt = ProfilePoint(0, F(0), F(1), A(D(1, 2)), A(D(0, 1)))  # irrational offset
+        assert pt.t_fraction() is None and len(calls) == 2
+        assert str(pt) == "0 + (1-0)*ratio[1,2;0 / 0,1;0]"
+        assert pt.t_float() == pytest.approx(math.atan2(2, 1) / (math.pi / 2))
+        assert pt.t_fraction() is None and len(calls) == 2
+        assert pt == ProfilePoint(0, F(0), F(1), A(D(1, 2)), A(D(0, 1)))
+
     @given(monotone_profiles())
     def test_solve_inverts_compare(self, phi):
         lo, hi = phi.value_bounds()
@@ -217,7 +227,7 @@ class TestAngleProfile:
             F(1, 10), direction_angle((1, 1)), F(9, 10), A(D(1, 1), 1)
         )
         assert sub.breaks == (F(1, 10), F(9, 10))
-        assert as_pi_multiple(angle_sub(sub.values[1], sub.values[0])) == F(2)
+        assert angle_sub(sub.values[1], sub.values[0]).pi_multiple() == F(2)
         assert sub.compare_at(F(1, 2), A(D(-1, -1), 1)) == 0  # phi(1/2) = 5 pi/4
 
 
@@ -378,7 +388,7 @@ class TestContactCheck:
         for k in range(6):
             form = InvariantContactForm.unit(alpha_phi(k))
             assert contact_check(form) == 1
-            assert as_pi_multiple(sweep(form)) == F(4 * k + 1, 2)
+            assert sweep(form).pi_multiple() == F(4 * k + 1, 2)
 
     def test_reversed_form_is_negative_contact(self):
         form = InvariantContactForm.unit(alpha_phi(1)).reversed()
