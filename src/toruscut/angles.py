@@ -279,12 +279,14 @@ def floor_half_turns(a: Angle, q: int = 1) -> int:
     q = 2 counts whole turns.
     """
     k = _argclass(a.dir)
-    return (2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))) // q
+    down = 2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))  # floor(value/pi)
+    return down // q
 
 
 def ceil_half_turns(a: Angle, q: int = 1) -> int:
     """ceil(value / (q*pi)) for q >= 1, exactly: ceil(ceil(value/pi) / q)."""
-    return -(-(2 * a.turns + (1 if _argclass(a.dir) >= 2 else 0)) // q)
+    up = 2 * a.turns + (1 if _argclass(a.dir) >= 2 else 0)  # ceil(value/pi)
+    return -(-up // q)
 
 
 def count_lattice(theta: Angle, a0: Angle, a1: Angle) -> int:

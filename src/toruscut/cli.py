@@ -348,24 +348,24 @@ _WINDOW = {
     "help": "angle literals x,y;n bounding the profile values",
 }
 _MOD_GL2Z = {"action": "store_true", "help": "compare modulo relabeling"}
-_ONE, _TWO = ("file",), ("file_a", "file_b")
+_FILE, _FILES = ("file",), ("file_a", "file_b")
 
 _COMMANDS = (
-    _Command("check", "validate a spec file and report violations", _ONE, (), _check,
+    _Command("check", "validate a spec file and report violations", _FILE, (), _check,
              validate=False),
-    _Command("cut", "classify the closed cut space", _ONE, (), _cut),
-    _Command("invariants", "ray component count along a direction", _ONE,
+    _Command("cut", "classify the closed cut space", _FILE, (), _cut),
+    _Command("invariants", "ray component count along a direction", _FILE,
              (("--direction", _PAIR),), _invariants),
-    _Command("profile", "full count-by-ray profile", _ONE, (),
+    _Command("profile", "full count-by-ray profile", _FILE, (),
              lambda args, obj: _one("cc-profile", _profile_items(cc_profile(obj)))),
-    _Command("distinguish", "compare two cut data by their counts", _TWO,
+    _Command("distinguish", "compare two cut data by their counts", _FILES,
              (("--mod-gl2z", _MOD_GL2Z),), _distinguish),
-    _Command("overtwisted", "search the standard disk family", _ONE, (),
+    _Command("overtwisted", "search the standard disk family", _FILE, (),
              lambda args, obj: _one("overtwisted", _overtwisted_items(obj))),
-    _Command("homotopy", "explicit homotopy between covector fields", _TWO, (), _homotopy),
-    _Command("slice", "cut pieces of a long form along a ray", _ONE,
+    _Command("homotopy", "explicit homotopy between covector fields", _FILES, (), _homotopy),
+    _Command("slice", "cut pieces of a long form along a ray", _FILE,
              (("--eta", _PAIR), ("--window", _WINDOW)), _slice),
-    _Command("symplectization-check", "verify cut and symplectization commute", _ONE, (),
+    _Command("symplectization-check", "verify cut and symplectization commute", _FILE, (),
              _symplectization),
     _Command("reproduce-paper", "recompute the worked examples", (),
              (("--kmax", {"type": int, "default": 3}),), _reproduce),
