@@ -289,13 +289,17 @@ def ceil_half_turns(a: Angle, q: int = 1) -> int:
     return -(-up // q)
 
 
+def _lattice_bounds(theta: Angle, lo: Angle, hi: Angle, q: int = 1) -> tuple[int, int]:
+    """Least and greatest j with theta + j*q*pi in [lo, hi]; none if j_min > j_max."""
+    return ceil_half_turns(angle_sub(lo, theta), q), floor_half_turns(angle_sub(hi, theta), q)
+
+
 def count_lattice(theta: Angle, a0: Angle, a1: Angle) -> int:
     """Number of representatives theta + 2*pi*m inside the closed interval
     [a0, a1] of angle values.  Requires a0 <= a1.  Endpoints count."""
     if angle_compare(a0, a1) > 0:
         raise ValueError("count_lattice needs a0 <= a1")
-    hi = floor_half_turns(angle_sub(a1, theta), 2)
-    lo = ceil_half_turns(angle_sub(a0, theta), 2)
+    lo, hi = _lattice_bounds(theta, a0, a1, 2)
     return max(0, hi - lo + 1)
 
 

@@ -372,9 +372,9 @@ _COMMANDS = (
 )
 
 # Integer pairs and angle literals may start with '-', which argparse
-# would read as an option; widening the negative-number matcher of the
-# subcommands that take them makes tokens like -1,1 and -1,0;-2 values.
-_DASH_VALUE = re.compile(r"^-\d+(?:,-?\d+)?(?:;-?\d+)?$")
+# would read as an option; on the subcommands that take them, whose options
+# never start with '-' and a digit, every such token is a value.
+_DASH_VALUE = re.compile(r"^-\d")
 
 
 @functools.cache

@@ -28,15 +28,15 @@ from fractions import Fraction
 from .angles import (
     Angle,
     Direction,
+    HALF_TURN,
     QUARTER_TURN,
+    _lattice_bounds,
     add_half_turns,
     add_turns,
     angle_add,
     angle_compare,
     angle_sub,
-    ceil_half_turns,
     direction_angle,
-    floor_half_turns,
 )
 from .errors import (
     InvalidCutSpec,
@@ -298,12 +298,9 @@ def slice_by_ray(
     phi = line_form.phi
     beta = direction_angle(eta)
     v_lo, v_hi = phi.value_bounds()
-    lo = max(w0, v_lo)
-    hi = min(w1, v_hi)
-    start = angle_sub(beta, QUARTER_TURN)
-    stop = angle_add(beta, QUARTER_TURN)
-    j_min = ceil_half_turns(angle_sub(lo, start), 2)
-    j_max = floor_half_turns(angle_sub(hi, stop), 2)
+    lo, hi = max(w0, v_lo), min(w1, v_hi)
+    start, stop = angle_sub(beta, QUARTER_TURN), angle_add(beta, QUARTER_TURN)
+    j_min, j_max = _lattice_bounds(start, lo, angle_sub(hi, HALF_TURN), 2)  # stop = start + pi
     pieces = []
     for j in range(j_min, j_max + 1):
         a, b = add_turns(start, j), add_turns(stop, j)

@@ -44,13 +44,12 @@ from typing import Iterator, NamedTuple, Sequence
 from .angles import (
     Angle,
     AngleForm,
+    _lattice_bounds,
     add_half_turns,
     angle_compare,
     angle_sub,
-    ceil_half_turns,
     compare_scaled,
     direction_angle,
-    floor_half_turns,
     format_angle,
 )
 from .errors import (
@@ -303,9 +302,7 @@ class AngleProfile:
         is hit exactly once.  Cost: O(J log n) angle comparisons for J hits
         and n breakpoints, one `solve` per hit.
         """
-        lo, hi = self.value_bounds()
-        j_min = ceil_half_turns(angle_sub(lo, base))
-        j_max = floor_half_turns(angle_sub(hi, base))
+        j_min, j_max = _lattice_bounds(base, *self.value_bounds())
         out = []
         for j in range(j_min, j_max + 1):
             pt = self.solve(add_half_turns(base, j))
@@ -567,10 +564,8 @@ def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     base = direction_angle((-n, m))
     phi = form.phi
     i, lam = phi._locate(_frac(t))
-    lo, hi = phi.value_bounds()
-    j_lo = ceil_half_turns(angle_sub(lo, base))
-    j_hi = floor_half_turns(angle_sub(hi, base))
-    # Largest j with base + j*pi <= phi(t); phi(t) >= lo > base + (j_lo-1)*pi.
+    j_lo, j_hi = _lattice_bounds(base, *phi.value_bounds())
+    # Largest j with base + j*pi <= phi(t); phi(t) >= min phi > base + (j_lo-1)*pi.
     lo_j, hi_j = j_lo - 1, j_hi
     while lo_j < hi_j:
         mid = (lo_j + hi_j + 1) // 2

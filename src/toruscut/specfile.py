@@ -8,9 +8,9 @@ One key per line, "#" starts a comment, keys may appear in any order:
     collapse0       = 0,1                 # both present: a cut datum
     collapse1       = 1,0                 # neither: a bare form
 
-Rationals are written p/q or as integers; angle literals are "x,y;n" with
-";n" omitted for n = 0.  Geometry checks run eagerly so the caller gets a
-diagnostic with the offending line instead of a late exception.
+Rationals are integers, p/q or plain decimals, with no exponent; angle
+literals are "x,y;n", ";n" omitted for n = 0.  Geometry checks run eagerly
+so the caller gets a diagnostic with the offending line, not a late exception.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ _KEYS = ("form.phi.breaks", "form.radial", "form.domain", "collapse0", "collapse
 
 
 def _fraction(text: str, line: int) -> Fraction:
+    if not set(text) <= set("0123456789+-./"):  # Fraction also takes 1e999999999 and 1_0
+        raise SpecSyntaxError(line, f"bad rational {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

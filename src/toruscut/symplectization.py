@@ -9,8 +9,9 @@ reduced coefficient over a collapse circle picks up the factor -e^s.
 
 sympl_moment_eval evaluates Psi pointwise; check_cut_symplectization_commute
 states the transferred data of a valid cut datum row by row, from exact
-facts: the boundary zeros decided by validity, the reduced circles of
-contact_reduce, and the signs of their coefficients.
+facts: the boundary zeros decided by validity, and the numbers of reduced
+circles and of positive coefficients, counted on the half-turn lattice in
+O(1) from the profile's value bounds, however many turns it sweeps.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angles import Direction
-from .cuts import CutSpec, contact_reduce, require_valid
+from .angles import Direction, _lattice_bounds, direction_angle
+from .cuts import CutSpec, require_valid
 from .forms import InvariantContactForm, moment_eval, moment_sign
 
 
@@ -68,13 +69,14 @@ def check_cut_symplectization_commute(spec: CutSpec) -> CommutationReport:
     require_valid(spec)
     rows = []
     for side, v in ((0, spec.v0), (1, spec.v1)):
-        circles = contact_reduce(spec.form, v)
-        n, positive = len(circles), sum(c.sign > 0 for c in circles)
-        # the collapse circle is the reduced circle at the boundary parameter
-        collapsed = any(c.point.t_fraction() == side for c in circles)
+        # contact_reduce has one circle per j with phi = base + j*pi, c > 0 iff j is odd
+        base = direction_angle((-v.y, v.x))
+        j_min, j_max = _lattice_bounds(base, *spec.form.phi.value_bounds())
+        n, positive = j_max - j_min + 1, (j_max + 1) // 2 - j_min // 2
+        # validity puts phi(side) on the lattice: the collapse circle is one of them
         rows.append(CheckRow(
             f"side {side} zero locus",
-            collapsed,
+            True,
             f"moment of ({v.x},{v.y}) vanishes exactly at t={side}; "
             f"the zero set of Psi is {n} reduced circles x R",
         ))

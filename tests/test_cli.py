@@ -254,8 +254,36 @@ class TestCliExitCodes:
         assert main(["cut", path]) == 3
         assert "collapse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["1e999999999", "1e5", "2E-3", "1.5e3", "1_0"])
+    def test_rational_outside_the_grammar_is_a_syntax_error(self, tmp_path, capsys, t):
+        # integers, p/q and plain decimals only: 1e999999999 would otherwise
+        # build a billion-digit integer before any check ran
+        path = spec_path(tmp_path, f"form.phi.breaks = 0:1,0 {t}:0,1\n")
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and repr(t) in err
+
+    @pytest.mark.parametrize("t", ["1/2", "0.5", "3"])
+    def test_plain_rationals_parse(self, tmp_path, capsys, t):
+        text = ALPHA1.replace("1:0,1;1", f"{t}:0,1;1")
+        assert main(["check", spec_path(tmp_path, text)]) == 0
+        assert "valid = yes" in capsys.readouterr().out
+
 
 class TestCliCommands:
+    def test_symplectization_check_counts_without_enumerating(self, tmp_path, capsys):
+        # a valid sphere cut sweeping 10^20 turns: 2*10^20 + 1 reduced
+        # circles per side, counted, never built
+        text = ALPHA1.replace("1:0,1;1", f"1:0,1;{10**20}")
+        assert main(["symplectization-check", spec_path(tmp_path, text)]) == 0
+        out = capsys.readouterr().out
+        many, fewer = 10**20 + 1, 10**20
+        assert out.count(f"{2 * 10**20 + 1} reduced circles x R") == 2
+        side0, side1 = (line for line in out.splitlines() if "reduced coefficients" in line)
+        assert f"the {many} with c > 0 and the {fewer} with c < 0" in side0
+        assert f"the {fewer} with c > 0 and the {many} with c < 0" in side1
+        assert "verdict = commute" in out
+
     def test_cut_classifies_sphere(self, tmp_path, capsys):
         assert main(["cut", spec_path(tmp_path, ALPHA1)]) == 0
         out = capsys.readouterr().out

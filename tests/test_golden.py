@@ -61,7 +61,7 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-slice-bad-window"] = [
         "slice", "specs/line.cut", "--eta", "0,1", "--window", "1,x", "-1,0;1"
     ]
-    # not a negative number literal, so argparse reads it as an option
+    # a malformed literal that starts with '-' is still a value, and is named
     cases["usage-slice-dash-word"] = [
         "slice", "specs/line.cut", "--eta", "0,1", "--window", "-1,0;x", "-1,0;1"
     ]

@@ -2,22 +2,27 @@
 
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from toruscut import (
+    AngleProfile,
     CutSpec,
     Direction,
     InvalidCutSpec,
     OutsideDomain,
     alpha_cutspec,
     alpha_form,
+    contact_reduce,
     lens_cutspec,
     moment_eval,
+    parse_spec_file,
     rotating_line_form,
 )
+from toruscut.cli import _LENS_TABLE
 from toruscut.symplectization import (
     CommutationReport,
     check_cut_symplectization_commute,
@@ -26,6 +31,7 @@ from toruscut.symplectization import (
 )
 
 D = Direction
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def dirs(max_coord=5):
@@ -104,3 +110,53 @@ class TestCommutationReport:
         a = check_cut_symplectization_commute(alpha_cutspec(3))
         b = check_cut_symplectization_commute(alpha_cutspec(3))
         assert a == b
+
+
+def _enumerated(spec: CutSpec) -> list[tuple[bool, int, int]]:
+    """(collapse circle found, circles, positive circles) per side, from
+    every reduced circle that contact_reduce builds."""
+    out = []
+    for side, v in ((0, spec.v0), (1, spec.v1)):
+        circles = contact_reduce(spec.form, v)
+        collapsed = any(c.point.t_fraction() == side for c in circles)
+        out.append((collapsed, len(circles), sum(c.sign > 0 for c in circles)))
+    return out
+
+
+def _sample_specs():
+    for k in range(201):
+        yield pytest.param(alpha_cutspec(k), id=f"alpha{k}")
+    for k, l in _LENS_TABLE:
+        for j in (1, 2, 3):
+            yield pytest.param(lens_cutspec(k, l, j), id=f"lens{k}-{l}-{j}")
+    for path in sorted(SPECS.glob("*.cut")):
+        spec = parse_spec_file(path)
+        if isinstance(spec, CutSpec):
+            yield pytest.param(spec, id=path.name)
+
+
+class TestCountedRows:
+    @pytest.mark.parametrize("spec", _sample_specs())
+    def test_rows_match_the_enumerated_circles(self, spec):
+        rows = check_cut_symplectization_commute(spec).rows
+        for side, (collapsed, n, positive) in enumerate(_enumerated(spec)):
+            locus, coefficients = rows[2 * side], rows[2 * side + 1]
+            assert locus.passed == collapsed
+            assert locus.detail.endswith(f"the zero set of Psi is {n} reduced circles x R")
+            assert coefficients.detail.startswith(
+                f"{n} reduced circles; each coefficient c becomes -e^s c, so the "
+                f"{positive} with c > 0 and the {n - positive} with c < 0 swap"
+            )
+
+    def test_no_circle_is_solved_for(self, monkeypatch):
+        calls = []
+        solve = AngleProfile.solve
+
+        def counting(self, target):
+            calls.append(target)
+            return solve(self, target)
+
+        monkeypatch.setattr(AngleProfile, "solve", counting)
+        for spec in (alpha_cutspec(7), lens_cutspec(2, 3, 2)):
+            assert check_cut_symplectization_commute(spec).passed
+        assert calls == []
