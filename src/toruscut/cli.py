@@ -15,6 +15,7 @@ once per process, on the first call of `main`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -428,6 +429,22 @@ def _run(cmd: _Command, args) -> tuple[Report, int]:
     return Report(echo, digest(text), tuple(records)), code
 
 
+@contextlib.contextmanager
+def _any_int_size():
+    """Lift Python's limit on int <-> str digits (3.10.7 and later) for the
+    duration: legal coordinates, and exact results, have any length."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@_any_int_size()
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)

@@ -155,7 +155,7 @@ def _boundary_checks(
 ) -> list[Violation]:
     phi = form.phi
     value = phi.values[0] if end == 0 else phi.values[-1]
-    base = direction_angle((-v.y, v.x))
+    base = direction_angle(v.perp())
     rel = angle_sub(value, base)
     if rel.dir.as_tuple() not in ((1, 0), (-1, 0)):
         f = form.covector_float(float(phi.t0 if end == 0 else phi.t1))
@@ -250,17 +250,15 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     """All reduced circles of the eta-moment's zero level, ordered by t."""
     eta = _dir(eta)
     contact_check(form)
-    base = direction_angle((-eta.y, eta.x))
+    base = direction_angle(eta.perp())
     zeta = complement_vector(eta)
     mag = math.hypot(eta.x, eta.y)
+    hits = form.phi.solve_half_turn_lattice(base)
+    radii = form.radial.floats_along(
+        pt.t_float() if pt.t_fraction() is None else pt.t_fraction() for _, pt in hits
+    )
     out = []
-    for j, pt in form.phi.solve_half_turn_lattice(base):
-        t = pt.t_fraction()
-        r = (
-            float(form.radial.evaluate(t))
-            if t is not None
-            else form.radial.evaluate_float(pt.t_float())
-        )
+    for (j, pt), r in zip(hits, radii):
         sign = 1 if j % 2 else -1
         out.append(
             ReducedCircle(

@@ -70,7 +70,7 @@ def check_cut_symplectization_commute(spec: CutSpec) -> CommutationReport:
     rows = []
     for side, v in ((0, spec.v0), (1, spec.v1)):
         # contact_reduce has one circle per j with phi = base + j*pi, c > 0 iff j is odd
-        base = direction_angle((-v.y, v.x))
+        base = direction_angle(v.perp())
         j_min, j_max = _lattice_bounds(base, *spec.form.phi.value_bounds())
         n, positive = j_max - j_min + 1, (j_max + 1) // 2 - j_min // 2
         # validity puts phi(side) on the lattice: the collapse circle is one of them

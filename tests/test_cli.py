@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -45,6 +46,11 @@ LINE = """\
 form.phi.breaks = -3:-1,0;-2 3:-1,0;1
 form.domain = -3,3
 """
+
+
+def int_digit_limit():
+    """Python's int <-> str digit limit, None before it existed (3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 def spec_path(tmp_path, text, name="spec.cut"):
@@ -401,6 +407,33 @@ class TestCliCommands:
         assert main([argv[0], path, *argv[1:]]) == 0
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err and err == ""
+
+    def test_coordinate_beyond_the_int_str_digit_limit(self, tmp_path, capsys):
+        # 5,000 digits: past Python's default 4,300-digit int <-> str limit
+        x, x_1 = "1" + "0" * 4999, "9" * 4999
+        text = (
+            f"form.phi.breaks = 0:{x_1},-{x} 1:0,1;1\n"
+            f"form.radial = 1\ncollapse0 = {x},{x_1}\ncollapse1 = 1,0\n"
+        )
+        limit = int_digit_limit()
+        assert main(["check", spec_path(tmp_path, text)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and f"collapse0 = {x},{x_1}\n" in out and "valid = yes" in out
+        assert int_digit_limit() == limit
+
+    def test_homotopy_result_beyond_the_int_str_digit_limit(self, tmp_path, capsys):
+        # 4,000-digit breakpoint denominators; the zero between the two
+        # breakpoints has about 8,000 digits in its denominator
+        d, e = "1" + "0" * 3998 + "9", "1" + "0" * 3998 + "7"
+        a = spec_path(tmp_path, f"form.phi.breaks = 0:1,0 1/{d}:0,-1;1 1:0,1;1\n", "a.cut")
+        b = spec_path(tmp_path, f"form.phi.breaks = 0:1,0 1/{e}:1,1 1:0,1;1\n", "b.cut")
+        assert main(["homotopy", a, b]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "planar-zeros = 2" in out
+        assert max(len(line) for line in out.splitlines()) > 16000
+        assert main(["homotopy", a, b, "--format", "json"]) == 0
+        items = json.loads(capsys.readouterr().out)["records"][0]["items"]
+        assert {"zero0", "zero1", "planar-zeros"} <= {item["key"] for item in items}
 
     def test_homotopy_with_a_tiny_span_across_pi(self, tmp_path, capsys):
         # phi_a - phi_b sweeps about 2e-20 across pi on [1/3, 2/3]; the

@@ -30,8 +30,8 @@ from toruscut import (
     rescale,
     sweep,
 )
-from toruscut import forms
-from toruscut.angles import negate
+from toruscut import cuts, forms
+from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate
 
 A = Angle
 D = Direction
@@ -88,6 +88,28 @@ def monotone_profiles(draw, max_segments=4, orientation=None):
     if orientation == -1 or (orientation is None and draw(st.booleans())):
         vals.reverse()
     return AngleProfile(tuple(breaks), tuple(vals))
+
+
+EIGHTHS = (D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1))
+
+
+def quarter_angle(k):
+    """k * pi/4 as an Angle."""
+    c, r = divmod(k, 8)
+    return A(EIGHTHS[r], c + (r > 4))
+
+
+@st.composite
+def quarter_profiles(draw, max_segments=6):
+    """Strictly monotone profiles whose values are all pi/4 directions,
+    one to nine quarter turns apart."""
+    breaks = draw(ascending_breaks(max_segments))
+    qs = [draw(st.integers(-40, 40))]
+    for _ in range(len(breaks) - 1):
+        qs.append(qs[-1] + draw(st.integers(1, 9)))
+    if draw(st.booleans()):
+        qs.reverse()
+    return AngleProfile(tuple(breaks), tuple(quarter_angle(q) for q in qs))
 
 
 @st.composite
@@ -259,6 +281,30 @@ def refine_restricted(r, t_a, t_b):
     return RadialProfile(fine.breaks[i0 : i1 + 1], fine.pieces[i0:i1])
 
 
+def lattice_by_solving(phi, base):
+    """Reference solve_half_turn_lattice: one `solve` per lattice index."""
+    lo, hi = phi.value_bounds()
+    j_min, j_max = ceil_half_turns(angle_sub(lo, base)), floor_half_turns(angle_sub(hi, base))
+    hits = [(j, phi.solve(add_half_turns(base, j))) for j in range(j_min, j_max + 1)]
+    return hits[::-1] if phi.orientation() < 0 else hits
+
+
+def reduce_by_solving(form, eta):
+    """Reference contact_reduce: the radial evaluated at each hit on its own,
+    as (index, angle, point, exact t, float t, coefficient)."""
+    base = direction_angle((-eta[1], eta[0]))
+    out = []
+    for j, pt in lattice_by_solving(form.phi, base):
+        t = pt.t_fraction()
+        if t is not None:
+            r = float(form.radial.evaluate(t))
+        else:
+            r = form.radial.evaluate_float(pt.t_float())
+        sign = 1 if j % 2 else -1
+        out.append((j, add_half_turns(base, j), pt, t, pt.t_float(), sign * r / math.hypot(*eta)))
+    return out
+
+
 # about 1e-3 rad: far inside every segment of monotone_profiles()
 NUDGE = direction_angle((1000, 1))
 
@@ -291,25 +337,74 @@ class TestSolveBisection:
             assert phi.solve(a) is None and scan_solve(phi, a) is None
             assert phi.solve(target) is None
 
-    def test_lattice_enumeration_cost_is_n_plus_j_log_n(self, monkeypatch):
-        # the n = 1000 rung of the contact_reduce ladder (perfbench/ladder.py)
-        n = 1000
-        phi = AngleProfile(
-            tuple(F(i, n - 1) for i in range(n)), tuple(A(D(1, 0), i) for i in range(n))
+    @given(
+        st.one_of(monotone_profiles(), quarter_profiles(), st.integers(0, 40).map(alpha_phi)),
+        st.data(),
+        st.lists(st.sampled_from([F(1, 2), 1, 2]), min_size=3, max_size=3),
+    )
+    @settings(max_examples=200)
+    def test_lattice_walk_matches_one_solve_per_hit(self, phi, data, r2):
+        # bases on a breakpoint value (hits on shared breakpoints), at a
+        # pi/4 direction, and drawn (mostly irrational)
+        bases = [
+            data.draw(st.sampled_from(phi.values)),
+            quarter_angle(data.draw(st.integers(-8, 8))),
+            data.draw(angles()),
+        ]
+        # a piecewise radial times a three-piece one: degree 2 where both
+        # pieces slope, constant where neither does
+        r1 = [data.draw(st.sampled_from([1, 3])) for _ in phi.breaks]
+        radial = RadialProfile.from_values(phi.breaks, r1)
+        third = phi.t0 + (phi.t1 - phi.t0) / 3
+        form = rescale(
+            InvariantContactForm(phi, radial),
+            RadialProfile.from_values([phi.t0, third, phi.t1], r2),
         )
-        calls = Counter()
-        for name in ("angle_compare", "angle_sub"):
+        for base in bases:
+            got, want = phi.solve_half_turn_lattice(base), lattice_by_solving(phi, base)
+            assert got == want
+            assert [(p.t_fraction(), p.t_float()) for _, p in got] == [
+                (p.t_fraction(), p.t_float()) for _, p in want
+            ]
+            eta = (base.dir.y, -base.dir.x)  # its zero lattice runs through base
+            circles = contact_reduce(form, eta)
+            assert [
+                (c.index, c.angle, c.point, c.point.t_fraction(), c.point.t_float(), c.coefficient)
+                for c in circles
+            ] == reduce_by_solving(form, eta)
 
-            def counted(*args, _real=getattr(forms, name), _name=name):
+    def test_lattice_enumeration_cost_is_n_plus_j(self, monkeypatch):
+        # the n = 1000 rung of the contact_reduce ladder (perfbench/ladder.py),
+        # whose values are pi/4 directions, and the same with irrational ones
+        n = 1000
+        calls = Counter()
+        for module, name in (
+            (forms, "angle_compare"),
+            (forms, "angle_sub"),
+            (forms, "add_half_turns"),
+            (cuts, "add_half_turns"),
+        ):
+
+            def counted(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(forms, name, counted)
-        circles = contact_reduce(InvariantContactForm.unit(phi), (1, 0))
-        hits = len(circles)
-        assert hits == 2 * (n - 1)
-        # a per-hit scan of the segments makes about n * J / 2 calls
-        assert sum(calls.values()) <= 2 * (n + hits * math.log2(n))
+            monkeypatch.setattr(module, name, counted)
+        solve = AngleProfile.solve
+        monkeypatch.setattr(
+            AngleProfile, "solve", lambda *args: calls.update(["solve"]) or solve(*args)
+        )
+        for d in (D(1, 0), D(2, 1)):
+            calls.clear()
+            phi = AngleProfile(
+                tuple(F(i, n - 1) for i in range(n)), tuple(A(d, i) for i in range(n))
+            )
+            circles = contact_reduce(InvariantContactForm.unit(phi), (1, 0))
+            hits = len(circles)
+            assert hits == 2 * (n - 1)
+            assert calls["solve"] == 0
+            # one solve per hit makes about J log n angle comparisons
+            assert sum(calls.values()) <= 4 * (n + hits)
 
     @given(monotone_profiles(), st.data())
     def test_restricted_exact_matches_scan(self, phi, data):
@@ -381,6 +476,15 @@ class TestRadialProfile:
         assert (sub.t0, sub.t1) == (F(1, 6), F(2, 3))
         for t in (F(1, 6), F(1, 3), F(1, 2), F(2, 3)):
             assert sub.evaluate(t) == r.evaluate(t)
+
+    @given(radial_profiles(), st.data())
+    def test_floats_along_matches_pointwise(self, r, data):
+        # in any order, breakpoints included, exact and float parameters mixed
+        point = st.one_of(st.sampled_from(r.breaks), rational_in(r.t0, r.t1))
+        ts = [t if data.draw(st.booleans()) else float(t) for t in data.draw(st.lists(point))]
+        assert r.floats_along(ts) == [
+            float(r.evaluate(t)) if isinstance(t, F) else r.evaluate_float(t) for t in ts
+        ]
 
 
 class TestContactCheck:
