@@ -315,13 +315,6 @@ _PI_MULTIPLES = {
     (0, -1): Fraction(-1, 2),
     (1, -1): Fraction(-1, 4),
 }
-_QUARTERS = {v: int(4 * q) for v, q in _PI_MULTIPLES.items()}
-
-
-def quarter_turns(a: Angle) -> int | None:
-    """value / (pi/4) as an int for a pi/4 direction, else None."""
-    q = _QUARTERS.get((a.dir.x, a.dir.y))
-    return None if q is None else q + 8 * a.turns
 
 
 # -- rational linear forms in angles ---------------------------------------------

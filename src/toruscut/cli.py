@@ -432,7 +432,12 @@ def _run(cmd: _Command, args) -> tuple[Report, int]:
 @contextlib.contextmanager
 def _any_int_size():
     """Lift Python's limit on int <-> str digits (3.10.7 and later) for the
-    duration: legal coordinates, and exact results, have any length."""
+    duration: legal coordinates, and exact results, have any length.
+
+    The limit is process-wide, so `main` is not safe to run in several
+    threads at once: the first to return restores the limit under the
+    others.  Without the limit a literal of d digits parses in O(d^2)
+    time; on CPython 3.11 a million digits take several seconds."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return

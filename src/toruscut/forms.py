@@ -30,9 +30,8 @@ returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio collapses to a Fraction exactly when both differences are
 rational multiples of pi.  `solve_half_turn_lattice` finds all J hits of
-a half-turn lattice in one pass over the n segments, O(n + J); when every
-breakpoint value is a pi/4 direction that pass is integer arithmetic on
-quarter turns, with one Fraction per exact hit.
+a half-turn lattice in one pass over the n segments, O(n + J), with one
+Fraction per exact hit.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .angles import (
     AngleForm,
     _lattice_bounds,
     add_half_turns,
+    angle_add,
     angle_compare,
     angle_sub,
     ceil_half_turns,
@@ -56,7 +56,7 @@ from .angles import (
     direction_angle,
     floor_half_turns,
     format_angle,
-    quarter_turns,
+    negate,
 )
 from .errors import (
     BadBreakpoints,
@@ -109,32 +109,16 @@ class ProfilePoint:
             return None
         return self.t_lo + (self.t_hi - self.t_lo) * num / den
 
-    @cached_property
-    def _t_float(self) -> float:
-        exact = self._t_exact
-        if exact is not None:
-            return float(exact)
-        lam = self.offset.ratio(self.span)
-        return float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
-
-    @staticmethod
-    def _solved(segment, t_lo, t_hi, offset, span, t_exact, t_float=None) -> "ProfilePoint":
-        """A point whose exact t (and, when that is None, float t) the
-        caller has already computed, to the values the properties give."""
-        pt = object.__new__(ProfilePoint)
-        pt.__dict__.update(
-            segment=segment, t_lo=t_lo, t_hi=t_hi, offset=offset, span=span, _t_exact=t_exact
-        )
-        if t_exact is None:
-            pt.__dict__["_t_float"] = t_float
-        return pt
-
     def t_fraction(self) -> Fraction | None:
         """Exact parameter value, when the ratio is rational."""
         return self._t_exact
 
     def t_float(self) -> float:
-        return self._t_float
+        exact = self._t_exact
+        if exact is not None:
+            return float(exact)
+        lam = self.offset.ratio(self.span)
+        return float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
 
     def __str__(self) -> str:
         exact = self._t_exact
@@ -317,12 +301,6 @@ class AngleProfile:
             i, self.breaks[i], self.breaks[lo], angle_sub(target, v[i]), self._sweeps[i]
         )
 
-    @cached_property
-    def _quarters(self) -> tuple[int, ...] | None:
-        """Each value in quarter turns when all are pi/4 directions, else None."""
-        qs = tuple(quarter_turns(x) for x in self.values)
-        return None if None in qs else qs
-
     def solve_half_turn_lattice(self, base: Angle) -> list[tuple[int, ProfilePoint]]:
         """All (j, point) with phi(point) = base + j*pi, ordered by parameter.
 
@@ -331,58 +309,45 @@ class AngleProfile:
         segment.  One pass over the segments: the lattice bound at each
         segment's far end is its last j (j descends on a decreasing
         profile), and each hit's offset steps by half turns from the
-        segment's first.  When every value is a pi/4 direction the bounds
-        are integer arithmetic on quarter turns, taken for an irrational
-        Arg(base) from its exact quarter bracket, and an exact t is one
-        Fraction per hit.  Cost: O(n + J) for n breakpoints and J hits.
+        segment's first.  Where a segment's offsets and sweep are rational
+        multiples of pi (every segment, when the base and the values are
+        pi/4 directions), each hit's exact t is one Fraction from
+        per-segment integers, handed to the point.  Cost: O(n + J) for n
+        breakpoints and J hits, with no per-hit search.
         """
         v, b, sweeps = self.values, self.breaks, self._sweeps
         sign = angle_compare(v[-1], v[0])
         j_min, j_max = _lattice_bounds(base, *self.value_bounds())
         if sign == 0 or j_min > j_max:
             return []
-        quarters, irrational = self._quarters, False
-        if quarters is None:
-            bound = floor_half_turns if sign > 0 else ceil_half_turns
-            ends = [bound(angle_sub(x, base)) for x in v[1:]]
-        else:
-            # base + j*pi is bq + 4j quarter turns, or lies strictly between
-            # that and bq + 4j + 1 (irrational), so never on a breakpoint
-            bq = quarter_turns(base)
-            irrational = bq is None
-            if irrational:
-                bq = AngleForm.of(base).floor(Fraction(1, 4))
-            if sign > 0:
-                ends = [(q - bq - irrational) // 4 for q in quarters[1:]]
-            else:
-                ends = [-((bq - q) // 4) for q in quarters[1:]]
+        bound = floor_half_turns if sign > 0 else ceil_half_turns
         out = []
         j = j_min if sign > 0 else j_max
-        for i, end in enumerate(ends):
+        minus_base = negate(base)
+        d_hi = angle_add(v[0], minus_base)
+        for i in range(len(sweeps)):
+            d_lo, d_hi = d_hi, angle_add(v[i + 1], minus_base)  # v[i] - base, v[i + 1] - base
+            end = bound(d_hi)
             js = range(j, end + sign, sign)
             j = end + sign
             if not js:
                 continue
             t_lo, t_hi, span = b[i], b[i + 1], sweeps[i]
-            first = angle_sub(add_half_turns(base, js[0]), v[i])
-            if irrational:
-                f_lo, f_width = float(t_lo), float(t_hi - t_lo)
-            elif quarters is not None:
-                # t = (t_lo*(q_hi - q) + t_hi*(q - q_lo)) / (q_hi - q_lo) at q = bq + 4j
-                q_lo, q_hi = quarters[i], quarters[i + 1]
+            first = add_half_turns(negate(d_lo), js[0])  # base + j*pi - v[i]
+            num, den = first.pi_multiple(), span.pi_multiple()
+            exact = num is not None and den is not None
+            if exact:
+                # t = t_lo + (t_hi - t_lo) * (num + m) / den at offset first + m*pi,
+                # as one Fraction over r*u*c*e, with t_lo = p/r, t_hi = s/u,
+                # num = a/c and den = e/f
                 p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
-                den = r * u * (q_hi - q_lo)
+                a, c, e, f = num.numerator, num.denominator, den.numerator, den.denominator
+                at_lo, per_m, t_den = p * u * c * e, (s * r - p * u) * f, r * u * c * e
             for j_hit in js:
-                offset = add_half_turns(first, j_hit - js[0])
-                if quarters is None:
-                    pt = ProfilePoint(i, t_lo, t_hi, offset, span)
-                elif irrational:
-                    t = f_lo + f_width * offset.ratio(span)
-                    pt = ProfilePoint._solved(i, t_lo, t_hi, offset, span, None, t)
-                else:
-                    q = bq + 4 * j_hit
-                    t = Fraction(p * u * (q_hi - q) + s * r * (q - q_lo), den)
-                    pt = ProfilePoint._solved(i, t_lo, t_hi, offset, span, t)
+                m = j_hit - js[0]
+                pt = ProfilePoint(i, t_lo, t_hi, add_half_turns(first, m), span)
+                if exact:
+                    pt.__dict__["_t_exact"] = Fraction(at_lo + per_m * (a + m * c), t_den)
                 out.append((j_hit, pt))
         return out
 
@@ -520,18 +485,17 @@ class RadialProfile:
         return acc
 
     def floats_along(self, ts: Iterable[Fraction | float]) -> list[float]:
-        """float(r(t)) for each t, bit for bit as `evaluate` gives it for a
-        Fraction t and `evaluate_float` for a float t.
+        """float(r(t)) for each t of an ascending sequence, bit for bit as
+        `evaluate` gives it for a Fraction t and `evaluate_float` for a
+        float t.
 
-        One piece index moves with t, so ascending ts cost O(n + len(ts));
-        a constant piece is one float, not evaluated per t.
+        One piece index moves forward with t, so the cost is
+        O(n + len(ts)); a constant piece is one float, not evaluated per t.
         """
         b, pieces = self.breaks, self.pieces
         flat = [float(p[0]) if not any(p[1:]) else None for p in pieces]
         i, last, out = 0, len(pieces) - 1, []
         for t in ts:
-            while i > 0 and b[i] > t:
-                i -= 1
             while i < last and b[i + 1] <= t:
                 i += 1
             if flat[i] is not None:
