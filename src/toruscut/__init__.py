@@ -19,7 +19,6 @@ from .angles import (
     angle_compare,
     angle_sub,
     ceil_half_turns,
-    compare_scaled,
     count_lattice,
     direction_angle,
     floor_half_turns,

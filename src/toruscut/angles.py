@@ -29,8 +29,11 @@ coprimes in essentially linear time", J. Algorithms 54, 2005), and, for a
 near-tie that is not a tie, by fixed-point Args in integer arithmetic.
 
 Floating point appears in `Angle.value()` (display, numeric cross-checks)
-and in the float stage of `compare_scaled` and `AngleForm.sign`, which
-decides only outside its error bound.
+and in the float stage of `AngleForm.sign` and `AngleForm.floor`
+(`_float_sum`, with a stated error bound), which decides only outside
+that bound.  Every exact sign of a rational combination of angles, such
+as a profile value phi(t) against a lattice angle, goes through that one
+stage and its exact fallbacks.
 
 Only eight primitive directions have an argument that is a rational
 multiple of pi (the axes and diagonals); `Angle.pi_multiple` recognises them,
@@ -157,7 +160,8 @@ class Angle:
         q = _PI_MULTIPLES.get((self.dir.x, self.dir.y))
         if q is None:
             return None
-        return q + 2 * self.turns
+        num, den = q
+        return Fraction(num + 2 * self.turns * den, den)
 
     def __lt__(self, other):
         return angle_compare(self, other) < 0
@@ -228,33 +232,6 @@ def angle_sub(a: Angle, b: Angle) -> Angle:
     return angle_add(a, negate(b))
 
 
-def compare_scaled(a: Angle, p: int, b: Angle, q: int) -> int:
-    """Exact sign of p*a - q*b for nonnegative integer scalars.
-
-    The float test settles every case with |p*a - q*b| above
-    1e-14 * (p * (1 + |a|) + q * (1 + |b|)), which bounds the rounding of
-    `Angle.value()` and of the products; it never raises, however large p
-    or q.  Everything else, exact hits included, is the sign of the
-    `AngleForm` p*a - q*b: a float estimate, then only at a possible tie
-    gcds on the two directions and their conjugates.  That fallback does
-    not raise anything to the power p or q; its cost depends on the bit
-    length of the directions, not on the size of p or q.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("scalars must be nonnegative")
-    try:
-        av, bv = a.value(), b.value()
-        gap = p * av - q * bv
-        err = 1e-14 * (p * (1.0 + abs(av)) + q * (1.0 + abs(bv)))
-    except OverflowError:  # p or q beyond float range
-        gap, err = 0.0, math.inf
-    if gap > err:
-        return 1
-    if gap < -err:
-        return -1
-    return (AngleForm.of(a) * p - AngleForm.of(b) * q).sign()
-
-
 def add_half_turns(a: Angle, j: int) -> Angle:
     """Exact a + j*pi."""
     c, odd = divmod(j, 2)
@@ -305,15 +282,16 @@ def count_lattice(theta: Angle, a0: Angle, a1: Angle) -> int:
 
 # The eight primitive directions whose argument is a rational multiple of pi
 # (Niven: a rational angle has rational tangent only at multiples of pi/4).
+# Each maps to Arg / pi as an integer pair (num, den) in lowest terms.
 _PI_MULTIPLES = {
-    (1, 0): Fraction(0),
-    (1, 1): Fraction(1, 4),
-    (0, 1): Fraction(1, 2),
-    (-1, 1): Fraction(3, 4),
-    (-1, 0): Fraction(1),
-    (-1, -1): Fraction(-3, 4),
-    (0, -1): Fraction(-1, 2),
-    (1, -1): Fraction(-1, 4),
+    (1, 0): (0, 1),
+    (1, 1): (1, 4),
+    (0, 1): (1, 2),
+    (-1, 1): (3, 4),
+    (-1, 0): (1, 1),
+    (-1, -1): (-3, 4),
+    (0, -1): (-1, 2),
+    (1, -1): (-1, 4),
 }
 
 
@@ -517,7 +495,7 @@ class AngleForm:
         for d, c in self.terms:
             q = _PI_MULTIPLES.get((d.x, d.y))
             if q is not None:
-                r += c * q
+                r += Fraction(*q) * c
             elif d in coeffs:
                 coeffs[d] += c
             else:

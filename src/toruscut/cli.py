@@ -248,6 +248,8 @@ def _homotopy(args, a, b):
 
 
 def _slice(args, obj):
+    if args.window[0] >= args.window[1]:
+        raise _CliError(EXIT_SYNTAX, "--window must be an increasing pair of angles")
     form = obj.form if isinstance(obj, CutSpec) else obj
     pieces = slice_by_ray(form, args.eta, tuple(args.window))
     records = [Record("slices", tuple(_window_items(args.eta, args.window, len(pieces))))]

@@ -30,6 +30,7 @@ from .angles import (
     Direction,
     HALF_TURN,
     QUARTER_TURN,
+    _arg,
     _lattice_bounds,
     add_half_turns,
     add_turns,
@@ -158,13 +159,15 @@ def _boundary_checks(
     base = direction_angle(v.perp())
     rel = angle_sub(value, base)
     if rel.dir.as_tuple() not in ((1, 0), (-1, 0)):
-        f = form.covector_float(float(phi.t0 if end == 0 else phi.t1))
+        # the float of the principal Arg: whole turns do not move the moment
+        r = float(form.radial.evaluate(phi.t0 if end == 0 else phi.t1))
+        a = _arg(value.dir)
         return [
             Violation(
                 "nonzero-boundary-moment",
                 end,
                 f"moment of ({v.x},{v.y}) at t={end} is "
-                f"{v.x * f[0] + v.y * f[1]:.12g}, not zero",
+                f"{r * (v.x * math.cos(a) + v.y * math.sin(a)):.12g}, not zero",
             )
         ]
     # Just inside, phi moves by +orientation*dt from t=0 (by -orientation*dt

@@ -12,13 +12,15 @@ all the zero sets of moment functions exactly computable: the moment of an
 integer vector eta = (m, n) vanishes precisely where phi crosses the
 half-turn lattice through Arg(-n, m).
 
-Exact sign policy.  moment_eval reports a zero only when it can prove one:
-phi(t) at a rational t is compared against candidate lattice angles by
-clearing the denominator of the position inside the segment, which gives
-the sign of p * segment_sweep - q * offset (`compare_scaled`: a float
-test with a stated bound, then an exact `AngleForm` sign).  Otherwise the
-sign is read off from the parity of the lattice interval that provably
-brackets phi(t).  No decision rests on an unbounded float.
+Exact sign policy.  phi(t) at a rational t is one `AngleForm`,
+`AngleProfile.form_at(t)`: the breakpoint value at a breakpoint, else
+v_lo + lambda * sweep.  Comparing it with an angle is the sign of the
+difference; placing it on a half-turn lattice is the floor of that
+difference in half turns.  Both are `AngleForm` decisions: a float
+estimate with a stated error bound, then exact fallbacks.  moment_eval
+reports a zero only when it can prove one, and its float value drops
+whole turns exactly before cos and sin are taken.  No decision rests on
+an unbounded float.
 
 The radial profile is piecewise polynomial with rational coefficients.
 Users build affine profiles from breakpoint values; products (needed for
@@ -52,7 +54,6 @@ from .angles import (
     angle_compare,
     angle_sub,
     ceil_half_turns,
-    compare_scaled,
     direction_angle,
     floor_half_turns,
     format_angle,
@@ -231,42 +232,24 @@ class AngleProfile:
         lam = (t - t_lo) / (t_hi - t_lo)
         return v_lo + lam * (v_hi - v_lo)
 
-    def _locate(self, t: Fraction) -> tuple[int, Fraction]:
-        """(segment, lambda) of t: phi(t) = v[i] + lambda * sweep[i], with
-        lambda in [0, 1] and 0 on a degenerate profile."""
-        i = self._segment_of(t)
-        t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
-        if t == t_lo or self.is_degenerate:
-            return i, Fraction(0)
-        return i, (t - t_lo) / (t_hi - t_lo)
-
-    def _compare_located(self, i: int, lam: Fraction, target: Angle) -> int:
-        """Sign of v[i] + lam * sweep[i] - target; with lam = p/q that is
-        the sign of p*sweep - q*(target - v[i])."""
-        if lam == 0:
-            return angle_compare(self.values[i], target)
-        if lam == 1:
-            return angle_compare(self.values[i + 1], target)
-        offset = angle_sub(target, self.values[i])
-        return compare_scaled(self._sweeps[i], lam.numerator, offset, lam.denominator)
-
     def compare_at(self, t: Rational, target: Angle) -> int:
-        """Sign of phi(t) - target, decided exactly at rational t.
-
-        Clears the denominator of the position inside the segment: with
-        lambda = p/q, the comparison becomes p*sweep vs q*(target - v_lo),
-        which `compare_scaled` decides exactly.
-        """
-        return self._compare_located(*self._locate(_frac(t)), target)
+        """Sign of phi(t) - target, decided exactly at rational t: the
+        `AngleForm.sign` of `form_at(t)` minus the target."""
+        return (self.form_at(t) - AngleForm.of(target)).sign()
 
     def form_at(self, t: Rational) -> AngleForm:
         """phi(t) exactly: the breakpoint value at a breakpoint, else
-        v[i] + lambda * sweep[i] as an `AngleForm`."""
-        i, lam = self._locate(_frac(t))
-        if lam == 0:
+        v[i] + lambda * sweep[i] as an `AngleForm`, with lambda in (0, 1)
+        the position of t inside segment i.  This is the one way phi is
+        read at a rational t."""
+        t = _frac(t)
+        i = self._segment_of(t)
+        t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
+        if t == t_lo or self.is_degenerate:
             return AngleForm.of(self.values[i])
-        if lam == 1:
+        if t == t_hi:
             return AngleForm.of(self.values[i + 1])
+        lam = (t - t_lo) / (t_hi - t_lo)
         return AngleForm.of(self.values[i]) + AngleForm.of(self._sweeps[i]) * lam
 
     def solve(self, target: Angle) -> ProfilePoint | None:
@@ -583,12 +566,6 @@ class InvariantContactForm:
     def unit(phi: AngleProfile) -> "InvariantContactForm":
         return InvariantContactForm(phi, RadialProfile.constant(1, (phi.t0, phi.t1)))
 
-    def covector_float(self, t: float) -> tuple[float, float]:
-        """The coefficient pair (r cos phi, r sin phi) at t, in floats."""
-        r = self.radial.evaluate_float(t)
-        a = self.phi.eval_float(t)
-        return (r * math.cos(a), r * math.sin(a))
-
     def reversed(self) -> "InvariantContactForm":
         return InvariantContactForm(self.phi.reversed(), self.radial.reversed())
 
@@ -620,36 +597,25 @@ def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
 
     The moment vanishes iff phi(t) lies on the half-turn lattice through
     base = Arg(-n, m); between consecutive lattice points the sign
-    alternates, positive just above odd lattice indices.  The position of
-    phi(t) in the lattice is found by exact bisection, with the segment
-    of t located once.
+    alternates, positive just above odd lattice indices.  With
+    d = phi(t) - base as one `AngleForm`, the index below phi(t) is
+    j = floor(d / pi), and the moment is zero iff d - j*pi is.
     """
     m, n = eta
-    base = direction_angle((-n, m))
-    phi = form.phi
-    i, lam = phi._locate(_frac(t))
-    j_lo, j_hi = _lattice_bounds(base, *phi.value_bounds())
-    # Largest j with base + j*pi <= phi(t); phi(t) >= min phi > base + (j_lo-1)*pi.
-    lo_j, hi_j = j_lo - 1, j_hi
-    while lo_j < hi_j:
-        mid = (lo_j + hi_j + 1) // 2
-        c = phi._compare_located(i, lam, add_half_turns(base, mid))
-        if c == 0:
-            return 0
-        if c > 0:
-            lo_j = mid
-        else:
-            hi_j = mid - 1
-    if lo_j >= j_lo and phi._compare_located(i, lam, add_half_turns(base, lo_j)) == 0:
+    d = form.phi.form_at(t) - AngleForm.of(direction_angle((-n, m)))
+    j = d.floor()
+    if AngleForm._normal(d.terms, d.r - j).sign() == 0:
         return 0
-    return 1 if lo_j % 2 else -1
+    return 1 if j % 2 else -1
 
 
 def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -> MomentValue:
     """Moment of the torus element eta = (m, n) at rational t.
 
     Returns the float value together with the exact sign; the value is
-    snapped to 0.0 when the sign is provably zero.
+    snapped to 0.0 when the sign is provably zero.  The float is taken of
+    phi(t) with its whole turns dropped exactly, so it keeps its accuracy
+    however many turns the profile sweeps.
     """
     m, n = eta
     if (m, n) == (0, 0):
@@ -659,7 +625,8 @@ def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     if sign == 0:
         return MomentValue(0.0, 0)
     r = float(form.radial.evaluate(t))
-    a = form.phi.eval_float(float(t))
+    f = form.phi.form_at(t)
+    a = AngleForm._normal(f.terms, f.r % 2).value()
     return MomentValue(r * (m * math.cos(a) + n * math.sin(a)), sign)
 
 

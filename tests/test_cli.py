@@ -290,6 +290,13 @@ class TestCliCommands:
         assert f"the {fewer} with c > 0 and the {many} with c < 0" in side1
         assert "verdict = commute" in out
 
+    def test_boundary_moment_drops_whole_turns(self, tmp_path, capsys):
+        # phi(1) = pi/2 + 2 pi 10^12, where the (0,1)-moment is exactly 1
+        text = ALPHA1.replace("1:0,1;1", f"1:0,1;{10**12}")
+        text = text.replace("collapse1 = 1,0", "collapse1 = 0,1")
+        assert main(["check", spec_path(tmp_path, text)]) == 3
+        assert "moment of (0,1) at t=1 is 1, not zero" in capsys.readouterr().out
+
     def test_cut_classifies_sphere(self, tmp_path, capsys):
         assert main(["cut", spec_path(tmp_path, ALPHA1)]) == 0
         out = capsys.readouterr().out
@@ -384,13 +391,14 @@ class TestCliCommands:
         assert out.count("kind = S1xS2") == 3
         assert out.count("overtwisted = none-found") == 3
 
-    def test_slice_decreasing_window_is_3(self, tmp_path, capsys):
+    def test_slice_decreasing_window_is_2(self, tmp_path, capsys):
+        # an inverted window is a bad option value: a usage error
         path = spec_path(tmp_path, LINE)
         rc = main(
             ["slice", path, "--eta", "0,1", "--window", "-1,0;1", "-1,0;-2"]
         )
-        assert rc == 3
-        assert "increasing" in capsys.readouterr().err
+        assert rc == 2
+        assert "--window must be an increasing pair" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from toruscut import (
     Angle,
+    AngleForm,
     AngleProfile,
     Direction,
     InvariantContactForm,
@@ -29,6 +30,7 @@ from toruscut import (
     moment_sign,
     rescale,
     sweep,
+    sympl_moment_eval,
 )
 from toruscut import cuts, forms
 from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate
@@ -558,32 +560,49 @@ class TestMoment:
             assert mv.value * mv.sign > 0
 
     def test_moment_sign_locates_the_segment_once(self, monkeypatch):
+        # phi(t) is read once, as one AngleForm, and placed on the lattice by
+        # its floor: no search over lattice indices, O(1) exact signs
         n = 300
         phi = AngleProfile(
             tuple(F(i, n - 1) for i in range(n)), tuple(A(D(1, 0), i) for i in range(n))
         )
         form = InvariantContactForm.unit(phi)
-        phi._sweeps  # computed once per profile, on first use
         calls = Counter()
-        for name in ("angle_sub", "add_half_turns", "compare_scaled"):
 
-            def counted(*args, _real=getattr(forms, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
 
-            monkeypatch.setattr(forms, name, counted)
-        real_segment_of = AngleProfile._segment_of
+            return counted
 
-        def segment_of(self, t):
-            calls["_segment_of"] += 1
-            return real_segment_of(self, t)
-
-        monkeypatch.setattr(AngleProfile, "_segment_of", segment_of)
+        monkeypatch.setattr(forms, "add_half_turns", counting("add_half_turns", add_half_turns))
+        monkeypatch.setattr(
+            AngleProfile, "_segment_of", counting("_segment_of", AngleProfile._segment_of)
+        )
+        monkeypatch.setattr(AngleForm, "sign", counting("sign", AngleForm.sign))
         assert moment_sign(form, (1, 2), F(1, 3)) == -1  # phi(1/3) = 2 pi (99 + 2/3)
-        steps = calls["add_half_turns"]  # one lattice target per comparison
-        assert steps >= 8 and calls["compare_scaled"] == steps
         assert calls["_segment_of"] == 1
-        assert calls["angle_sub"] <= steps + 2
+        assert calls["add_half_turns"] == 0
+        assert 1 <= calls["sign"] <= 2
+
+    @pytest.mark.parametrize(
+        "eta, t, value",
+        [
+            ((0, 1), F(1), 1.0),
+            ((0, 1), F(1, 3), 0.5),
+            ((1, 0), F(1, 7), math.cos(9 * math.pi / 14)),
+        ],
+    )
+    def test_value_drops_whole_turns(self, eta, t, value):
+        # phi(t) = (4T + 1) pi t / 2 with T = 10^20: 5 pi/6 at t = 1/3 and
+        # 9 pi/14 at t = 1/7, modulo whole turns; the float of the whole
+        # angle would lose every digit
+        form = InvariantContactForm.unit(alpha_phi(10**20))
+        mv = moment_eval(form, eta, t)
+        assert mv.sign == (1 if value > 0 else -1)
+        assert mv.value == pytest.approx(value, abs=1e-15)
+        assert sympl_moment_eval(form, eta, t, 0.0) == -mv.value
 
     def test_compare_at_beyond_float_range(self):
         # phi(t) = 5 pi t / 2; at t = 10**-400 it is about 7.85e-400
@@ -610,6 +629,73 @@ class TestMoment:
         for a, b in zip(ts, ts[1:]):
             mid = (a + b) / 2
             assert moment_sign(form, eta, mid) != 0
+
+
+def quarters_at(breaks, qs, t):
+    """phi(t) / (pi/4) as a Fraction, for the profile with values qs[i] * pi/4."""
+    i = next(i for i in range(len(qs) - 1) if breaks[i] <= t <= breaks[i + 1])
+    return qs[i] + (qs[i + 1] - qs[i]) * (t - breaks[i]) / (breaks[i + 1] - breaks[i])
+
+
+@st.composite
+def huge_quarter_profiles(draw):
+    """(breaks, qs) of a monotone profile with values qs[i] * pi/4, whose
+    values and sweeps reach 10^30 turns."""
+    big = 8 * 10**30
+    breaks = draw(ascending_breaks())
+    qs = [draw(st.integers(-big, big))]
+    for _ in range(len(breaks) - 1):
+        qs.append(qs[-1] + draw(st.one_of(st.integers(1, 9), st.integers(1, big))))
+    if draw(st.booleans()):
+        qs.reverse()
+    return breaks, qs
+
+
+class TestExactPhi:
+    """compare_at and moment_sign against phi(t) computed in Fractions."""
+
+    @given(huge_quarter_profiles(), st.data())
+    @settings(max_examples=200)
+    def test_quarter_profiles_match_fractions(self, profile, data):
+        breaks, qs = profile
+        phi = AngleProfile(tuple(breaks), tuple(quarter_angle(q) for q in qs))
+        if data.draw(st.booleans()):
+            t = data.draw(st.fractions(breaks[0], breaks[-1], max_denominator=10**6))
+        else:  # phi(t) on the pi/4 lattice
+            i = data.draw(st.integers(0, len(qs) - 2))
+            k = data.draw(st.integers(*sorted(qs[i : i + 2])))
+            t = breaks[i] + (breaks[i + 1] - breaks[i]) * F(k - qs[i], qs[i + 1] - qs[i])
+        x = quarters_at(breaks, qs, t)
+        k = math.floor(x) + data.draw(st.integers(-1, 1))
+        assert phi.compare_at(t, quarter_angle(k)) == (x > k) - (x < k)
+        r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(1, 3))
+        eta = (c * EIGHTHS[r].x, c * EIGHTHS[r].y)
+        # |eta| cos(phi - Arg(eta)) vanishes at phi = Arg(eta) + pi/2 + j*pi,
+        # with Arg(eta) = r*pi/4 up to whole turns, and is (-1)^(j+1) just above
+        d = (x - r - 2) / 4
+        j = math.floor(d)
+        want = 0 if d == j else (1 if j % 2 else -1)
+        assert moment_sign(InvariantContactForm.unit(phi), eta, t) == want
+
+    @given(st.sampled_from([(2, 1), (1, 2), (3, 2)]), st.integers(2, 60), st.data())
+    @settings(max_examples=100)
+    def test_exact_ties_match_fractions(self, w, q, data):
+        # phi = q Arg(w) t on [0, 1], which is p Arg(w) exactly at t = p/q
+        multiples = [A(D(1, 0))]
+        for _ in range(q):
+            multiples.append(angle_add(multiples[-1], A(D(*w))))
+        phi = AngleProfile((F(0), F(1)), (multiples[0], multiples[q]))
+        p = data.draw(st.integers(1, q - 1))
+        hair = F(data.draw(st.integers(-1, 1)), data.draw(st.integers(10**5, 10**6)))
+        t = F(p, q) + hair
+        # phi(t) - p Arg(w) = (q t - p) Arg(w), and Arg(w) > 0
+        want = (q * t > p) - (q * t < p)
+        assert phi.compare_at(t, multiples[p]) == want
+        assert phi.compare_at(F(p, q), angle_add(multiples[p], A(D(10**6, 1)))) == -1
+        # the lattice through Arg(w^p) for eta = (y, -x), (x, y) the direction
+        # of w^p: p Arg(w) is an even index, so the sign is -want
+        d = multiples[p].dir
+        assert moment_sign(InvariantContactForm.unit(phi), (d.y, -d.x), t) == -want
 
 
 class TestRescale:

@@ -65,6 +65,9 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-slice-dash-word"] = [
         "slice", "specs/line.cut", "--eta", "0,1", "--window", "-1,0;x", "-1,0;1"
     ]
+    cases["usage-slice-window-order"] = [
+        "slice", "specs/line.cut", "--eta", "0,1", "--window", "1,0;1", "1,0;0"
+    ]
     cases["help"] = ["--help"]
     for name in SUBCOMMANDS:
         cases[f"help-{name}"] = [name, "--help"]
