@@ -28,6 +28,7 @@ from .angles import (
 )
 from .errors import (
     BadBreakpoints,
+    DomainMismatch,
     EndpointMismatch,
     GeometryError,
     InvalidCutSpec,

@@ -67,6 +67,14 @@ class InvalidCutSpec(GeometryError):
         super().__init__(f"cut spec is invalid: {detail}")
 
 
+class DomainMismatch(GeometryError):
+    """Two forms on different parameter domains cannot be interpolated
+    pointwise."""
+
+    def __init__(self):
+        super().__init__("forms must share their parameter domain")
+
+
 class EndpointMismatch(GeometryError):
     """Two forms whose boundary angle directions differ cannot be joined by
     the straight-line plane-field homotopy."""

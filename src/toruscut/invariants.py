@@ -10,11 +10,15 @@ exact angle arithmetic; no invariant ever depends on the radial profile.
 
 cc_profile packages the whole function xi -> count: it is constant on the
 two arcs cut out by the endpoint directions, taking values q and q + 1
-with q the number of whole turns swept.  distinguish searches those arcs
-for directions witnessing that two cut data cannot be matched by an
-equivariant contactomorphism (in either orientation of the ray), or
-compares the relabeling-invariant summary (min, max) when torus
-automorphisms are allowed.
+with q the number of whole turns swept.  distinguish reads each datum
+once, for q and the two endpoint directions, and then reads the count
+along any ray as q plus one arc test (the ray lies on the closed
+counterclockwise arc from one endpoint direction to the other), decided
+by signs of integer cross products; its cost does not depend on turn
+counts.  It searches the candidate rays for directions witnessing that
+two cut data cannot be matched by an equivariant contactomorphism (in
+either orientation of the ray), or compares the relabeling-invariant
+summary (min, max) when torus automorphisms are allowed.
 
 detect_overtwisted locates the standard disk family: as soon as the sweep
 strictly exceeds pi, the parameter t* where phi has advanced by exactly pi
@@ -29,23 +33,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .angles import (
     Angle,
     AngleForm,
     Direction,
     ZERO_ANGLE,
+    _arg_compare,
     add_half_turns,
     add_turns,
     angle_compare,
     angle_sub,
     count_lattice,
+    cross,
     direction_angle,
     floor_half_turns,
     is_zero,
 )
 from .cuts import CutSpec, require_valid
-from .errors import EndpointMismatch
+from .errors import DomainMismatch, EndpointMismatch
 from .forms import AngleProfile, InvariantContactForm, ProfilePoint
 
 MODE_FIXED = "fixed-action"
@@ -162,24 +169,43 @@ class DistinguishWitness:
     summary_b: tuple[int, int]
 
 
-def _critical_directions(*specs) -> list[Direction]:
+def _side(spec) -> tuple[int, Direction, Direction]:
+    """(q, lo.dir, hi.dir): the whole turns q swept over [lo, hi], and the
+    ends of the closed counterclockwise arc of rays whose count is q + 1."""
+    lo, hi = _phi_of(spec).value_bounds()
+    return floor_half_turns(angle_sub(hi, lo), 2), lo.dir, hi.dir
+
+
+def _arc_count(side, xi: Direction) -> int:
+    """cc_count along xi, read from a side: q plus one if xi is on the arc."""
+    q, a, b = side
+    if a == b:
+        return q + 1 if xi == a else q
+    ax, xb = cross(a, xi) >= 0, cross(xi, b) >= 0
+    # an arc of at most pi is the intersection of two closed half-planes,
+    # a longer one their union
+    on = (ax and xb) if cross(a, b) >= 0 else (ax or xb)
+    return q + 1 if on else q
+
+
+def _critical_directions(*sides):
+    """Candidate rays, in increasing argument: each gap's representative,
+    then the gap's upper end, the wrap-around gap first.
+
+    The directions are the standard eight and the arc ends of every side
+    with their negatives.  Consecutive standard directions are pi/4 apart,
+    so every gap is shorter than pi and the vector sum of its ends lies
+    strictly inside it.
+    """
     dirs = set(_STANDARD_DIRECTIONS)
-    for spec in specs:
-        phi = _phi_of(spec)
-        for v in (phi.values[0], phi.values[-1]):
-            dirs.add(v.dir)
-            dirs.add(-v.dir)
-    ordered = sorted(dirs, key=lambda d: (Angle(d),))
-    # One representative inside each gap; consecutive standard directions
-    # are pi/4 apart, so every gap is shorter than pi and the vector sum
-    # of its endpoints lies strictly inside it.
-    out = list(ordered)
-    for d1, d2 in zip(ordered, ordered[1:] + ordered[:1]):
-        if d1 == d2:
-            continue
-        out.append(Direction.reduced(d1.x + d2.x, d1.y + d2.y))
-    out.sort(key=lambda d: (Angle(d),))
-    return out
+    for _, a, b in sides:
+        dirs.update((a, -a, b, -b))
+    ordered = sorted(dirs, key=cmp_to_key(_arg_compare))
+    prev = ordered[-1]
+    for d in ordered:
+        yield Direction.reduced(prev.x + d.x, prev.y + d.y)
+        yield d
+        prev = d
 
 
 def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
@@ -189,34 +215,40 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
     fixed-action mode requires both orientation cases to be witnessed;
     modulo-GL2Z mode compares the (min, max) summaries, which relabelings
     of the torus by GL(2, Z) cannot change since they permute rays.
+
+    Each datum is read once: its whole turns q and the ends of the arc
+    where the count is q + 1.  A count along a candidate ray is then an
+    arc test by integer cross products, so the cost does not depend on
+    turn counts.
     """
-    pa, pb = cc_profile(a), cc_profile(b)
-    sa = (pa.min_count, pa.max_count)
-    sb = (pb.min_count, pb.max_count)
-    if mode == MODE_GL2Z:
-        if sa == sb:
-            return None
-        for xi in _critical_directions(a, b):
-            ca, cb = cc_count(a, xi), cc_count(b, xi)
-            if ca != cb:
-                return DistinguishWitness(mode, xi, (ca, cb), None, None, sa, sb)
-        return None  # unreachable: differing summaries force a differing ray
-    if mode != MODE_FIXED:
+    if mode not in (MODE_FIXED, MODE_GL2Z):
         raise ValueError(f"unknown mode: {mode!r}")
+    sa, sb = _side(a), _side(b)
+    summary_a, summary_b = (sa[0], sa[0] + 1), (sb[0], sb[0] + 1)
+    if mode == MODE_GL2Z:
+        if summary_a == summary_b:
+            return None
+        for xi in _critical_directions(sa, sb):
+            ca, cb = _arc_count(sa, xi), _arc_count(sb, xi)
+            if ca != cb:
+                return DistinguishWitness(
+                    mode, xi, (ca, cb), None, None, summary_a, summary_b
+                )
+        return None  # unreachable: differing summaries force a differing ray
     plus = minus = None
-    for xi in _critical_directions(a, b):
-        ca = cc_count(a, xi)
+    for xi in _critical_directions(sa, sb):
+        ca = _arc_count(sa, xi)
         if plus is None:
-            cb = cc_count(b, xi)
+            cb = _arc_count(sb, xi)
             if ca != cb:
                 plus = (xi, (ca, cb))
         if minus is None:
-            cbn = cc_count(b, -xi)
+            cbn = _arc_count(sb, -xi)
             if ca != cbn:
                 minus = (xi, (ca, cbn))
         if plus and minus:
             return DistinguishWitness(
-                mode, plus[0], plus[1], minus[0], minus[1], sa, sb
+                mode, plus[0], plus[1], minus[0], minus[1], summary_a, summary_b
             )
     return None
 
@@ -330,7 +362,7 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
-        raise ValueError("forms must share their parameter domain")
+        raise DomainMismatch()
     pa, pb = fa.phi, fb.phi
     for end, (va, vb) in enumerate(
         ((pa.values[0], pb.values[0]), (pa.values[-1], pb.values[-1]))

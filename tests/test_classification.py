@@ -6,15 +6,17 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toruscut import angles, cuts
+from toruscut import angles, cuts, invariants
 from toruscut import (
     Angle,
     AngleProfile,
     CutSpec,
     Direction,
+    DistinguishWitness,
+    DomainMismatch,
     EndpointMismatch,
     InvalidCutSpec,
     InvariantContactForm,
@@ -31,12 +33,14 @@ from toruscut import (
     detect_overtwisted,
     distinguish,
     homotopy_certificate,
+    lens_cutspec,
     minimal_valid_cutspec,
     rescale,
     rotating_line_form,
     slice_by_ray,
     validate_cutspec,
 )
+from toruscut.cli import _LENS_TABLE
 
 A = Angle
 D = Direction
@@ -279,6 +283,162 @@ class TestDistinguish:
         assert wit.counts_plus[1] == wit.counts_plus[0] + 1
 
 
+# -- the enumerating distinguish, kept as the reference ----------------------
+
+_EIGHT = [D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1)]
+
+
+def reference_candidates(*specs):
+    """Every candidate ray: the standard eight, the endpoint directions and
+    their negatives, and one vector-sum representative per gap, sorted by
+    angle."""
+    ends = set(_EIGHT)
+    for spec in specs:
+        phi = invariants._phi_of(spec)
+        for v in (phi.values[0], phi.values[-1]):
+            ends.update((v.dir, -v.dir))
+    ordered = sorted(ends, key=A)
+    out = list(ordered)
+    for d1, d2 in zip(ordered, ordered[1:] + ordered[:1]):
+        out.append(D.reduced(d1.x + d2.x, d1.y + d2.y))
+    return sorted(out, key=A)
+
+
+def reference_distinguish(a, b, mode):
+    """The enumerating algorithm: full count profiles and one lattice count
+    per candidate ray."""
+    pa, pb = cc_profile(a), cc_profile(b)
+    sa, sb = (pa.min_count, pa.max_count), (pb.min_count, pb.max_count)
+    if mode == MODE_GL2Z:
+        if sa == sb:
+            return None
+        for xi in reference_candidates(a, b):
+            ca, cb = cc_count(a, xi), cc_count(b, xi)
+            if ca != cb:
+                return DistinguishWitness(mode, xi, (ca, cb), None, None, sa, sb)
+        return None
+    plus = minus = None
+    for xi in reference_candidates(a, b):
+        ca = cc_count(a, xi)
+        if plus is None:
+            cb = cc_count(b, xi)
+            if ca != cb:
+                plus = (xi, (ca, cb))
+        if minus is None:
+            cbn = cc_count(b, -xi)
+            if ca != cbn:
+                minus = (xi, (ca, cbn))
+        if plus and minus:
+            return DistinguishWitness(mode, *plus, *minus, sa, sb)
+    return None
+
+
+def assert_matches_reference(a, b):
+    for mode in (MODE_FIXED, MODE_GL2Z):
+        assert distinguish(a, b, mode) == reference_distinguish(a, b, mode)
+    sides = invariants._side(a), invariants._side(b)
+    candidates = list(invariants._critical_directions(*sides))
+    assert candidates == reference_candidates(a, b)
+    for spec, side in zip((a, b), sides):
+        for xi in candidates:
+            assert invariants._arc_count(side, xi) == cc_count(spec, xi)
+            assert invariants._arc_count(side, -xi) == cc_count(spec, -xi)
+
+
+def wide_dirs():
+    coord = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63))
+    return (
+        st.tuples(coord, coord)
+        .filter(lambda v: v != (0, 0))
+        .map(lambda v: D.reduced(*v))
+    )
+
+
+def many_turns():
+    return st.one_of(st.integers(-2, 2), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def valid_cut_data(draw):
+    """minimal_valid_cutspec lifted by whole turns at both ends, with extra
+    turns swept, in either orientation."""
+    v0 = draw(wide_dirs())
+    v1 = draw(st.one_of(wide_dirs(), st.just(-v0), st.just(v0)))
+    phi = minimal_valid_cutspec(v0, v1).form.phi
+    lift = draw(many_turns())
+    extra = abs(draw(many_turns()))
+    form = InvariantContactForm.unit(
+        AngleProfile(
+            (F(0), F(1)),
+            (add_turns(phi.values[0], lift), add_turns(phi.values[-1], lift + extra)),
+        )
+    )
+    if draw(st.booleans()):
+        return CutSpec(form.reversed(), v1, v0)
+    return CutSpec(form, v0, v1)
+
+
+@st.composite
+def bare_profiles(draw):
+    """Two-point angle profiles with arbitrary distinct ends, bare or as
+    unit forms."""
+    start = A(draw(wide_dirs()), draw(many_turns()))
+    end = A(draw(st.one_of(wide_dirs(), st.just(start.dir))), draw(many_turns()))
+    assume(angle_compare(start, end) != 0)
+    phi = AngleProfile((F(0), F(1)), (start, end))
+    return InvariantContactForm.unit(phi) if draw(st.booleans()) else phi
+
+
+class TestDistinguishMatchesEnumeration:
+    @pytest.mark.parametrize("k", range(21))
+    def test_alpha_pairs(self, k):
+        a = alpha_cutspec(k)
+        for l in range(21):
+            assert_matches_reference(a, alpha_cutspec(l))
+
+    def test_lens_table(self):
+        specs = [lens_cutspec(k, l, j) for k, l in _LENS_TABLE for j in (1, 2, 3)]
+        for a in specs:
+            for b in specs:
+                assert_matches_reference(a, b)
+
+    @settings(max_examples=200)
+    @given(valid_cut_data(), valid_cut_data())
+    def test_valid_cut_data(self, a, b):
+        assert_matches_reference(a, b)
+        assert_matches_reference(a, a)
+
+    @given(bare_profiles(), bare_profiles())
+    def test_bare_forms_and_profiles(self, a, b):
+        assert_matches_reference(a, b)
+
+    def test_reads_each_side_once(self, monkeypatch):
+        # one value_bounds and one angle_sub per side; no count profile, no
+        # lattice count
+        calls = Counter()
+        for name in ("cc_profile", "cc_count", "count_lattice", "angle_sub"):
+
+            def counted(*args, name=name, original=getattr(invariants, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(invariants, name, counted)
+        huge, skew = alpha_cutspec(10**30), minimal_valid_cutspec((3, -5), (7, 2))
+        pairs = [
+            (alpha_cutspec(1), alpha_cutspec(2)),
+            (alpha_cutspec(3), alpha_cutspec(3)),
+            (huge, skew),
+            (huge, huge),
+        ]
+        for a, b in pairs:
+            for mode in (MODE_FIXED, MODE_GL2Z):
+                calls.clear()
+                distinguish(a, b, mode)
+                assert calls["cc_profile"] == calls["cc_count"] == 0
+                assert calls["count_lattice"] == 0
+                assert calls["angle_sub"] <= 2
+
+
 class TestRescaleInvariance:
     def scaled(self, spec, num=3, den=2):
         factor = RadialProfile.from_values(
@@ -364,6 +524,11 @@ class TestHomotopyCertificate:
         with pytest.raises(EndpointMismatch) as exc:
             homotopy_certificate(alpha_cutspec(0), other)
         assert exc.value.end == 1
+
+    def test_domain_mismatch(self):
+        other = alpha_form(1).reparametrized(0, 2)
+        with pytest.raises(DomainMismatch, match="forms must share their parameter domain"):
+            homotopy_certificate(alpha_form(1), other)
 
     def test_constant_difference_interval(self):
         a = piecewise((0, F(1, 3), F(2, 3), 1), [quarter(0), quarter(2), quarter(4), quarter(6)])

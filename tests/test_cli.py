@@ -30,6 +30,7 @@ from toruscut import (
     validate_cutspec,
 )
 from toruscut.cli import main
+from toruscut.report import fmt_float
 
 A = Angle
 D = Direction
@@ -489,6 +490,36 @@ class TestReproduce:
         r = report_from_json(out)
         assert render_json(r) == out
         assert r.records[0].title == "alpha[k=0]"
+
+    def test_text_and_json_carry_the_same_records(self, capsys):
+        assert main(["reproduce-paper", "--kmax", "20"]) == 0
+        text = capsys.readouterr().out
+        assert main(["reproduce-paper", "--kmax", "20", "--format", "json"]) == 0
+        report = report_from_json(capsys.readouterr().out)
+        header = [f"# command: {report.command}", f"# input: sha256:{report.input_digest}"]
+        assert text.splitlines()[:2] == header
+        rows = [
+            (rec.title, it.key, it.exact, None if it.approx is None else fmt_float(it.approx))
+            for rec in report.records
+            for it in rec.items
+        ]
+        assert text_records(text) == rows
+        titles = [rec.title for rec in report.records]
+        assert len(titles) == len(set(titles)) == 21 + 190 + 12 + 1
+        assert sum(line.startswith("[") for line in text.splitlines()) == len(titles)
+
+
+def text_records(text):
+    """(title, key, exact, approx) rows parsed back from a text report."""
+    rows, title = [], None
+    for line in text.splitlines()[2:]:
+        if line.startswith("["):
+            title = line[1:-1]
+        elif line:
+            key, value = line.split(" = ", 1)
+            exact, sep, approx = value.partition(" (~")
+            rows.append((title, key, exact, approx[:-1] if sep else None))
+    return rows
 
 
 class TestCliCost:
