@@ -11,11 +11,12 @@ exact angle arithmetic; no invariant ever depends on the radial profile.
 cc_profile packages the whole function xi -> count: it is constant on the
 two arcs cut out by the endpoint directions, taking values q and q + 1
 with q the number of whole turns swept.  distinguish reads each datum
-once, for q and the two endpoint directions, and then reads the count
-along any ray as q plus one arc test (the ray lies on the closed
-counterclockwise arc from one endpoint direction to the other), decided
-by signs of integer cross products; its cost does not depend on turn
-counts.  It searches the candidate rays for directions witnessing that
+once, for q (the difference of the end turn counts, less one if the
+principal arguments wrap) and the two endpoint directions, and then reads
+the count along any ray as q plus one arc test (the ray lies on the
+closed counterclockwise arc from one endpoint direction to the other),
+decided by signs of integer cross products; its cost does not depend on
+turn counts.  It searches the candidate rays for directions witnessing that
 two cut data cannot be matched by an equivariant contactomorphism (in
 either orientation of the ray), or compares the relabeling-invariant
 summary (min, max) when torus automorphisms are allowed.
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .angles import (
     Angle,
@@ -58,15 +58,17 @@ from .forms import AngleProfile, InvariantContactForm, ProfilePoint
 MODE_FIXED = "fixed-action"
 MODE_GL2Z = "modulo-GL2Z"
 
+# the eight directions with max(|x|, |y|) == 1, in increasing principal
+# argument, from -3pi/4 to pi
 _STANDARD_DIRECTIONS = (
+    Direction(-1, -1),
+    Direction(0, -1),
+    Direction(1, -1),
     Direction(1, 0),
     Direction(1, 1),
     Direction(0, 1),
     Direction(-1, 1),
     Direction(-1, 0),
-    Direction(-1, -1),
-    Direction(0, -1),
-    Direction(1, -1),
 )
 
 
@@ -171,9 +173,15 @@ class DistinguishWitness:
 
 def _side(spec) -> tuple[int, Direction, Direction]:
     """(q, lo.dir, hi.dir): the whole turns q swept over [lo, hi], and the
-    ends of the closed counterclockwise arc of rays whose count is q + 1."""
+    ends of the closed counterclockwise arc of rays whose count is q + 1.
+
+    The principal parts of lo and hi differ by less than a full turn, so
+    q = floor((hi - lo) / 2pi) is the difference of the turn counts, less
+    one when Arg(hi.dir) < Arg(lo.dir).
+    """
     lo, hi = _phi_of(spec).value_bounds()
-    return floor_half_turns(angle_sub(hi, lo), 2), lo.dir, hi.dir
+    q = hi.turns - lo.turns - (_arg_compare(hi.dir, lo.dir) < 0)
+    return q, lo.dir, hi.dir
 
 
 def _arc_count(side, xi: Direction) -> int:
@@ -193,16 +201,27 @@ def _critical_directions(*sides):
     then the gap's upper end, the wrap-around gap first.
 
     The directions are the standard eight and the arc ends of every side
-    with their negatives.  Consecutive standard directions are pi/4 apart,
-    so every gap is shorter than pi and the vector sum of its ends lies
-    strictly inside it.
+    with their negatives.  A direction is standard exactly when
+    max(|x|, |y|) == 1, an integer test; only the other arc ends and their
+    negatives, at most eight, are inserted into a copy of the standard
+    ring, which is written already sorted, by a linear scan that skips a
+    direction already present.  Consecutive standard directions are pi/4
+    apart, so every gap is shorter than pi and the vector sum of its ends
+    lies strictly inside it.
     """
-    dirs = set(_STANDARD_DIRECTIONS)
+    ring = list(_STANDARD_DIRECTIONS)
     for _, a, b in sides:
-        dirs.update((a, -a, b, -b))
-    ordered = sorted(dirs, key=cmp_to_key(_arg_compare))
-    prev = ordered[-1]
-    for d in ordered:
+        for d in (a, b):
+            if max(abs(d.x), abs(d.y)) == 1:
+                continue
+            for e in (d, -d):
+                i = 0
+                while (c := _arg_compare(ring[i], e)) < 0:
+                    i += 1
+                if c:
+                    ring.insert(i, e)
+    prev = ring[-1]
+    for d in ring:
         yield Direction.reduced(prev.x + d.x, prev.y + d.y)
         yield d
         prev = d

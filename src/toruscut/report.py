@@ -6,6 +6,14 @@ exact strings (angle literals, fractions, integer pairs); a float
 approximation may ride along but never replaces the exact form.  Both
 renderings are deterministic, so identical inputs give byte-identical
 output.
+
+The JSON rendering is exactly `json.dumps(payload, indent=2) + "\n"` of
+the Report -> records -> items payload, but the fixed layout is written
+here by hand: with an indent, CPython's `json` falls back to its
+pure-Python encoder, which made JSON output cost several times the text
+rendering.  Strings still go through the C string encoder and floats
+through `json.dumps`, so escapes, NaN, Infinity and float repr are the
+stdlib's.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def fmt_float(x: float) -> str:
@@ -56,22 +65,45 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ITEM = """\
+        {
+          "key": %s,
+          "exact": %s,
+          "approx": %s
+        }"""
+_RECORD = """\
+    {
+      "title": %s,
+      "items": %s
+    }"""
+
+
+def _array(elements: str, indent: str) -> str:
+    # a rendered element is never empty, so no elements is an empty list
+    return f"[\n{elements}\n{indent}]" if elements else "[]"
+
+
+def _item(it: Item) -> str:
+    approx = "null" if it.approx is None else json.dumps(it.approx)
+    return _ITEM % (_quote(it.key), _quote(it.exact), approx)
+
+
 def render_json(report: Report) -> str:
-    payload = {
-        "command": report.command,
-        "input_digest": report.input_digest,
-        "records": [
-            {
-                "title": rec.title,
-                "items": [
-                    {"key": it.key, "exact": it.exact, "approx": it.approx}
-                    for it in rec.items
-                ],
-            }
-            for rec in report.records
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of `json.dumps(payload, indent=2) + "\\n"`, with the
+    Report -> records -> items layout written out by hand: with an indent,
+    CPython's `json` falls back to its pure-Python encoder (see the module
+    docstring)."""
+    records = ",\n".join(
+        _RECORD % (_quote(rec.title), _array(",\n".join(map(_item, rec.items)), "      "))
+        for rec in report.records
+    )
+    return (
+        "{\n"
+        f'  "command": {_quote(report.command)},\n'
+        f'  "input_digest": {_quote(report.input_digest)},\n'
+        f'  "records": {_array(records, "  ")}\n'
+        "}\n"
+    )
 
 
 def report_from_json(text: str) -> Report:

@@ -144,7 +144,10 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
         rad_line, rad_text = entries["form.radial"]
         form = _parse_form(phi, rad_text, rad_line)
     else:
-        form = InvariantContactForm.unit(phi)
+        try:
+            form = InvariantContactForm.unit(phi)
+        except GeometryError as e:  # a degenerate phi domain has no unit radial
+            raise SpecSemanticError(phi_line, str(e)) from e
 
     try:
         contact_check(form)

@@ -413,10 +413,12 @@ class TestDistinguishMatchesEnumeration:
         assert_matches_reference(a, b)
 
     def test_reads_each_side_once(self, monkeypatch):
-        # one value_bounds and one angle_sub per side; no count profile, no
-        # lattice count
+        # one value_bounds and one _arg_compare per side for q; no angle
+        # arithmetic, no count profile, no lattice count
         calls = Counter()
-        for name in ("cc_profile", "cc_count", "count_lattice", "angle_sub"):
+        for name in (
+            "cc_profile", "cc_count", "count_lattice", "angle_sub", "_arg_compare"
+        ):
 
             def counted(*args, name=name, original=getattr(invariants, name)):
                 calls[name] += 1
@@ -424,19 +426,47 @@ class TestDistinguishMatchesEnumeration:
 
             monkeypatch.setattr(invariants, name, counted)
         huge, skew = alpha_cutspec(10**30), minimal_valid_cutspec((3, -5), (7, 2))
-        pairs = [
+        standard_ends = [
             (alpha_cutspec(1), alpha_cutspec(2)),
             (alpha_cutspec(3), alpha_cutspec(3)),
-            (huge, skew),
             (huge, huge),
         ]
-        for a, b in pairs:
+        for a, b in standard_ends + [(huge, skew)]:
             for mode in (MODE_FIXED, MODE_GL2Z):
                 calls.clear()
                 distinguish(a, b, mode)
                 assert calls["cc_profile"] == calls["cc_count"] == 0
-                assert calls["count_lattice"] == 0
-                assert calls["angle_sub"] <= 2
+                assert calls["count_lattice"] == calls["angle_sub"] == 0
+                if (a, b) in standard_ends:
+                    assert calls["_arg_compare"] == 2  # the two q, no ring scan
+                else:
+                    # skew's two ends and their negatives are not standard:
+                    # four scans, of a ring of 8, 9, 10 and 11 directions at
+                    # most (22 calls today)
+                    assert calls["_arg_compare"] <= 2 + 8 + 9 + 10 + 11
+
+    @given(
+        st.one_of(st.just(angles.NEG_X), wide_dirs()),
+        st.one_of(st.just(angles.NEG_X), wide_dirs()),
+        many_turns(),
+        many_turns(),
+        st.booleans(),
+    )
+    def test_integer_q_is_floor_of_sweep(self, d0, d1, n0, n1, same_dir):
+        lo, hi = A(d0, n0), A(d0 if same_dir else d1, n1)
+        if angle_compare(lo, hi) > 0:
+            lo, hi = hi, lo
+        q, lo_dir, hi_dir = invariants._side(AngleProfile((F(0), F(1)), (lo, hi)))
+        assert (lo_dir, hi_dir) == (lo.dir, hi.dir)
+        assert q == angles.floor_half_turns(angles.angle_sub(hi, lo), 2)
+
+    def test_standard_ring_is_sorted(self):
+        ring = invariants._STANDARD_DIRECTIONS
+        assert set(ring) == {
+            D(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if (x, y) != (0, 0)
+        }
+        for d, e in zip(ring, ring[1:]):
+            assert angles._arg_compare(d, e) < 0
 
 
 class TestRescaleInvariance:

@@ -4,11 +4,14 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toruscut import (
     Angle,
@@ -35,6 +38,7 @@ from toruscut.report import fmt_float
 A = Angle
 D = Direction
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+GOLDEN = SPECS.parent / "tests" / "golden"
 
 ALPHA1 = """\
 form.phi.breaks = 0:1,0 1:0,1;1
@@ -223,6 +227,76 @@ class TestReport:
         for rec in payload["records"]:
             for item in rec["items"]:
                 assert f"{item['key']} = {item['exact']}" in text
+
+
+def reference_render_json(report):
+    """The stdlib rendering that `render_json` writes out by hand."""
+    payload = {
+        "command": report.command,
+        "input_digest": report.input_digest,
+        "records": [
+            {
+                "title": rec.title,
+                "items": [
+                    {"key": it.key, "exact": it.exact, "approx": it.approx}
+                    for it in rec.items
+                ],
+            }
+            for rec in report.records
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def golden_json_stdouts():
+    for path in sorted(GOLDEN.glob("*-json.out")):
+        text = path.read_text(encoding="utf-8")
+        out = text.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+        if out:
+            yield path.name, out
+
+
+# arbitrary text, with the characters JSON escapes drawn often
+TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'))
+)
+APPROX = st.one_of(
+    st.none(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5e-300, math.inf, -math.inf, math.nan]),
+)
+REPORTS = st.builds(
+    Report,
+    TEXT,
+    TEXT,
+    st.lists(
+        st.builds(
+            Record,
+            TEXT,
+            st.lists(st.builds(Item, TEXT, TEXT, APPROX), max_size=4).map(tuple),
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+class TestRenderJsonMatchesStdlib:
+    @given(REPORTS)
+    def test_arbitrary_reports(self, report):
+        assert render_json(report) == reference_render_json(report)
+
+    def test_golden_json_reports(self):
+        outs = dict(golden_json_stdouts())
+        assert len(outs) > 50
+        for name, out in outs.items():
+            report = report_from_json(out)
+            assert render_json(report) == reference_render_json(report) == out, name
+
+    def test_reproduce_paper_report(self, capsys):
+        assert main(["reproduce-paper", "--kmax", "20", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        report = report_from_json(out)
+        assert render_json(report) == reference_render_json(report) == out
 
 
 class TestCliExitCodes:

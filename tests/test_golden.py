@@ -68,6 +68,8 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-slice-window-order"] = [
         "slice", "specs/line.cut", "--eta", "0,1", "--window", "1,0;1", "1,0;0"
     ]
+    # equal breakpoints and no radial line: the error names the phi line
+    cases["check-equal-breaks"] = ["check", "tests/golden/equal_breaks.cut"]
     cases["help"] = ["--help"]
     for name in SUBCOMMANDS:
         cases[f"help-{name}"] = [name, "--help"]
