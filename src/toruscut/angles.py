@@ -52,7 +52,7 @@ from .errors import NonPrimitive, ZeroVector
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Direction:
     """A nonzero primitive integer vector (gcd of components is 1)."""
 
@@ -91,9 +91,8 @@ def _primitive(x: int, y: int) -> Direction:
     pair, and a pair divided by its gcd, are primitive by construction.
     """
     d = object.__new__(Direction)
-    fields = d.__dict__
-    fields["x"] = x
-    fields["y"] = y
+    object.__setattr__(d, "x", x)
+    object.__setattr__(d, "y", y)
     return d
 
 
@@ -137,7 +136,7 @@ def _arg_compare(a: Direction, b: Direction) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Angle:
     """Arg(dir) + 2*pi*turns, with Arg in (-pi, pi] and dir primitive."""
 

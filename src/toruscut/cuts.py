@@ -15,7 +15,10 @@ resulting slope and shear-normal form.
 contact_reduce computes the reduced circles sitting over the zeros of a
 moment function, with the coefficient of the reduced 1-form, and
 slice_by_ray chops a form on a long interval into the maximal cut pieces
-carved out by one moment inequality f_eta >= 0.
+carved out by one moment inequality f_eta >= 0.  Both enumerate their
+output and pay only for it: a circle reads its hit's parameter only
+when the radial profile needs it, and a piece is built once, directly on
+[0, 1], from its two solved ends for O(log n + piece size).
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class LensDescriptor:
     raw_basis_data: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedCircle:
     """A reduced circle over one zero of the eta-moment.
 
@@ -159,15 +162,20 @@ def _boundary_checks(
     base = direction_angle(v.perp())
     rel = angle_sub(value, base)
     if rel.dir.as_tuple() not in ((1, 0), (-1, 0)):
-        # the float of the principal Arg: whole turns do not move the moment
-        r = float(form.radial.evaluate(phi.t0 if end == 0 else phi.t1))
+        # the float of the principal Arg: whole turns do not move the moment;
+        # a moment beyond float range is shown without a float
         a = _arg(value.dir)
+        try:
+            r = float(form.radial.evaluate(phi.t0 if end == 0 else phi.t1))
+            moment = r * (v.x * math.cos(a) + v.y * math.sin(a))
+        except OverflowError:
+            moment = math.inf
+        shown = f"{moment:.12g}" if math.isfinite(moment) else "beyond float range"
         return [
             Violation(
                 "nonzero-boundary-moment",
                 end,
-                f"moment of ({v.x},{v.y}) at t={end} is "
-                f"{r * (v.x * math.cos(a) + v.y * math.sin(a)):.12g}, not zero",
+                f"moment of ({v.x},{v.y}) at t={end} is {shown}, not zero",
             )
         ]
     # Just inside, phi moves by +orientation*dt from t=0 (by -orientation*dt
@@ -257,9 +265,7 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     zeta = complement_vector(eta)
     mag = math.hypot(eta.x, eta.y)
     hits = form.phi.solve_half_turn_lattice(base)
-    radii = form.radial.floats_along(
-        pt.t_float() if pt.t_fraction() is None else pt.t_fraction() for _, pt in hits
-    )
+    radii = form.radial.floats_along(pt for _, pt in hits)
     out = []
     for (j, pt), r in zip(hits, radii):
         sign = 1 if j % 2 else -1
@@ -290,6 +296,11 @@ def slice_by_ray(
     SliceNotRepresentable when an interval endpoint is not a rational
     parameter (never the case for the profiles built by this package's
     constructors with breakpoint values commensurable with eta's angle).
+
+    Each piece is built once, on [0, 1]: two O(log n) `solve`s give its
+    ends and their segments, which index its inner breakpoints without a
+    second search, so a piece costs O(log n + piece size), and its
+    CutSpec has nothing to reparametrize.
     """
     eta = _dir(eta)
     orientation = contact_check(line_form)
@@ -313,13 +324,13 @@ def slice_by_ray(
                 "is not a rational parameter"
             )
         if orientation > 0:
-            t_l, v_l, t_r, v_r = ta, a, tb, b
+            left, t_l, v_l, right, t_r, v_r = pa, ta, a, pb, tb, b
         else:
-            t_l, v_l, t_r, v_r = tb, b, ta, a
+            left, t_l, v_l, right, t_r, v_r = pb, tb, b, pa, ta, a
         piece = InvariantContactForm(
-            phi.restricted_exact(t_l, v_l, t_r, v_r),
-            line_form.radial.restricted(t_l, t_r),
+            phi._restricted_unit(left.segment, t_l, v_l, right.segment, t_r, v_r),
+            line_form.radial._restricted_unit(t_l, t_r),
         )
-        pieces.append((t_l, CutSpec(piece, eta, eta)))
-    pieces.sort(key=lambda p: p[0])
-    return [spec for _, spec in pieces]
+        pieces.append(CutSpec(piece, eta, eta))
+    # j ascends with phi, so t descends on a decreasing profile
+    return pieces if orientation > 0 else pieces[::-1]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -78,7 +78,7 @@ def _literal(a: Angle | AngleForm) -> str:
     return format_angle(a) if isinstance(a, Angle) else str(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProfilePoint:
     """Parameter value where a profile meets a target angle.
 
@@ -88,8 +88,13 @@ class ProfilePoint:
     the swept quantity is itself a combination of angles (the difference
     of two profiles); either type answers `value()`, `pi_multiple()` and
     an exact `==`, and `ratio()`, which for forms stays accurate when the
-    span is a tiny difference of large Args.  The exact parameter value is
-    computed once per point, on first use.
+    span is a tiny difference of large Args.
+
+    The exact parameter value lives in the slot _t, which is not
+    compared, hashed or shown.  `solve_half_turn_lattice` fills it where
+    its walk already knows t; otherwise `t_fraction` computes it from
+    offset and span on first use.  Ellipsis marks it as not yet known,
+    since None means an irrational t.
     """
 
     segment: int
@@ -97,9 +102,9 @@ class ProfilePoint:
     t_hi: Fraction
     offset: Angle | AngleForm
     span: Angle | AngleForm
+    _t: Fraction | None = field(default=..., init=False, repr=False, compare=False)
 
-    @cached_property
-    def _t_exact(self) -> Fraction | None:
+    def _exact_t(self) -> Fraction | None:
         if self.offset == self.span:
             return self.t_hi
         num = self.offset.pi_multiple()
@@ -112,17 +117,21 @@ class ProfilePoint:
 
     def t_fraction(self) -> Fraction | None:
         """Exact parameter value, when the ratio is rational."""
-        return self._t_exact
+        t = self._t
+        if t is ...:
+            t = self._exact_t()
+            object.__setattr__(self, "_t", t)
+        return t
 
     def t_float(self) -> float:
-        exact = self._t_exact
+        exact = self.t_fraction()
         if exact is not None:
             return float(exact)
         lam = self.offset.ratio(self.span)
         return float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
 
     def __str__(self) -> str:
-        exact = self._t_exact
+        exact = self.t_fraction()
         if exact is not None:
             return str(exact)
         return (
@@ -223,15 +232,6 @@ class AngleProfile:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval_float(self, t: float) -> float:
-        i = max(0, min(len(self.breaks) - 2, bisect_right(self.breaks, t) - 1))
-        t_lo, t_hi = float(self.breaks[i]), float(self.breaks[i + 1])
-        v_lo, v_hi = self.values[i].value(), self.values[i + 1].value()
-        if t_hi == t_lo:
-            return v_lo
-        lam = (t - t_lo) / (t_hi - t_lo)
-        return v_lo + lam * (v_hi - v_lo)
-
     def compare_at(self, t: Rational, target: Angle) -> int:
         """Sign of phi(t) - target, decided exactly at rational t: the
         `AngleForm.sign` of `form_at(t)` minus the target."""
@@ -330,7 +330,7 @@ class AngleProfile:
                 m = j_hit - js[0]
                 pt = ProfilePoint(i, t_lo, t_hi, add_half_turns(first, m), span)
                 if exact:
-                    pt.__dict__["_t_exact"] = Fraction(at_lo + per_m * (a + m * c), t_den)
+                    object.__setattr__(pt, "_t", Fraction(at_lo + per_m * (a + m * c), t_den))
                 out.append((j_hit, pt))
         return out
 
@@ -355,26 +355,32 @@ class AngleProfile:
             self.values,
         )
 
-    def restricted_exact(
-        self, t_a: Fraction, value_a: Angle, t_b: Fraction, value_b: Angle
+    def _restricted_unit(
+        self, i: int, t_a: Fraction, value_a: Angle, j: int, t_b: Fraction, value_b: Angle
     ) -> "AngleProfile":
-        """Restriction to [t_a, t_b] whose endpoint values the caller has
-        already solved exactly (they must lie on the existing pieces)."""
-        if not (self.t0 <= t_a < t_b <= self.t1):
-            raise ValueError("restriction interval must be ordered and inside the domain")
-        # breakpoints strictly inside (t_a, t_b)
-        i0, i1 = bisect_right(self.breaks, t_a), bisect_left(self.breaks, t_b)
+        """The restriction to [t_a, t_b], mapped affinely onto [0, 1].
+
+        t_a lies on segment i and t_b on segment j as `solve` reports them
+        (a shared breakpoint on the earlier segment), where phi takes the
+        values value_a and value_b that the caller solved exactly.  The
+        breakpoints strictly inside are b[i + 1 .. j], without b[i + 1]
+        when t_a is b[i + 1], so nothing is searched: O(j - i).
+        """
+        b, w = self.breaks, t_b - t_a
+        i0 = i + 1 if t_a < b[i + 1] else i + 2
         return AngleProfile(
-            (t_a, *self.breaks[i0:i1], t_b),
-            (value_a, *self.values[i0:i1], value_b),
+            (0, *[(t - t_a) / w for t in b[i0 : j + 1]], 1),
+            (value_a, *self.values[i0 : j + 1], value_b),
         )
 
 
-def _poly_shift(coeffs: Sequence[Fraction], delta: Fraction) -> tuple[Fraction, ...]:
-    # p(u) -> p(delta + u), by Horner: result := result*(u + delta) + c
+def _poly_shift(
+    coeffs: Sequence[Fraction], delta: Fraction, scale: Rational = 1
+) -> tuple[Fraction, ...]:
+    # p(u) -> p(delta + scale*u), by Horner: result := result*(scale*u + delta) + c
     result = [Fraction(0)]
     for c in reversed(coeffs):
-        shifted = [Fraction(0)] + result
+        shifted = [Fraction(0)] + [x * scale for x in result]
         for i in range(len(result)):
             shifted[i] += result[i] * delta
         shifted[0] += c
@@ -456,29 +462,26 @@ class RadialProfile:
         i = min(bisect_right(self.breaks, t) - 1, len(self.pieces) - 1)
         return _poly_eval(self.pieces[i], t - self.breaks[i])
 
-    def evaluate_float(self, t: float) -> float:
-        i = max(0, min(len(self.pieces) - 1, bisect_right(self.breaks, t) - 1))
-        return self._piece_float(i, t)
+    def floats_along(self, points: Iterable[ProfilePoint]) -> list[float]:
+        """float(r(t)) at each point of a sequence ascending in t.
 
-    def _piece_float(self, i: int, t: float) -> float:
-        u = t - float(self.breaks[i])
-        acc = 0.0
-        for c in reversed(self.pieces[i]):
-            acc = acc * u + float(c)
-        return acc
-
-    def floats_along(self, ts: Iterable[Fraction | float]) -> list[float]:
-        """float(r(t)) for each t of an ascending sequence, bit for bit as
-        `evaluate` gives it for a Fraction t and `evaluate_float` for a
-        float t.
-
-        One piece index moves forward with t, so the cost is
-        O(n + len(ts)); a constant piece is one float, not evaluated per t.
+        At an exact t it is float(`evaluate`(t)) bit for bit; at an
+        irrational t, the float Horner sum of the piece's coefficients at
+        u = `t_float()` - float(start of the piece).  One piece index moves
+        forward with t, so the cost is O(n + len(points)).  A constant
+        piece is one float, and once the index is on the last piece and
+        that piece is constant, no point's t is read at all.
         """
         b, pieces = self.breaks, self.pieces
         flat = [float(p[0]) if not any(p[1:]) else None for p in pieces]
         i, last, out = 0, len(pieces) - 1, []
-        for t in ts:
+        for pt in points:
+            if i == last and flat[i] is not None:
+                out.append(flat[i])
+                continue
+            t = pt.t_fraction()
+            if t is None:
+                t = pt.t_float()
             while i < last and b[i + 1] <= t:
                 i += 1
             if flat[i] is not None:
@@ -486,7 +489,10 @@ class RadialProfile:
             elif isinstance(t, Fraction):
                 out.append(float(_poly_eval(pieces[i], t - b[i])))
             else:
-                out.append(self._piece_float(i, t))
+                u, acc = t - float(b[i]), 0.0
+                for c in reversed(pieces[i]):
+                    acc = acc * u + float(c)
+                out.append(acc)
         return out
 
     def breakpoint_values(self) -> tuple[Fraction, ...]:
@@ -534,17 +540,21 @@ class RadialProfile:
         )
         return RadialProfile(breaks, pieces)
 
-    def restricted(self, t_a: Fraction, t_b: Fraction) -> "RadialProfile":
-        if not (self.t0 <= t_a < t_b <= self.t1):
-            raise ValueError("restriction interval must be ordered and inside the domain")
+    def _restricted_unit(self, t_a: Fraction, t_b: Fraction) -> "RadialProfile":
+        """The restriction to [t_a, t_b], mapped affinely onto [0, 1].
+
+        Each piece is shifted to its new start and rescaled in one pass
+        (`_poly_shift`); a constant piece is copied as it is.  Two
+        bisections find the pieces, so the cost is O(log n + pieces kept).
+        """
+        b, w = self.breaks, t_b - t_a
         # piece i0 holds t_a; breakpoints i0+1 .. i1-1 lie strictly inside
-        i0, i1 = bisect_right(self.breaks, t_a) - 1, bisect_left(self.breaks, t_b)
-        starts = (t_a, *self.breaks[i0 + 1 : i1])
+        i0, i1 = bisect_right(b, t_a) - 1, bisect_left(b, t_b)
         pieces = tuple(
-            _poly_shift(self.pieces[i], t - self.breaks[i])
-            for i, t in enumerate(starts, start=i0)
+            p[:1] if not any(p[1:]) else _poly_shift(p, t_a - b[i] if i == i0 else 0, w)
+            for i, p in enumerate(self.pieces[i0:i1], start=i0)
         )
-        return RadialProfile((*starts, t_b), pieces)
+        return RadialProfile((0, *[(t - t_a) / w for t in b[i0 + 1 : i1]], 1), pieces)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def _form_of(obj) -> InvariantContactForm:
     return obj.form if isinstance(obj, CutSpec) else obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """One arc of directions with a constant ray-component count.
 
@@ -322,7 +322,7 @@ def detect_overtwisted(spec) -> OvertwistedCertificate | None:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarZero:
     """A parameter where the interpolated planar covectors cancel.
 

@@ -47,6 +47,8 @@ from toruscut import (
 )
 from toruscut.cli import main
 
+from float_reference import phi_float
+
 A = Angle
 D = Direction
 
@@ -312,7 +314,7 @@ def test_criterion_9_homotopy_grid():
                 assert norms.min() >= 0.25 - 1e-9
                 for z in cert.zeros:
                     t = z.point.t_float()
-                    av, bv = fa.phi.eval_float(t), fb.phi.eval_float(t)
+                    av, bv = phi_float(fa.phi, t), phi_float(fb.phi, t)
                     hx0 = 0.5 * (math.cos(av) + math.cos(bv))
                     hy0 = 0.5 * (math.sin(av) + math.sin(bv))
                     h = math.sqrt(hx0 * hx0 + hy0 * hy0 + 0.25 * 0.25)
@@ -340,7 +342,7 @@ def test_criterion_10_symplectization_identity():
             eta = rand_dir(rng, 3).as_tuple()
             psi = sympl_moment_eval(form, eta, t, s)
             r = float(form.radial.evaluate(t))
-            a = form.phi.eval_float(float(t))
+            a = phi_float(form.phi, float(t))
             phi_indep = r * (eta[0] * math.cos(a) + eta[1] * math.sin(a))
             assert abs(psi + math.exp(s) * phi_indep) < 1e-12
             assert sympl_moment_sign(form, eta, t) == -moment_sign(form, eta, t)

@@ -42,6 +42,8 @@ from toruscut import (
 )
 from toruscut.cli import _LENS_TABLE
 
+from float_reference import phi_float
+
 A = Angle
 D = Direction
 
@@ -610,7 +612,7 @@ class TestHomotopyCertificate:
         min_h_at_loci = 2.0
         for i in range(n + 1):
             t = i / n
-            va, vb = a.phi.eval_float(t), b.phi.eval_float(t)
+            va, vb = phi_float(a.phi, t), phi_float(b.phi, t)
             for jdx in range(n + 1):
                 s = jdx / n
                 x = (1 - s) * math.cos(va) + s * math.cos(vb)
@@ -618,7 +620,7 @@ class TestHomotopyCertificate:
                 h = math.hypot(math.hypot(x, y), s * (1 - s))
                 min_h = min(min_h, h)
         for t in loci:
-            va, vb = a.phi.eval_float(t), b.phi.eval_float(t)
+            va, vb = phi_float(a.phi, t), phi_float(b.phi, t)
             x = 0.5 * (math.cos(va) + math.cos(vb))
             y = 0.5 * (math.sin(va) + math.sin(vb))
             h = math.hypot(math.hypot(x, y), 0.25)
@@ -641,7 +643,7 @@ class TestHomotopyCertificate:
         prev_sign = None
         for i in range(n):
             t = i / (n - 1)
-            psi = a.phi.eval_float(t) - b.phi.eval_float(t)
+            psi = phi_float(a.phi, t) - phi_float(b.phi, t)
             s = 1 if math.cos(psi / 2) > 0 else -1 if math.cos(psi / 2) < 0 else 0
             if prev_sign is not None and s != prev_sign:
                 hits += 1
@@ -680,7 +682,7 @@ def scan_crossings(a, b, breaks, per_segment=2000):
     )
     out, prev = [], None
     for t in ts:
-        c = math.cos((a.phi.eval_float(t) - b.phi.eval_float(t)) / 2)
+        c = math.cos((phi_float(a.phi, t) - phi_float(b.phi, t)) / 2)
         s = (c > 0) - (c < 0)
         if prev is not None and s != prev[1]:
             out.append((prev[0], t))

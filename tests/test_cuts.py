@@ -1,10 +1,11 @@
 """Cut validation, lens classification, reduction, and moment slicing."""
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toruscut import (
@@ -33,9 +34,26 @@ from toruscut import (
     sweep,
     validate_cutspec,
 )
+from toruscut.angles import (
+    HALF_TURN,
+    QUARTER_TURN,
+    _lattice_bounds,
+    add_turns,
+    angle_add,
+    angle_sub,
+    direction_angle,
+)
+from toruscut.forms import ProfilePoint, contact_check
 
 A = Angle
 D = Direction
+EIGHTHS = (D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1))
+
+
+def quarter_angle(k):
+    """k * pi/4 as an Angle."""
+    c, r = divmod(k, 8)
+    return A(EIGHTHS[r], c + (r > 4))
 
 
 def dirs(max_coord=5):
@@ -98,6 +116,21 @@ class TestValidation:
         with pytest.raises(InvalidCutSpec) as exc:
             require_valid(CutSpec(alpha_form(1), D(1, 0), D(1, 0)))
         assert exc.value.violations[0].code == "nonzero-boundary-moment"
+
+    def test_moment_beyond_float_range_has_no_float(self):
+        # r * cos(0) is 10^400 at t = 0: exactly nonzero, not a float
+        big = 10**400
+        phi = AngleProfile((F(0), F(1)), (A(D(1, 0)), A(D(0, 1))))
+        for form, v0 in (
+            (InvariantContactForm.unit(phi), D(big, 1)),
+            (InvariantContactForm(phi, RadialProfile.constant(big, (0, 1))), D(1, 1)),
+        ):
+            (bad,) = validate_cutspec(CutSpec(form, v0, D(1, 0)))
+            assert (bad.code, bad.end) == ("nonzero-boundary-moment", 0)
+            assert bad.message.endswith(" at t=0 is beyond float range, not zero")
+        # a finite moment keeps its 12-digit float
+        (bad,) = validate_cutspec(CutSpec(InvariantContactForm.unit(phi), D(1, 1), D(1, 0)))
+        assert bad.message == "moment of (1,1) at t=0 is 1, not zero"
 
     def test_domain_reparametrized_to_unit_interval(self):
         phi = AngleProfile((F(-1), F(3)), (A(D(1, 0)), A(D(0, 1), 1)))
@@ -264,6 +297,100 @@ class TestContactReduce:
         with pytest.raises(NonPrimitive):
             contact_reduce(alpha_form(1), (0, 2))
 
+    @pytest.mark.parametrize("eta", [(1, 0), (1, -3)])
+    def test_constant_radial_reads_no_hit_parameter(self, eta, monkeypatch):
+        # one constant radial piece: every coefficient is sign * r / |eta|,
+        # so no hit is asked for its exact or its float t
+        form = rescale(alpha_form(3), RadialProfile.constant(3, (F(0), F(1))))
+        asked = []
+        for name in ("t_fraction", "t_float"):
+            real = getattr(ProfilePoint, name)
+            monkeypatch.setattr(
+                ProfilePoint, name, lambda pt, _n=name, _r=real: asked.append(_n) or _r(pt)
+            )
+        circles = contact_reduce(form, eta)
+        assert len(circles) >= 6 and asked == []
+        mag = math.hypot(*eta)
+        assert [c.coefficient for c in circles] == [c.sign * 3.0 / mag for c in circles]
+
+
+@st.composite
+def line_like_forms(draw):
+    """Strictly monotone profiles with values at multiples of pi/4, one to
+    nine eighths of a turn apart, and a non-constant piecewise-affine
+    radial on its own breakpoints (some of phi's among them), in either
+    orientation."""
+    breaks = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))]
+    gap = st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4)
+    for _ in range(draw(st.integers(1, 9))):
+        breaks.append(breaks[-1] + draw(gap))
+    qs = [draw(st.integers(-20, 20))]
+    for _ in breaks[1:]:
+        qs.append(qs[-1] + draw(st.integers(1, 9)))
+    phi = AngleProfile(tuple(breaks), tuple(quarter_angle(q) for q in qs))
+    t0, t1 = breaks[0], breaks[-1]
+    inside = st.integers(1, 839).map(lambda k: t0 + (t1 - t0) * F(k, 840))
+    rb = sorted({t0, t1, *draw(st.lists(st.one_of(st.sampled_from(breaks), inside), max_size=6))})
+    rv = [draw(st.sampled_from([1, F(3, 2), 3])) for _ in rb]
+    assume(len(set(rv)) > 1)
+    form = InvariantContactForm(phi, RadialProfile.from_values(rb, rv))
+    return form.reversed() if draw(st.booleans()) else form
+
+
+def _poly_shift(coeffs, delta):
+    # p(u) -> p(delta + u), by Horner, trailing zeros trimmed
+    result = [F(0)]
+    for c in reversed(coeffs):
+        shifted = [F(0)] + result
+        for i in range(len(result)):
+            shifted[i] += result[i] * delta
+        shifted[0] += c
+        result = shifted
+    while len(result) > 1 and result[-1] == 0:
+        result.pop()
+    return tuple(result)
+
+
+def restricted_exact(phi, t_a, value_a, t_b, value_b):
+    """Reference phi of a piece on [t_a, t_b]: the breakpoints strictly
+    inside, found by bisection."""
+    i0, i1 = bisect_right(phi.breaks, t_a), bisect_left(phi.breaks, t_b)
+    return AngleProfile((t_a, *phi.breaks[i0:i1], t_b), (value_a, *phi.values[i0:i1], value_b))
+
+
+def restricted(r, t_a, t_b):
+    """Reference radial of a piece on [t_a, t_b]: every kept piece shifted
+    to its new start."""
+    i0, i1 = bisect_right(r.breaks, t_a) - 1, bisect_left(r.breaks, t_b)
+    starts = (t_a, *r.breaks[i0 + 1 : i1])
+    pieces = tuple(
+        _poly_shift(r.pieces[i], t - r.breaks[i]) for i, t in enumerate(starts, start=i0)
+    )
+    return RadialProfile((*starts, t_b), pieces)
+
+
+def slice_by_restriction(line_form, eta, window):
+    """Reference slice_by_ray: each piece is restricted on [t_l, t_r], and
+    CutSpec then reparametrizes it onto [0, 1]."""
+    orientation = contact_check(line_form)
+    phi = line_form.phi
+    beta = direction_angle(eta)
+    v_lo, v_hi = phi.value_bounds()
+    lo, hi = max(window[0], v_lo), min(window[1], v_hi)
+    start, stop = angle_sub(beta, QUARTER_TURN), angle_add(beta, QUARTER_TURN)
+    j_min, j_max = _lattice_bounds(start, lo, angle_sub(hi, HALF_TURN), 2)
+    pieces = []
+    for j in range(j_min, j_max + 1):
+        a, b = add_turns(start, j), add_turns(stop, j)
+        ta, tb = phi.solve(a).t_fraction(), phi.solve(b).t_fraction()
+        t_l, v_l, t_r, v_r = (ta, a, tb, b) if orientation > 0 else (tb, b, ta, a)
+        piece = InvariantContactForm(
+            restricted_exact(phi, t_l, v_l, t_r, v_r), restricted(line_form.radial, t_l, t_r)
+        )
+        pieces.append((t_l, CutSpec(piece, eta, eta)))
+    pieces.sort(key=lambda p: p[0])
+    return [spec for _, spec in pieces]
+
 
 def turns(n):
     # the angle n*pi, n even or odd
@@ -326,3 +453,24 @@ class TestSliceByRay:
         form = InvariantContactForm.unit(phi)
         with pytest.raises(SliceNotRepresentable):
             slice_by_ray(form, (0, 1), (turns(-3), turns(3)))
+
+    @given(line_like_forms(), st.sampled_from(EIGHTHS), st.data())
+    @settings(max_examples=200)
+    def test_pieces_match_restriction_then_reparametrization(self, form, eta, data):
+        # window ends on breakpoint values and on other multiples of pi/4
+        ends = st.one_of(
+            st.sampled_from(form.phi.values), st.integers(-60, 120).map(quarter_angle)
+        )
+        w0, w1 = data.draw(ends), data.draw(ends)
+        assume(angle_compare(w0, w1) != 0)
+        window = (w0, w1) if angle_compare(w0, w1) < 0 else (w1, w0)
+        got, want = slice_by_ray(form, eta, window), slice_by_restriction(form, eta, window)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.form.phi.breaks, g.form.phi.values) == (w.form.phi.breaks, w.form.phi.values)
+            assert (g.form.radial.breaks, g.form.radial.pieces) == (
+                w.form.radial.breaks,
+                w.form.radial.pieces,
+            )
+            assert (g.v0, g.v1, g.violations) == (w.v0, w.v1, w.violations)
+

@@ -1,6 +1,7 @@
 """Profiles, forms, and exact moment signs."""
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 
@@ -34,6 +35,8 @@ from toruscut import (
 )
 from toruscut import cuts, forms
 from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate
+
+from float_reference import phi_float, radial_float
 
 A = Angle
 D = Direction
@@ -173,9 +176,9 @@ class TestAngleProfile:
 
     def test_eval_float_at_breakpoints(self):
         phi = alpha_phi(2)
-        assert phi.eval_float(0.0) == 0.0
-        assert abs(phi.eval_float(1.0) - 9 * math.pi / 2) < 1e-12
-        assert abs(phi.eval_float(0.5) - 9 * math.pi / 4) < 1e-12
+        assert phi_float(phi, 0.0) == 0.0
+        assert abs(phi_float(phi, 1.0) - 9 * math.pi / 2) < 1e-12
+        assert abs(phi_float(phi, 0.5) - 9 * math.pi / 4) < 1e-12
 
     def test_compare_at_known_points(self):
         phi = alpha_phi(1)
@@ -229,7 +232,7 @@ class TestAngleProfile:
         t = phi.t0 + (phi.t1 - phi.t0) * F(k, 840)
         target = phi.values[0]
         c = phi.compare_at(t, target)
-        gap = phi.eval_float(float(t)) - target.value()
+        gap = phi_float(phi, float(t)) - target.value()
         if abs(gap) > 1e-9:
             assert c == (1 if gap > 0 else -1)
 
@@ -246,13 +249,14 @@ class TestAngleProfile:
         assert new.compare_at(lam, phi.values[0]) == phi.compare_at(t_old, phi.values[0])
 
     def test_restricted_exact(self):
+        # the restriction to [1/10, 9/10], on [0, 1]: phi(1/2) is 5 pi/4
         phi = alpha_phi(1)
-        sub = phi.restricted_exact(
-            F(1, 10), direction_angle((1, 1)), F(9, 10), A(D(1, 1), 1)
+        sub = phi._restricted_unit(
+            0, F(1, 10), direction_angle((1, 1)), 0, F(9, 10), A(D(1, 1), 1)
         )
-        assert sub.breaks == (F(1, 10), F(9, 10))
+        assert sub.breaks == (F(0), F(1))
         assert angle_sub(sub.values[1], sub.values[0]).pi_multiple() == F(2)
-        assert sub.compare_at(F(1, 2), A(D(-1, -1), 1)) == 0  # phi(1/2) = 5 pi/4
+        assert sub.compare_at(F(1, 2), A(D(-1, -1), 1)) == 0
 
 
 def scan_solve(phi, target):
@@ -269,18 +273,25 @@ def scan_solve(phi, target):
 
 
 def scan_restricted_exact(phi, t_a, value_a, t_b, value_b):
-    """Reference restriction: keep the breakpoints strictly inside (t_a, t_b)."""
+    """Reference restriction onto [0, 1]: keep the breakpoints strictly
+    inside (t_a, t_b), then reparametrize."""
     mid = [(t, v) for t, v in zip(phi.breaks, phi.values) if t_a < t < t_b]
     return AngleProfile(
         (t_a, *[t for t, _ in mid], t_b), (value_a, *[v for _, v in mid], value_b)
-    )
+    ).reparametrized(0, 1)
 
 
 def refine_restricted(r, t_a, t_b):
-    """Reference restriction: refine at both ends, then cut."""
+    """Reference restriction onto [0, 1]: refine at both ends, cut, then
+    reparametrize."""
     fine = r.refined([t_a, t_b])
     i0, i1 = fine.breaks.index(t_a), fine.breaks.index(t_b)
-    return RadialProfile(fine.breaks[i0 : i1 + 1], fine.pieces[i0:i1])
+    return RadialProfile(fine.breaks[i0 : i1 + 1], fine.pieces[i0:i1]).reparametrized(0, 1)
+
+
+def segment_as_solved(breaks, t):
+    """The segment `solve` reports t on: the earlier one at a shared breakpoint."""
+    return max(0, bisect_left(breaks, t) - 1)
 
 
 def lattice_by_solving(phi, base):
@@ -301,7 +312,7 @@ def reduce_by_solving(form, eta):
         if t is not None:
             r = float(form.radial.evaluate(t))
         else:
-            r = form.radial.evaluate_float(pt.t_float())
+            r = radial_float(form.radial, pt.t_float())
         sign = 1 if j % 2 else -1
         out.append((j, add_half_turns(base, j), pt, t, pt.t_float(), sign * r / math.hypot(*eta)))
     return out
@@ -414,19 +425,20 @@ class TestSolveBisection:
     @given(monotone_profiles(), st.data())
     def test_restricted_exact_matches_scan(self, phi, data):
         t_a, t_b = data.draw(sub_intervals(phi.breaks))
+        i, j = segment_as_solved(phi.breaks, t_a), segment_as_solved(phi.breaks, t_b)
         value_a, value_b = phi.values[0], phi.values[-1]
-        sub = phi.restricted_exact(t_a, value_a, t_b, value_b)
+        sub = phi._restricted_unit(i, t_a, value_a, j, t_b, value_b)
         ref = scan_restricted_exact(phi, t_a, value_a, t_b, value_b)
         assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
 
     @given(radial_profiles(), st.data())
     def test_radial_restricted_matches_refine(self, r, data):
         t_a, t_b = data.draw(sub_intervals(r.breaks))
-        sub = r.restricted(t_a, t_b)
+        sub = r._restricted_unit(t_a, t_b)
         ref = refine_restricted(r, t_a, t_b)
         assert (sub.breaks, sub.pieces) == (ref.breaks, ref.pieces)
         for t in sub.breaks:
-            assert sub.evaluate(t) == r.evaluate(t)
+            assert sub.evaluate(t) == r.evaluate(t_a + (t_b - t_a) * t)
 
 
 class TestRadialProfile:
@@ -440,7 +452,7 @@ class TestRadialProfile:
         r = RadialProfile.from_values([0, F(1, 3), 1], [1, 3, 2])
         assert r.evaluate(F(1, 6)) == 2
         assert r.evaluate(F(2, 3)) == F(5, 2)
-        assert abs(r.evaluate_float(0.5) - 2.75) < 1e-15
+        assert abs(radial_float(r, 0.5) - 2.75) < 1e-15
 
     def test_outside_domain(self):
         r = RadialProfile.constant(1, (0, 1))
@@ -476,19 +488,32 @@ class TestRadialProfile:
         assert new.evaluate(-1 + 4 * t) == r.evaluate(t)
 
     def test_restricted(self):
+        # [1/6, 2/3] onto [0, 1]: u = 2t - 1/3
         r = RadialProfile.from_values([0, F(1, 3), 1], [1, 3, 2])
-        sub = r.restricted(F(1, 6), F(2, 3))
-        assert (sub.t0, sub.t1) == (F(1, 6), F(2, 3))
+        sub = r._restricted_unit(F(1, 6), F(2, 3))
+        assert sub.breaks == (F(0), F(1, 3), F(1))
         for t in (F(1, 6), F(1, 3), F(1, 2), F(2, 3)):
-            assert sub.evaluate(t) == r.evaluate(t)
+            assert sub.evaluate(2 * t - F(1, 3)) == r.evaluate(t)
 
     @given(radial_profiles(), st.data())
     def test_floats_along_matches_pointwise(self, r, data):
-        # ascending, breakpoints included, exact and float parameters mixed
+        # ascending, breakpoints included, exact and irrational points mixed:
+        # offset Arg(1, 2) over a quarter-turn span puts t at about 0.705
+        # of the way from t_lo to t_hi
         point = st.one_of(st.sampled_from(r.breaks), rational_in(r.t0, r.t1))
-        ts = sorted(t if data.draw(st.booleans()) else float(t) for t in data.draw(st.lists(point)))
-        assert r.floats_along(ts) == [
-            float(r.evaluate(t)) if isinstance(t, F) else r.evaluate_float(t) for t in ts
+        quarter, irrational = A(D(0, 1)), A(D(1, 2))
+        pts = [
+            ProfilePoint(0, t, t, quarter, quarter)
+            if data.draw(st.booleans())
+            else ProfilePoint(0, r.t0, t, irrational, quarter)
+            for t in data.draw(st.lists(point))
+        ]
+        pts.sort(key=lambda p: p.t_float() if p.t_fraction() is None else p.t_fraction())
+        assert r.floats_along(pts) == [
+            radial_float(r, p.t_float())
+            if p.t_fraction() is None
+            else float(r.evaluate(p.t_fraction()))
+            for p in pts
         ]
 
 
@@ -551,7 +576,7 @@ class TestMoment:
         eta = d.as_tuple()
         t = phi.t0 + (phi.t1 - phi.t0) * F(k, 840)
         mv = moment_eval(form, eta, t)
-        a = phi.eval_float(float(t))
+        a = phi_float(phi, float(t))
         approx = eta[0] * math.cos(a) + eta[1] * math.sin(a)
         scale = abs(eta[0]) + abs(eta[1])
         if abs(approx) > 1e-9 * scale:
@@ -722,3 +747,37 @@ class TestRescale:
         )  # affine dipping negative
         with pytest.raises(NonPositiveRadial):
             rescale(form, bad)
+
+
+class TestValueTypes:
+    def test_no_instance_dict(self):
+        from toruscut.invariants import Arc, PlanarZero, cc_profile, homotopy_certificate
+        from toruscut.report import Item, Record
+
+        form = InvariantContactForm.unit(alpha_phi(1))
+        circle = contact_reduce(form, (0, 1))[0]
+        arc = cc_profile(form).arcs[0]
+        zero = homotopy_certificate(form, InvariantContactForm.unit(alpha_phi(2))).zeros[0]
+        item = Item("key", "exact", 1.0)
+        values = (circle.complement, circle.angle, circle.point, circle, arc, zero, item)
+        values += (Record("t", (item,)),)
+        kinds = (Direction, Angle, ProfilePoint, cuts.ReducedCircle, Arc, PlanarZero, Item, Record)
+        for value, kind in zip(values, kinds):
+            assert type(value) is kind
+            assert not hasattr(value, "__dict__") and not hasattr(value, "__weakref__"), kind
+
+    def test_walk_built_point_knows_its_t(self, monkeypatch):
+        pts = alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))
+        calls = []
+        pi_multiple = Angle.pi_multiple
+        monkeypatch.setattr(Angle, "pi_multiple", lambda a: calls.append(a) or pi_multiple(a))
+        assert [p.t_fraction() for _, p in pts] == [F(1, 10), F(1, 2), F(9, 10)]
+        assert calls == []
+
+    def test_exact_t_is_not_compared_hashed_or_shown(self):
+        (_, walked), _, _ = alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))
+        fresh = ProfilePoint(walked.segment, walked.t_lo, walked.t_hi, walked.offset, walked.span)
+        assert (walked, hash(walked), repr(walked)) == (fresh, hash(fresh), repr(fresh))
+        assert "_t" not in repr(walked)
+        assert fresh.t_fraction() == walked.t_fraction() == F(1, 10)
+        assert (walked, hash(walked), repr(walked)) == (fresh, hash(fresh), repr(fresh))

@@ -70,6 +70,11 @@ def _cases() -> dict[str, list[str]]:
     ]
     # equal breakpoints and no radial line: the error names the phi line
     cases["check-equal-breaks"] = ["check", "tests/golden/equal_breaks.cut"]
+    # a 401-digit collapse coordinate and a 401-digit radial value: the
+    # boundary moment is beyond float range, reported without a float
+    for stem in ("huge_collapse", "huge_radial"):
+        for sub in ("check", "cut"):
+            cases[f"{sub}-{stem.replace('_', '-')}"] = [sub, f"tests/golden/{stem}.cut"]
     cases["help"] = ["--help"]
     for name in SUBCOMMANDS:
         cases[f"help-{name}"] = [name, "--help"]
