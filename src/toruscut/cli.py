@@ -30,7 +30,7 @@ from .cuts import (
     slice_by_ray,
     validate_cutspec,
 )
-from .errors import SpecSemanticError, SpecSyntaxError
+from .errors import GeometryError, SpecSemanticError, SpecSyntaxError
 from .forms import InvariantContactForm, contact_check, sweep
 from .invariants import (
     MODE_FIXED,
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     except SpecSyntaxError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (SpecSemanticError, ValueError) as e:
+    except (SpecSemanticError, GeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
     render = render_json if args.format == "json" else render_text

@@ -103,7 +103,8 @@ class CutSpec:
     def __post_init__(self):
         object.__setattr__(self, "v0", _dir(self.v0))
         object.__setattr__(self, "v1", _dir(self.v1))
-        if self.form.domain != (Fraction(0), Fraction(1)):
+        b = self.form.phi.breaks
+        if not (b[0] == 0 and b[-1] == 1):
             object.__setattr__(self, "form", self.form.reparametrized(0, 1))
         object.__setattr__(self, "violations", _violations(self))
 
@@ -158,13 +159,13 @@ def _boundary_checks(
     form: InvariantContactForm, v: Direction, end: int, orientation: int
 ) -> list[Violation]:
     phi = form.phi
-    value = phi.values[0] if end == 0 else phi.values[-1]
-    base = direction_angle(v.perp())
-    rel = angle_sub(value, base)
-    if rel.dir.as_tuple() not in ((1, 0), (-1, 0)):
+    d = (phi.values[0] if end == 0 else phi.values[-1]).dir
+    # the moment r (v.x cos phi + v.y sin phi) vanishes iff phi's direction is
+    # perpendicular to v
+    if d.x * v.x + d.y * v.y != 0:
         # the float of the principal Arg: whole turns do not move the moment;
         # a moment beyond float range is shown without a float
-        a = _arg(value.dir)
+        a = _arg(d)
         try:
             r = float(form.radial.evaluate(phi.t0 if end == 0 else phi.t1))
             moment = r * (v.x * math.cos(a) + v.y * math.sin(a))
@@ -181,7 +182,6 @@ def _boundary_checks(
     # Just inside, phi moves by +orientation*dt from t=0 (by -orientation*dt
     # into t=1), so the moment's interior sign is the sign of the dot
     # product of the quarter-turned boundary direction with v.
-    d = value.dir
     inward = orientation if end == 0 else -orientation
     rotated = (-d.y * inward, d.x * inward)
     if rotated[0] * v.x + rotated[1] * v.y < 0:

@@ -68,10 +68,18 @@ from .errors import (
 )
 
 Rational = Fraction | int
+_ZERO = Fraction(0)
 
 
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _fractions(ts: Iterable[Rational]) -> tuple[Fraction, ...]:
+    """ts as a tuple of Fractions: ts itself when it is one already."""
+    if type(ts) is tuple and all(type(t) is Fraction for t in ts):
+        return ts
+    return tuple(map(_frac, ts))
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -123,12 +131,17 @@ class ProfilePoint:
             object.__setattr__(self, "_t", t)
         return t
 
-    def t_float(self) -> float:
+    def t_float(self) -> float | None:
+        """The parameter value as a float, or None beyond float range."""
         exact = self.t_fraction()
-        if exact is not None:
-            return float(exact)
-        lam = self.offset.ratio(self.span)
-        return float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
+        try:
+            if exact is not None:
+                return float(exact)
+            lam = self.offset.ratio(self.span)
+            t = float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
+        except OverflowError:
+            return None
+        return t if math.isfinite(t) else None
 
     def __str__(self) -> str:
         exact = self.t_fraction()
@@ -159,19 +172,20 @@ class AngleProfile:
     values: tuple[Angle, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
+        b, v = _fractions(self.breaks), tuple(self.values)
+        object.__setattr__(self, "breaks", b)
+        object.__setattr__(self, "values", v)
+        if len(b) < 2 or len(b) != len(v):
             raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
-        degenerate = (
-            len(self.breaks) == 2
-            and self.breaks[0] == self.breaks[1]
-            and self.values[0] == self.values[1]
-        )
-        if not degenerate:
-            for i in range(len(self.breaks) - 1):
-                if not self.breaks[i] < self.breaks[i + 1]:
-                    raise BadBreakpoints("breakpoints must be strictly ascending")
+        if len(b) == 2 and b[0] == b[1] and v[0] == v[1]:
+            return  # degenerate
+        # p/q < r/s by integer cross products, denominators being positive
+        p, q = b[0].numerator, b[0].denominator
+        for t in b[1:]:
+            r, s = t.numerator, t.denominator
+            if p * s >= r * q:
+                raise BadBreakpoints("breakpoints must be strictly ascending")
+            p, q = r, s
 
     # -- basic queries ---------------------------------------------------
 
@@ -199,11 +213,13 @@ class AngleProfile:
         for i, sweep in enumerate(self._sweeps):
             yield i, b[i], b[i + 1], v[i], v[i + 1], sweep
 
+    @cached_property
     def orientation(self) -> int:
         """+1 if strictly increasing, -1 if strictly decreasing.
 
         Raises ZeroSlopeSegment / NonMonotone otherwise; this is the
-        contact condition for the associated form.
+        contact condition for the associated form.  Decided once, on
+        first use; a failure is not kept, so it raises on every use.
         """
         if self.is_degenerate:
             raise ZeroSlopeSegment(0)
@@ -421,7 +437,7 @@ class RadialProfile:
     pieces: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
+        object.__setattr__(self, "breaks", _fractions(self.breaks))
         object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
         if len(self.breaks) != len(self.pieces) + 1:
             raise ValueError("need exactly one piece per breakpoint gap")
@@ -445,7 +461,13 @@ class RadialProfile:
 
     @staticmethod
     def constant(c: Rational, domain: tuple[Rational, Rational]) -> "RadialProfile":
-        return RadialProfile.from_values(list(domain), [c, c])
+        """r = c on the domain: one piece (c, 0), as `from_values` gives it."""
+        t0, t1, c = _frac(domain[0]), _frac(domain[1]), _frac(c)
+        if c <= 0:
+            raise NonPositiveRadial(t0, c)
+        if not t0 < t1:
+            raise BadBreakpoints("breakpoints must be strictly ascending")
+        return RadialProfile((t0, t1), ((c, _ZERO),))
 
     @property
     def t0(self) -> Fraction:
@@ -565,7 +587,9 @@ class InvariantContactForm:
     radial: RadialProfile
 
     def __post_init__(self):
-        if (self.phi.t0, self.phi.t1) != (self.radial.t0, self.radial.t1):
+        a, b = self.phi.breaks, self.radial.breaks
+        # tuples: their == tries identity first, and the ends are usually shared
+        if (a[0], a[-1]) != (b[0], b[-1]):
             raise BadBreakpoints("phi and radial must share their domain")
 
     @property
@@ -594,7 +618,7 @@ def contact_check(form: InvariantContactForm) -> int:
     monotone, and the verdict is the slope sign.  Raises ZeroSlopeSegment
     or NonMonotone otherwise.
     """
-    return form.phi.orientation()
+    return form.phi.orientation
 
 
 def sweep(form: InvariantContactForm) -> Angle:

@@ -301,7 +301,7 @@ def detect_overtwisted(spec) -> OvertwistedCertificate | None:
     tightness proof, only the absence of this family.
     """
     phi = _phi_of(spec)
-    orientation = phi.orientation()
+    orientation = phi.orientation
     swept = angle_sub(phi.values[-1], phi.values[0])
     magnitude = swept if orientation > 0 else angle_sub(ZERO_ANGLE, swept)
     if angle_compare(magnitude, add_half_turns(ZERO_ANGLE, 1)) <= 0:

@@ -8,9 +8,10 @@ One key per line, "#" starts a comment, keys may appear in any order:
     collapse0       = 0,1                 # both present: a cut datum
     collapse1       = 1,0                 # neither: a bare form
 
-Rationals are integers, p/q or plain decimals, with no exponent; angle
-literals are "x,y;n", ";n" omitted for n = 0.  Geometry checks run eagerly
-so the caller gets a diagnostic with the offending line, not a late exception.
+Rationals are [sign] digits, with an optional /digits or a decimal point
+(`_fraction` gives the grammar); angle literals are "x,y;n", ";n"
+omitted for n = 0.  Geometry checks run eagerly so the caller gets a
+diagnostic with the offending line, not a late exception.
 """
 
 from __future__ import annotations
@@ -31,12 +32,22 @@ _KEYS = ("form.phi.breaks", "form.radial", "form.domain", "collapse0", "collapse
 
 
 def _fraction(text: str, line: int) -> Fraction:
-    if not set(text) <= set("0123456789+-./"):  # Fraction also takes 1e999999999 and 1_0
-        raise SpecSyntaxError(line, f"bad rational {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SpecSyntaxError(line, f"bad rational {text!r}") from None
+    """One rational of the grammar [sign] digits [/ digits], [sign] digits
+    . [digits] or [sign] . digits, in ASCII digits, built from two ints;
+    anything else, or a zero denominator, is a syntax error."""
+    body = text[1:] if text.startswith(("+", "-")) else text
+    num, slash, den = body.partition("/")
+    if not slash:  # a decimal: its digits over a power of ten
+        whole, _, den = body.partition(".")
+        num = whole + den
+    if body.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        try:
+            n, d = int(num), int(den) if slash else 10 ** len(den)
+        except ValueError:  # past the int/str digit limit, outside `cli.main`
+            d = 0
+        if d:
+            return Fraction(-n if text[0] == "-" else n, d)
+    raise SpecSyntaxError(line, f"bad rational {text!r}")
 
 
 def _int_pair(text: str, line: int) -> tuple[int, int]:

@@ -33,7 +33,9 @@ from toruscut import (
     validate_cutspec,
 )
 from toruscut.cli import main
+from toruscut.forms import AngleProfile
 from toruscut.report import fmt_float
+from toruscut.specfile import _fraction
 
 A = Angle
 D = Direction
@@ -128,7 +130,9 @@ class TestParseSpec:
         assert e.value.line == 1
         assert "slope changes sign" in str(e.value)
 
-    @pytest.mark.parametrize("breaks", ["0:1,0 0:0,1", "0:1,0 1/2:0,1 1/4:1,1"])
+    @pytest.mark.parametrize(
+        "breaks", ["0:1,0 0:0,1", "0:1,0 1/2:0,1 1/4:1,1", "0:1,0 1/2:0,1 2/4:-1,1 1:-1,0"]
+    )
     def test_unordered_breakpoints(self, breaks):
         with pytest.raises(SpecSemanticError) as e:
             parse_spec(f"form.phi.breaks = {breaks}\n")
@@ -190,6 +194,53 @@ class TestParseSpec:
     def test_parse_spec_file(self, tmp_path):
         spec = parse_spec_file(spec_path(tmp_path, ALPHA1))
         assert spec == parse_spec(ALPHA1)
+
+
+def reference_rational(text):
+    """The rational reader the spec parser had before: ASCII digits, signs,
+    '.' and '/' only, then `fractions.Fraction`; None where it failed."""
+    if not set(text) <= set("0123456789+-./"):
+        return None
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestRationalReader:
+    def check(self, text):
+        want = reference_rational(text)
+        if want is None:
+            with pytest.raises(SpecSyntaxError, match="^line 7: bad rational"):
+                _fraction(text, 7)
+        else:
+            got = _fraction(text, 7)
+            assert type(got) is F and got == want
+
+    @given(
+        st.text("0123456789+-./", max_size=10)
+        | st.text("0123456789+-./e_ \u00b2\u0663", max_size=10)
+    )
+    def test_matches_fraction(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1/0", None), ("1.", F(1)), (".5", F(1, 2)), ("+.5", F(1, 2)),
+            ("1/-2", None), ("-6/4", F(-3, 2)), ("007.250", F(29, 4)), ("-0", F(0)),
+            (".", None), ("+", None), ("", None), ("1/2/3", None), ("1.5/2", None),
+            ("1e5", None), ("1_0", None), (" 1", None), ("1 / 2", None),
+        ],
+    )
+    def test_cases(self, text, value):
+        assert reference_rational(text) == value
+        self.check(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "1/-2", "1e5"])
+    def test_spec_error_names_the_line(self, text):
+        with pytest.raises(SpecSyntaxError, match="^line 3: bad rational"):
+            parse_spec(ALPHA1.replace("collapse0 = 0,1", f"form.domain = 0,{text}"))
 
 
 class TestReport:
@@ -613,6 +664,26 @@ class TestCliCost:
             assert main(["cut", spec]) == 0
             assert main(["invariants", spec, "--direction", "-1,1"]) == 0
         assert built == []
+
+    @pytest.mark.parametrize("command", ["check", "cut"])
+    def test_each_profile_decides_its_orientation_once(self, monkeypatch, command):
+        # parse_spec, the cut conditions and the tight tag's disk search all
+        # read the orientation; each profile computes it on first use only
+        decided = []
+        orientation = vars(AngleProfile)["orientation"]
+        func = orientation.func
+
+        def counting(phi):
+            decided.append(phi)  # kept alive, so ids are not reused
+            return func(phi)
+
+        monkeypatch.setattr(orientation, "func", counting)
+        for path in sorted(SPECS.glob("*.cut")):
+            decided.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, str(path)])
+            assert code == (3 if command == "cut" and path.stem == "line" else 0)
+            assert decided and len({id(phi) for phi in decided}) == len(decided)
 
     def test_homotopy_zero_positions_are_computed_once(self, monkeypatch):
         # the CLI renders each zero with str(point) and t_float(); both must

@@ -132,6 +132,22 @@ class TestValidation:
         (bad,) = validate_cutspec(CutSpec(InvariantContactForm.unit(phi), D(1, 1), D(1, 0)))
         assert bad.message == "moment of (1,1) at t=0 is 1, not zero"
 
+    @given(dirs(10**6), st.data())
+    def test_vanishing_moment_rule_matches_angle_difference(self, v, data):
+        # the rule it replaced: phi(end) - Arg(perp v) is a multiple of pi
+        def old_rule_vanishes(value, v):
+            rel = angle_sub(value, direction_angle(D(-v.y, v.x)))
+            return rel.dir.as_tuple() in ((1, 0), (-1, 0))
+
+        perp = D(-v.y, v.x)
+        d = data.draw(st.sampled_from([perp, -perp, v, -v]) | dirs(10**6), label="d")
+        turns = data.draw(st.integers(-3, 3), label="turns")
+        phi = AngleProfile((F(0), F(1)), (A(d, turns), A(d, turns + 1)))
+        spec = CutSpec(InvariantContactForm.unit(phi), v, v)
+        nonzero = {bad.end for bad in spec.violations if bad.code == "nonzero-boundary-moment"}
+        for end, value in enumerate(phi.values):
+            assert (end not in nonzero) == old_rule_vanishes(value, v)
+
     def test_domain_reparametrized_to_unit_interval(self):
         phi = AngleProfile((F(-1), F(3)), (A(D(1, 0)), A(D(0, 1), 1)))
         spec = CutSpec(InvariantContactForm.unit(phi), D(0, 1), D(1, 0))

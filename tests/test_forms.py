@@ -13,6 +13,7 @@ from toruscut import (
     Angle,
     AngleForm,
     AngleProfile,
+    BadBreakpoints,
     Direction,
     InvariantContactForm,
     NonMonotone,
@@ -154,24 +155,24 @@ def rational_in(lo, hi, q=840):
 class TestAngleProfile:
     def test_orientation_of_model_profiles(self):
         for k in range(6):
-            assert alpha_phi(k).orientation() == 1
-            assert alpha_phi(k).reversed().orientation() == -1
+            assert alpha_phi(k).orientation == 1
+            assert alpha_phi(k).reversed().orientation == -1
 
     def test_zero_slope_rejected(self):
         phi = AngleProfile((F(0), F(1), F(2)), (A(D(1, 0)), A(D(0, 1)), A(D(0, 1))))
         with pytest.raises(ZeroSlopeSegment):
-            phi.orientation()
+            phi.orientation
 
     def test_direction_change_rejected(self):
         phi = AngleProfile((F(0), F(1), F(2)), (A(D(1, 0)), A(D(0, 1)), A(D(1, 1))))
         with pytest.raises(NonMonotone):
-            phi.orientation()
+            phi.orientation
 
     def test_degenerate_interval(self):
         d = AngleProfile((F(0), F(0)), (A(D(1, 1)), A(D(1, 1))))
         assert d.is_degenerate
         with pytest.raises(ZeroSlopeSegment):
-            d.orientation()
+            d.orientation
         assert d.compare_at(F(0), A(D(1, 1))) == 0
 
     def test_eval_float_at_breakpoints(self):
@@ -238,7 +239,7 @@ class TestAngleProfile:
 
     @given(monotone_profiles())
     def test_reversed_swaps_orientation(self, phi):
-        assert phi.reversed().orientation() == -phi.orientation()
+        assert phi.reversed().orientation == -phi.orientation
         assert phi.reversed().reversed() == phi
 
     @given(monotone_profiles(), st.integers(0, 839))
@@ -299,7 +300,7 @@ def lattice_by_solving(phi, base):
     lo, hi = phi.value_bounds()
     j_min, j_max = ceil_half_turns(angle_sub(lo, base)), floor_half_turns(angle_sub(hi, base))
     hits = [(j, phi.solve(add_half_turns(base, j))) for j in range(j_min, j_max + 1)]
-    return hits[::-1] if phi.orientation() < 0 else hits
+    return hits[::-1] if phi.orientation < 0 else hits
 
 
 def reduce_by_solving(form, eta):
@@ -330,7 +331,7 @@ class TestSolveBisection:
     @settings(max_examples=150)
     def test_matches_linear_scan(self, phi, drawn):
         v = phi.values
-        step = NUDGE if phi.orientation() > 0 else negate(NUDGE)
+        step = NUDGE if phi.orientation > 0 else negate(NUDGE)
         inside = [angle_add(x, step) for x in v[:-1]] + [angle_sub(x, step) for x in v[1:]]
         outside = [angle_sub(v[0], step), angle_add(v[-1], step)]
         for target in (*v, *inside, *outside, drawn):
@@ -454,6 +455,25 @@ class TestRadialProfile:
         assert r.evaluate(F(2, 3)) == F(5, 2)
         assert abs(radial_float(r, 0.5) - 2.75) < 1e-15
 
+    @given(
+        st.fractions(max_denominator=9),
+        st.fractions(max_denominator=9),
+        st.fractions(max_denominator=9),
+    )
+    def test_constant_is_from_values(self, c, t0, t1):
+        # the same profile, or the same error, as two equal breakpoint values
+        def build(f):
+            try:
+                return f()
+            except (NonPositiveRadial, BadBreakpoints) as e:
+                return type(e), str(e)
+
+        direct = build(lambda: RadialProfile.constant(c, (t0, t1)))
+        assert direct == build(lambda: RadialProfile.from_values([t0, t1], [c, c]))
+        if isinstance(direct, RadialProfile):
+            assert direct.pieces == ((c, 0),) and direct.breaks == (t0, t1)
+            assert all(type(x) is F for x in (*direct.breaks, *direct.pieces[0]))
+
     def test_outside_domain(self):
         r = RadialProfile.constant(1, (0, 1))
         with pytest.raises(OutsideDomain):
@@ -531,6 +551,16 @@ class TestContactCheck:
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError):
             InvariantContactForm(alpha_phi(1), RadialProfile.constant(1, (0, 2)))
+
+    @pytest.mark.parametrize(
+        "last, error", [(A(D(1, 1)), NonMonotone), (A(D(0, 1)), ZeroSlopeSegment)]
+    )
+    def test_failure_raises_on_every_call(self, last, error):
+        phi = AngleProfile((F(0), F(1), F(2)), (A(D(1, 0)), A(D(0, 1)), last))
+        form = InvariantContactForm.unit(phi)
+        for _ in range(3):
+            with pytest.raises(error):
+                contact_check(form)
 
     @given(monotone_profiles())
     def test_contact_sign_is_sweep_sign(self, phi):
@@ -773,6 +803,15 @@ class TestValueTypes:
         monkeypatch.setattr(Angle, "pi_multiple", lambda a: calls.append(a) or pi_multiple(a))
         assert [p.t_fraction() for _, p in pts] == [F(1, 10), F(1, 2), F(9, 10)]
         assert calls == []
+
+    def test_t_beyond_float_range_has_no_float(self):
+        big, quarter = F(10**400), A(D(0, 1))
+        exact = ProfilePoint(0, F(0), 2 * big, A(D(1, 1)), quarter)  # t = big
+        irrational = ProfilePoint(0, big, 2 * big, A(D(1, 2)), quarter)
+        assert exact.t_fraction() == big and irrational.t_fraction() is None
+        assert exact.t_float() is None and irrational.t_float() is None
+        near = ProfilePoint(0, F(0), F(2), A(D(1, 1)), quarter)
+        assert near.t_float() == 1.0
 
     def test_exact_t_is_not_compared_hashed_or_shown(self):
         (_, walked), _, _ = alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))

@@ -75,6 +75,12 @@ def _cases() -> dict[str, list[str]]:
     for stem in ("huge_collapse", "huge_radial"):
         for sub in ("check", "cut"):
             cases[f"{sub}-{stem.replace('_', '-')}"] = [sub, f"tests/golden/{stem}.cut"]
+    # a 401-digit breakpoint: the exact t of a disk or a planar zero is
+    # beyond float range and is reported without a float
+    cases["overtwisted-huge-breaks"] = ["overtwisted", "tests/golden/huge_breaks.cut"]
+    cases["homotopy-huge-breaks"] = [
+        "homotopy", "tests/golden/huge_breaks.cut", "tests/golden/huge_breaks_partner.cut"
+    ]
     cases["help"] = ["--help"]
     for name in SUBCOMMANDS:
         cases[f"help-{name}"] = [name, "--help"]
