@@ -504,6 +504,8 @@ class RadialProfile:
             t = pt.t_fraction()
             if t is None:
                 t = pt.t_float()
+                if t is None:  # an irrational t is placed by its float
+                    raise OverflowError("a parameter is beyond float range")
             while i < last and b[i + 1] <= t:
                 i += 1
             if flat[i] is not None:
