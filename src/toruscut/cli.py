@@ -65,6 +65,8 @@ def _load(path: str, validate: bool) -> tuple[str, object]:
             text = fh.read()
     except OSError as e:
         raise _CliError(EXIT_SYNTAX, f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise _CliError(EXIT_SYNTAX, f"cannot read {path}: {e}")
     try:
         return text, parse_spec(text, validate=validate)
     except SpecSyntaxError as e:

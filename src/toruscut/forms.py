@@ -68,18 +68,10 @@ from .errors import (
 )
 
 Rational = Fraction | int
-_ZERO = Fraction(0)
 
 
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _fractions(ts: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """ts as a tuple of Fractions: ts itself when it is one already."""
-    if type(ts) is tuple and all(type(t) is Fraction for t in ts):
-        return ts
-    return tuple(map(_frac, ts))
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -172,20 +164,19 @@ class AngleProfile:
     values: tuple[Angle, ...]
 
     def __post_init__(self):
-        b, v = _fractions(self.breaks), tuple(self.values)
-        object.__setattr__(self, "breaks", b)
-        object.__setattr__(self, "values", v)
-        if len(b) < 2 or len(b) != len(v):
+        object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
+        object.__setattr__(self, "values", tuple(self.values))
+        if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
             raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
-        if len(b) == 2 and b[0] == b[1] and v[0] == v[1]:
-            return  # degenerate
-        # p/q < r/s by integer cross products, denominators being positive
-        p, q = b[0].numerator, b[0].denominator
-        for t in b[1:]:
-            r, s = t.numerator, t.denominator
-            if p * s >= r * q:
-                raise BadBreakpoints("breakpoints must be strictly ascending")
-            p, q = r, s
+        degenerate = (
+            len(self.breaks) == 2
+            and self.breaks[0] == self.breaks[1]
+            and self.values[0] == self.values[1]
+        )
+        if not degenerate:
+            for i in range(len(self.breaks) - 1):
+                if not self.breaks[i] < self.breaks[i + 1]:
+                    raise BadBreakpoints("breakpoints must be strictly ascending")
 
     # -- basic queries ---------------------------------------------------
 
@@ -437,7 +428,7 @@ class RadialProfile:
     pieces: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", _fractions(self.breaks))
+        object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
         object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
         if len(self.breaks) != len(self.pieces) + 1:
             raise ValueError("need exactly one piece per breakpoint gap")
@@ -461,13 +452,7 @@ class RadialProfile:
 
     @staticmethod
     def constant(c: Rational, domain: tuple[Rational, Rational]) -> "RadialProfile":
-        """r = c on the domain: one piece (c, 0), as `from_values` gives it."""
-        t0, t1, c = _frac(domain[0]), _frac(domain[1]), _frac(c)
-        if c <= 0:
-            raise NonPositiveRadial(t0, c)
-        if not t0 < t1:
-            raise BadBreakpoints("breakpoints must be strictly ascending")
-        return RadialProfile((t0, t1), ((c, _ZERO),))
+        return RadialProfile.from_values(list(domain), [c, c])
 
     @property
     def t0(self) -> Fraction:
@@ -589,9 +574,7 @@ class InvariantContactForm:
     radial: RadialProfile
 
     def __post_init__(self):
-        a, b = self.phi.breaks, self.radial.breaks
-        # tuples: their == tries identity first, and the ends are usually shared
-        if (a[0], a[-1]) != (b[0], b[-1]):
+        if (self.phi.t0, self.phi.t1) != (self.radial.t0, self.radial.t1):
             raise BadBreakpoints("phi and radial must share their domain")
 
     @property

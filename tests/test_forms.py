@@ -13,7 +13,6 @@ from toruscut import (
     Angle,
     AngleForm,
     AngleProfile,
-    BadBreakpoints,
     Direction,
     InvariantContactForm,
     NonMonotone,
@@ -454,25 +453,6 @@ class TestRadialProfile:
         assert r.evaluate(F(1, 6)) == 2
         assert r.evaluate(F(2, 3)) == F(5, 2)
         assert abs(radial_float(r, 0.5) - 2.75) < 1e-15
-
-    @given(
-        st.fractions(max_denominator=9),
-        st.fractions(max_denominator=9),
-        st.fractions(max_denominator=9),
-    )
-    def test_constant_is_from_values(self, c, t0, t1):
-        # the same profile, or the same error, as two equal breakpoint values
-        def build(f):
-            try:
-                return f()
-            except (NonPositiveRadial, BadBreakpoints) as e:
-                return type(e), str(e)
-
-        direct = build(lambda: RadialProfile.constant(c, (t0, t1)))
-        assert direct == build(lambda: RadialProfile.from_values([t0, t1], [c, c]))
-        if isinstance(direct, RadialProfile):
-            assert direct.pieces == ((c, 0),) and direct.breaks == (t0, t1)
-            assert all(type(x) is F for x in (*direct.breaks, *direct.pieces[0]))
 
     def test_outside_domain(self):
         r = RadialProfile.constant(1, (0, 1))

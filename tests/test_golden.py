@@ -70,6 +70,8 @@ def _cases() -> dict[str, list[str]]:
     ]
     # equal breakpoints and no radial line: the error names the phi line
     cases["check-equal-breaks"] = ["check", "tests/golden/equal_breaks.cut"]
+    # a spec that is not UTF-8 (a Latin-1 byte in a comment) is unreadable input
+    cases["check-not-utf8"] = ["check", "tests/golden/not_utf8.cut"]
     # a 401-digit collapse coordinate and a 401-digit radial value: the
     # boundary moment is beyond float range, reported without a float
     for stem in ("huge_collapse", "huge_radial"):
