@@ -103,7 +103,7 @@ class CutSpec:
     def __post_init__(self):
         object.__setattr__(self, "v0", _dir(self.v0))
         object.__setattr__(self, "v1", _dir(self.v1))
-        if self.form.domain != (Fraction(0), Fraction(1)):
+        if self.form.domain != (0, 1):
             object.__setattr__(self, "form", self.form.reparametrized(0, 1))
         object.__setattr__(self, "violations", _violations(self))
 

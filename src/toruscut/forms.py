@@ -412,6 +412,27 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, .
     return tuple(out)
 
 
+_ZERO = Fraction(0)
+
+
+def _radial_values(
+    breaks: Sequence[Rational], values: Sequence[Rational]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """breaks and values as Fractions, checked for a radial profile: as many
+    of each, at least two, every value positive, breaks strictly ascending."""
+    breaks = tuple(map(_frac, breaks))
+    values = tuple(map(_frac, values))
+    if len(breaks) != len(values) or len(breaks) < 2:
+        raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
+    for t, v in zip(breaks, values):
+        if v <= 0:
+            raise NonPositiveRadial(t, v)
+    for i in range(len(breaks) - 1):
+        if not breaks[i] < breaks[i + 1]:
+            raise BadBreakpoints("breakpoints must be strictly ascending")
+    return breaks, values
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Positive piecewise polynomial r(t) with rational coefficients.
@@ -435,24 +456,19 @@ class RadialProfile:
 
     @staticmethod
     def from_values(breaks: Sequence[Rational], values: Sequence[Rational]) -> "RadialProfile":
-        breaks = [_frac(t) for t in breaks]
-        values = [_frac(v) for v in values]
-        if len(breaks) != len(values) or len(breaks) < 2:
-            raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
-        for t, v in zip(breaks, values):
-            if v <= 0:
-                raise NonPositiveRadial(t, v)
-        pieces = []
-        for i in range(len(breaks) - 1):
-            span = breaks[i + 1] - breaks[i]
-            if span <= 0:
-                raise BadBreakpoints("breakpoints must be strictly ascending")
-            pieces.append((values[i], (values[i + 1] - values[i]) / span))
-        return RadialProfile(tuple(breaks), tuple(pieces))
+        breaks, values = _radial_values(breaks, values)
+        pieces = tuple(
+            (values[i], (values[i + 1] - values[i]) / (breaks[i + 1] - breaks[i]))
+            for i in range(len(breaks) - 1)
+        )
+        return RadialProfile(breaks, pieces)
 
     @staticmethod
     def constant(c: Rational, domain: tuple[Rational, Rational]) -> "RadialProfile":
-        return RadialProfile.from_values(list(domain), [c, c])
+        """r = c on the domain: `from_values` with two equal values, whose
+        one piece (c, 0) needs no slope arithmetic."""
+        breaks, (c, _) = _radial_values(domain, (c, c))
+        return RadialProfile(breaks, ((c, _ZERO),))
 
     @property
     def t0(self) -> Fraction:
