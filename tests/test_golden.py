@@ -83,6 +83,27 @@ def _cases() -> dict[str, list[str]]:
     cases["homotopy-huge-breaks"] = [
         "homotopy", "tests/golden/huge_breaks.cut", "tests/golden/huge_breaks_partner.cut"
     ]
+    # the ray count at the arc ends of lens21_j1 and at their negatives, on
+    # a non-primitive direction, and on the zero vector (exit 3)
+    for direction in ("1,0", "-1,0", "2,1", "-2,-1", "4,-2"):
+        label = direction.replace("-", "m").replace(",", "_")
+        for fmt in ("text", "json"):
+            cases[f"invariants-lens21_j1-along-{label}-{fmt}"] = [
+                "invariants", "specs/lens21_j1.cut", "--direction", direction, "--format", fmt
+            ]
+    cases["invariants-lens21_j1-along-zero"] = [
+        "invariants", "specs/lens21_j1.cut", "--direction", "0,0"
+    ]
+    # a sphere cut sweeping 10^20 whole turns, and a bare form whose profile
+    # starts and ends on one direction (a single arc of a full turn)
+    for fmt in ("text", "json"):
+        cases[f"profile-turns-{fmt}"] = ["profile", "tests/golden/turns.cut", "--format", fmt]
+        cases[f"invariants-turns-{fmt}"] = [
+            "invariants", "tests/golden/turns.cut", "--direction", "-1,1", "--format", fmt
+        ]
+        cases[f"profile-one-direction-{fmt}"] = [
+            "profile", "tests/golden/one_direction.cut", "--format", fmt
+        ]
     cases["help"] = ["--help"]
     for name in SUBCOMMANDS:
         cases[f"help-{name}"] = [name, "--help"]
