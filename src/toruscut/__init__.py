@@ -19,11 +19,9 @@ from .angles import (
     angle_compare,
     angle_sub,
     ceil_half_turns,
-    count_lattice,
     direction_angle,
     floor_half_turns,
     format_angle,
-    is_zero,
     parse_angle,
 )
 from .errors import (

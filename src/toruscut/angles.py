@@ -245,10 +245,6 @@ def add_turns(a: Angle, n: int) -> Angle:
     return Angle(a.dir, a.turns + n)
 
 
-def is_zero(a: Angle) -> bool:
-    return a.dir == UNIT_X and a.turns == 0
-
-
 def floor_half_turns(a: Angle, q: int = 1) -> int:
     """floor(value / (q*pi)) for q >= 1, exactly: floor(floor(value/pi) / q).
 
@@ -268,15 +264,6 @@ def ceil_half_turns(a: Angle, q: int = 1) -> int:
 def _lattice_bounds(theta: Angle, lo: Angle, hi: Angle, q: int = 1) -> tuple[int, int]:
     """Least and greatest j with theta + j*q*pi in [lo, hi]; none if j_min > j_max."""
     return ceil_half_turns(angle_sub(lo, theta), q), floor_half_turns(angle_sub(hi, theta), q)
-
-
-def count_lattice(theta: Angle, a0: Angle, a1: Angle) -> int:
-    """Number of representatives theta + 2*pi*m inside the closed interval
-    [a0, a1] of angle values.  Requires a0 <= a1.  Endpoints count."""
-    if angle_compare(a0, a1) > 0:
-        raise ValueError("count_lattice needs a0 <= a1")
-    lo, hi = _lattice_bounds(theta, a0, a1, 2)
-    return max(0, hi - lo + 1)
 
 
 # The eight primitive directions whose argument is a rational multiple of pi

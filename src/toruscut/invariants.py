@@ -1,25 +1,25 @@
 """Equivariant invariants of cut spaces and their certificates.
 
 The central invariant counts connected components of the preimage of an
-open ray under the torus moment map.  For a cut datum this is a lattice
-count: the ray through xi meets the moment image once for every angle
-congruent to Arg(xi) mod 2 pi inside the swept interval [phi(0), phi(1)],
-and each hit is one component (a torus at interior parameters, a circle
-at a collapsed boundary).  Everything here is therefore derived from
-exact angle arithmetic; no invariant ever depends on the radial profile.
+open ray under the torus moment map.  The ray through xi meets the moment
+image once for every angle congruent to Arg(xi) mod 2 pi inside the swept
+interval [lo, hi] of phi, and each hit is one component (a torus at
+interior parameters, a circle at a collapsed boundary).  No invariant
+therefore depends on the radial profile, and the count is q plus one arc
+test: q is the number of whole turns swept (the difference of the end
+turn counts, less one if the principal arguments wrap), and the count is
+q + 1 exactly when the ray lies on the closed counterclockwise arc from
+lo's direction to hi's, decided by signs of integer cross products.  Each
+datum is read once for q and the two directions (`_side`), so no count
+costs more for more turns.
 
-cc_profile packages the whole function xi -> count: it is constant on the
-two arcs cut out by the endpoint directions, taking values q and q + 1
-with q the number of whole turns swept.  distinguish reads each datum
-once, for q (the difference of the end turn counts, less one if the
-principal arguments wrap) and the two endpoint directions, and then reads
-the count along any ray as q plus one arc test (the ray lies on the
-closed counterclockwise arc from one endpoint direction to the other),
-decided by signs of integer cross products; its cost does not depend on
-turn counts.  It searches the candidate rays for directions witnessing that
-two cut data cannot be matched by an equivariant contactomorphism (in
-either orientation of the ray), or compares the relabeling-invariant
-summary (min, max) when torus automorphisms are allowed.
+cc_count is one such count and cc_profile the whole function xi -> count,
+constant q + 1 and q on the two arcs cut out by the endpoint directions.
+distinguish reads both data once and searches the candidate rays for
+directions witnessing that two cut data cannot be matched by an
+equivariant contactomorphism (in either orientation of the ray), or
+compares the relabeling-invariant summary (min, max) when torus
+automorphisms are allowed.
 
 detect_overtwisted locates the standard disk family: as soon as the sweep
 strictly exceeds pi, the parameter t* where phi has advanced by exactly pi
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import (
+    FULL_TURN,
     Angle,
     AngleForm,
     Direction,
@@ -45,11 +46,7 @@ from .angles import (
     add_turns,
     angle_compare,
     angle_sub,
-    count_lattice,
     cross,
-    direction_angle,
-    floor_half_turns,
-    is_zero,
 )
 from .cuts import CutSpec, require_valid
 from .errors import DomainMismatch, EndpointMismatch
@@ -118,59 +115,6 @@ class CCProfile:
     swept: Angle
 
 
-def cc_count(spec, xi) -> int:
-    """Components of the preimage of the open ray through xi.
-
-    One lattice count: solutions of phi(t) = Arg(xi) mod 2 pi over the
-    closed parameter interval, both endpoints included.
-    """
-    phi = _phi_of(spec)
-    lo, hi = phi.value_bounds()
-    return count_lattice(direction_angle(xi), lo, hi)
-
-
-def cc_profile(spec) -> CCProfile:
-    """The count as a function of the ray, as exact arcs."""
-    phi = _phi_of(spec)
-    lo, hi = phi.value_bounds()
-    swept = angle_sub(hi, lo)
-    q = floor_half_turns(swept, 2)
-    c_lo = Angle(lo.dir)
-    c_hi = Angle(hi.dir)
-    rho = angle_sub(c_hi, c_lo)
-    if angle_compare(rho, ZERO_ANGLE) < 0:
-        rho = add_turns(rho, 1)
-    if is_zero(rho):
-        arcs = (Arc(c_lo, c_lo, add_turns(ZERO_ANGLE, 1), q),)
-    else:
-        arcs = (
-            Arc(c_lo, c_hi, rho, q + 1),
-            Arc(c_hi, c_lo, angle_sub(add_turns(ZERO_ANGLE, 1), rho), q),
-        )
-    return CCProfile(arcs=arcs, min_count=q, max_count=q + 1, swept=swept)
-
-
-@dataclass(frozen=True)
-class DistinguishWitness:
-    """Directions certifying two cut data carry different invariants.
-
-    In fixed-action mode both fields are set: counts differ along xi_plus,
-    and along xi_minus with the second datum's ray negated (the two
-    orientation cases an equivariant map could induce).  In
-    modulo-GL2Z mode the comparison is between the relabeling-invariant
-    summaries (min, max); xi_plus records one direction realizing the
-    difference and xi_minus is None.
-    """
-
-    mode: str
-    xi_plus: Direction
-    counts_plus: tuple[int, int]
-    xi_minus: Direction | None
-    counts_minus: tuple[int, int] | None
-    summary_a: tuple[int, int]
-    summary_b: tuple[int, int]
-
-
 def _side(spec) -> tuple[int, Direction, Direction]:
     """(q, lo.dir, hi.dir): the whole turns q swept over [lo, hi], and the
     ends of the closed counterclockwise arc of rays whose count is q + 1.
@@ -194,6 +138,52 @@ def _arc_count(side, xi: Direction) -> int:
     # a longer one their union
     on = (ax and xb) if cross(a, b) >= 0 else (ax or xb)
     return q + 1 if on else q
+
+
+def cc_count(spec, xi) -> int:
+    """Components of the preimage of the open ray through xi (a Direction
+    or an integer pair, reduced to primitive form): the whole turns q, plus
+    one when xi lies on the closed arc between the endpoint directions."""
+    side = _side(spec)
+    return _arc_count(side, xi if isinstance(xi, Direction) else Direction.reduced(*xi))
+
+
+def cc_profile(spec) -> CCProfile:
+    """The count as a function of the ray, as exact arcs: q + 1 on the
+    closed counterclockwise arc from a to b, q on the rest, with (q, a, b)
+    the side of the datum.  When a == b the partial arc is the single
+    direction a, and the one arc listed is the full turn at count q."""
+    q, a, b = _side(spec)
+    start, end = Angle(a), Angle(b)
+    rho = angle_sub(end, start)  # the partial arc, in [0, 2pi)
+    if angle_compare(rho, ZERO_ANGLE) < 0:
+        rho = add_turns(rho, 1)
+    if a == b:
+        arcs = (Arc(start, start, FULL_TURN, q),)
+    else:
+        arcs = (Arc(start, end, rho, q + 1), Arc(end, start, angle_sub(FULL_TURN, rho), q))
+    return CCProfile(arcs=arcs, min_count=q, max_count=q + 1, swept=add_turns(rho, q))
+
+
+@dataclass(frozen=True)
+class DistinguishWitness:
+    """Directions certifying two cut data carry different invariants.
+
+    In fixed-action mode both fields are set: counts differ along xi_plus,
+    and along xi_minus with the second datum's ray negated (the two
+    orientation cases an equivariant map could induce).  In
+    modulo-GL2Z mode the comparison is between the relabeling-invariant
+    summaries (min, max); xi_plus records one direction realizing the
+    difference and xi_minus is None.
+    """
+
+    mode: str
+    xi_plus: Direction
+    counts_plus: tuple[int, int]
+    xi_minus: Direction | None
+    counts_minus: tuple[int, int] | None
+    summary_a: tuple[int, int]
+    summary_b: tuple[int, int]
 
 
 def _critical_directions(*sides):

@@ -16,7 +16,6 @@ from toruscut.angles import (
     angle_compare,
     angle_sub,
     ceil_half_turns,
-    count_lattice,
     direction_angle,
     floor_half_turns,
     format_angle,
@@ -26,6 +25,21 @@ from toruscut.angles import (
 from toruscut.errors import NonPrimitive, ZeroVector
 
 A = lambda x, y, n=0: Angle(Direction(x, y), n)
+
+
+def count_lattice(theta, a0, a1):
+    """Number of representatives theta + 2*pi*m inside the closed interval
+    [a0, a1] of angle values.  Requires a0 <= a1.  Endpoints count.
+
+    The ray count as one lattice count, checked against brute force in
+    TestCountLattice; tests/test_classification.py builds its reference
+    cc_count and cc_profile on it.
+    """
+    if angle_compare(a0, a1) > 0:
+        raise ValueError("count_lattice needs a0 <= a1")
+    lo = ceil_half_turns(angle_sub(a0, theta), 2)
+    hi = floor_half_turns(angle_sub(a1, theta), 2)
+    return max(0, hi - lo + 1)
 
 
 def dirs(max_coord=9):

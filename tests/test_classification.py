@@ -13,6 +13,8 @@ from toruscut import angles, cuts, invariants
 from toruscut import (
     Angle,
     AngleProfile,
+    Arc,
+    CCProfile,
     CutSpec,
     Direction,
     DistinguishWitness,
@@ -41,8 +43,10 @@ from toruscut import (
     validate_cutspec,
 )
 from toruscut.cli import _LENS_TABLE
+from toruscut.errors import ZeroVector
 
 from float_reference import phi_float
+from test_angles import count_lattice
 
 A = Angle
 D = Direction
@@ -306,28 +310,53 @@ def reference_candidates(*specs):
     return sorted(out, key=A)
 
 
+def reference_cc_count(spec, xi):
+    """The ray count as one lattice count: the representatives of Arg(xi)
+    mod 2 pi in the swept interval [lo, hi], both ends included."""
+    lo, hi = invariants._phi_of(spec).value_bounds()
+    return count_lattice(angles.direction_angle(xi), lo, hi)
+
+
+def reference_cc_profile(spec):
+    """The count profile read off the sweep: q = floor(sweep / 2 pi) whole
+    turns, and the partial arc rho from lo's direction to hi's."""
+    lo, hi = invariants._phi_of(spec).value_bounds()
+    swept = angles.angle_sub(hi, lo)
+    q = angles.floor_half_turns(swept, 2)
+    c_lo, c_hi = A(lo.dir), A(hi.dir)
+    rho = angles.angle_sub(c_hi, c_lo)
+    if angle_compare(rho, angles.ZERO_ANGLE) < 0:
+        rho = add_turns(rho, 1)
+    full = add_turns(angles.ZERO_ANGLE, 1)
+    if rho == angles.ZERO_ANGLE:
+        arcs = (Arc(c_lo, c_lo, full, q),)
+    else:
+        arcs = (Arc(c_lo, c_hi, rho, q + 1), Arc(c_hi, c_lo, angles.angle_sub(full, rho), q))
+    return CCProfile(arcs=arcs, min_count=q, max_count=q + 1, swept=swept)
+
+
 def reference_distinguish(a, b, mode):
     """The enumerating algorithm: full count profiles and one lattice count
     per candidate ray."""
-    pa, pb = cc_profile(a), cc_profile(b)
+    pa, pb = reference_cc_profile(a), reference_cc_profile(b)
     sa, sb = (pa.min_count, pa.max_count), (pb.min_count, pb.max_count)
     if mode == MODE_GL2Z:
         if sa == sb:
             return None
         for xi in reference_candidates(a, b):
-            ca, cb = cc_count(a, xi), cc_count(b, xi)
+            ca, cb = reference_cc_count(a, xi), reference_cc_count(b, xi)
             if ca != cb:
                 return DistinguishWitness(mode, xi, (ca, cb), None, None, sa, sb)
         return None
     plus = minus = None
     for xi in reference_candidates(a, b):
-        ca = cc_count(a, xi)
+        ca = reference_cc_count(a, xi)
         if plus is None:
-            cb = cc_count(b, xi)
+            cb = reference_cc_count(b, xi)
             if ca != cb:
                 plus = (xi, (ca, cb))
         if minus is None:
-            cbn = cc_count(b, -xi)
+            cbn = reference_cc_count(b, -xi)
             if ca != cbn:
                 minus = (xi, (ca, cbn))
         if plus and minus:
@@ -343,8 +372,8 @@ def assert_matches_reference(a, b):
     assert candidates == reference_candidates(a, b)
     for spec, side in zip((a, b), sides):
         for xi in candidates:
-            assert invariants._arc_count(side, xi) == cc_count(spec, xi)
-            assert invariants._arc_count(side, -xi) == cc_count(spec, -xi)
+            assert invariants._arc_count(side, xi) == reference_cc_count(spec, xi)
+            assert invariants._arc_count(side, -xi) == reference_cc_count(spec, -xi)
 
 
 def wide_dirs():
@@ -416,17 +445,24 @@ class TestDistinguishMatchesEnumeration:
 
     def test_reads_each_side_once(self, monkeypatch):
         # one value_bounds and one _arg_compare per side for q; no angle
-        # arithmetic, no count profile, no lattice count
+        # arithmetic and no count profile in distinguish or cc_count, and no
+        # floor of a sweep in cc_profile either
         calls = Counter()
-        for name in (
-            "cc_profile", "cc_count", "count_lattice", "angle_sub", "_arg_compare"
-        ):
 
-            def counted(*args, name=name, original=getattr(invariants, name)):
+        def count(module, name):
+            def counted(*args, original=getattr(module, name)):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(invariants, name, counted)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("cc_profile", "cc_count", "_arg_compare"):
+            count(invariants, name)
+        # wherever a module refers to them, angles' own helpers included
+        for name in ("angle_sub", "floor_half_turns"):
+            for module in (angles, invariants):
+                if hasattr(module, name):
+                    count(module, name)
         huge, skew = alpha_cutspec(10**30), minimal_valid_cutspec((3, -5), (7, 2))
         standard_ends = [
             (alpha_cutspec(1), alpha_cutspec(2)),
@@ -438,7 +474,7 @@ class TestDistinguishMatchesEnumeration:
                 calls.clear()
                 distinguish(a, b, mode)
                 assert calls["cc_profile"] == calls["cc_count"] == 0
-                assert calls["count_lattice"] == calls["angle_sub"] == 0
+                assert calls["angle_sub"] == calls["floor_half_turns"] == 0
                 if (a, b) in standard_ends:
                     assert calls["_arg_compare"] == 2  # the two q, no ring scan
                 else:
@@ -446,6 +482,14 @@ class TestDistinguishMatchesEnumeration:
                     # four scans, of a ring of 8, 9, 10 and 11 directions at
                     # most (22 calls today)
                     assert calls["_arg_compare"] <= 2 + 8 + 9 + 10 + 11
+        for spec in (alpha_cutspec(1), huge, skew):
+            calls.clear()
+            for xi in ((1, 0), (4, -2), D(-1, 1), D(7, 2)):
+                invariants.cc_count(spec, xi)
+            assert calls["angle_sub"] == calls["floor_half_turns"] == 0
+            calls.clear()
+            invariants.cc_profile(spec)
+            assert calls["floor_half_turns"] == 0
 
     @given(
         st.one_of(st.just(angles.NEG_X), wide_dirs()),
@@ -469,6 +513,65 @@ class TestDistinguishMatchesEnumeration:
         }
         for d, e in zip(ring, ring[1:]):
             assert angles._arg_compare(d, e) < 0
+
+
+def xis():
+    """Rays as Directions or as integer pairs, primitive or not."""
+    coord = st.one_of(st.integers(-4, 4), st.integers(-(2**63), 2**63))
+    pairs = st.tuples(coord, coord).filter(lambda v: v != (0, 0))
+    return st.one_of(wide_dirs(), pairs)
+
+
+class TestCountsMatchLatticeReference:
+    """cc_count and cc_profile read the whole turns and an arc test off the
+    side; the reference counts lattice points in the swept interval."""
+
+    @staticmethod
+    def check(spec, xi):
+        prof, ref = cc_profile(spec), reference_cc_profile(spec)
+        assert prof.arcs == ref.arcs
+        assert (prof.min_count, prof.max_count) == (ref.min_count, ref.max_count)
+        assert prof.swept == ref.swept
+        lo, hi = invariants._phi_of(spec).value_bounds()
+        ends = [lo.dir, hi.dir, -lo.dir, -hi.dir]
+        scaled = [(3 * d.x, 3 * d.y) for d in ends]
+        for ray in [xi, (4, -2), *ends, *scaled, *(d.as_tuple() for d in ends)]:
+            assert cc_count(spec, ray) == reference_cc_count(spec, ray)
+
+    @settings(max_examples=200)
+    @given(valid_cut_data(), xis())
+    def test_valid_cut_data(self, spec, xi):
+        self.check(spec, xi)
+
+    @settings(max_examples=200)
+    @given(bare_profiles(), xis())
+    def test_bare_forms_and_profiles(self, phi, xi):
+        self.check(phi, xi)
+
+    @given(wide_dirs(), many_turns(), st.integers(0, 3), st.booleans(), xis())
+    def test_one_direction_arcs(self, d, turns, extra, reverse, xi):
+        start, end = A(d, turns), A(d, turns + 1 + extra)
+        phi = AngleProfile((F(0), F(1)), (end, start) if reverse else (start, end))
+        self.check(phi, xi)
+        assert len(cc_profile(phi).arcs) == 1
+
+    @given(wide_dirs(), many_turns(), xis())
+    def test_degenerate_profile(self, d, turns, xi):
+        a = A(d, turns)
+        self.check(AngleProfile((F(1, 2), F(1, 2)), (a, a)), xi)
+
+    def test_paper_families(self):
+        specs = [alpha_cutspec(k) for k in (0, 1, 2, 10**30)]
+        specs += [lens_cutspec(k, l, j) for k, l in _LENS_TABLE for j in (1, 2, 10**30)]
+        for spec in specs:
+            self.check(spec, (-1, 1))
+
+    def test_invalid_spec_raises_before_zero_ray(self):
+        bad = CutSpec(alpha_form(1), D(1, 0), D(1, 0))
+        with pytest.raises(InvalidCutSpec):
+            cc_count(bad, (0, 0))
+        with pytest.raises(ZeroVector):
+            cc_count(alpha_cutspec(1), (0, 0))
 
 
 class TestRescaleInvariance:
