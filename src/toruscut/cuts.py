@@ -143,14 +143,15 @@ class ReducedCircle:
     exact value phi(t*), and point the exact parameter description.  The
     reduced 1-form on the quotient circle is coefficient * dv in the
     coordinate v dual to the recorded complement of eta; the coefficient
-    is (-1)^(j+1) r(t*) / |eta|, never zero.
+    is (-1)^(j+1) r(t*) / |eta|, never zero, as a float, or None when r(t*)
+    or |eta| is beyond float range.
     """
 
     index: int
     angle: Angle
     point: ProfilePoint
     sign: int
-    coefficient: float
+    coefficient: float | None
     complement: Direction
 
 
@@ -262,7 +263,10 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     contact_check(form)
     base = direction_angle(eta.perp())
     zeta = complement_vector(eta)
-    mag = math.hypot(eta.x, eta.y)
+    try:
+        mag = math.hypot(eta.x, eta.y)
+    except OverflowError:
+        mag = None
     hits = form.phi.solve_half_turn_lattice(base)
     radii = form.radial.floats_along(pt for _, pt in hits)
     out = []
@@ -274,7 +278,8 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
                 angle=add_half_turns(base, j),
                 point=pt,
                 sign=sign,
-                coefficient=sign * r / mag,
+                # no float when r(t*) or |eta| is beyond float range
+                coefficient=None if r is None or mag is None else sign * r / mag,
                 complement=zeta,
             )
         )

@@ -74,6 +74,15 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _float(x) -> float | None:
+    """x as a float, or None beyond float range."""
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _literal(a: Angle | AngleForm) -> str:
     return format_angle(a) if isinstance(a, Angle) else str(a)
 
@@ -146,7 +155,7 @@ class ProfilePoint:
 
 
 class MomentValue(NamedTuple):
-    value: float
+    value: float | None  # None beyond float range
     sign: int  # exact: -1, 0, +1
 
 
@@ -485,8 +494,9 @@ class RadialProfile:
         i = min(bisect_right(self.breaks, t) - 1, len(self.pieces) - 1)
         return _poly_eval(self.pieces[i], t - self.breaks[i])
 
-    def floats_along(self, points: Iterable[ProfilePoint]) -> list[float]:
-        """float(r(t)) at each point of a sequence ascending in t.
+    def floats_along(self, points: Iterable[ProfilePoint]) -> list[float | None]:
+        """float(r(t)) at each point of a sequence ascending in t, or None
+        where r(t) is beyond float range.
 
         At an exact t it is float(`evaluate`(t)) bit for bit; at an
         irrational t, the float Horner sum of the piece's coefficients at
@@ -496,10 +506,11 @@ class RadialProfile:
         that piece is constant, no point's t is read at all.
         """
         b, pieces = self.breaks, self.pieces
-        flat = [float(p[0]) if not any(p[1:]) else None for p in pieces]
+        # ... marks a piece that is not constant
+        flat = [_float(p[0]) if not any(p[1:]) else ... for p in pieces]
         i, last, out = 0, len(pieces) - 1, []
         for pt in points:
-            if i == last and flat[i] is not None:
+            if i == last and flat[i] is not ...:
                 out.append(flat[i])
                 continue
             t = pt.t_fraction()
@@ -509,15 +520,18 @@ class RadialProfile:
                     raise OverflowError("a parameter is beyond float range")
             while i < last and b[i + 1] <= t:
                 i += 1
-            if flat[i] is not None:
+            if flat[i] is not ...:
                 out.append(flat[i])
             elif isinstance(t, Fraction):
-                out.append(float(_poly_eval(pieces[i], t - b[i])))
+                out.append(_float(_poly_eval(pieces[i], t - b[i])))
             else:
-                u, acc = t - float(b[i]), 0.0
-                for c in reversed(pieces[i]):
-                    acc = acc * u + float(c)
-                out.append(acc)
+                try:
+                    u, acc = t - float(b[i]), 0.0
+                    for c in reversed(pieces[i]):
+                        acc = acc * u + float(c)
+                except OverflowError:
+                    acc = math.inf
+                out.append(_float(acc))
         return out
 
     def breakpoint_values(self) -> tuple[Fraction, ...]:
@@ -648,9 +662,10 @@ def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     """Moment of the torus element eta = (m, n) at rational t.
 
     Returns the float value together with the exact sign; the value is
-    snapped to 0.0 when the sign is provably zero.  The float is taken of
-    phi(t) with its whole turns dropped exactly, so it keeps its accuracy
-    however many turns the profile sweeps.
+    snapped to 0.0 when the sign is provably zero, and is None when it is
+    beyond float range.  The float is taken of phi(t) with its whole turns
+    dropped exactly, so it keeps its accuracy however many turns the
+    profile sweeps.
     """
     m, n = eta
     if (m, n) == (0, 0):
@@ -659,10 +674,13 @@ def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     sign = moment_sign(form, (m, n), t)
     if sign == 0:
         return MomentValue(0.0, 0)
-    r = float(form.radial.evaluate(t))
     f = form.phi.form_at(t)
     a = AngleForm._normal(f.terms, f.r % 2).value()
-    return MomentValue(r * (m * math.cos(a) + n * math.sin(a)), sign)
+    try:
+        value = float(form.radial.evaluate(t)) * (m * math.cos(a) + n * math.sin(a))
+    except OverflowError:
+        value = math.inf
+    return MomentValue(_float(value), sign)
 
 
 def rescale(form: InvariantContactForm, radial2: RadialProfile) -> InvariantContactForm:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .angles import Direction, _lattice_bounds, direction_angle
 from .cuts import CutSpec, require_valid
-from .forms import InvariantContactForm, moment_eval, moment_sign
+from .forms import InvariantContactForm, _float, moment_eval, moment_sign
 
 
 def _pair(eta) -> tuple[int, int]:
@@ -33,12 +33,13 @@ def sympl_moment_sign(form: InvariantContactForm, eta, t) -> int:
     return -moment_sign(form, _pair(eta), t)
 
 
-def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float:
-    """Psi_eta(t, s) = -e^s f_eta(t), exactly zero where the contact moment is."""
+def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float | None:
+    """Psi_eta(t, s) = -e^s f_eta(t), exactly zero where the contact moment
+    is, and None where f_eta(t) or the product is beyond float range."""
     value, sign = moment_eval(form, _pair(eta), t)
     if sign == 0:
         return 0.0
-    return -math.exp(s) * value
+    return None if value is None else _float(-math.exp(s) * value)
 
 
 @dataclass(frozen=True)

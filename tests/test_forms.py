@@ -733,6 +733,49 @@ class TestExactPhi:
         assert moment_sign(InvariantContactForm.unit(phi), (d.y, -d.x), t) == -want
 
 
+class TestBeyondFloatRange:
+    """A float beyond float range is None; the exact parts stay."""
+
+    def test_constant_radial_of_401_digits(self):
+        form = InvariantContactForm(alpha_phi(1), RadialProfile.constant(10**400, (0, 1)))
+        circles = contact_reduce(form, (0, 1))
+        unit = contact_reduce(InvariantContactForm.unit(alpha_phi(1)), (0, 1))
+        assert [c.coefficient for c in circles] == [None] * len(unit)
+        assert [(c.index, c.point, c.sign) for c in circles] == [
+            (c.index, c.point, c.sign) for c in unit
+        ]
+        assert moment_eval(form, (0, 1), F(1, 3)) == (None, 1)
+        assert sympl_moment_eval(form, (0, 1), F(1, 3), 0.5) is None
+        # an exact zero of the moment keeps its 0.0
+        assert moment_eval(form, (0, 1), 0) == (0.0, 0)
+        assert sympl_moment_eval(form, (0, 1), 0, 0.5) == 0.0
+
+    def test_affine_radial_reaching_401_digits(self):
+        form = InvariantContactForm(
+            alpha_phi(1), RadialProfile.from_values([0, 1], [1, 10**400])
+        )
+        # t = 0 is exact with r = 1; the other hits are beyond float range,
+        # at exact and at irrational t
+        unit = contact_reduce(InvariantContactForm.unit(alpha_phi(1)), (0, 1))
+        got = [c.coefficient for c in contact_reduce(form, (0, 1))]
+        assert got == [unit[0].coefficient, None, None]
+        assert [c.coefficient for c in contact_reduce(form, (2, 1))] == [None, None]
+
+    def test_eta_of_401_digits(self):
+        form = InvariantContactForm.unit(alpha_phi(1))
+        eta = (10**400, 1)
+        circles = contact_reduce(form, eta)
+        assert circles and all(c.coefficient is None for c in circles)
+        value, sign = moment_eval(form, eta, F(1, 3))
+        assert value is None and sign == moment_sign(form, eta, F(1, 3)) != 0
+
+    def test_floats_along_constant_piece(self):
+        r = RadialProfile.from_values([0, F(1, 2), 1], [10**400, 10**400, 2])
+        quarter = A(D(0, 1))
+        pts = [ProfilePoint(0, t, t, quarter, quarter) for t in (F(1, 4), F(3, 4), F(1))]
+        assert r.floats_along(pts) == [None, None, 2.0]
+
+
 class TestRescale:
     @given(monotone_profiles(), st.integers(0, 839))
     @settings(max_examples=60)
