@@ -365,7 +365,7 @@ class AngleProfile:
         new_lo, new_hi = _frac(new_lo), _frac(new_hi)
         span, new_span = self.t1 - self.t0, new_hi - new_lo
         if span == 0 or new_span <= 0:
-            raise ValueError("reparametrization needs nondegenerate domains")
+            raise BadBreakpoints("reparametrization needs nondegenerate domains")
         return AngleProfile(
             tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks),
             self.values,
@@ -461,7 +461,7 @@ class RadialProfile:
         object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
         object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
         if len(self.breaks) != len(self.pieces) + 1:
-            raise ValueError("need exactly one piece per breakpoint gap")
+            raise BadBreakpoints("need exactly one piece per breakpoint gap")
 
     @staticmethod
     def from_values(breaks: Sequence[Rational], values: Sequence[Rational]) -> "RadialProfile":
@@ -549,7 +549,7 @@ class RadialProfile:
     def multiply(self, other: "RadialProfile") -> "RadialProfile":
         """Exact pointwise product; domains must coincide."""
         if (self.t0, self.t1) != (other.t0, other.t1):
-            raise ValueError("radial profiles must share their domain")
+            raise BadBreakpoints("radial profiles must share their domain")
         a = self.refined(other.breaks)
         b = other.refined(self.breaks)
         return RadialProfile(
@@ -571,7 +571,7 @@ class RadialProfile:
         new_lo, new_hi = _frac(new_lo), _frac(new_hi)
         span, new_span = self.t1 - self.t0, new_hi - new_lo
         if span == 0 or new_span <= 0:
-            raise ValueError("reparametrization needs nondegenerate domains")
+            raise BadBreakpoints("reparametrization needs nondegenerate domains")
         rate = span / new_span
         breaks = tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks)
         pieces = tuple(

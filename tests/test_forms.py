@@ -13,6 +13,7 @@ from toruscut import (
     Angle,
     AngleForm,
     AngleProfile,
+    BadBreakpoints,
     Direction,
     InvariantContactForm,
     NonMonotone,
@@ -453,6 +454,21 @@ class TestRadialProfile:
         assert r.evaluate(F(1, 6)) == 2
         assert r.evaluate(F(2, 3)) == F(5, 2)
         assert abs(radial_float(r, 0.5) - 2.75) < 1e-15
+
+    def test_domain_and_piece_checks_are_geometry_errors(self):
+        unit = RadialProfile.constant(1, (0, 1))
+        cases = [
+            (lambda: rescale(InvariantContactForm.unit(alpha_phi(1)),
+                             RadialProfile.from_values([0, 2], [1, 1])),
+             "radial profiles must share their domain"),
+            (lambda: RadialProfile((F(0), F(1)), ()), "need exactly one piece per breakpoint gap"),
+            (lambda: unit.reparametrized(1, 1), "reparametrization needs nondegenerate domains"),
+            (lambda: alpha_phi(1).reparametrized(1, 0),
+             "reparametrization needs nondegenerate domains"),
+        ]
+        for call, message in cases:
+            with pytest.raises(BadBreakpoints, match=message):
+                call()
 
     def test_outside_domain(self):
         r = RadialProfile.constant(1, (0, 1))
