@@ -144,7 +144,7 @@ def cc_count(spec, xi) -> int:
     """Components of the preimage of the open ray through xi (a Direction
     or an integer pair, reduced to primitive form): the whole turns q, plus
     one when xi lies on the closed arc between the endpoint directions."""
-    side = _side(spec)
+    side = _side(spec)  # first: an invalid CutSpec raises before a zero xi
     return _arc_count(side, xi if isinstance(xi, Direction) else Direction.reduced(*xi))
 
 
