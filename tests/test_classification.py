@@ -458,7 +458,7 @@ class TestDistinguishMatchesEnumeration:
 
         for name in ("cc_profile", "cc_count", "_arg_compare"):
             count(invariants, name)
-        # wherever a module refers to them, angles' own helpers included
+        # in invariants, and in angles, whose own helpers call them
         for name in ("angle_sub", "floor_half_turns"):
             for module in (angles, invariants):
                 if hasattr(module, name):
