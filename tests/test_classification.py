@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,13 +38,17 @@ from toruscut import (
     homotopy_certificate,
     lens_cutspec,
     minimal_valid_cutspec,
+    parse_spec_file,
     rescale,
     rotating_line_form,
     slice_by_ray,
     validate_cutspec,
 )
+from toruscut.angles import AngleForm
 from toruscut.cli import _LENS_TABLE
 from toruscut.errors import ZeroVector
+from toruscut.forms import ProfilePoint
+from toruscut.invariants import PlanarZero
 
 from float_reference import phi_float
 from test_angles import count_lattice
@@ -887,3 +892,176 @@ class TestHomotopyLadder:
             " / 1*Arg(1,2) + -5/6*Arg(2,1) + 2*pi]",
         ]
         assert [round(z.point.t_float(), 12) for z in zeros] == [0.088344443219, 0.700969908718]
+
+
+# -- the sorting and filtering zero loop, kept as the reference ---------------
+
+_PI_FORM = AngleForm((), F(1))
+
+
+def reference_homotopy(a, b):
+    """(zeros, intervals) by the earlier loop: zeros keyed by (segment,
+    slope * n) and sorted, then each zero with an exact t inside a zero
+    interval dropped."""
+    pa, pb = invariants._form_of(a).phi, invariants._form_of(b).phi
+    merged = sorted(set(pa.breaks) | set(pb.breaks))
+    psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
+    zeros, intervals = [], []
+    for seg, (u0, u1) in enumerate(zip(merged, merged[1:])):
+        d0, d1 = psi[seg], psi[seg + 1]
+        span = d1 - d0
+        slope = span.sign()
+        if slope == 0:
+            m = d0.pi_multiple()
+            if m is not None and m.denominator == 1 and m % 2 == 1:
+                if intervals and intervals[-1][1] == u0:
+                    intervals[-1] = (intervals[-1][0], u1)
+                else:
+                    intervals.append((u0, u1))
+            continue
+        v_lo, v_hi = (d0, d1) if slope > 0 else (d1, d0)
+        n_lo = -(_PI_FORM - v_lo).floor(2)
+        n_hi = (v_hi - _PI_FORM).floor(2)
+        for n in range(n_lo, n_hi + 1):
+            offset = AngleForm((), F(2 * n + 1)) - d0
+            if seg > 0 and offset.sign() == 0:
+                continue
+            pt = ProfilePoint(seg, u0, u1, offset, span)
+            zeros.append(((seg, slope * n), PlanarZero(pt, odd_multiple=2 * n + 1)))
+    kept = []
+    for _, z in sorted(zeros, key=lambda x: x[0]):
+        t = z.point.t_fraction()
+        if t is not None and any(lo <= t <= hi for lo, hi in intervals):
+            continue
+        kept.append(z)
+    return kept, tuple(intervals)
+
+
+def zero_fields(z):
+    p = z.point
+    return (str(p), p.t_fraction(), p.segment, p.t_lo, p.t_hi, z.odd_multiple)
+
+
+def assert_homotopy_matches_reference(a, b):
+    cert = homotopy_certificate(a, b)
+    zeros, intervals = reference_homotopy(a, b)
+    assert cert.zero_intervals == intervals
+    assert [zero_fields(z) for z in cert.zeros] == [zero_fields(z) for z in zeros]
+
+
+def eighth(k):
+    # the angle k*pi/4
+    q, r = divmod(k, 8)
+    return A(_EIGHT[r], q + 1 if r > 4 else q)
+
+
+def quarter_pair(breaks, psi, steps, split_a=(), split_b=(), base=0):
+    """Two increasing profiles of multiples of pi/4 on one set of
+    breakpoints, whose difference is psi (in units of pi/4) at them.  b
+    advances by max(0, -dpsi) + steps[i] on segment i, so both rise.  A
+    segment i in split_a (or split_b) of that profile gets one more
+    breakpoint, where its value is the next multiple of pi/4, so the
+    merged breakpoints differ from each profile's own."""
+    b = [base]
+    for i, step in enumerate(steps):
+        b.append(b[-1] + max(0, psi[i] - psi[i + 1]) + step)
+    a = [x + d for x, d in zip(b, psi)]
+
+    def form(vals, split):
+        ts, vs = [F(breaks[0])], [vals[0]]
+        for i in range(len(vals) - 1):
+            if i in split and vals[i + 1] - vals[i] > 1:
+                ts.append(breaks[i] + (breaks[i + 1] - breaks[i]) / (vals[i + 1] - vals[i]))
+                vs.append(vals[i] + 1)
+            ts.append(F(breaks[i + 1]))
+            vs.append(vals[i + 1])
+        return piecewise(ts, [eighth(v) for v in vs])
+
+    return form(a, split_a), form(b, split_b)
+
+
+@st.composite
+def quarter_pairs(draw):
+    """psi drawn segment by segment as a step, a jump onto an odd multiple
+    of pi or a stay; a stay on an odd multiple is a zero interval, two in a
+    row are adjacent ones.  The ends of the profiles agree in direction,
+    so psi starts and ends on a multiple of 2 pi."""
+    psi = [8 * draw(st.integers(-3, 3))]
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("step", "odd", "stay")))
+        if kind == "step":
+            psi.append(psi[-1] + draw(st.integers(-160, 160)))
+        elif kind == "odd":
+            psi.append(4 + 8 * draw(st.integers(-12, 12)))
+        else:
+            psi.append(psi[-1])
+    if psi[-1] % 8:
+        psi.append(8 * draw(st.integers(-12, 12)))
+    n = len(psi) - 1
+    gaps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    den = draw(st.integers(1, 7))
+    breaks = [F(sum(gaps[:i]), den) for i in range(n + 1)]
+    steps = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    segs = st.sets(st.integers(0, n - 1), max_size=n)
+    a, b = quarter_pair(
+        breaks, psi, steps, draw(segs), draw(segs), 8 * draw(st.integers(-2, 2))
+    )
+    if draw(st.booleans()):
+        a, b = a.reversed(), b.reversed()
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def golden_homotopy_pairs():
+    """The two spec files of every golden homotopy case that exits 0."""
+    from test_golden import CASES, GOLDEN
+
+    return sorted({
+        tuple(argv[1:3])
+        for name, argv in CASES.items()
+        if argv[:1] == ["homotopy"] and "--help" not in argv
+        and (GOLDEN / f"{name}.out").read_bytes().startswith(b"exit 0\n")
+    })
+
+
+class TestHomotopyMatchesReference:
+    @pytest.mark.parametrize("variant", LADDER_VARIANTS)
+    def test_ladder_pairs(self, variant):
+        for p, q in ((3, 5), (5, 7), (7, 11), (11, 13), (13, 17), (17, 19), (19, 23),
+                     (23, 29), (29, 31), (31, 37), (41, 43), (101, 103), (997, 991)):
+            assert_homotopy_matches_reference(*ladder_pair(p, q, variant))
+
+    @pytest.mark.parametrize("pair", golden_homotopy_pairs())
+    def test_golden_pairs(self, pair):
+        root = Path(__file__).resolve().parent.parent
+        a, b = (parse_spec_file(str(root / p), validate=False) for p in pair)
+        assert_homotopy_matches_reference(a, b)
+
+    @pytest.mark.parametrize(
+        "psi,split_a",
+        [
+            # rise onto an interval, fall off it
+            ([0, 20, 20, 0], ()),
+            ([0, -20, -20, 0], ()),
+            # rise onto an interval, keep rising; fall onto one, keep falling
+            ([0, 12, 12, 40], ()),
+            ([0, -12, -12, -40], ()),
+            # adjacent intervals, and an interval cut by the other profile's
+            # breakpoint
+            ([0, 36, 36, 36, 0], ()),
+            ([0, 36, 36, 8], (1,)),
+            # a zero on a breakpoint between two rising, then two falling segments
+            ([0, 4, 16, 4, 0], ()),
+            # an interval right after the first segment and just before the last
+            ([0, 4, 4, 0], ()),
+        ],
+    )
+    def test_drawn_shapes(self, psi, split_a):
+        n = len(psi) - 1
+        a, b = quarter_pair([F(i) for i in range(n + 1)], psi, [3] * n, split_a)
+        for pair in ((a, b), (b, a), (a.reversed(), b.reversed())):
+            assert_homotopy_matches_reference(*pair)
+
+    @settings(max_examples=300)
+    @given(quarter_pairs())
+    def test_quarter_profiles(self, pair):
+        assert_homotopy_matches_reference(*pair)

@@ -83,6 +83,13 @@ def _cases() -> dict[str, list[str]]:
     cases["homotopy-huge-breaks"] = [
         "homotopy", "tests/golden/huge_breaks.cut", "tests/golden/huge_breaks_partner.cut"
     ]
+    # the difference of the profiles rises across odd multiples of pi, stays
+    # at 5 pi over a segment (a zero interval) and falls back across them
+    for fmt in ("text", "json"):
+        cases[f"homotopy-interval-{fmt}"] = [
+            "homotopy", "tests/golden/interval.cut", "tests/golden/interval_partner.cut",
+            "--format", fmt,
+        ]
     # the ray count at the arc ends of lens21_j1 and at their negatives, on
     # a non-primitive direction, and on the zero vector (exit 3)
     for direction in ("1,0", "-1,0", "2,1", "-2,-1", "4,-2"):
