@@ -27,7 +27,8 @@ from a collapsed end bounds a disk whose boundary is tangent to the
 contact planes.  homotopy_certificate connects two cut forms with the
 same boundary directions through the straight-line interpolation of unit
 covectors pushed off zero by the bump s(1 - s) in a third coordinate;
-its planar zeros are enumerated exactly.
+its planar zeros are enumerated exactly, in t order, in one pass over
+the merged segments.
 """
 
 from __future__ import annotations
@@ -363,11 +364,12 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
 
     Requires both boundary directions to agree (turn counts are free); the
     planar zeros, where the profiles differ by an odd multiple of pi, are
-    enumerated exactly segment by segment: the difference is an
-    `AngleForm` at each merged breakpoint and affine in between, so each
-    zero is a point whose offset and span are forms.  The cost per
-    segment depends on the bit length of the breakpoint directions, not
-    on the breakpoint denominators.
+    enumerated exactly in one pass over the merged segments: the
+    difference is an `AngleForm` at each merged breakpoint and affine in
+    between, so each segment's zeros are one range of n, walked in t
+    order, and no zero needs its exact t.  The cost per segment depends
+    on the bit length of the breakpoint directions, not on the breakpoint
+    denominators.
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
@@ -382,9 +384,7 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     merged = sorted(set(pa.breaks) | set(pb.breaks))
     # psi = phi_a - phi_b is affine on each merged segment
     psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
-    # zeros keyed by (segment, slope * n): psi is affine and monotone on a
-    # segment, so this is their exact order in t
-    zeros: list[tuple[tuple[int, int], PlanarZero]] = []
+    zeros: list[PlanarZero] = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for seg, (u0, u1) in enumerate(zip(merged, merged[1:])):
         d0, d1 = psi[seg], psi[seg + 1]
@@ -396,30 +396,26 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
                 if intervals and intervals[-1][1] == u0:
                     intervals[-1] = (intervals[-1][0], u1)
                 else:
+                    # the ends agree, so psi(t0) is an even multiple and seg > 0:
+                    # the previous segment ends at u0 with a zero, now inside
+                    zeros.pop()
                     intervals.append((u0, u1))
             continue
         v_lo, v_hi = (d0, d1) if slope > 0 else (d1, d0)
-        # odd multiples (2n + 1) pi inside [v_lo, v_hi]
+        # odd multiples (2n + 1) pi inside [v_lo, v_hi], in t order
         n_lo = -(_PI - v_lo).floor(2)
         n_hi = (v_hi - _PI).floor(2)
-        for n in range(n_lo, n_hi + 1):
+        ns = range(n_lo, n_hi + 1) if slope > 0 else range(n_hi, n_lo - 1, -1)
+        for n in ns:
             offset = AngleForm((), Fraction(2 * n + 1)) - d0
-            if seg > 0 and offset.sign() == 0:
-                continue  # the hit belongs to the previous segment's end
-            pt = ProfilePoint(seg, u0, u1, offset, span)
-            zeros.append(((seg, slope * n), PlanarZero(pt, odd_multiple=2 * n + 1)))
-    intervals_t = tuple(intervals)
-    kept = []
-    for _, z in sorted(zeros, key=lambda x: x[0]):
-        t = z.point.t_fraction()
-        if t is not None and any(lo <= t <= hi for lo, hi in intervals_t):
-            continue  # already covered by a constant zero interval
-        kept.append(z)
+            if seg and n == ns[0] and offset.sign() == 0:
+                continue  # at u0: the previous segment's last zero, or an interval
+            zeros.append(PlanarZero(ProfilePoint(seg, u0, u1, offset, span), 2 * n + 1))
     return HomotopyCertificate(
         form_a=fa,
         form_b=fb,
         rule=_H_RULE,
-        zeros=tuple(kept),
-        zero_intervals=intervals_t,
+        zeros=tuple(zeros),
+        zero_intervals=tuple(intervals),
         argument=_H_ARGUMENT,
     )
