@@ -498,12 +498,14 @@ class RadialProfile:
         """float(r(t)) at each point of a sequence ascending in t, or None
         where r(t) is beyond float range.
 
-        At an exact t it is float(`evaluate`(t)) bit for bit; at an
-        irrational t, the float Horner sum of the piece's coefficients at
-        u = `t_float()` - float(start of the piece).  One piece index moves
-        forward with t, so the cost is O(n + len(points)).  A constant
-        piece is one float, and once the index is on the last piece and
-        that piece is constant, no point's t is read at all.
+        At an exact t it is float(`evaluate`(t)) bit for bit.  An
+        irrational t = t_lo + (t_hi - t_lo) lam, lam = offset.ratio(span),
+        is placed by lam and summed in the piece's own coordinate
+        (t - b_i)/(b_{i+1} - b_i) = A + B lam, from exact A, B and rescaled
+        coefficients: no float of t or of a breakpoint is taken.  One piece
+        index moves forward with t, so the cost is O(n + len(points)).  A
+        constant piece is one float, and once the index is on the last
+        piece and that piece is constant, no point's t is read at all.
         """
         b, pieces = self.breaks, self.pieces
         # ... marks a piece that is not constant
@@ -514,21 +516,23 @@ class RadialProfile:
                 out.append(flat[i])
                 continue
             t = pt.t_fraction()
-            if t is None:
-                t = pt.t_float()
-                if t is None:  # an irrational t is placed by its float
-                    raise OverflowError("a parameter is beyond float range")
-            while i < last and b[i + 1] <= t:
-                i += 1
+            if t is not None:
+                while i < last and b[i + 1] <= t:
+                    i += 1
+            else:  # b[i + 1] <= t where its own lam is at most lam
+                lo, hi, lam = pt.t_lo, pt.t_hi, pt.offset.ratio(pt.span)
+                while i < last and b[i + 1] < hi and (b[i + 1] - lo) / (hi - lo) <= lam:
+                    i += 1
             if flat[i] is not ...:
                 out.append(flat[i])
-            elif isinstance(t, Fraction):
+            elif t is not None:
                 out.append(_float(_poly_eval(pieces[i], t - b[i])))
             else:
+                w = b[i + 1] - b[i]
                 try:
-                    u, acc = t - float(b[i]), 0.0
-                    for c in reversed(pieces[i]):
-                        acc = acc * u + float(c)
+                    u, acc = float((lo - b[i]) / w) + float((hi - lo) / w) * lam, 0.0
+                    for k in reversed(range(len(pieces[i]))):
+                        acc = acc * u + float(pieces[i][k] * w**k)
                 except OverflowError:
                     acc = math.inf
                 out.append(_float(acc))

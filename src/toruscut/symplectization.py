@@ -39,7 +39,15 @@ def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float | N
     value, sign = moment_eval(form, _pair(eta), t)
     if sign == 0:
         return 0.0
-    return None if value is None else _float(-math.exp(s) * value)
+    if value is None:
+        return None
+    try:
+        return _float(-math.exp(s) * value)
+    except OverflowError:  # e^s alone is beyond float range: add the logarithms
+        try:
+            return -math.copysign(math.exp(s + math.log(abs(value))), value)
+        except OverflowError:
+            return None
 
 
 @dataclass(frozen=True)

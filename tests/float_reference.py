@@ -18,7 +18,7 @@ def phi_float(phi, t: float) -> float:
 
 def radial_float(r, t: float) -> float:
     """r(t) by a float Horner sum on the piece holding t: at an irrational
-    point, what `RadialProfile.floats_along` must give bit for bit."""
+    point, what `RadialProfile.floats_along` must give to rounding."""
     i = max(0, min(len(r.pieces) - 1, bisect_right(r.breaks, t) - 1))
     u = t - float(r.breaks[i])
     acc = 0.0

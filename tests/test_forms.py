@@ -382,10 +382,15 @@ class TestSolveBisection:
             ]
             eta = (base.dir.y, -base.dir.x)  # its zero lattice runs through base
             circles = contact_reduce(form, eta)
+            want = reduce_by_solving(form, eta)
             assert [
-                (c.index, c.angle, c.point, c.point.t_fraction(), c.point.t_float(), c.coefficient)
+                (c.index, c.angle, c.point, c.point.t_fraction(), c.point.t_float())
                 for c in circles
-            ] == reduce_by_solving(form, eta)
+            ] == [w[:5] for w in want]
+            # bit for bit at an exact t, to rounding at an irrational one
+            assert [c.coefficient for c in circles] == [
+                w[5] if w[3] is not None else pytest.approx(w[5], rel=1e-12) for w in want
+            ]
 
     def test_lattice_enumeration_cost_is_n_plus_j(self, monkeypatch):
         # the n = 1000 rung of the contact_reduce ladder (perfbench/ladder.py),
@@ -526,7 +531,7 @@ class TestRadialProfile:
         ]
         pts.sort(key=lambda p: p.t_float() if p.t_fraction() is None else p.t_fraction())
         assert r.floats_along(pts) == [
-            radial_float(r, p.t_float())
+            pytest.approx(radial_float(r, p.t_float()), rel=1e-12)
             if p.t_fraction() is None
             else float(r.evaluate(p.t_fraction()))
             for p in pts
@@ -784,6 +789,36 @@ class TestBeyondFloatRange:
         assert circles and all(c.coefficient is None for c in circles)
         value, sign = moment_eval(form, eta, F(1, 3))
         assert value is None and sign == moment_sign(form, eta, F(1, 3)) != 0
+
+    def test_breakpoints_of_401_digits(self):
+        # irrational hits on a two-piece radial over [0, 10^400]: the same
+        # coefficients as over [0, 1], with no float of t or of a breakpoint
+        def form(end):
+            phi = AngleProfile((F(0), F(end)), (A(D(1, 0)), A(D(0, 1), 3)))
+            return InvariantContactForm(
+                phi, RadialProfile.from_values([0, F(end, 2), end], [1, 2, 1])
+            )
+
+        huge, unit = contact_reduce(form(10**400), (2, 1)), contact_reduce(form(1), (2, 1))
+        assert len(huge) == len(unit) == 6
+        assert all(c.point.t_fraction() is None for c in huge)
+        for big, small in zip(huge, unit):
+            assert big.coefficient == pytest.approx(small.coefficient, abs=1e-9)
+
+    def test_symplectization_moment_beyond_exp_range(self):
+        form, eta = InvariantContactForm.unit(alpha_phi(1)), (1, 0)
+        # f = cos(5 pi t/2) = -sqrt(3)/2 at t = 1/3
+        assert sympl_moment_eval(form, eta, F(1, 3), 700.0) == pytest.approx(
+            math.exp(700) * math.sqrt(3) / 2
+        )
+        assert sympl_moment_eval(form, eta, F(1, 3), 1000.0) is None
+        # e^710 alone is beyond float range, but not its product with a
+        # moment of about 1e-11 next to the zero at t = 1/5
+        t = F(1, 5) + F(1, 10**12)
+        value, _ = moment_eval(form, eta, t)
+        assert sympl_moment_eval(form, eta, t, 710.0) == pytest.approx(
+            -math.exp(700) * value * math.exp(10)
+        )
 
     def test_floats_along_constant_piece(self):
         r = RadialProfile.from_values([0, F(1, 2), 1], [10**400, 10**400, 2])
