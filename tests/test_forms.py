@@ -819,6 +819,9 @@ class TestBeyondFloatRange:
         assert sympl_moment_eval(form, eta, t, 710.0) == pytest.approx(
             -math.exp(700) * value * math.exp(10)
         )
+        # a moment whose float underflows to -0.0 has no logarithm
+        tiny = InvariantContactForm(alpha_phi(1), RadialProfile.constant(F(1, 10**400), (0, 1)))
+        assert sympl_moment_eval(tiny, eta, F(1, 3), 1000.0) is None
 
     def test_floats_along_constant_piece(self):
         r = RadialProfile.from_values([0, F(1, 2), 1], [10**400, 10**400, 2])
