@@ -52,6 +52,7 @@ from toruscut.invariants import PlanarZero
 
 from float_reference import phi_float
 from test_angles import count_lattice
+from test_forms import quarter_angle
 
 A = Angle
 D = Direction
@@ -949,12 +950,6 @@ def assert_homotopy_matches_reference(a, b):
     assert [zero_fields(z) for z in cert.zeros] == [zero_fields(z) for z in zeros]
 
 
-def eighth(k):
-    # the angle k*pi/4
-    q, r = divmod(k, 8)
-    return A(_EIGHT[r], q + 1 if r > 4 else q)
-
-
 def quarter_pair(breaks, psi, steps, split_a=(), split_b=(), base=0):
     """Two increasing profiles of multiples of pi/4 on one set of
     breakpoints, whose difference is psi (in units of pi/4) at them.  b
@@ -975,7 +970,7 @@ def quarter_pair(breaks, psi, steps, split_a=(), split_b=(), base=0):
                 vs.append(vals[i] + 1)
             ts.append(F(breaks[i + 1]))
             vs.append(vals[i + 1])
-        return piecewise(ts, [eighth(v) for v in vs])
+        return piecewise(ts, [quarter_angle(v) for v in vs])
 
     return form(a, split_a), form(b, split_b)
 
