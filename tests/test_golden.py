@@ -111,6 +111,14 @@ def _cases() -> dict[str, list[str]]:
         cases[f"profile-one-direction-{fmt}"] = [
             "profile", "tests/golden/one_direction.cut", "--format", fmt
         ]
+    # argv shapes outside the command table's plain form, which argparse reads:
+    # an attached value, an abbreviation, a repeat (the last one wins), an
+    # option before the file, and a missing value
+    cases["argv-attached-value"] = ["invariants", PARTNER, "--direction=-1,1"]
+    cases["argv-abbreviation"] = ["invariants", PARTNER, "--dir", "-1,1"]
+    cases["argv-repeated-format"] = ["cut", PARTNER, "--format", "json", "--format", "text"]
+    cases["argv-option-first"] = ["invariants", "--direction", "-1,1", PARTNER]
+    cases["argv-missing-value"] = ["invariants", PARTNER, "--direction"]
     cases["help"] = ["--help"]
     for name in SUBCOMMANDS:
         cases[f"help-{name}"] = [name, "--help"]
