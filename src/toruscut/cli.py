@@ -8,8 +8,10 @@ invalid cut data, mismatched endpoints).
 Each subcommand is one row of `_COMMANDS`: its spec-file positionals,
 its options and a function from the loaded specs to records and an exit
 code.  One runner loads the files, echoes the command line, digests the
-input and builds the Report; the argparse parser is built from the table
-once per process, on the first call of `main`.
+input and builds the Report.  `main` reads an argv in the table's plain
+shape straight from the table; the argparse parser, built from the same
+table, reads every other argv and prints usage, help and errors.  It is
+built once per process, on the first argv the table reader declines.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -343,6 +346,16 @@ class _Command(NamedTuple):
     run: Callable  # (args, *specs) -> (records, exit code)
     validate: bool = True  # passed to parse_spec
 
+    @property
+    def flags(self) -> tuple[tuple[str, dict], ...]:
+        """`--format`, then the command's own options."""
+        return (("--format", _FORMAT), *self.options)
+
+    @property
+    def dash(self) -> bool:
+        """Whether a value may start with '-' (see _DASH_VALUE)."""
+        return any(kw.get("type") in (_pair_arg, _angle_arg) for _, kw in self.options)
+
 
 _FORMAT = {
     "choices": ("text", "json"), "default": "text", "help": "output rendering (default: text)",
@@ -392,15 +405,67 @@ def _parser() -> argparse.ArgumentParser:
     for cmd in _COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
         p.set_defaults(handler=cmd)
-        p.add_argument("--format", **_FORMAT)
-        dash = any(kw.get("type") in (_pair_arg, _angle_arg) for _, kw in cmd.options)
-        if dash and hasattr(p, "_negative_number_matcher"):
+        if cmd.dash and hasattr(p, "_negative_number_matcher"):
             p._negative_number_matcher = _DASH_VALUE
         for name in cmd.files:
             p.add_argument(name)
-        for flag, kw in cmd.options:
+        for flag, kw in cmd.flags:
             p.add_argument(flag, **kw)
     return parser
+
+
+_BY_NAME = {cmd.name: cmd for cmd in _COMMANDS}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _table_args(argv) -> argparse.Namespace | None:
+    """The namespace `_parser().parse_args(argv)` gives, read straight from
+    the command table; None when argv is not in the table's plain shape.
+
+    That shape is the subcommand, then its files and its options in any
+    order, each option spelled in full and given once, with its values as
+    separate words that start with '-' only where argparse reads them as
+    values.  argparse reads every other argv (`-h`, `--opt=value`, an
+    abbreviation, a repeat, an error), so its bytes are unchanged.
+    """
+    cmd = _BY_NAME.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    options = dict(cmd.flags)
+    values = {"command": cmd.name, "handler": cmd}
+    files = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            files.append(word)
+            continue
+        kw = options.pop(word, None)  # a repeated option is not found again
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            values[_dest(word)] = True
+            continue
+        given = list(itertools.islice(words, kw.get("nargs", 1)))
+        if len(given) < kw.get("nargs", 1) or any(
+            w.startswith("-") and not (cmd.dash and _DASH_VALUE.match(w)) for w in given
+        ):
+            return None
+        try:
+            got = [kw.get("type", str)(w) for w in given]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if any(v not in kw.get("choices", (v,)) for v in got):
+            return None
+        values[_dest(word)] = got if "nargs" in kw else got[0]
+    if len(files) != len(cmd.files) or any(kw.get("required") for kw in options.values()):
+        return None
+    for flag, kw in options.items():
+        values[_dest(flag)] = False if kw.get("action") == "store_true" else kw.get("default")
+    values.update(zip(cmd.files, files))
+    return argparse.Namespace(**values)
 
 
 def _echo_value(v) -> str:
@@ -422,7 +487,7 @@ def _run(cmd: _Command, args) -> tuple[Report, int]:
     loaded = [_load(path, cmd.validate) for path in paths]
     words = [cmd.name, *paths]
     for flag, _ in cmd.options:
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = getattr(args, _dest(flag))
         if value is True:
             words.append(flag)
         elif value is not False:
@@ -455,10 +520,13 @@ def _any_int_size():
 
 @_any_int_size()
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         report, code = _run(args.handler, args)
     except _CliError as e:

@@ -10,8 +10,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_golden import CASES as GOLDEN_CASES
 
 from toruscut import (
     Angle,
@@ -32,6 +34,7 @@ from toruscut import (
     report_from_json,
     validate_cutspec,
 )
+from toruscut import cli
 from toruscut.cli import main
 from toruscut.forms import AngleProfile
 from toruscut.report import fmt_float
@@ -649,21 +652,46 @@ def text_records(text):
 
 class TestCliCost:
     def test_parser_is_built_once_per_process(self, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
+        # the table reader reads every success path; the parser is built on
+        # the first argv the reader declines, and reused after it
+        built, parsed = [], []
+        init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
 
         def counting_init(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
+        def counting_parse_args(self, *args, **kwargs):
+            parsed.append(args)
+            return parse_args(self, *args, **kwargs)
+
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        spec = str(SPECS / "alpha1.cut")
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting_parse_args)
+        cli._parser.cache_clear()
+        spec, partner = str(SPECS / "alpha1.cut"), str(SPECS / "alpha0.cut")
+        success = [
+            ["check", spec],
+            ["cut", spec],
+            ["invariants", spec, "--direction", "-1,1"],
+            ["profile", spec],
+            ["distinguish", spec, partner, "--mod-gl2z"],
+            ["overtwisted", spec],
+            ["homotopy", spec, partner, "--format", "json"],
+            ["slice", str(SPECS / "line.cut"), "--eta", "0,1", "--window", "-1,0;-2", "-1,0;1"],
+            ["symplectization-check", spec],
+            ["reproduce-paper", "--kmax", "0"],
+        ]
+        assert sorted(argv[0] for argv in success) == sorted(c.name for c in cli._COMMANDS)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["cut", spec]) == 0  # warm-up: may build the parser
+            for argv in success:
+                assert main(argv) == 0
+            assert built == parsed == []
+            assert main(["cut", spec, "--format=json"]) == 0
+            assert built[0] == "toruscut" and len(built) == 1 + len(cli._COMMANDS)
             built.clear()
-            assert main(["cut", spec]) == 0
-            assert main(["invariants", spec, "--direction", "-1,1"]) == 0
-        assert built == []
+            assert main(["invariants", spec, "--dir", "-1,1"]) == 0
+            assert main(["cut", spec, "--format", "json", "--format", "text"]) == 0
+        assert built == [] and len(parsed) == 3
 
     @pytest.mark.parametrize("command", ["check", "cut"])
     def test_each_profile_decides_its_orientation_once(self, monkeypatch, command):
@@ -704,3 +732,148 @@ class TestCliCost:
         assert "planar-zeros = 2" in out.getvalue()
         # offset and span once per zero
         assert len(calls) <= 2 * len(cert.zeros)
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_SMALL = st.integers(-3, 3)
+_PRIMITIVE = st.tuples(_SMALL, _SMALL).filter(lambda v: math.gcd(*v) == 1)
+# values argparse accepts, keyed by the option's type (None: --format);
+# pairs and angle literals may be negative
+_PLAIN_VALUES = {
+    cli._pair_arg: st.tuples(_SMALL, _SMALL).map("{0[0]},{0[1]}".format),
+    cli._angle_arg: st.tuples(_PRIMITIVE, _SMALL).map("{0[0][0]},{0[0][1]};{0[1]}".format),
+    int: st.integers(0, 5).map(str),
+    None: st.sampled_from(("text", "json")),
+}
+_ODD_VALUES = st.sampled_from(
+    ("xml", "-1", "-1_0", "-1,1", "-1,0;1", "-1,0;x", "-x", "x", "", "1,", "0,0", " 1", "-1 ")
+)
+
+
+@st.composite
+def plain_argvs(draw):
+    """A command and its words in the table's plain shape, as groups: one
+    per file and one per option with its values, in any order."""
+    cmd = draw(st.sampled_from(cli._COMMANDS))
+    groups = [[path] for path in ("a.cut", "b.cut")[: len(cmd.files)]]
+    for flag, kw in cmd.flags:
+        if kw.get("required") or draw(st.booleans()):
+            n = 0 if kw.get("action") == "store_true" else kw.get("nargs", 1)
+            values = _PLAIN_VALUES[kw.get("type")]
+            groups.append([flag, *(draw(values) for _ in range(n))])
+    return cmd, draw(st.permutations(groups))
+
+
+def _words(groups) -> list[str]:
+    return [word for group in groups for word in group]
+
+
+# mutations after which the reader must decline, then those after which it
+# may read the argv as argparse does
+_DECLINED = (
+    "repeat", "abbreviate", "attach", "insert-dash", "extra-file", "drop-file", "dash-value",
+)
+_MUTATIONS = _DECLINED + ("odd-value", "drop-word", "random-token")
+
+
+def _mutate(draw, kind, cmd, groups) -> list[str] | None:
+    """The words after the subcommand, mutated by kind; None where the kind
+    does not apply to them."""
+    groups = [list(g) for g in groups]
+    options = [g for g in groups if g[0].startswith("--")]
+    valued = [g for g in options if len(g) > 1]
+    # values that argparse reads as options: all but pairs and angle literals
+    undashed = [g for g in valued if g[0] in ("--format", "--kmax")]
+    pick = {
+        "repeat": options, "abbreviate": options, "attach": valued,
+        "odd-value": valued, "dash-value": undashed, "drop-file": [g for g in groups if g not in options],
+    }.get(kind, [None])
+    if not pick:
+        return None
+    g = draw(st.sampled_from(pick))
+    at = draw(st.integers(0, len(groups)))
+    if kind == "repeat":
+        groups.insert(at, list(g))
+    elif kind == "abbreviate":
+        g[0] = g[0][: draw(st.integers(3, len(g[0]) - 1))]
+    elif kind == "attach":
+        g[:2] = [f"{g[0]}={g[1]}"]
+    elif kind == "insert-dash":
+        groups.insert(at, [draw(st.sampled_from(("-h", "--help", "--")))])
+    elif kind == "extra-file":
+        groups.insert(at, ["c.cut"])
+    elif kind == "drop-file":
+        groups.remove(g)
+    elif kind in ("odd-value", "dash-value"):
+        values = _ODD_VALUES if kind == "odd-value" else st.sampled_from(("-1", "-0", "-1_0"))
+        g[draw(st.integers(1, len(g) - 1))] = draw(values)
+    words = _words(groups)
+    if kind == "drop-word" and words:
+        del words[draw(st.integers(0, len(words) - 1))]
+    elif kind == "random-token":
+        words.insert(draw(st.integers(0, len(words))), draw(st.text(max_size=4)))
+    return words
+
+
+class TestTableArgs:
+    """`cli._table_args` gives argparse's namespace, or declines."""
+
+    @given(plain_argvs())
+    @settings(derandomize=True, max_examples=150)
+    def test_reads_the_plain_shape_as_argparse_does(self, drawn):
+        cmd, groups = drawn
+        argv = [cmd.name, *_words(groups)]
+        got = cli._table_args(argv)
+        assert got is not None and vars(got) == _argparse_vars(argv)
+
+    @given(plain_argvs(), st.data())
+    @settings(derandomize=True, max_examples=100)
+    def test_declines_or_agrees_on_every_other_shape(self, drawn, data):
+        cmd, groups = drawn
+        for kind in _MUTATIONS:
+            words = _mutate(data.draw, kind, cmd, groups)
+            if words is None:
+                continue
+            argv = [cmd.name, *words]
+            got = cli._table_args(argv)
+            if kind in _DECLINED:
+                assert got is None, kind
+            elif got is not None:
+                assert vars(got) == _argparse_vars(argv), kind
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate", "a.cut"],
+        ["--format", "json", "cut", "a.cut"],
+        # a value that starts with '-' where argparse reads no such value
+        ["reproduce-paper", "--kmax", "-1"],
+        ["reproduce-paper", "--kmax", "-1_0"],
+        ["cut", "a.cut", "--format", "-1"],
+        ["cut", "-1.cut"],
+        # a missing value or required option
+        ["invariants", "a.cut", "--direction"],
+        ["slice", "a.cut", "--eta", "0,1", "--window", "-1,0;1"],
+        ["slice", "a.cut", "--eta", "0,1"],
+        ["cut", "a.cut", "--format", "xml"],
+    ])
+    def test_declines(self, argv):
+        assert cli._table_args(argv) is None
+
+    def test_reads_every_golden_argv_that_runs(self):
+        # help, and the argv- cases but the one with its option before the
+        # file, are shapes that only argparse reads
+        for name, argv in GOLDEN_CASES.items():
+            code = (GOLDEN / f"{name}.out").read_text(encoding="utf-8").split("\n", 1)[0]
+            if "--help" in argv or name.startswith("argv-") and name != "argv-option-first":
+                assert cli._table_args(argv) is None, name
+            elif code in ("exit 0", "exit 3"):
+                got = cli._table_args(argv)
+                assert got is not None and vars(got) == _argparse_vars(argv), name
