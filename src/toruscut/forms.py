@@ -667,7 +667,7 @@ def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
 
     Returns the float value together with the exact sign; the value is
     snapped to 0.0 when the sign is provably zero, and is None when it is
-    beyond float range.  The float is taken of phi(t) with its whole turns
+    beyond float range, above or below, so 0.0 always means an exact zero.  The float is taken of phi(t) with its whole turns
     dropped exactly, so it keeps its accuracy however many turns the
     profile sweeps.
     """
@@ -684,7 +684,7 @@ def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
         value = float(form.radial.evaluate(t)) * (m * math.cos(a) + n * math.sin(a))
     except OverflowError:
         value = math.inf
-    return MomentValue(_float(value), sign)
+    return MomentValue(_float(value) or None, sign)  # 0.0 here is an underflow
 
 
 def rescale(form: InvariantContactForm, radial2: RadialProfile) -> InvariantContactForm:

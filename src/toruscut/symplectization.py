@@ -46,7 +46,7 @@ def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float | N
     except OverflowError:  # e^s alone is beyond float range: add the logarithms
         try:
             return -math.copysign(math.exp(s + math.log(abs(value))), value)
-        except (OverflowError, ValueError):  # ValueError: value underflowed to 0
+        except OverflowError:
             return None
 
 

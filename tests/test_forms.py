@@ -819,9 +819,15 @@ class TestBeyondFloatRange:
         assert sympl_moment_eval(form, eta, t, 710.0) == pytest.approx(
             -math.exp(700) * value * math.exp(10)
         )
-        # a moment whose float underflows to -0.0 has no logarithm
+        # a moment whose float underflows is None, so it has no logarithm
         tiny = InvariantContactForm(alpha_phi(1), RadialProfile.constant(F(1, 10**400), (0, 1)))
         assert sympl_moment_eval(tiny, eta, F(1, 3), 1000.0) is None
+
+    def test_moment_below_float_range(self):
+        # the float underflows while the exact sign does not: None, not -0.0
+        tiny = InvariantContactForm(alpha_phi(1), RadialProfile.constant(F(1, 10**400), (0, 1)))
+        assert moment_eval(tiny, (1, 0), F(1, 3)) == (None, -1)
+        assert moment_eval(tiny, (1, 0), F(1, 5)) == (0.0, 0)
 
     def test_floats_along_constant_piece(self):
         r = RadialProfile.from_values([0, F(1, 2), 1], [10**400, 10**400, 2])
