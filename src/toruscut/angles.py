@@ -28,12 +28,12 @@ divisions, no integer factorization; D. J. Bernstein, "Factoring into
 coprimes in essentially linear time", J. Algorithms 54, 2005), and, for a
 near-tie that is not a tie, by fixed-point Args in integer arithmetic.
 
-Floating point appears in `Angle.value()` (display, numeric cross-checks)
+Floating point appears in `to_float`, which makes every float the package
+shows (`Angle.value()`, parameter values, moments) from an exact quantity,
 and in the float stage of `AngleForm.sign` and `AngleForm.floor`
 (`_float_sum`, with a stated error bound), which decides only outside
-that bound.  Every exact sign of a rational combination of angles, such
-as a profile value phi(t) against a lattice angle, goes through that one
-stage and its exact fallbacks.
+that bound.  Every exact sign of a rational combination of angles goes
+through that one stage and its exact fallbacks.
 
 Only eight primitive directions have an argument that is a rational
 multiple of pi (the axes and diagonals); `Angle.pi_multiple` recognises them,
@@ -50,6 +50,21 @@ from fractions import Fraction
 from .errors import NonPrimitive, ZeroVector
 
 TWO_PI = 2.0 * math.pi
+
+
+def to_float(q: Fraction | int, factor: float = 1.0, exp2: int = 0) -> float | None:
+    """q * factor * 2**exp2 as a float, for an exact rational q and a finite
+    float factor, or None outside the normal float range, above or below, so
+    0.0 means q * factor is 0.  Every float the package shows is made here.
+    q is m * 2**k, m in (1/2, 2), by one correctly rounded integer division
+    and `frexp` splits factor, so no step leaves the range; where float(q) *
+    factor is a normal float (float(q) too) the result equals it bit for bit."""
+    n, d = q.numerator, q.denominator
+    k = n.bit_length() - d.bit_length()
+    f, e = math.frexp(factor)
+    m, e2 = math.frexp(((n << -k) / d if k < 0 else n / (d << k)) * f)
+    e2 += e + k + exp2
+    return math.ldexp(m, e2) if not m or -1021 <= e2 <= 1024 else None
 
 
 @dataclass(frozen=True, order=False, slots=True)
@@ -143,16 +158,19 @@ class Angle:
     dir: Direction
     turns: int = 0
 
-    def value(self) -> float:
-        """Float approximation, within 2**-50 + 2**-51 * |value|, for
-        directions of any size; decisions use it only outside that bound."""
-        return _arg(self.dir) + TWO_PI * self.turns
+    def value(self) -> float | None:
+        """Float approximation within 2**-50 + 2**-51 * |value|, or None
+        beyond float range; decisions use it only outside that bound."""
+        turns = to_float(self.turns, TWO_PI)
+        return None if turns is None else _arg(self.dir) + turns
 
     def ratio(self, den: "Angle") -> float:
-        """self / den as a float.  `value()` is accurate relative to the
-        value (it is below pi in size only when turns is 0), so the float
-        quotient is too."""
-        return self.value() / den.value()
+        """self / den as a float: `value()` is accurate relative to the
+        value, so the quotient is too; `AngleForm.ratio` beyond float range."""
+        num, d = self.value(), den.value()
+        if num is None or d is None:
+            return AngleForm.of(self).ratio(AngleForm.of(den))
+        return num / d
 
     def pi_multiple(self) -> Fraction | None:
         """value / pi as an exact Fraction, or None when it is irrational."""
@@ -537,9 +555,10 @@ class AngleForm:
             parts.append(f"{self.r}*pi")
         return " + ".join(parts)
 
-    def value(self) -> float:
-        """Float approximation, within the bound of `_float_sum`."""
-        return _float_sum(self.terms, self.r)[0]
+    def value(self) -> float | None:
+        """Float approximation within the bound of `_float_sum`, or None."""
+        v = _float_sum(self.terms, self.r)[0]
+        return v if math.isfinite(v) else None
 
     def _integral(self):
         """(n, integer terms, integer r) of n * self, n > 0 the lcm of all

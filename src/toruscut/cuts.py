@@ -33,7 +33,6 @@ from .angles import (
     Direction,
     HALF_TURN,
     QUARTER_TURN,
-    _arg,
     _lattice_bounds,
     add_half_turns,
     add_turns,
@@ -41,6 +40,7 @@ from .angles import (
     angle_compare,
     angle_sub,
     direction_angle,
+    to_float,
 )
 from .errors import (
     InvalidCutSpec,
@@ -51,6 +51,7 @@ from .errors import (
 from .forms import (
     InvariantContactForm,
     ProfilePoint,
+    _moment,
     contact_check,
 )
 
@@ -163,15 +164,8 @@ def _boundary_checks(
     # the moment r (v.x cos phi + v.y sin phi) vanishes iff phi's direction is
     # perpendicular to v
     if d.x * v.x + d.y * v.y != 0:
-        # the float of the principal Arg: whole turns do not move the moment;
-        # a moment beyond float range is shown without a float
-        a = _arg(d)
-        try:
-            r = float(form.radial.evaluate(phi.t0 if end == 0 else phi.t1))
-            moment = r * (v.x * math.cos(a) + v.y * math.sin(a))
-        except OverflowError:
-            moment = math.inf
-        shown = f"{moment:.12g}" if math.isfinite(moment) else "beyond float range"
+        moment = to_float(*_moment(form, v.as_tuple(), phi.t0 if end == 0 else phi.t1))
+        shown = "beyond float range" if moment is None else f"{moment:.12g}"
         return [
             Violation(
                 "nonzero-boundary-moment",
@@ -263,10 +257,8 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     contact_check(form)
     base = direction_angle(eta.perp())
     zeta = complement_vector(eta)
-    try:
-        mag = math.hypot(eta.x, eta.y)
-    except OverflowError:
-        mag = None
+    x, y = to_float(eta.x), to_float(eta.y)
+    mag = None if x is None or y is None else math.hypot(x, y)
     hits = form.phi.solve_half_turn_lattice(base)
     radii = form.radial.floats_along(pt for _, pt in hits)
     out = []

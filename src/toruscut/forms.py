@@ -20,7 +20,7 @@ difference in half turns.  Both are `AngleForm` decisions: a float
 estimate with a stated error bound, then exact fallbacks.  moment_eval
 reports a zero only when it can prove one, and its float value drops
 whole turns exactly before cos and sin are taken.  No decision rests on
-an unbounded float.
+an unbounded float, and every float shown comes from `angles.to_float`.
 
 The radial profile is piecewise polynomial with rational coefficients.
 Users build affine profiles from breakpoint values; products (needed for
@@ -58,6 +58,7 @@ from .angles import (
     floor_half_turns,
     format_angle,
     negate,
+    to_float,
 )
 from .errors import (
     BadBreakpoints,
@@ -72,15 +73,6 @@ Rational = Fraction | int
 
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _float(x) -> float | None:
-    """x as a float, or None beyond float range."""
-    try:
-        x = float(x)
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -133,16 +125,15 @@ class ProfilePoint:
         return t
 
     def t_float(self) -> float | None:
-        """The parameter value as a float, or None beyond float range."""
+        """The parameter value as a float, or None beyond float range
+        (`to_float`); an irrational t is t_lo + (t_hi - t_lo) * ratio."""
         exact = self.t_fraction()
-        try:
-            if exact is not None:
-                return float(exact)
-            lam = self.offset.ratio(self.span)
-            t = float(self.t_lo) + float(self.t_hi - self.t_lo) * lam
-        except OverflowError:
-            return None
-        return t if math.isfinite(t) else None
+        if exact is not None:
+            return to_float(exact)
+        lo = to_float(self.t_lo)
+        width = to_float(self.t_hi - self.t_lo, self.offset.ratio(self.span))
+        t = None if lo is None or width is None else lo + width
+        return t if t is None or math.isfinite(t) else None
 
     def __str__(self) -> str:
         exact = self.t_fraction()
@@ -500,16 +491,16 @@ class RadialProfile:
 
         At an exact t it is float(`evaluate`(t)) bit for bit.  An
         irrational t = t_lo + (t_hi - t_lo) lam, lam = offset.ratio(span),
-        is placed by lam and summed in the piece's own coordinate
-        (t - b_i)/(b_{i+1} - b_i) = A + B lam, from exact A, B and rescaled
-        coefficients: no float of t or of a breakpoint is taken.  One piece
+        is placed by lam, and r is evaluated exactly there, with lam read
+        as the exact value of its float; either way `to_float` rounds once,
+        and no float of t or of a breakpoint is taken.  One piece
         index moves forward with t, so the cost is O(n + len(points)).  A
         constant piece is one float, and once the index is on the last
         piece and that piece is constant, no point's t is read at all.
         """
         b, pieces = self.breaks, self.pieces
         # ... marks a piece that is not constant
-        flat = [_float(p[0]) if not any(p[1:]) else ... for p in pieces]
+        flat = [to_float(p[0]) if not any(p[1:]) else ... for p in pieces]
         i, last, out = 0, len(pieces) - 1, []
         for pt in points:
             if i == last and flat[i] is not ...:
@@ -525,17 +516,10 @@ class RadialProfile:
                     i += 1
             if flat[i] is not ...:
                 out.append(flat[i])
-            elif t is not None:
-                out.append(_float(_poly_eval(pieces[i], t - b[i])))
-            else:
-                w = b[i + 1] - b[i]
-                try:
-                    u, acc = float((lo - b[i]) / w) + float((hi - lo) / w) * lam, 0.0
-                    for k in reversed(range(len(pieces[i]))):
-                        acc = acc * u + float(pieces[i][k] * w**k)
-                except OverflowError:
-                    acc = math.inf
-                out.append(_float(acc))
+                continue
+            if t is None:
+                t = lo + (hi - lo) * Fraction(lam)
+            out.append(to_float(_poly_eval(pieces[i], t - b[i])))
         return out
 
     def breakpoint_values(self) -> tuple[Fraction, ...]:
@@ -662,29 +646,30 @@ def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     return 1 if j % 2 else -1
 
 
+def _moment(form: InvariantContactForm, eta: tuple[int, int], t: Rational):
+    """The eta-moment at t as (r(t), m cos a + n sin a, k), for `to_float`:
+    a is phi(t) less its whole turns, exactly, and an eta beyond float
+    range is shifted right by k bits (the factor moves by under 2**-999)."""
+    m, n = eta
+    f = form.phi.form_at(t)
+    a = AngleForm._normal(f.terms, f.r % 2).value()
+    k = max(abs(m).bit_length(), abs(n).bit_length(), 1000) - 1000
+    return form.radial.evaluate(t), (m >> k) * math.cos(a) + (n >> k) * math.sin(a), k
+
+
 def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -> MomentValue:
     """Moment of the torus element eta = (m, n) at rational t.
 
     Returns the float value together with the exact sign; the value is
     snapped to 0.0 when the sign is provably zero, and is None when it is
-    beyond float range, above or below, so 0.0 always means an exact zero.  The float is taken of phi(t) with its whole turns
-    dropped exactly, so it keeps its accuracy however many turns the
-    profile sweeps.
+    beyond float range, above or below (`to_float`), so 0.0 always means
+    an exact zero.
     """
-    m, n = eta
-    if (m, n) == (0, 0):
-        return MomentValue(0.0, 0)
-    t = _frac(t)
-    sign = moment_sign(form, (m, n), t)
+    sign = 0 if tuple(eta) == (0, 0) else moment_sign(form, eta, t)
     if sign == 0:
         return MomentValue(0.0, 0)
-    f = form.phi.form_at(t)
-    a = AngleForm._normal(f.terms, f.r % 2).value()
-    try:
-        value = float(form.radial.evaluate(t)) * (m * math.cos(a) + n * math.sin(a))
-    except OverflowError:
-        value = math.inf
-    return MomentValue(_float(value) or None, sign)  # 0.0 here is an underflow
+    # a float factor of 0.0 is cancellation in m cos a + n sin a: no float
+    return MomentValue(to_float(*_moment(form, eta, t)) or None, sign)
 
 
 def rescale(form: InvariantContactForm, radial2: RadialProfile) -> InvariantContactForm:

@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .angles import Direction, _lattice_bounds, direction_angle
+from .angles import Direction, _lattice_bounds, direction_angle, to_float
 from .cuts import CutSpec, require_valid
-from .forms import InvariantContactForm, _float, moment_eval, moment_sign
+from .forms import InvariantContactForm, _moment, moment_sign
+
+# ln 2 within 2**-129: e^s is 2**j e^(s - j ln 2) to 2**-129 j relative
+_LN2 = Fraction(0xB17217F7D1CF79ABC9E3B39803F2F6AF, 2**128)
 
 
 def _pair(eta) -> tuple[int, int]:
@@ -35,19 +39,17 @@ def sympl_moment_sign(form: InvariantContactForm, eta, t) -> int:
 
 def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float | None:
     """Psi_eta(t, s) = -e^s f_eta(t), exactly zero where the contact moment
-    is, and None where f_eta(t) or the product is beyond float range."""
-    value, sign = moment_eval(form, _pair(eta), t)
-    if sign == 0:
-        return 0.0
-    if value is None:
+    is, and None where it is beyond float range or s is not finite.  e^s is
+    2**j e^(s - j ln 2), j = round(s / ln 2), and 2**j goes to `to_float`."""
+    eta = _pair(eta)
+    if not math.isfinite(s):
         return None
-    try:
-        return _float(-math.exp(s) * value)
-    except OverflowError:  # e^s alone is beyond float range: add the logarithms
-        try:
-            return -math.copysign(math.exp(s + math.log(abs(value))), value)
-        except OverflowError:
-            return None
+    if eta == (0, 0) or moment_sign(form, eta, t) == 0:
+        return 0.0
+    r, f, k = _moment(form, eta, t)
+    x = Fraction(s)
+    j = round(x / _LN2)
+    return to_float(r, -f * math.exp(x - j * _LN2), k + j) or None
 
 
 @dataclass(frozen=True)

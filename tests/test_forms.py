@@ -819,9 +819,12 @@ class TestBeyondFloatRange:
         assert sympl_moment_eval(form, eta, t, 710.0) == pytest.approx(
             -math.exp(700) * value * math.exp(10)
         )
-        # a moment whose float underflows is None, so it has no logarithm
+        # a moment whose float underflows still has a product in range:
+        # -e^1000 * 10^-400 * (-sqrt(3)/2), about 1.706e34
         tiny = InvariantContactForm(alpha_phi(1), RadialProfile.constant(F(1, 10**400), (0, 1)))
-        assert sympl_moment_eval(tiny, eta, F(1, 3), 1000.0) is None
+        assert sympl_moment_eval(tiny, eta, F(1, 3), 1000.0) == pytest.approx(
+            math.exp(1000 - 400 * math.log(10)) * math.sqrt(3) / 2
+        )
 
     def test_moment_below_float_range(self):
         # the float underflows while the exact sign does not: None, not -0.0

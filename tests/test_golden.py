@@ -11,6 +11,7 @@ subcommand, at a fixed terminal width (COLUMNS=80).
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,22 @@ def _cases() -> dict[str, list[str]]:
         cases[f"profile-one-direction-{fmt}"] = [
             "profile", "tests/golden/one_direction.cut", "--format", fmt
         ]
+    # a sphere cut sweeping 10^400 whole turns, its bare form, and one of
+    # 10^308 turns: 2 pi times the turns is beyond float range, so the swept
+    # angle and the window are shown without a float (null in json)
+    huge = 10**400
+    for fmt in ("text", "json"):
+        cases[f"profile-huge-turns-{fmt}"] = [
+            "profile", "tests/golden/huge_turns.cut", "--format", fmt
+        ]
+    cases["check-huge-turns-bare"] = ["check", "tests/golden/huge_turns_bare.cut"]
+    cases["slice-huge-turns"] = [
+        "slice", "tests/golden/huge_turns.cut", "--eta", "0,1",
+        "--window", f"-1,0;{huge - 2}", f"-1,0;{huge}",
+    ]
+    cases["profile-turns-e308-json"] = [
+        "profile", "tests/golden/turns_e308.cut", "--format", "json"
+    ]
     # argv shapes outside the command table's plain form, which argparse reads:
     # an attached value, an abbreviation, a repeat (the last one wins), an
     # option before the file, and a missing value
@@ -142,3 +159,18 @@ def test_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
     assert run_case(CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith("-json")))
+def test_json_is_strict(name, monkeypatch):
+    """Every json report parses as strict JSON: no NaN and no Infinity."""
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(CASES[name])
+    if out.getvalue():  # a json case that fails prints nothing on stdout
+        json.loads(out.getvalue(), parse_constant=_not_json)
