@@ -78,6 +78,9 @@ def _cases() -> dict[str, list[str]]:
     for stem in ("huge_collapse", "huge_radial"):
         for sub in ("check", "cut"):
             cases[f"{sub}-{stem.replace('_', '-')}"] = [sub, f"tests/golden/{stem}.cut"]
+    # a radial value of 10^-400: the boundary moment is below float range,
+    # reported without a float too, not as 0
+    cases["check-tiny-radial"] = ["check", "tests/golden/tiny_radial.cut"]
     # a 401-digit breakpoint: the exact t of a disk or a planar zero is
     # beyond float range and is reported without a float
     cases["overtwisted-huge-breaks"] = ["overtwisted", "tests/golden/huge_breaks.cut"]
