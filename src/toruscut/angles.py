@@ -15,12 +15,15 @@ values is decided entirely with integer sign, cross and dot products:
   * two principal parts are ordered by half-plane class, then by the sign
     of the cross product within a common open half-plane.
 
-Addition and subtraction multiply the underlying Gaussian integers and
-correct the branch by an exactly determined element of {-1, 0, +1}.
+Addition and subtraction of `Angle`s multiply the underlying Gaussian
+integers and correct the branch by an exactly determined element of
+{-1, 0, +1}.
 
 Rational combinations of angles, such as p*a - q*b or a profile value
 between two breakpoints, are `AngleForm`s: sum(c_i * Arg(z_i)) + r*pi with
-rational c_i and r.  No Gaussian integer is ever raised to the power of a
+rational c_i and r, kept in a normal form (terms sorted by direction).
+Addition and subtraction of forms merge two normal forms in one linear
+pass.  No Gaussian integer is ever raised to the power of a
 coefficient.  The sign of a form is read off a float estimate with a
 stated error bound; only near a tie is it decided exactly, by factoring
 the z_i and their conjugates over a coprime base in Z[i] (gcds and exact
@@ -50,6 +53,7 @@ from fractions import Fraction
 from .errors import NonPrimitive, ZeroVector
 
 TWO_PI = 2.0 * math.pi
+_FAST_TURNS = 2**1000  # `Angle.value` multiplies fewer turns than this in floats
 
 
 def to_float(q: Fraction | int, factor: float = 1.0, exp2: int = 0) -> float | None:
@@ -160,7 +164,11 @@ class Angle:
 
     def value(self) -> float | None:
         """Float approximation within 2**-50 + 2**-51 * |value|, or None
-        beyond float range; decisions use it only outside that bound."""
+        beyond float range; decisions use it only outside that bound.
+        Below 2**1000 turns, turns * TWO_PI is a normal float or 0.0, so it
+        is `to_float(turns, TWO_PI)` bit for bit, without the call."""
+        if -_FAST_TURNS < self.turns < _FAST_TURNS:
+            return _arg(self.dir) + self.turns * TWO_PI
         turns = to_float(self.turns, TWO_PI)
         return None if turns is None else _arg(self.dir) + turns
 
@@ -316,6 +324,40 @@ def _term_key(term) -> tuple[int, int]:
     return (term[0].x, term[0].y)
 
 
+_ONE = Fraction(1)
+
+
+def _merge(a, b, sign: int) -> tuple:
+    """The normal terms of a + sign * b, for sign +-1 and term tuples a and
+    b that are already normal (folded, merged, nonzero, sorted by (x, y)):
+    one merge of the two sorted tuples, adding equal directions and
+    dropping the sums that cancel."""
+    if not b:
+        return a
+    if sign < 0:
+        b = tuple((d, -c) for d, c in b)
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (da, ca), (db, cb) = a[i], b[j]
+        ka, kb = (da.x, da.y), (db.x, db.y)
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((da, c))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
 def _arg(d: Direction) -> float:
     """Arg(d) in floats, within 2**-50 for any coordinate size.
 
@@ -341,10 +383,11 @@ def _float_sum(terms, r) -> tuple[float, float]:
     gives e = inf.
     """
     try:
-        fr = float(r)
+        # n / d is float(q) of a Fraction q, without the ABC's __float__
+        fr = r.numerator / r.denominator
         v, size = fr * math.pi, abs(fr)
         for d, c in terms:
-            fc = float(c)
+            fc = c.numerator / c.denominator
             v += fc * _arg(d)
             size += abs(fc)
     except OverflowError:
@@ -483,11 +526,15 @@ def _fixed_sum(terms, r: int, prec: int) -> tuple[int, int]:
 class AngleForm:
     """sum(c * Arg(d) for d, c in terms) + r*pi, with rational c and r.
 
-    The d are primitive directions.  On construction the eight at
-    multiples of pi/4 are folded into r, equal directions are merged,
-    zero coefficients dropped and the terms sorted by (x, y).  Equal
-    values need not be structurally equal (Arg(2,1) + Arg(2,-1) = 0), so
-    `==` is the `sign()` of the difference and forms are not hashable.
+    The d are primitive directions.  The constructor is the one place
+    that normalises arbitrary terms: the eight directions at multiples of
+    pi/4 are folded into r, equal directions are merged, zero
+    coefficients dropped and the terms sorted by (x, y).  `+` and `-`
+    merge the sorted terms of two normal forms, adding equal directions
+    and dropping sums that cancel, and `-x` and `*` scale each term, so
+    arithmetic never normalises again.  Equal values need not be
+    structurally equal (Arg(2,1) + Arg(2,-1) = 0), so `==` is the
+    `sign()` of the difference and forms are not hashable.
     """
 
     terms: tuple[tuple[Direction, Fraction], ...] = ()
@@ -520,12 +567,12 @@ class AngleForm:
         q = a.pi_multiple()
         if q is not None:
             return AngleForm._normal((), q)
-        return AngleForm._normal(((a.dir, Fraction(1)),), Fraction(2 * a.turns))
+        return AngleForm._normal(((a.dir, _ONE),), Fraction(2 * a.turns))
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         if not isinstance(other, AngleForm):
             return NotImplemented
-        return AngleForm(self.terms + other.terms, self.r + other.r)
+        return AngleForm._normal(_merge(self.terms, other.terms, 1), self.r + other.r)
 
     def __neg__(self) -> "AngleForm":
         return AngleForm._normal(tuple((d, -c) for d, c in self.terms), -self.r)
@@ -533,7 +580,7 @@ class AngleForm:
     def __sub__(self, other: "AngleForm") -> "AngleForm":
         if not isinstance(other, AngleForm):
             return NotImplemented
-        return AngleForm(self.terms + tuple((d, -c) for d, c in other.terms), self.r - other.r)
+        return AngleForm._normal(_merge(self.terms, other.terms, -1), self.r - other.r)
 
     def __mul__(self, k: Fraction | int) -> "AngleForm":
         if not isinstance(k, (int, Fraction)):

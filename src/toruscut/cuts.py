@@ -24,6 +24,7 @@ when the radial profile needs it, and a piece is built once, directly on
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -144,8 +145,8 @@ class ReducedCircle:
     exact value phi(t*), and point the exact parameter description.  The
     reduced 1-form on the quotient circle is coefficient * dv in the
     coordinate v dual to the recorded complement of eta; the coefficient
-    is (-1)^(j+1) r(t*) / |eta|, never zero, as a float, or None when r(t*)
-    or |eta| is beyond float range.
+    is (-1)^(j+1) r(t*) / |eta|, never zero, as a float, or None when r(t*),
+    |eta| or the quotient is beyond the normal float range.
     """
 
     index: int
@@ -264,14 +265,15 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     out = []
     for (j, pt), r in zip(hits, radii):
         sign = 1 if j % 2 else -1
+        # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
+        q = None if r is None or mag is None else r / mag
         out.append(
             ReducedCircle(
                 index=j,
                 angle=add_half_turns(base, j),
                 point=pt,
                 sign=sign,
-                # no float when r(t*) or |eta| is beyond float range
-                coefficient=None if r is None or mag is None else sign * r / mag,
+                coefficient=None if q is None or q < sys.float_info.min else sign * q,
                 complement=zeta,
             )
         )

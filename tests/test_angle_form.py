@@ -69,6 +69,30 @@ forms = st.builds(
 )
 
 
+EIGHTHS = (D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1))
+BIG = 2**200
+
+# the pi/4 directions, a small pool that repeats, and large coordinates
+merge_dirs = st.one_of(
+    st.sampled_from(EIGHTHS),
+    dirs(3),
+    st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG))
+    .filter(lambda v: v != (0, 0))
+    .map(lambda v: D.reduced(*v)),
+)
+
+
+@st.composite
+def form_pairs(draw):
+    """(a, b) whose terms share directions; copies of a's terms in b, with
+    the same or the opposite coefficient, cancel exactly in a - b or a + b."""
+    raw = st.lists(st.tuples(merge_dirs, rationals()), max_size=5)
+    a = AngleForm(tuple(draw(raw)), draw(rationals()))
+    shared = draw(st.lists(st.sampled_from(a.terms), max_size=4)) if a.terms else []
+    b_terms = draw(raw) + [(d, c if draw(st.booleans()) else -c) for d, c in shared]
+    return a, AngleForm(tuple(draw(st.permutations(b_terms))), draw(rationals()))
+
+
 def exact_tie(w, p: int) -> AngleForm:
     """p*Arg(w) - Arg(w**p) + k*pi with the k that makes it 0.
 
@@ -89,6 +113,20 @@ def count_fixed(monkeypatch) -> list:
 
     monkeypatch.setattr(angles, "_fixed_sum", counted)
     return calls
+
+
+class TestArithmetic:
+    @settings(derandomize=True, max_examples=120)
+    @given(form_pairs())
+    def test_add_and_sub_merge_like_the_constructor(self, pair):
+        a, b = pair
+        neg_b = tuple((d, -c) for d, c in b.terms)
+        for got, want in (
+            (a + b, AngleForm(a.terms + b.terms, a.r + b.r)),
+            (a - b, AngleForm(a.terms + neg_b, a.r - b.r)),
+        ):
+            assert got.terms == want.terms and got.r == want.r
+            assert type(got.r) is F and all(type(c) is F for _, c in got.terms)
 
 
 class TestSign:

@@ -22,6 +22,8 @@ from toruscut import (
     InvariantContactForm,
     ProfilePoint,
     RadialProfile,
+    alpha_form,
+    contact_reduce,
     moment_eval,
     sympl_moment_eval,
 )
@@ -177,6 +179,15 @@ class TestBeyondFloatRangeFixedCases:
         pt = self.point()
         assert pt.offset.ratio(pt.span) == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("turns", [0, 1, -1] + [s * 2**1000 + k for s in (1, -1) for k in (-1, 0, 1)])
+    def test_angle_value_paths_agree_at_the_bound(self, turns):
+        # below 2**1000 turns `value` multiplies in floats, from there on it
+        # calls to_float; on either side of the bound both give one float
+        two_pi = 2 * math.pi
+        for d in (D(1, 0), D(3, 4), D(-1, 0), D(-2, -7)):
+            want = math.atan2(d.y, d.x) + to_float(turns, two_pi)
+            assert A(d, turns).value() == want == math.atan2(d.y, d.x) + turns * two_pi
+
     def test_t_float_of_a_huge_turn_ratio(self):
         assert self.point().t_float() == pytest.approx(1 / 3)
 
@@ -194,3 +205,18 @@ class TestBeyondFloatRangeFixedCases:
         phi = AngleProfile((F(0), F(1)), (A(D(1, 0)), A(D(0, 1), 1)))
         form = InvariantContactForm.unit(phi)
         assert sympl_moment_eval(form, (1, 0), F(1, 3), s) is None
+
+    @pytest.mark.parametrize("exp, shown", [(200, True), (300, False)])
+    def test_reduced_coefficient_below_range_is_none(self, exp, shown):
+        # r / |eta| is about 1e-230, a normal float, or 1e-330, below the
+        # range, where a plain float quotient reads -0.0 and 0.0
+        form = InvariantContactForm(
+            alpha_form(1).phi, RadialProfile.constant(F(1, 10**exp), (0, 1))
+        )
+        circles = contact_reduce(form, (10**30, 1))
+        assert len(circles) == 2
+        for c in circles:
+            if shown:
+                assert c.coefficient == c.sign * (to_float(F(1, 10**exp)) / math.hypot(1e30, 1))
+            else:
+                assert c.coefficient is None
