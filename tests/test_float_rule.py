@@ -179,11 +179,13 @@ class TestBeyondFloatRangeFixedCases:
         pt = self.point()
         assert pt.offset.ratio(pt.span) == pytest.approx(1 / 3)
 
-    @pytest.mark.parametrize("turns", [0, 1, -1] + [s * 2**1000 + k for s in (1, -1) for k in (-1, 0, 1)])
-    def test_angle_value_paths_agree_at_the_bound(self, turns):
+    @pytest.mark.parametrize("sign", [0, 1, -1])
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_angle_value_paths_agree_at_the_bound(self, sign, k):
         # below 2**1000 turns `value` multiplies in floats, from there on it
-        # calls to_float; on either side of the bound both give one float
-        two_pi = 2 * math.pi
+        # calls to_float; on either side of the bound, and near 0, both give
+        # one float
+        turns, two_pi = sign * 2**1000 + k, 2 * math.pi
         for d in (D(1, 0), D(3, 4), D(-1, 0), D(-2, -7)):
             want = math.atan2(d.y, d.x) + to_float(turns, two_pi)
             assert A(d, turns).value() == want == math.atan2(d.y, d.x) + turns * two_pi
