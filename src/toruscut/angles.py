@@ -327,15 +327,13 @@ def _term_key(term) -> tuple[int, int]:
 _ONE = Fraction(1)
 
 
-def _merge(a, b, sign: int) -> tuple:
-    """The normal terms of a + sign * b, for sign +-1 and term tuples a and
-    b that are already normal (folded, merged, nonzero, sorted by (x, y)):
-    one merge of the two sorted tuples, adding equal directions and
-    dropping the sums that cancel."""
+def _merge(a, b) -> tuple:
+    """The normal terms of a + b, for term tuples a and b that are already
+    normal (folded, merged, nonzero, sorted by (x, y)): one merge of the
+    two sorted tuples, adding equal directions and dropping the sums that
+    cancel."""
     if not b:
         return a
-    if sign < 0:
-        b = tuple((d, -c) for d, c in b)
     if not a:
         return b
     out = []
@@ -356,6 +354,11 @@ def _merge(a, b, sign: int) -> tuple:
             i += 1
             j += 1
     return (*out, *a[i:], *b[j:])
+
+
+def _negated(terms) -> tuple:
+    """-terms, still normal."""
+    return tuple((d, -c) for d, c in terms)
 
 
 def _arg(d: Direction) -> float:
@@ -572,15 +575,15 @@ class AngleForm:
     def __add__(self, other: "AngleForm") -> "AngleForm":
         if not isinstance(other, AngleForm):
             return NotImplemented
-        return AngleForm._normal(_merge(self.terms, other.terms, 1), self.r + other.r)
+        return AngleForm._normal(_merge(self.terms, other.terms), self.r + other.r)
 
     def __neg__(self) -> "AngleForm":
-        return AngleForm._normal(tuple((d, -c) for d, c in self.terms), -self.r)
+        return AngleForm._normal(_negated(self.terms), -self.r)
 
     def __sub__(self, other: "AngleForm") -> "AngleForm":
         if not isinstance(other, AngleForm):
             return NotImplemented
-        return AngleForm._normal(_merge(self.terms, other.terms, -1), self.r - other.r)
+        return AngleForm._normal(_merge(self.terms, _negated(other.terms)), self.r - other.r)
 
     def __mul__(self, k: Fraction | int) -> "AngleForm":
         if not isinstance(k, (int, Fraction)):

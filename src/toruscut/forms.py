@@ -13,15 +13,14 @@ integer vector eta = (m, n) vanishes precisely where phi crosses the
 half-turn lattice through Arg(-n, m).
 
 Exact sign policy.  phi(t) at a rational t is one `AngleForm`,
-`AngleProfile.form_at(t)` (or `forms_at` for many ascending t): the
-breakpoint value at a breakpoint, else v_lo + lambda * sweep.  Comparing
-it with an angle is the sign of the difference; placing it on a
-half-turn lattice is the floor of that difference in half turns.  Both
-are `AngleForm` decisions: a float estimate with a stated error bound,
-then exact fallbacks.  moment_eval reports a zero only when it can prove
-one, and its float value drops whole turns exactly before cos and sin
-are taken.  No decision rests on an unbounded float, and every float
-shown comes from `angles.to_float`.
+`AngleProfile.form_at(t)`: the breakpoint value at a breakpoint, else
+v_lo + lambda * sweep.  Comparing it with an angle is the sign of the
+difference; placing it on a half-turn lattice is the floor of that
+difference in half turns.  Both are `AngleForm` decisions: a float
+estimate with a stated error bound, then exact fallbacks.  moment_eval
+reports a zero only when it can prove one, and its float value drops
+whole turns exactly before cos and sin are taken.  No decision rests on
+an unbounded float, and every float shown comes from `angles.to_float`.
 
 The radial profile is piecewise polynomial with rational coefficients.
 Users build affine profiles from breakpoint values; products (needed for
@@ -248,30 +247,10 @@ class AngleProfile:
     def form_at(self, t: Rational) -> AngleForm:
         """phi(t) exactly: the breakpoint value at a breakpoint, else
         v[i] + lambda * sweep[i] as an `AngleForm`, with lambda in (0, 1)
-        the position of t inside segment i.  This and `forms_at` are the
-        ways phi is read at a rational t; both go through `_form_in`."""
+        the position of t inside segment i.  This is the one way phi is
+        read at a rational t."""
         t = _frac(t)
-        return self._form_in(self._segment_of(t), t)
-
-    def forms_at(self, ts: Iterable[Rational]) -> list[AngleForm]:
-        """[form_at(t) for t in ts] for ascending ts, in one forward walk
-        over the segments in place of a bisection per t: O(n + len(ts)).
-        A t before the segment the walk has reached raises ValueError."""
-        b, last = self.breaks, len(self.breaks) - 2
-        i, out = 0, []
-        for t in ts:
-            t = _frac(t)
-            if not (self.t0 <= t <= self.t1):
-                raise OutsideDomain(t, self.t0, self.t1)
-            if t < b[i]:
-                raise ValueError("forms_at needs ascending parameters")
-            while i < last and b[i + 1] <= t:
-                i += 1
-            out.append(self._form_in(i, t))
-        return out
-
-    def _form_in(self, i: int, t: Fraction) -> AngleForm:
-        """phi(t) for t in segment i, the segment `_segment_of(t)` picks."""
+        i = self._segment_of(t)
         t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
         if t == t_lo or self.is_degenerate:
             return AngleForm.of(self.values[i])

@@ -365,12 +365,11 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     Requires both boundary directions to agree (turn counts are free); the
     planar zeros, where the profiles differ by an odd multiple of pi, are
     enumerated exactly in one pass over the merged segments: the
-    difference psi is an `AngleForm` at each merged breakpoint, read in
-    one forward walk over each profile's segments (`forms_at`), and
-    affine in between, so each segment's zeros are one range of n,
-    walked in t order, and no zero needs its exact t.  The cost per
-    segment depends on the bit length of the breakpoint directions, not
-    on the breakpoint denominators.
+    difference is an `AngleForm` at each merged breakpoint and affine in
+    between, so each segment's zeros are one range of n, walked in t
+    order, and no zero needs its exact t.  The cost per segment depends
+    on the bit length of the breakpoint directions, not on the breakpoint
+    denominators.
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
@@ -384,7 +383,7 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
 
     merged = sorted(set(pa.breaks) | set(pb.breaks))
     # psi = phi_a - phi_b is affine on each merged segment
-    psi = [x - y for x, y in zip(pa.forms_at(merged), pb.forms_at(merged))]
+    psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
     zeros: list[PlanarZero] = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for seg, (u0, u1) in enumerate(zip(merged, merged[1:])):

@@ -754,33 +754,6 @@ class TestExactPhi:
         assert moment_sign(InvariantContactForm.unit(phi), (d.y, -d.x), t) == -want
 
 
-def structure(forms) -> list:
-    return [(f.terms, f.r) for f in forms]
-
-
-class TestFormsAt:
-    """forms_at, one forward walk, against form_at, a bisection per t."""
-
-    @given(monotone_profiles(), st.data())
-    @settings(derandomize=True, max_examples=60)
-    def test_matches_form_at(self, phi, data):
-        b = phi.breaks
-        point = st.one_of(st.sampled_from(b), rational_in(b[0], b[-1]))
-        ts = sorted(data.draw(st.lists(point, max_size=12)))
-        assert structure(phi.forms_at(ts)) == structure(phi.form_at(t) for t in ts)
-
-    def test_degenerate_profile(self):
-        phi = AngleProfile((F(1, 3), F(1, 3)), (A(D(2, 1), 4), A(D(2, 1), 4)))
-        assert structure(phi.forms_at([F(1, 3), F(1, 3)])) == structure([phi.form_at(F(1, 3))] * 2)
-
-    def test_rejects_outside_and_behind_the_walk(self):
-        phi = AngleProfile((F(0), F(1, 2), F(1)), (A(D(1, 0)), A(D(0, 1)), A(D(-1, 0))))
-        with pytest.raises(OutsideDomain):
-            phi.forms_at([F(0), F(2)])
-        with pytest.raises(ValueError):
-            phi.forms_at([F(3, 4), F(1, 3)])
-
-
 class TestBeyondFloatRange:
     """A float beyond float range is None; the exact parts stay."""
 
