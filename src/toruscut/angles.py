@@ -39,9 +39,15 @@ that bound.  Every exact sign of a rational combination of angles goes
 through that one stage and its exact fallbacks.
 
 Only eight primitive directions have an argument that is a rational
-multiple of pi (the axes and diagonals); `Angle.pi_multiple` recognises them,
-which is how downstream code tells exactly representable parameter values
-apart from irrational ones.
+multiple of pi: the axes and diagonals, at k quarter turns (multiples of
+pi/4) for k in (-4, 4].  One table maps each to its k.  So an angle on
+one of them is an integer count of quarter turns, `Angle.quarters()`
+(k + 8*turns), and `angle_of_quarters` is its exact inverse.  Code that
+meets only such angles, like a half-turn lattice walk on a pi/4 profile,
+works in those integers.  `Angle.pi_multiple` is the count over 4, which
+is how downstream code tells exactly representable parameter values apart
+from irrational ones, and the `AngleForm` constructor folds these
+directions into its rational multiple of pi through the same table.
 """
 
 from __future__ import annotations
@@ -180,13 +186,16 @@ class Angle:
             return AngleForm.of(self).ratio(AngleForm.of(den))
         return num / d
 
+    def quarters(self) -> int | None:
+        """value / (pi/4) as an int, or None when dir is not one of the
+        eight pi/4 directions (then the value is no rational multiple of pi)."""
+        k = _QUARTERS.get((self.dir.x, self.dir.y))
+        return None if k is None else k + 8 * self.turns
+
     def pi_multiple(self) -> Fraction | None:
         """value / pi as an exact Fraction, or None when it is irrational."""
-        q = _PI_MULTIPLES.get((self.dir.x, self.dir.y))
-        if q is None:
-            return None
-        num, den = q
-        return Fraction(num + 2 * self.turns * den, den)
+        q = self.quarters()
+        return None if q is None else Fraction(q, 4)
 
     def __lt__(self, other):
         return angle_compare(self, other) < 0
@@ -293,18 +302,21 @@ def _lattice_bounds(theta: Angle, lo: Angle, hi: Angle, q: int = 1) -> tuple[int
 
 
 # The eight primitive directions whose argument is a rational multiple of pi
-# (Niven: a rational angle has rational tangent only at multiples of pi/4).
-# Each maps to Arg / pi as an integer pair (num, den) in lowest terms.
-_PI_MULTIPLES = {
-    (1, 0): (0, 1),
-    (1, 1): (1, 4),
-    (0, 1): (1, 2),
-    (-1, 1): (3, 4),
-    (-1, 0): (1, 1),
-    (-1, -1): (-3, 4),
-    (0, -1): (-1, 2),
-    (1, -1): (-1, 4),
-}
+# (Niven: a rational angle has rational tangent only at multiples of pi/4),
+# each mapped to Arg / (pi/4) = k in (-4, 4]; _QUARTER_DIRS[k] is its inverse.
+_QUARTER_DIRS = tuple(
+    _primitive(x, y)
+    for x, y in ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+)
+_QUARTERS = {(d.x, d.y): k for k, d in zip((0, 1, 2, 3, 4, -3, -2, -1), _QUARTER_DIRS)}
+
+
+def angle_of_quarters(q: int) -> Angle:
+    """q * pi/4 exactly: the inverse of `Angle.quarters`.  With n = (q + 3)
+    >> 3, q - 8n lies in (-4, 4], so it is Arg(dir) / (pi/4) for the
+    direction at that index of _QUARTER_DIRS (negative indices wrap)."""
+    n = (q + 3) >> 3
+    return Angle(_QUARTER_DIRS[q - 8 * n], n)
 
 
 # -- rational linear forms in angles ---------------------------------------------
@@ -547,9 +559,9 @@ class AngleForm:
         r = _fraction(self.r)
         coeffs: dict[Direction, Fraction] = {}
         for d, c in self.terms:
-            q = _PI_MULTIPLES.get((d.x, d.y))
-            if q is not None:
-                r += Fraction(*q) * c
+            k = _QUARTERS.get((d.x, d.y))
+            if k is not None:
+                r += Fraction(k, 4) * c
             elif d in coeffs:
                 coeffs[d] += c
             else:
@@ -708,16 +720,18 @@ class AngleForm:
     def floor(self, step: Fraction | int = 1) -> int:
         """floor(value / (step*pi)), exactly, for a positive rational step.
 
-        A float estimate whose bound is below step brackets the answer
-        between the floors of its two ends, widened by the bound once more
-        for the rounding of the division; usually they agree and no exact
-        sign is needed.  Otherwise |value| <= pi * (sum |c| + |r|) brackets
-        it.  Bisection with `sign()` finishes.
+        A float estimate whose bound is below the step's float (a step
+        outside float range has none) brackets the answer between the
+        floors of its two ends, widened by the bound once more for the
+        rounding of the division; usually they agree and no exact sign is
+        needed.  Otherwise |value| <= pi * (sum |c| + |r|) brackets it.
+        Bisection with `sign()` finishes.
         """
         step = _fraction(step)
         v, e = _float_sum(self.terms, self.r)
-        if e < step and math.isfinite(v):
-            unit = float(step) * math.pi
+        fstep = to_float(step)
+        if fstep is not None and e < fstep and math.isfinite(v):
+            unit = fstep * math.pi
             lo, hi = math.floor((v - 2 * e) / unit), math.floor((v + 2 * e) / unit)
         else:
             t = math.ceil((sum(abs(c) for _, c in self.terms) + abs(self.r)) / step)

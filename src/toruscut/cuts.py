@@ -39,6 +39,7 @@ from .angles import (
     add_turns,
     angle_add,
     angle_compare,
+    angle_of_quarters,
     angle_sub,
     direction_angle,
     to_float,
@@ -260,17 +261,19 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     zeta = complement_vector(eta)
     x, y = to_float(eta.x), to_float(eta.y)
     mag = None if x is None or y is None else math.hypot(x, y)
+    q_base = base.quarters()
     hits = form.phi.solve_half_turn_lattice(base)
     radii = form.radial.floats_along(pt for _, pt in hits)
     out = []
     for (j, pt), r in zip(hits, radii):
         sign = 1 if j % 2 else -1
+        angle = add_half_turns(base, j) if q_base is None else angle_of_quarters(q_base + 4 * j)
         # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
         q = None if r is None or mag is None else r / mag
         out.append(
             ReducedCircle(
                 index=j,
-                angle=add_half_turns(base, j),
+                angle=angle,
                 point=pt,
                 sign=sign,
                 coefficient=None if q is None or q < sys.float_info.min else sign * q,

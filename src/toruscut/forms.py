@@ -31,9 +31,10 @@ Parameter values where a profile attains a given lattice angle are
 returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio collapses to a Fraction exactly when both differences are
-rational multiples of pi.  `solve_half_turn_lattice` finds all J hits of
-a half-turn lattice in one pass over the n segments, O(n + J), with one
-Fraction per exact hit.
+rational multiples of pi, computed once, on first use.
+`solve_half_turn_lattice` finds all J hits of a half-turn lattice in one
+pass over the n segments, O(n + J); on a pi/4 lattice through a profile
+of pi/4 values the pass is in integer quarter turns.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .angles import (
     add_half_turns,
     angle_add,
     angle_compare,
+    angle_of_quarters,
     angle_sub,
     ceil_half_turns,
     direction_angle,
@@ -91,11 +93,10 @@ class ProfilePoint:
     an exact `==`, and `ratio()`, which for forms stays accurate when the
     span is a tiny difference of large Args.
 
-    The exact parameter value lives in the slot _t, which is not
-    compared, hashed or shown.  `solve_half_turn_lattice` fills it where
-    its walk already knows t; otherwise `t_fraction` computes it from
-    offset and span on first use.  Ellipsis marks it as not yet known,
-    since None means an irrational t.
+    The exact parameter value is computed in one place, `_exact_t`, once,
+    on first use, and kept in the slot _t, which is not compared, hashed
+    or shown.  Ellipsis marks it as not yet known, since None means an
+    irrational t.
     """
 
     segment: int
@@ -106,7 +107,17 @@ class ProfilePoint:
     _t: Fraction | None = field(default=..., init=False, repr=False, compare=False)
 
     def _exact_t(self) -> Fraction | None:
-        if self.offset == self.span:
+        """t_lo + (t_hi - t_lo) * offset / span when that ratio is rational,
+        else None.  Between two pi/4 angles it is a ratio of quarter
+        counts, so t is one Fraction from integers."""
+        offset, span = self.offset, self.span
+        if type(offset) is Angle and type(span) is Angle:
+            qo, qs = offset.quarters(), span.quarters()
+            if qo is not None and qs:
+                t_lo, t_hi = self.t_lo, self.t_hi
+                p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
+                return Fraction(p * u * qs + (s * r - p * u) * qo, r * u * qs)
+        if offset == span:
             return self.t_hi
         num = self.offset.pi_multiple()
         if num == 0:
@@ -291,6 +302,13 @@ class AngleProfile:
             i, self.breaks[i], self.breaks[lo], angle_sub(target, v[i]), self._sweeps[i]
         )
 
+    @cached_property
+    def _quarters(self) -> tuple[int, ...] | None:
+        """The values' quarter counts (`Angle.quarters`), or None unless
+        every value is a pi/4 direction; computed on first use."""
+        qs = tuple(v.quarters() for v in self.values)
+        return None if None in qs else qs
+
     def solve_half_turn_lattice(self, base: Angle) -> list[tuple[int, ProfilePoint]]:
         """All (j, point) with phi(point) = base + j*pi, ordered by parameter.
 
@@ -298,13 +316,24 @@ class AngleProfile:
         is hit exactly once, a hit on a shared breakpoint on the earlier
         segment.  One pass over the segments: the lattice bound at each
         segment's far end is its last j (j descends on a decreasing
-        profile), and each hit's offset steps by half turns from the
-        segment's first.  Where a segment's offsets and sweep are rational
-        multiples of pi (every segment, when the base and the values are
-        pi/4 directions), each hit's exact t is one Fraction from
-        per-segment integers, handed to the point.  Cost: O(n + J) for n
-        breakpoints and J hits, with no per-hit search.
+        profile), each hit's offset is base + j*pi - v[i] and its span the
+        segment's sweep.  The input picks one of two walks:
+
+        * when the base and every value are pi/4 directions, the walk is
+          in their quarter counts (`Angle.quarters`) B and V[i]: a
+          segment's last j is one floor division of V[i+1] - B by 4 (a
+          ceiling division on a decreasing profile), and a hit's offset is
+          `angle_of_quarters(B + 4j - V[i])`;
+        * otherwise each segment's bound is the floor (ceiling) of the
+          exact difference v[i+1] - base in half turns, and a hit's offset
+          is j half turns added to base - v[i].
+
+        Either way the cost is O(n + J) for n breakpoints and J hits, with
+        no per-hit search.  Each point computes its exact t on first use.
         """
+        qs, q_base = self._quarters, base.quarters()
+        if qs is not None and q_base is not None:
+            return self._quarter_lattice(qs, q_base)
         v, b, sweeps = self.values, self.breaks, self._sweeps
         sign = angle_compare(v[-1], v[0])
         j_min, j_max = _lattice_bounds(base, *self.value_bounds())
@@ -315,29 +344,39 @@ class AngleProfile:
         j = j_min if sign > 0 else j_max
         minus_base = negate(base)
         d_hi = angle_add(v[0], minus_base)
-        for i in range(len(sweeps)):
+        for i, span in enumerate(sweeps):
             d_lo, d_hi = d_hi, angle_add(v[i + 1], minus_base)  # v[i] - base, v[i + 1] - base
             end = bound(d_hi)
             js = range(j, end + sign, sign)
             j = end + sign
             if not js:
                 continue
-            t_lo, t_hi, span = b[i], b[i + 1], sweeps[i]
-            first = add_half_turns(negate(d_lo), js[0])  # base + j*pi - v[i]
-            num, den = first.pi_multiple(), span.pi_multiple()
-            exact = num is not None and den is not None
-            if exact:
-                # t = t_lo + (t_hi - t_lo) * (num + m) / den at offset first + m*pi,
-                # as one Fraction over r*u*c*e, with t_lo = p/r, t_hi = s/u,
-                # num = a/c and den = e/f
-                p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
-                a, c, e, f = num.numerator, num.denominator, den.numerator, den.denominator
-                at_lo, per_m, t_den = p * u * c * e, (s * r - p * u) * f, r * u * c * e
+            t_lo, t_hi, at = b[i], b[i + 1], negate(d_lo)  # base - v[i]
             for j_hit in js:
-                m = j_hit - js[0]
-                pt = ProfilePoint(i, t_lo, t_hi, add_half_turns(first, m), span)
-                if exact:
-                    object.__setattr__(pt, "_t", Fraction(at_lo + per_m * (a + m * c), t_den))
+                out.append((j_hit, ProfilePoint(i, t_lo, t_hi, add_half_turns(at, j_hit), span)))
+        return out
+
+    def _quarter_lattice(self, qs: tuple[int, ...], q_base: int) -> list[tuple[int, ProfilePoint]]:
+        """`solve_half_turn_lattice` for a base of q_base quarter turns on
+        values of qs quarter turns, in integers: base + j*pi is q_base + 4j."""
+        b, sweeps = self.breaks, self._sweeps
+        sign = (qs[-1] > qs[0]) - (qs[-1] < qs[0])
+        lo, hi = (qs[0], qs[-1]) if sign > 0 else (qs[-1], qs[0])
+        j_min, j_max = -((q_base - lo) // 4), (hi - q_base) // 4
+        if sign == 0 or j_min > j_max:
+            return []
+        out = []
+        j = j_min if sign > 0 else j_max
+        for i, span in enumerate(sweeps):
+            d = qs[i + 1] - q_base
+            end = d // 4 if sign > 0 else -(-d // 4)
+            js = range(j, end + sign, sign)
+            j = end + sign
+            if not js:
+                continue
+            t_lo, t_hi, at = b[i], b[i + 1], q_base - qs[i]
+            for j_hit in js:
+                pt = ProfilePoint(i, t_lo, t_hi, angle_of_quarters(at + 4 * j_hit), span)
                 out.append((j_hit, pt))
         return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .angles import Angle, Direction, angle_compare, direction_angle
+from .angles import Angle, Direction, angle_compare, angle_of_quarters, direction_angle
 from .cuts import CutSpec
 from .forms import AngleProfile, InvariantContactForm
 
@@ -77,10 +77,7 @@ def rotating_line_form(turns: int = 3) -> InvariantContactForm:
     if turns < 1:
         raise ValueError("need at least one turn")
     breaks = tuple(Fraction(u) for u in range(-turns, turns + 1))
-    values = tuple(
-        Angle(Direction(1, 0), u // 2) if u % 2 == 0 else Angle(Direction(-1, 0), (u - 1) // 2)
-        for u in range(-turns, turns + 1)
-    )
+    values = tuple(angle_of_quarters(4 * u) for u in range(-turns, turns + 1))
     return InvariantContactForm.unit(AngleProfile(breaks, values))
 
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from toruscut import angles
 from toruscut.angles import AngleForm, Direction
 
+from quarter_reference import EIGHTHS
+
 D = Direction
 
 
@@ -69,7 +71,6 @@ forms = st.builds(
 )
 
 
-EIGHTHS = (D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1))
 BIG = 2**200
 
 # the pi/4 directions, a small pool that repeats, and large coordinates
@@ -237,6 +238,11 @@ class TestFloorAndPiMultiple:
         f = exact_tie((2, 1), 5) + pi(k)
         assert f.floor(step) == k // step
 
+    def test_floor_by_steps_outside_float_range(self):
+        # no float of the step: the bracket from the coefficient sizes
+        f = term(D(2, 1)) + pi(3)  # about 3.15 pi
+        assert (f.floor(10**400), (-f).floor(10**400)) == (0, -1)
+        assert f.floor(F(1, 10**400)) // 10**395 == 314758  # (Arg(2, 1) + 3 pi) / pi = 3.14758...
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0)),
            st.integers(-50, 50), rationals())
     def test_single_angle_forms_match_as_pi_multiple(self, v, turns, c):

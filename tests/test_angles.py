@@ -14,6 +14,7 @@ from toruscut.angles import (
     add_turns,
     angle_add,
     angle_compare,
+    angle_of_quarters,
     angle_sub,
     ceil_half_turns,
     direction_angle,
@@ -23,6 +24,8 @@ from toruscut.angles import (
     parse_angle,
 )
 from toruscut.errors import NonPrimitive, ZeroVector
+
+from quarter_reference import EIGHTHS, quarter_angle
 
 A = lambda x, y, n=0: Angle(Direction(x, y), n)
 
@@ -225,6 +228,20 @@ class TestCountLattice:
 
 
 class TestPiMultiples:
+    @pytest.mark.parametrize("shift", [0, 8 * 10**30, -8 * 10**30])
+    def test_quarter_counts_round_trip(self, shift):
+        for q in range(shift - 80, shift + 81):
+            a = quarter_angle(q)
+            assert angle_of_quarters(q) == a
+            assert a.quarters() == q
+            m = a.pi_multiple()
+            assert type(m) is Fraction and m == Fraction(q, 4)
+
+    @given(angles())
+    def test_only_pi_quarter_directions_have_counts(self, a):
+        if a.dir not in EIGHTHS:
+            assert a.quarters() is None and a.pi_multiple() is None
+
     def test_table(self):
         assert A(1, 0).pi_multiple() == 0
         assert A(-1, 1).pi_multiple() == Fraction(3, 4)

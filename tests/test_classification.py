@@ -51,8 +51,8 @@ from toruscut.forms import ProfilePoint
 from toruscut.invariants import PlanarZero
 
 from float_reference import phi_float
+from quarter_reference import quarter_angle
 from test_angles import count_lattice
-from test_forms import quarter_angle
 
 A = Angle
 D = Direction

@@ -45,15 +45,10 @@ from toruscut.angles import (
 )
 from toruscut.forms import ProfilePoint, contact_check
 
+from quarter_reference import EIGHTHS, quarter_angle
+
 A = Angle
 D = Direction
-EIGHTHS = (D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1))
-
-
-def quarter_angle(k):
-    """k * pi/4 as an Angle."""
-    c, r = divmod(k, 8)
-    return A(EIGHTHS[r], c + (r > 4))
 
 
 def dirs(max_coord=5):

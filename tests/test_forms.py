@@ -38,6 +38,7 @@ from toruscut import cuts, forms
 from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate
 
 from float_reference import phi_float, radial_float
+from quarter_reference import EIGHTHS, quarter_angle
 
 A = Angle
 D = Direction
@@ -96,21 +97,12 @@ def monotone_profiles(draw, max_segments=4, orientation=None):
     return AngleProfile(tuple(breaks), tuple(vals))
 
 
-EIGHTHS = (D(1, 0), D(1, 1), D(0, 1), D(-1, 1), D(-1, 0), D(-1, -1), D(0, -1), D(1, -1))
-
-
-def quarter_angle(k):
-    """k * pi/4 as an Angle."""
-    c, r = divmod(k, 8)
-    return A(EIGHTHS[r], c + (r > 4))
-
-
 @st.composite
-def quarter_profiles(draw, max_segments=6):
+def quarter_profiles(draw, max_segments=6, max_turns=0):
     """Strictly monotone profiles whose values are all pi/4 directions,
-    one to nine quarter turns apart."""
+    one to nine quarter turns apart, shifted by up to max_turns turns."""
     breaks = draw(ascending_breaks(max_segments))
-    qs = [draw(st.integers(-40, 40))]
+    qs = [draw(st.integers(-40, 40)) + 8 * draw(st.integers(-max_turns, max_turns))]
     for _ in range(len(breaks) - 1):
         qs.append(qs[-1] + draw(st.integers(1, 9)))
     if draw(st.booleans()):
@@ -209,14 +201,19 @@ class TestAngleProfile:
 
     def test_exact_t_is_computed_once(self, monkeypatch):
         calls = []
-        pi_multiple = Angle.pi_multiple
-        monkeypatch.setattr(Angle, "pi_multiple", lambda a: calls.append(a) or pi_multiple(a))
+        exact_t = ProfilePoint._exact_t
+        monkeypatch.setattr(ProfilePoint, "_exact_t", lambda p: calls.append(p) or exact_t(p))
         pt = ProfilePoint(0, F(0), F(1), A(D(1, 2)), A(D(0, 1)))  # irrational offset
-        assert pt.t_fraction() is None and len(calls) == 2
+        assert pt.t_fraction() is None and len(calls) == 1
         assert str(pt) == "0 + (1-0)*ratio[1,2;0 / 0,1;0]"
         assert pt.t_float() == pytest.approx(math.atan2(2, 1) / (math.pi / 2))
-        assert pt.t_fraction() is None and len(calls) == 2
+        assert pt.t_fraction() is None and len(calls) == 1
         assert pt == ProfilePoint(0, F(0), F(1), A(D(1, 2)), A(D(0, 1)))
+        # a walk's points compute their t on first use, once each
+        pts = [p for _, p in alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))]
+        assert len(calls) == 1
+        assert [p.t_fraction() for p in pts] == [F(1, 10), F(1, 2), F(9, 10)]
+        assert [str(p) for p in pts] == ["1/10", "1/2", "9/10"] and len(calls) == 4
 
     @given(monotone_profiles())
     def test_solve_inverts_compare(self, phi):
@@ -325,17 +322,25 @@ NUDGE = direction_angle((1000, 1))
 
 class TestSolveBisection:
     @given(
-        st.one_of(monotone_profiles(), monotone_profiles(orientation=-1)),
+        st.one_of(monotone_profiles(), monotone_profiles(orientation=-1), quarter_profiles()),
         angles(max_turns=15),
+        st.integers(-50, 110).map(quarter_angle),
     )
     @settings(max_examples=150)
-    def test_matches_linear_scan(self, phi, drawn):
+    def test_matches_linear_scan(self, phi, drawn, quarter):
         v = phi.values
         step = NUDGE if phi.orientation > 0 else negate(NUDGE)
         inside = [angle_add(x, step) for x in v[:-1]] + [angle_sub(x, step) for x in v[1:]]
         outside = [angle_sub(v[0], step), angle_add(v[-1], step)]
-        for target in (*v, *inside, *outside, drawn):
-            assert phi.solve(target) == scan_solve(phi, target)
+        for target in (*v, *inside, *outside, drawn, quarter):
+            pt = phi.solve(target)
+            assert pt == scan_solve(phi, target)
+            # == ignores t; where offset and span are rational multiples of
+            # pi, t is their ratio placed on the segment
+            num = None if pt is None else pt.offset.pi_multiple()
+            den = None if pt is None else pt.span.pi_multiple()
+            if num is not None and den is not None:
+                assert pt.t_fraction() == pt.t_lo + (pt.t_hi - pt.t_lo) * (num / den)
         for target in v[1:-1]:  # a shared breakpoint belongs to the earlier segment
             pt = phi.solve(target)
             assert pt.offset == pt.span and pt.t_hi == phi.breaks[v.index(target)]
@@ -352,17 +357,28 @@ class TestSolveBisection:
             assert phi.solve(target) is None
 
     @given(
-        st.one_of(monotone_profiles(), quarter_profiles(), st.integers(0, 40).map(alpha_phi)),
+        st.one_of(
+            monotone_profiles(),
+            quarter_profiles(),
+            quarter_profiles(max_turns=10**30),
+            st.integers(0, 40).map(alpha_phi),
+        ),
         st.data(),
         st.lists(st.sampled_from([F(1, 2), 1, 2]), min_size=3, max_size=3),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=250)
     def test_lattice_walk_matches_one_solve_per_hit(self, phi, data, r2):
         # bases on a breakpoint value (hits on shared breakpoints), at a
-        # pi/4 direction, and drawn (mostly irrational)
+        # pi/4 direction near 0 and up to 10**30 turns below and above the
+        # profile (hit indices far from 0), and drawn (mostly irrational);
+        # the pi/4 bases on a pi/4 profile take the integer walk
+        lo, hi = phi.value_bounds()
+        far = st.integers(0, 8 * 10**30)
         bases = [
             data.draw(st.sampled_from(phi.values)),
             quarter_angle(data.draw(st.integers(-8, 8))),
+            quarter_angle(8 * lo.turns - data.draw(far)),
+            quarter_angle(8 * hi.turns + data.draw(far)),
             data.draw(angles()),
         ]
         # a piecewise radial times a three-piece one: degree 2 where both
@@ -412,9 +428,12 @@ class TestSolveBisection:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted, raising=False)
-        solve = AngleProfile.solve
+        solve, pi_multiple = AngleProfile.solve, Angle.pi_multiple
         monkeypatch.setattr(
             AngleProfile, "solve", lambda *args: calls.update(["solve"]) or solve(*args)
+        )
+        monkeypatch.setattr(
+            Angle, "pi_multiple", lambda a: calls.update(["pi_multiple"]) or pi_multiple(a)
         )
         for d in (D(1, 0), D(2, 1)):
             calls.clear()
@@ -427,6 +446,10 @@ class TestSolveBisection:
             assert calls["solve"] == 0
             # one solve per hit makes about J log n angle comparisons
             assert sum(calls.values()) <= 4 * (n + hits)
+            # a pi/4 lattice on pi/4 values is walked in integer quarter turns
+            walked_in_angles = [calls[k] for k in ("angle_add", "negate", "add_half_turns")]
+            assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
+            assert calls["pi_multiple"] == 0
 
     @given(monotone_profiles(), st.data())
     def test_restricted_exact_matches_scan(self, phi, data):
@@ -881,14 +904,6 @@ class TestValueTypes:
         for value, kind in zip(values, kinds):
             assert type(value) is kind
             assert not hasattr(value, "__dict__") and not hasattr(value, "__weakref__"), kind
-
-    def test_walk_built_point_knows_its_t(self, monkeypatch):
-        pts = alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))
-        calls = []
-        pi_multiple = Angle.pi_multiple
-        monkeypatch.setattr(Angle, "pi_multiple", lambda a: calls.append(a) or pi_multiple(a))
-        assert [p.t_fraction() for _, p in pts] == [F(1, 10), F(1, 2), F(9, 10)]
-        assert calls == []
 
     def test_t_beyond_float_range_has_no_float(self):
         big, quarter = F(10**400), A(D(0, 1))
