@@ -9,12 +9,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toruscut import angles
 from toruscut.angles import AngleForm, Direction
 
+from gaussian_reference import in_quarter_turns
 from quarter_reference import EIGHTHS
 
 D = Direction
@@ -192,6 +193,71 @@ class TestSign:
         f = term(D(2, 1), F(10**400)) - term(D(1, 2), F(10**400) + 1)
         assert f.sign() == -1
         assert (term(D(2, 1), F(1, 10**400)) + pi(F(-1, 10**401))).sign() == 1
+
+
+# Gaussian primes of norm 2, 5, 13, 17, 29 and 41, and the four units
+PRIMES = ((1, 1), (2, 1), (3, 2), (4, 1), (5, 2), (5, 4))
+UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+@st.composite
+def quarter_turn_sums(draw):
+    """Integer terms (d, n) over products of a few Gaussian primes, each in
+    either orientation, to powers up to 60, times a unit.  Directions drawn
+    from one small pool of primes share composite norms such as 65 = 5*13
+    with mixed orientations.  Half the draws close the sum with conj(w),
+    w = prod d**n, which makes it 0 (mod 2 pi); then the coefficients are
+    scaled by up to 10**30."""
+    pool = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=3, unique=True))
+    terms, w = [], (1, 0)
+    for _ in range(draw(st.integers(1, 4))):
+        z = draw(st.sampled_from(UNITS))
+        for x, y in pool:
+            p = (x, y) if draw(st.booleans()) else (x, -y)
+            z = gmul(z, gpow(p, draw(st.one_of(st.integers(0, 3), st.integers(4, 60)))).as_tuple())
+        d, n = D.reduced(*z), draw(st.integers(-3, 3).filter(bool))
+        terms.append((d, n))
+        # d**n for n < 0 is conj(d)**|n| up to a positive rational
+        w = D.reduced(*gmul(w, gpow((d.x, d.y if n > 0 else -d.y), abs(n)).as_tuple())).as_tuple()
+    if draw(st.booleans()):
+        terms.append((D(w[0], -w[1]), 1))
+    k = draw(st.sampled_from((1, 10**30, 7 * 10**29 + 1)))
+    return [(d, n * k) for d, n in terms]
+
+
+BIG_POWER = gpow((2, 1), 1800)  # coordinates of more than 2,000 bits
+
+
+class TestQuarterTurns:
+    """The tie test in rational integers against the Gaussian-integer one."""
+
+    @settings(derandomize=True, max_examples=150)
+    @given(quarter_turn_sums())
+    @example([(BIG_POWER, 1), (gpow((2, -1), 900), 2)])
+    @example([(BIG_POWER, 1), (gpow((2, -1), 900), 3)])
+    def test_matches_gaussian_reference(self, terms):
+        assert angles._in_quarter_turns(terms) == in_quarter_turns(terms)
+
+    @pytest.mark.parametrize(
+        "terms, multiple",
+        [
+            # norm 10: the factor 2 does not count
+            (((D(1, 3), 1), (D(2, 1), -1)), F(1, 4)),
+            (((D(4, 7), 1), (D(7, 4), 1)), F(1, 2)),
+            # four directions of norm 65 = 5 * 13 in every orientation: 65 splits
+            (((D(4, 7), 1), (D(8, -1), 1), (D(8, 1), 1), (D(4, -7), 1)), F(0)),
+            # (4 + 7i)(8 - i) = 13 (3 + 4i)
+            (((D(4, 7), 1), (D(8, -1), 1)), None),
+        ],
+    )
+    def test_directed_sums(self, terms, multiple):
+        assert angles._in_quarter_turns(terms) == (multiple is not None)
+        assert in_quarter_turns(terms) == (multiple is not None)
+        assert AngleForm(tuple((d, F(n)) for d, n in terms)).pi_multiple() == multiple
 
 
 class TestRatio:

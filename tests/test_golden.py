@@ -94,6 +94,14 @@ def _cases() -> dict[str, list[str]]:
             "homotopy", "tests/golden/interval.cut", "tests/golden/interval_partner.cut",
             "--format", fmt,
         ]
+    # the difference is constant at -pi over a segment whose ends are written
+    # with two different pairs of opposite directions that are not pi/4, so
+    # the exact tie test decides the segment's slope and its pi multiple
+    for fmt in ("text", "json"):
+        cases[f"homotopy-opposite-dirs-{fmt}"] = [
+            "homotopy", "tests/golden/opposite_dirs.cut",
+            "tests/golden/opposite_dirs_partner.cut", "--format", fmt,
+        ]
     # the ray count at the arc ends of lens21_j1 and at their negatives, on
     # a non-primitive direction, and on the zero vector (exit 3)
     for direction in ("1,0", "-1,0", "2,1", "-2,-1", "4,-2"):
