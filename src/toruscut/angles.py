@@ -25,11 +25,13 @@ rational c_i and r, kept in a normal form (terms sorted by direction).
 Addition and subtraction of forms merge two normal forms in one linear
 pass.  No Gaussian integer is ever raised to the power of a
 coefficient.  The sign of a form is read off a float estimate with a
-stated error bound; only near a tie is it decided exactly, by factoring
-the z_i and their conjugates over a coprime base in Z[i] (gcds and exact
-divisions, no integer factorization; D. J. Bernstein, "Factoring into
-coprimes in essentially linear time", J. Algorithms 54, 2005), and, for a
-near-tie that is not a tie, by fixed-point Args in integer arithmetic.
+stated error bound; only near a tie is it decided exactly.  Whether the
+value is a multiple of pi/4 is read from the norms of the z_i over a
+coprime base in Z and from the square roots of -1 that the z_i give
+modulo each base element (integer gcds, no integer factorization; D. J.
+Bernstein, "Factoring into coprimes in essentially linear time",
+J. Algorithms 54, 2005); a near-tie that is not a tie is decided by
+fixed-point Args in integer arithmetic.
 
 Floating point appears in `to_float`, which makes every float the package
 shows (`Angle.value()`, parameter values, moments) from an exact quantity,
@@ -123,10 +125,6 @@ def _primitive(x: int, y: int) -> Direction:
 
 def cross(a: Direction, b: Direction) -> int:
     return a.x * b.y - a.y * b.x
-
-
-def dot(a: Direction, b: Direction) -> int:
-    return a.x * b.x + a.y * b.y
 
 
 UNIT_X = Direction(1, 0)
@@ -410,86 +408,78 @@ def _float_sum(terms, r) -> tuple[float, float]:
     return v, (len(terms) + 4) * 2.0**-49 * size + 2.0**-1000
 
 
-# Gaussian integers are pairs (x, y) <-> x + iy.
+def _strip(a: int, b: int) -> tuple[int, int]:
+    """(e, a // b**e) for the largest e with b**e dividing a, b > 1, by
+    repeated squaring of b: O(log e) divisions."""
+    q, rem = divmod(a, b)
+    if rem:
+        return 0, a
+    e, q = _strip(q, b * b)
+    r, rem = divmod(q, b)
+    return (2 * e + 1, q) if rem else (2 * e + 2, r)
 
 
-def _norm(a) -> int:
-    return a[0] * a[0] + a[1] * a[1]
+def _coprime_base(elems) -> list[int]:
+    """Pairwise coprime integers > 1 such that every element of elems is a
+    product of their powers.
 
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gdiv(a, b):
-    """a / b when b divides a in Z[i], else None."""
-    n = _norm(b)
-    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
-    if re % n or im % n:
-        return None
-    return (re // n, im // n)
-
-
-def _ggcd(a, b):
-    """A greatest common divisor in Z[i]: Euclid with rounded quotients."""
-    while b[0] or b[1]:
-        n = _norm(b)
-        re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
-        qb = _gmul(((2 * re + n) // (2 * n), (2 * im + n) // (2 * n)), b)
-        a, b = b, (a[0] - qb[0], a[1] - qb[1])
-    return a
-
-
-def _coprime_base(elems) -> list:
-    """Pairwise coprime non-units of Z[i] such that every element of elems
-    is a unit times a product of their powers.
-
-    Two elements a, b with a nontrivial gcd g are replaced by g and by a
-    and b with every factor g divided out, until no pair shares a factor;
-    each split lowers the product of all norms, so this ends.  Coprime
-    norms skip the Gaussian gcd.
+    Two elements a, b with a gcd g > 1 are replaced by g and by a and b
+    with every factor g divided out, until no pair shares a factor; each
+    split lowers the product of all elements, so this ends.
     """
-    base, todo = [], [z for z in elems if _norm(z) > 1]
+    base, todo = [], [a for a in elems if a > 1]
     while todo:
         a = todo.pop()
-        na = _norm(a)
-        for k, (b, nb) in enumerate(base):
-            if math.gcd(na, nb) == 1:
-                continue
-            g = _ggcd(a, b)
-            if _norm(g) > 1:
+        for k, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
                 del base[k]
-                todo += [z for z in (g, _strip(a, g)[1], _strip(b, g)[1]) if _norm(z) > 1]
+                todo += [z for z in (g, _strip(a, g)[1], _strip(b, g)[1]) if z > 1]
                 break
         else:
-            base.append((a, na))
-    return [b for b, _ in base]
-
-
-def _strip(z, b) -> tuple[int, tuple[int, int]]:
-    """(e, z / b**e) for the largest e with b**e dividing z, by repeated
-    squaring of b: O(log e) divisions."""
-    q = _gdiv(z, b)
-    if q is None:
-        return 0, z
-    e, q = _strip(q, _gmul(b, b))
-    r = _gdiv(q, b)
-    return (2 * e + 2, r) if r is not None else (2 * e + 1, q)
+            base.append(a)
+    return base
 
 
 def _in_quarter_turns(terms) -> bool:
     """Whether sum(n * Arg(d)) over integer n is a multiple of pi/4, exactly.
 
-    It is iff w = prod d**n has w / conj(w) in {1, i, -1, -i}.  Over a
-    coprime base of the d and their conjugates (conjugation permutes it),
-    that holds iff every base element occurs in w and in conj(w) to the
-    same exponent; the exponents are valuations, never powers of d.
+    It is iff w = prod d**n has, for every odd prime p = pi * conj(pi)
+    that splits in Z[i], as many factors pi as conj(pi).  A primitive d
+    holds no rational prime, so it holds only pi or only conj(pi), to the
+    power of p in its norm; which one is told by r = x / y mod p, a square
+    root of -1.  The factor 2 and the primes 3 mod 4 equal their
+    conjugates and never count.  So over a coprime base of the odd parts
+    of the norms, each base element m must have sum(n * s * e) = 0 over
+    the d whose norm holds m**e, s = +1 or -1 as r is the first d's root
+    mod m or its negative.  A root that is neither agrees with it modulo
+    some prime powers of m and not others, so gcd(r - r0, m) splits m.
+    Integer gcds on the norms' bit length; no factorization.
     """
-    zs = [(d.x, d.y) for d, _ in terms]
-    conj = [(x, -y) for x, y in zs]
-    for b in _coprime_base(zs + conj):
-        if sum(n * (_strip(z, b)[0] - _strip(c, b)[0]) for (_, n), z, c in zip(terms, zs, conj)):
-            return False
+    dirs = []
+    for d, n in terms:
+        a = d.x * d.x + d.y * d.y  # odd or twice odd, for a primitive d
+        dirs.append((d.x, d.y, n, a if a & 1 else a >> 1))
+    base = _coprime_base([a for *_, a in dirs])
+    while base:
+        m = base.pop()
+        r0, total = None, 0
+        for x, y, n, a in dirs:
+            if a % m:
+                continue
+            r = x * pow(y, -1, m) % m  # y is a unit mod m: m divides x*x + y*y
+            if r0 is None:
+                r0 = r
+            elif r != r0:
+                if r != m - r0:
+                    g = math.gcd(r - r0, m)
+                    base += [g, m // g]
+                    break
+                n = -n
+            total += n * _strip(a, m)[0]
+        else:
+            if total:
+                return False
     return True
 
 
@@ -636,8 +626,9 @@ class AngleForm:
            error bound, (k + 4) * 2**-49 * (sum |c| + |r|) for k terms (see
            `_float_sum`).  One pass over the terms; it never raises.
         2. Tie test: otherwise `pi_multiple()` decides whether the value
-           is a rational multiple of pi, and if it is, its exact sign.  Its
-           cost depends on the bit length of the directions only.
+           is a rational multiple of pi, and if it is, its exact sign.  It
+           costs integer gcds on the bit length of the directions' norms,
+           whatever the coefficients.
         3. Fixed point: otherwise the value is irrational, hence not 0,
            and the Args are evaluated in integers at 64, 128, ... bits
            until the sign clears the error bound.  The bits needed grow
@@ -668,8 +659,10 @@ class AngleForm:
         whole turns, the argument of a Gaussian integer, so it is a
         rational multiple of pi exactly when it is a multiple of pi/4.
         When the float estimate of x is farther than its bound from every
-        multiple of pi/4 the answer is None at once; otherwise the coprime
-        base test decides (`_in_quarter_turns`), and the multiple is
+        multiple of pi/4 the answer is None at once; otherwise the tie test
+        decides (`_in_quarter_turns`: the norms of the directions over a
+        coprime base in Z, and roots of -1 modulo each base element, in
+        integer gcds on the norms' bit length), and the multiple is
         rounded from the estimate, or, when the bound is not below pi/16,
         from a fixed-point evaluation.
         """
