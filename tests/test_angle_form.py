@@ -208,17 +208,20 @@ def gmul(a, b):
 def quarter_turn_sums(draw):
     """Integer terms (d, n) over products of a few Gaussian primes, each in
     either orientation, to powers up to 60, times a unit.  Directions drawn
-    from one small pool of primes share composite norms such as 65 = 5*13
-    with mixed orientations.  Half the draws close the sum with conj(w),
-    w = prod d**n, which makes it 0 (mod 2 pi); then the coefficients are
-    scaled by up to 10**30."""
+    from one small pool of primes, half the time to the same powers, share
+    composite norms such as 65 = 5*13 with mixed orientations.  Half the
+    draws close the sum with conj(w), w = prod d**n, which makes it 0
+    (mod 2 pi); then the coefficients are scaled by up to 10**30."""
     pool = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=3, unique=True))
+    powers = st.one_of(st.integers(0, 3), st.integers(4, 60))
+    shared = draw(st.booleans())  # one power per prime: the norms are equal
+    exps = [draw(powers) for _ in pool]
     terms, w = [], (1, 0)
     for _ in range(draw(st.integers(1, 4))):
         z = draw(st.sampled_from(UNITS))
-        for x, y in pool:
+        for (x, y), e in zip(pool, exps):
             p = (x, y) if draw(st.booleans()) else (x, -y)
-            z = gmul(z, gpow(p, draw(st.one_of(st.integers(0, 3), st.integers(4, 60)))).as_tuple())
+            z = gmul(z, gpow(p, e if shared else draw(powers)).as_tuple())
         d, n = D.reduced(*z), draw(st.integers(-3, 3).filter(bool))
         terms.append((d, n))
         # d**n for n < 0 is conj(d)**|n| up to a positive rational
@@ -235,7 +238,7 @@ BIG_POWER = gpow((2, 1), 1800)  # coordinates of more than 2,000 bits
 class TestQuarterTurns:
     """The tie test in rational integers against the Gaussian-integer one."""
 
-    @settings(derandomize=True, max_examples=150)
+    @settings(derandomize=True, max_examples=300)
     @given(quarter_turn_sums())
     @example([(BIG_POWER, 1), (gpow((2, -1), 900), 2)])
     @example([(BIG_POWER, 1), (gpow((2, -1), 900), 3)])
