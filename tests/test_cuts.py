@@ -32,6 +32,7 @@ from toruscut import (
     require_valid,
     slice_by_ray,
     sweep,
+    theta_angle,
     validate_cutspec,
 )
 from toruscut.angles import (
@@ -42,6 +43,7 @@ from toruscut.angles import (
     angle_add,
     angle_sub,
     direction_angle,
+    format_angle,
 )
 from toruscut.forms import ProfilePoint, contact_check
 
@@ -485,3 +487,24 @@ class TestSliceByRay:
             )
             assert (g.v0, g.v1, g.violations) == (w.v0, w.v1, w.violations)
 
+
+class TestModels:
+    @pytest.mark.parametrize(
+        "k, l, want", [(1, 1, "1,1;0"), (0, 3, "0,1;0"), (1, -1, "-1,1;0"), (1, 0, "-1,0;0")]
+    )
+    def test_theta_angle_in_zero_to_pi(self, k, l, want):
+        # Arg(k, l) <= 0 is lifted by pi into (0, pi]
+        assert format_angle(theta_angle(k, l)) == want
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: alpha_form(-1), "k must be nonnegative"),
+            (lambda: theta_angle(0, 0), "must be nonzero"),
+            (lambda: lens_cutspec(1, 1, 0), "j must be at least 1"),
+            (lambda: rotating_line_form(0), "at least one turn"),
+        ],
+    )
+    def test_guards(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -160,6 +160,10 @@ class TestAngleProfile:
         with pytest.raises(NonMonotone):
             phi.orientation
 
+    def test_breaks_and_values_of_different_lengths_rejected(self):
+        with pytest.raises(BadBreakpoints, match="matching breaks/values"):
+            AngleProfile((F(0), F(1), F(2)), (A(D(1, 0)), A(D(0, 1))))
+
     def test_degenerate_interval(self):
         d = AngleProfile((F(0), F(0)), (A(D(1, 1)), A(D(1, 1))))
         assert d.is_degenerate

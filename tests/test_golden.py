@@ -73,6 +73,15 @@ def _cases() -> dict[str, list[str]]:
     cases["check-equal-breaks"] = ["check", "tests/golden/equal_breaks.cut"]
     # a spec that is not UTF-8 (a Latin-1 byte in a comment) is unreadable input
     cases["check-not-utf8"] = ["check", "tests/golden/not_utf8.cut"]
+    # grammar errors of the spec reader, each naming the line of its key: a
+    # collapse that is not a pair or not integers, an empty radial, a bad and
+    # a non-primitive angle literal, a radial token without t: and a domain
+    # that is not a pair
+    for stem in (
+        "bad_pair", "bad_ints", "empty_radial", "bad_angle", "nonprimitive_angle",
+        "radial_token", "domain_pair",
+    ):
+        cases[f"check-{stem.replace('_', '-')}"] = ["check", f"tests/golden/{stem}.cut"]
     # a 401-digit collapse coordinate and a 401-digit radial value: the
     # boundary moment is beyond float range, reported without a float
     for stem in ("huge_collapse", "huge_radial"):
