@@ -105,6 +105,10 @@ class TestParseSpec:
             parse_spec("collapse0 = 0,1\ncollapse1 = 1,0\n")
         assert "form.phi.breaks" in str(e.value)
 
+    def test_line_without_equals(self):
+        with pytest.raises(SpecSyntaxError, match="^line 2: expected key = value"):
+            parse_spec("form.phi.breaks = 0:1,0 1:0,1;1\ncollapse0 0,1\n")
+
     def test_unknown_key(self):
         with pytest.raises(SpecSyntaxError) as e:
             parse_spec("form.phiz = 1\n")
@@ -188,6 +192,11 @@ class TestParseSpec:
         with pytest.raises(SpecSemanticError) as e:
             parse_spec(text)
         assert e.value.line == 3
+
+    def test_invalid_cut_at_end_1_points_at_collapse1_line(self):
+        with pytest.raises(SpecSemanticError, match="negative just inside t=1") as e:
+            parse_spec(ALPHA1.replace("collapse1 = 1,0", "collapse1 = -1,0"))
+        assert e.value.line == 4
 
     def test_validate_false_defers_boundary_checks(self):
         text = ALPHA1.replace("collapse0 = 0,1", "collapse0 = 0,-1")
