@@ -49,6 +49,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .angles import (
     Angle,
     AngleForm,
+    _fraction,
     _lattice_bounds,
     add_half_turns,
     angle_add,
@@ -71,10 +72,6 @@ from .errors import (
 )
 
 Rational = Fraction | int
-
-
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -175,7 +172,7 @@ class AngleProfile:
     values: tuple[Angle, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
+        object.__setattr__(self, "breaks", tuple(_fraction(t) for t in self.breaks))
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
             raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
@@ -260,7 +257,7 @@ class AngleProfile:
         v[i] + lambda * sweep[i] as an `AngleForm`, with lambda in (0, 1)
         the position of t inside segment i.  This is the one way phi is
         read at a rational t."""
-        t = _frac(t)
+        t = _fraction(t)
         i = self._segment_of(t)
         t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
         if t == t_lo or self.is_degenerate:
@@ -392,7 +389,7 @@ class AngleProfile:
 
     def reparametrized(self, new_lo: Rational, new_hi: Rational) -> "AngleProfile":
         """Affinely map the domain onto [new_lo, new_hi]; values unchanged."""
-        new_lo, new_hi = _frac(new_lo), _frac(new_hi)
+        new_lo, new_hi = _fraction(new_lo), _fraction(new_hi)
         span, new_span = self.t1 - self.t0, new_hi - new_lo
         if span == 0 or new_span <= 0:
             raise BadBreakpoints("reparametrization needs nondegenerate domains")
@@ -459,8 +456,8 @@ def _radial_values(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """breaks and values as Fractions, checked for a radial profile: as many
     of each, at least two, every value positive, breaks strictly ascending."""
-    breaks = tuple(map(_frac, breaks))
-    values = tuple(map(_frac, values))
+    breaks = tuple(map(_fraction, breaks))
+    values = tuple(map(_fraction, values))
     if len(breaks) != len(values) or len(breaks) < 2:
         raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
     for t, v in zip(breaks, values):
@@ -488,7 +485,7 @@ class RadialProfile:
     pieces: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_frac(t) for t in self.breaks))
+        object.__setattr__(self, "breaks", tuple(_fraction(t) for t in self.breaks))
         object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
         if len(self.breaks) != len(self.pieces) + 1:
             raise BadBreakpoints("need exactly one piece per breakpoint gap")
@@ -518,7 +515,7 @@ class RadialProfile:
         return self.breaks[-1]
 
     def evaluate(self, t: Rational) -> Fraction:
-        t = _frac(t)
+        t = _fraction(t)
         if not (self.t0 <= t <= self.t1):
             raise OutsideDomain(t, self.t0, self.t1)
         i = min(bisect_right(self.breaks, t) - 1, len(self.pieces) - 1)
@@ -595,7 +592,7 @@ class RadialProfile:
         return RadialProfile(breaks, tuple(pieces))
 
     def reparametrized(self, new_lo: Rational, new_hi: Rational) -> "RadialProfile":
-        new_lo, new_hi = _frac(new_lo), _frac(new_hi)
+        new_lo, new_hi = _fraction(new_lo), _fraction(new_hi)
         span, new_span = self.t1 - self.t0, new_hi - new_lo
         if span == 0 or new_span <= 0:
             raise BadBreakpoints("reparametrization needs nondegenerate domains")

@@ -42,6 +42,8 @@ from .angles import (
     AngleForm,
     Direction,
     ZERO_ANGLE,
+    _QUARTER_DIRS,
+    _QUARTERS,
     _arg_compare,
     add_half_turns,
     add_turns,
@@ -56,18 +58,8 @@ from .forms import AngleProfile, InvariantContactForm, ProfilePoint
 MODE_FIXED = "fixed-action"
 MODE_GL2Z = "modulo-GL2Z"
 
-# the eight directions with max(|x|, |y|) == 1, in increasing principal
-# argument, from -3pi/4 to pi
-_STANDARD_DIRECTIONS = (
-    Direction(-1, -1),
-    Direction(0, -1),
-    Direction(1, -1),
-    Direction(1, 0),
-    Direction(1, 1),
-    Direction(0, 1),
-    Direction(-1, 1),
-    Direction(-1, 0),
-)
+# the eight pi/4 directions in increasing principal argument, k = -3..4
+_STANDARD_DIRECTIONS = _QUARTER_DIRS[5:] + _QUARTER_DIRS[:5]
 
 
 def _phi_of(obj) -> AngleProfile:
@@ -192,18 +184,18 @@ def _critical_directions(*sides):
     then the gap's upper end, the wrap-around gap first.
 
     The directions are the standard eight and the arc ends of every side
-    with their negatives.  A direction is standard exactly when
-    max(|x|, |y|) == 1, an integer test; only the other arc ends and their
-    negatives, at most eight, are inserted into a copy of the standard
-    ring, which is written already sorted, by a linear scan that skips a
-    direction already present.  Consecutive standard directions are pi/4
-    apart, so every gap is shorter than pi and the vector sum of its ends
-    lies strictly inside it.
+    with their negatives.  The standard eight are the pi/4 directions, the
+    keys of `_QUARTERS`; only the other arc ends and their negatives, at
+    most eight, are inserted into a copy of the standard ring, which is
+    already sorted, by a linear scan that skips a direction already
+    present.  Consecutive standard directions are pi/4 apart, so every gap
+    is shorter than pi and the vector sum of its ends lies strictly inside
+    it.
     """
     ring = list(_STANDARD_DIRECTIONS)
     for _, a, b in sides:
         for d in (a, b):
-            if max(abs(d.x), abs(d.y)) == 1:
+            if (d.x, d.y) in _QUARTERS:
                 continue
             for e in (d, -d):
                 i = 0

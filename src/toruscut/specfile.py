@@ -18,14 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .angles import Direction, parse_angle
-from .cuts import CutSpec, require_valid
-from .errors import (
-    GeometryError,
-    InvalidCutSpec,
-    SpecSemanticError,
-    SpecSyntaxError,
-)
+from .angles import Angle, Direction, parse_angle
+from .cuts import CutSpec
+from .errors import GeometryError, InvalidCutSpec, SpecSemanticError, SpecSyntaxError
 from .forms import AngleProfile, InvariantContactForm, RadialProfile, contact_check
 
 _KEYS = ("form.phi.breaks", "form.radial", "form.domain", "collapse0", "collapse1")
@@ -81,47 +76,24 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
     return seen
 
 
-def _parse_phi(value: str, line: int) -> AngleProfile:
-    breaks = []
-    values = []
+def _angle(text: str, line: int) -> Angle:
+    try:
+        return parse_angle(text)
+    except ValueError as e:  # a GeometryError too: a zero or non-primitive direction
+        raise SpecSyntaxError(line, f"bad angle literal {text!r}: {e}") from None
+
+
+def _points(value: str, line: int, what: str, read) -> tuple[list, list]:
+    """The breakpoints and values of a line of "t:x" tokens, each x read by
+    `read` (`_angle` or `_fraction`); `what` names x in the error."""
+    breaks, values = [], []
     for token in value.split():
-        t_text, sep, a_text = token.partition(":")
+        t_text, sep, x_text = token.partition(":")
         if not sep:
-            raise SpecSyntaxError(line, f"expected t:angle but got {token!r}")
+            raise SpecSyntaxError(line, f"expected t:{what} but got {token!r}")
         breaks.append(_fraction(t_text, line))
-        try:
-            values.append(parse_angle(a_text))
-        except (ValueError, GeometryError) as e:
-            raise SpecSyntaxError(line, f"bad angle literal {a_text!r}: {e}") from None
-    if len(breaks) < 2:
-        raise SpecSyntaxError(line, "need at least two breakpoints")
-    try:
-        return AngleProfile(tuple(breaks), tuple(values))
-    except GeometryError as e:
-        raise SpecSemanticError(line, str(e)) from e
-
-
-def _parse_form(phi: AngleProfile, value: str, line: int) -> InvariantContactForm:
-    """The form of phi with the radial profile given on this line."""
-    tokens = value.split()
-    try:
-        if len(tokens) == 1 and ":" not in tokens[0]:
-            radial = RadialProfile.constant(
-                _fraction(tokens[0], line), (phi.t0, phi.t1)
-            )
-        else:
-            breaks = []
-            values = []
-            for token in tokens:
-                t_text, sep, v_text = token.partition(":")
-                if not sep:
-                    raise SpecSyntaxError(line, f"expected t:value but got {token!r}")
-                breaks.append(_fraction(t_text, line))
-                values.append(_fraction(v_text, line))
-            radial = RadialProfile.from_values(breaks, values)
-        return InvariantContactForm(phi, radial)
-    except GeometryError as e:
-        raise SpecSemanticError(line, str(e)) from e
+        values.append(read(x_text, line))
+    return breaks, values
 
 
 def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactForm:
@@ -129,70 +101,67 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
     vectors are given.
 
     The contact condition is always checked; with validate=True (the
-    default) cut data are additionally required to be valid, so any
-    violated cut condition surfaces here with the collapse line number.
+    default) cut data are additionally required to be valid.  A geometry
+    error names the line of the key being read: form.phi.breaks for the
+    profile, the contact condition and the unit radial of a degenerate
+    domain, and for an invalid cut the collapse line of the first
+    violated end.
     """
     entries = _parse_lines(text)
     if "form.phi.breaks" not in entries:
         raise SpecSyntaxError(0, "missing required key 'form.phi.breaks'")
-    phi_line, phi_text = entries["form.phi.breaks"]
-    phi = _parse_phi(phi_text, phi_line)
-
-    if "form.domain" in entries:
-        dom_line, dom_text = entries["form.domain"]
-        parts = dom_text.split(",")
-        if len(parts) != 2:
-            raise SpecSyntaxError(dom_line, f"expected t0,t1 but got {dom_text!r}")
-        lo, hi = (_fraction(p, dom_line) for p in parts)
-        if (lo, hi) != (phi.t0, phi.t1):
-            raise SpecSemanticError(
-                dom_line,
-                f"domain {lo},{hi} does not match the profile breakpoints "
-                f"{phi.t0},{phi.t1}",
-            )
-
-    if "form.radial" in entries:
-        rad_line, rad_text = entries["form.radial"]
-        form = _parse_form(phi, rad_text, rad_line)
-    else:
-        try:
-            form = InvariantContactForm.unit(phi)
-        except GeometryError as e:  # a degenerate phi domain has no unit radial
-            raise SpecSemanticError(phi_line, str(e)) from e
-
+    line, value = entries["form.phi.breaks"]
+    phi_line = line
     try:
+        breaks, values = _points(value, line, "angle", _angle)
+        if len(breaks) < 2:
+            raise SpecSyntaxError(line, "need at least two breakpoints")
+        phi = AngleProfile(tuple(breaks), tuple(values))
+
+        if "form.domain" in entries:
+            dom_line, value = entries["form.domain"]
+            parts = value.split(",")
+            if len(parts) != 2:
+                raise SpecSyntaxError(dom_line, f"expected t0,t1 but got {value!r}")
+            lo, hi = (_fraction(p, dom_line) for p in parts)
+            if (lo, hi) != (phi.t0, phi.t1):
+                raise SpecSemanticError(
+                    dom_line,
+                    f"domain {lo},{hi} does not match the profile breakpoints "
+                    f"{phi.t0},{phi.t1}",
+                )
+
+        if "form.radial" in entries:
+            line, value = entries["form.radial"]
+            if ":" in value or len(value.split()) > 1:  # "t:x" tokens
+                radial = RadialProfile.from_values(*_points(value, line, "value", _fraction))
+            else:
+                radial = RadialProfile.constant(_fraction(value, line), (phi.t0, phi.t1))
+            form = InvariantContactForm(phi, radial)
+            line = phi_line  # the contact condition is the profile's
+        else:  # a degenerate phi domain has no unit radial
+            form = InvariantContactForm.unit(phi)
         contact_check(form)
+
+        has0, has1 = "collapse0" in entries, "collapse1" in entries
+        if not has0 and not has1:
+            return form
+        if has0 != has1:
+            missing = "collapse1" if has0 else "collapse0"
+            line = entries["collapse0" if has0 else "collapse1"][0]
+            raise SpecSemanticError(line, f"{missing} is required when the other is given")
+        vectors = []
+        for key in ("collapse0", "collapse1"):
+            line, value = entries[key]
+            vectors.append(Direction(*_int_pair(value, line)))
+        spec = CutSpec(form, *vectors)
+        if validate and spec.violations:
+            # the form is contact, so the first violation is at an end
+            line = entries[f"collapse{spec.violations[0].end}"][0]
+            raise InvalidCutSpec(spec.violations)
+        return spec
     except GeometryError as e:
-        raise SpecSemanticError(phi_line, str(e)) from e
-
-    has0, has1 = "collapse0" in entries, "collapse1" in entries
-    if not has0 and not has1:
-        return form
-    if has0 != has1:
-        missing = "collapse1" if has0 else "collapse0"
-        line = entries["collapse0" if has0 else "collapse1"][0]
-        raise SpecSemanticError(line, f"{missing} is required when the other is given")
-
-    vectors = []
-    for key in ("collapse0", "collapse1"):
-        line, text_v = entries[key]
-        pair = _int_pair(text_v, line)
-        try:
-            vectors.append((line, Direction(*pair)))
-        except GeometryError as e:
-            raise SpecSemanticError(line, str(e)) from e
-
-    (line0, v0), (line1, v1) = vectors
-    spec = CutSpec(form, v0, v1)
-    if validate:
-        try:
-            require_valid(spec)
-        except InvalidCutSpec as e:
-            # point at the collapse line of the first violated end
-            end = e.violations[0].end
-            line = phi_line if end is None else (line0 if end == 0 else line1)
-            raise SpecSemanticError(line, str(e)) from e
-    return spec
+        raise SpecSemanticError(line, str(e)) from e
 
 
 def parse_spec_file(path, validate: bool = True) -> CutSpec | InvariantContactForm:
