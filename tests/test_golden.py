@@ -54,6 +54,8 @@ def _cases() -> dict[str, list[str]]:
                 "reproduce-paper", "--kmax", kmax, "--format", fmt
             ]
     cases["reproduce-paper-kmax-negative"] = ["reproduce-paper", "--kmax", "-1"]
+    # argparse's own message for a --kmax that is not an integer
+    cases["reproduce-paper-kmax-not-int"] = ["reproduce-paper", "--kmax", "x"]
     cases["check-unreadable"] = ["check", "specs/missing.cut"]
     cases["usage-no-subcommand"] = []
     cases["usage-unknown-subcommand"] = ["frobnicate", PARTNER]
