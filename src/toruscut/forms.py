@@ -33,8 +33,10 @@ returned as `ProfilePoint`s: the exact ratio of two angle differences
 The ratio collapses to a Fraction exactly when both differences are
 rational multiples of pi, computed once, on first use.
 `solve_half_turn_lattice` finds all J hits of a half-turn lattice in one
-pass over the n segments, O(n + J); on a pi/4 lattice through a profile
-of pi/4 values the pass is in integer quarter turns.
+walk over the n segments, O(n + J).  The walk is written once: only how
+it reads the differences base - v[i] depends on the input, as integer
+quarter turns on a pi/4 lattice through a profile of pi/4 values, else
+as `Angle`s.
 """
 
 from __future__ import annotations
@@ -50,9 +52,7 @@ from .angles import (
     Angle,
     AngleForm,
     _fraction,
-    _lattice_bounds,
     add_half_turns,
-    angle_add,
     angle_compare,
     angle_of_quarters,
     angle_sub,
@@ -60,7 +60,6 @@ from .angles import (
     direction_angle,
     floor_half_turns,
     format_angle,
-    negate,
     to_float,
 )
 from .errors import (
@@ -311,70 +310,37 @@ class AngleProfile:
 
         Requires a strictly monotone profile; each lattice value in range
         is hit exactly once, a hit on a shared breakpoint on the earlier
-        segment.  One pass over the segments: the lattice bound at each
-        segment's far end is its last j (j descends on a decreasing
-        profile), each hit's offset is base + j*pi - v[i] and its span the
-        segment's sweep.  The input picks one of two walks:
-
-        * when the base and every value are pi/4 directions, the walk is
-          in their quarter counts (`Angle.quarters`) B and V[i]: a
-          segment's last j is one floor division of V[i+1] - B by 4 (a
-          ceiling division on a decreasing profile), and a hit's offset is
-          `angle_of_quarters(B + 4j - V[i])`;
-        * otherwise each segment's bound is the floor (ceiling) of the
-          exact difference v[i+1] - base in half turns, and a hit's offset
-          is j half turns added to base - v[i].
-
-        Either way the cost is O(n + J) for n breakpoints and J hits, with
-        no per-hit search.  Each point computes its exact t on first use.
+        segment.  One walk over the segments reads m[i] = base - v[i] once
+        per value: in integer quarter counts (`Angle.quarters`) when the
+        base and every value are pi/4 directions, else as `Angle`s.  j
+        starts at -floor(m[0]) and segment i ends at -ceil(m[i+1]), floor
+        and ceiling swapped on a decreasing profile, where j descends; a
+        hit's offset is m[i] plus j half turns, its span the segment's
+        sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
+        search; each point computes its exact t on first use.
         """
-        qs, q_base = self._quarters, base.quarters()
+        v, b, qs, q_base = self.values, self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
-            return self._quarter_lattice(qs, q_base)
-        v, b, sweeps = self.values, self.breaks, self._sweeps
+            m = [q_base - q for q in qs]
+            floor, ceil = (lambda d: d // 4), (lambda d: -(-d // 4))
+            step = lambda d, j: angle_of_quarters(d + 4 * j)
+        else:
+            m = [angle_sub(base, x) for x in v]
+            floor, ceil, step = floor_half_turns, ceil_half_turns, add_half_turns
         sign = angle_compare(v[-1], v[0])
-        j_min, j_max = _lattice_bounds(base, *self.value_bounds())
-        if sign == 0 or j_min > j_max:
+        if sign == 0:
             return []
-        bound = floor_half_turns if sign > 0 else ceil_half_turns
-        out = []
-        j = j_min if sign > 0 else j_max
-        minus_base = negate(base)
-        d_hi = angle_add(v[0], minus_base)
-        for i, span in enumerate(sweeps):
-            d_lo, d_hi = d_hi, angle_add(v[i + 1], minus_base)  # v[i] - base, v[i + 1] - base
-            end = bound(d_hi)
+        first, last = (floor, ceil) if sign > 0 else (ceil, floor)
+        out, j = [], -first(m[0])
+        for i, span in enumerate(self._sweeps):
+            end = -last(m[i + 1])
             js = range(j, end + sign, sign)
             j = end + sign
             if not js:
                 continue
-            t_lo, t_hi, at = b[i], b[i + 1], negate(d_lo)  # base - v[i]
+            t_lo, t_hi, at = b[i], b[i + 1], m[i]
             for j_hit in js:
-                out.append((j_hit, ProfilePoint(i, t_lo, t_hi, add_half_turns(at, j_hit), span)))
-        return out
-
-    def _quarter_lattice(self, qs: tuple[int, ...], q_base: int) -> list[tuple[int, ProfilePoint]]:
-        """`solve_half_turn_lattice` for a base of q_base quarter turns on
-        values of qs quarter turns, in integers: base + j*pi is q_base + 4j."""
-        b, sweeps = self.breaks, self._sweeps
-        sign = (qs[-1] > qs[0]) - (qs[-1] < qs[0])
-        lo, hi = (qs[0], qs[-1]) if sign > 0 else (qs[-1], qs[0])
-        j_min, j_max = -((q_base - lo) // 4), (hi - q_base) // 4
-        if sign == 0 or j_min > j_max:
-            return []
-        out = []
-        j = j_min if sign > 0 else j_max
-        for i, span in enumerate(sweeps):
-            d = qs[i + 1] - q_base
-            end = d // 4 if sign > 0 else -(-d // 4)
-            js = range(j, end + sign, sign)
-            j = end + sign
-            if not js:
-                continue
-            t_lo, t_hi, at = b[i], b[i + 1], q_base - qs[i]
-            for j_hit in js:
-                pt = ProfilePoint(i, t_lo, t_hi, angle_of_quarters(at + 4 * j_hit), span)
-                out.append((j_hit, pt))
+                out.append((j_hit, ProfilePoint(i, t_lo, t_hi, step(at, j_hit), span)))
         return out
 
     # -- surgery ---------------------------------------------------------

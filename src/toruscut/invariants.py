@@ -221,22 +221,17 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
     Each datum is read once: its whole turns q and the ends of the arc
     where the count is q + 1.  A count along a candidate ray is then an
     arc test by integer cross products, so the cost does not depend on
-    turn counts.
+    turn counts.  One search serves both modes: the plus witness is the
+    first ray xi where the counts differ; fixed-action mode also needs the
+    minus witness, the first xi where a's count differs from b's along -xi.
     """
     if mode not in (MODE_FIXED, MODE_GL2Z):
         raise ValueError(f"unknown mode: {mode!r}")
     sa, sb = _side(a), _side(b)
     summary_a, summary_b = (sa[0], sa[0] + 1), (sb[0], sb[0] + 1)
-    if mode == MODE_GL2Z:
-        if summary_a == summary_b:
-            return None
-        for xi in _critical_directions(sa, sb):
-            ca, cb = _arc_count(sa, xi), _arc_count(sb, xi)
-            if ca != cb:
-                return DistinguishWitness(
-                    mode, xi, (ca, cb), None, None, summary_a, summary_b
-                )
-        return None  # unreachable: differing summaries force a differing ray
+    fixed = mode == MODE_FIXED
+    if not fixed and summary_a == summary_b:
+        return None
     plus = minus = None
     for xi in _critical_directions(sa, sb):
         ca = _arc_count(sa, xi)
@@ -244,14 +239,12 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
             cb = _arc_count(sb, xi)
             if ca != cb:
                 plus = (xi, (ca, cb))
-        if minus is None:
+        if fixed and minus is None:
             cbn = _arc_count(sb, -xi)
             if ca != cbn:
                 minus = (xi, (ca, cbn))
-        if plus and minus:
-            return DistinguishWitness(
-                mode, plus[0], plus[1], minus[0], minus[1], summary_a, summary_b
-            )
+        if plus and (minus or not fixed):
+            return DistinguishWitness(mode, *plus, *(minus or (None, None)), summary_a, summary_b)
     return None
 
 
