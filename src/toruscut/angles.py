@@ -743,11 +743,20 @@ def format_angle(a: Angle) -> str:
     return f"{a.dir.x},{a.dir.y};{a.turns}"
 
 
+def _int(text: str) -> int:
+    """The one integer grammar of spec files and options: [sign] ASCII
+    digits, a sign being + or -.  Anything else (a blank, a digit
+    separator, a non-ASCII digit) raises `int`'s ValueError."""
+    if text.isascii() and (text.isdigit() or text[:1] in "+-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def parse_angle(text: str) -> Angle:
-    """Parse "x,y;n" (";n" may be omitted when n = 0)."""
+    """Parse "x,y;n" (";n" may be omitted when n = 0), integers by `_int`."""
     body, _, tail = text.strip().partition(";")
-    turns = int(tail) if tail else 0
+    turns = _int(tail) if tail else 0
     xs, _, ys = body.partition(",")
     if not ys:
         raise ValueError(f"bad angle literal {text!r}: expected x,y;n")
-    return Angle(Direction(int(xs), int(ys)), turns)
+    return Angle(Direction(_int(xs), _int(ys)), turns)

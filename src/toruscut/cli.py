@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-from .angles import Angle, Direction, QUARTER_TURN, format_angle, parse_angle
+from .angles import Angle, Direction, QUARTER_TURN, _int, format_angle, parse_angle
 from .cuts import (
     CutSpec,
     LensDescriptor,
@@ -318,10 +318,17 @@ def _reproduce(args):
 # -- the command table --------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return _int(text)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _pair_arg(text: str) -> tuple[int, int]:
     m, _, n = text.partition(",")
     try:
-        return int(m), int(n)
+        return _int(m), _int(n)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer pair m,n, got {text!r}")
 
@@ -329,7 +336,7 @@ def _pair_arg(text: str) -> tuple[int, int]:
 def _angle_arg(text: str) -> Angle:
     try:
         return parse_angle(text)
-    except (ValueError, ArithmeticError) as e:
+    except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
 
 
@@ -381,7 +388,7 @@ _COMMANDS = (
     _Command("symplectization-check", "verify cut and symplectization commute", _FILE, (),
              _symplectization),
     _Command("reproduce-paper", "recompute the worked examples", (),
-             (("--kmax", {"type": int, "default": 3}),), _reproduce),
+             (("--kmax", {"type": _int_arg, "default": 3}),), _reproduce),
 )
 
 # Integer pairs and angle literals may start with '-', which argparse

@@ -8,17 +8,18 @@ One key per line, "#" starts a comment, keys may appear in any order:
     collapse0       = 0,1                 # both present: a cut datum
     collapse1       = 1,0                 # neither: a bare form
 
-Rationals are [sign] digits, with an optional /digits or a decimal point
-(`_fraction` gives the grammar); angle literals are "x,y;n", ";n"
-omitted for n = 0.  Geometry checks run eagerly so the caller gets a
-diagnostic with the offending line, not a late exception.
+Integers are [sign] ASCII digits, read by `angles._int` here and in the
+CLI options; rationals are [sign] digits with an optional /digits or a
+decimal point (`_fraction` gives the grammar); angle literals are
+"x,y;n", ";n" omitted for n = 0.  Geometry checks run eagerly so the
+caller gets a diagnostic with the offending line, not a late exception.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .angles import Angle, Direction, parse_angle
+from .angles import Angle, Direction, _int, parse_angle
 from .cuts import CutSpec
 from .errors import GeometryError, InvalidCutSpec, SpecSemanticError, SpecSyntaxError
 from .forms import AngleProfile, InvariantContactForm, RadialProfile, contact_check
@@ -28,20 +29,20 @@ _KEYS = ("form.phi.breaks", "form.radial", "form.domain", "collapse0", "collapse
 
 def _fraction(text: str, line: int) -> Fraction:
     """One rational of the grammar [sign] digits [/ digits], [sign] digits
-    . [digits] or [sign] . digits, in ASCII digits, built from two ints;
+    . [digits] or [sign] . digits, read as two ints by `angles._int`;
     anything else, or a zero denominator, is a syntax error."""
-    body = text[1:] if text.startswith(("+", "-")) else text
-    num, slash, den = body.partition("/")
+    num, slash, den = text.partition("/")
     if not slash:  # a decimal: its digits over a power of ten
-        whole, _, den = body.partition(".")
+        whole, _, den = text.partition(".")
         num = whole + den
-    if body.isascii() and num.isdigit() and (den.isdigit() or not slash):
+    d = 0
+    if not den.startswith(("+", "-")):  # the one sign is in front
         try:
-            n, d = int(num), int(den) if slash else 10 ** len(den)
-        except ValueError:  # past the int/str digit limit, outside `cli.main`
-            d = 0
-        if d:
-            return Fraction(-n if text[0] == "-" else n, d)
+            n, d = _int(num), _int(den) if slash else 10 ** len(den)
+        except ValueError:  # not the grammar, or past the int/str digit limit outside `cli.main`
+            pass
+    if d:
+        return Fraction(n, d)
     raise SpecSyntaxError(line, f"bad rational {text!r}")
 
 
@@ -50,7 +51,7 @@ def _int_pair(text: str, line: int) -> tuple[int, int]:
     if len(parts) != 2:
         raise SpecSyntaxError(line, f"expected m,n but got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return _int(parts[0]), _int(parts[1])
     except ValueError:
         raise SpecSyntaxError(line, f"expected integers in {text!r}") from None
 
@@ -109,7 +110,9 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
     """
     entries = _parse_lines(text)
     if "form.phi.breaks" not in entries:
-        raise SpecSyntaxError(0, "missing required key 'form.phi.breaks'")
+        # named at the line after the last, where the key would be added
+        last = len(text.splitlines())
+        raise SpecSyntaxError(last + 1, "missing required key 'form.phi.breaks'")
     line, value = entries["form.phi.breaks"]
     phi_line = line
     try:

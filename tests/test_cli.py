@@ -759,7 +759,7 @@ _PRIMITIVE = st.tuples(_SMALL, _SMALL).filter(lambda v: math.gcd(*v) == 1)
 _PLAIN_VALUES = {
     cli._pair_arg: st.tuples(_SMALL, _SMALL).map("{0[0]},{0[1]}".format),
     cli._angle_arg: st.tuples(_PRIMITIVE, _SMALL).map("{0[0][0]},{0[0][1]};{0[1]}".format),
-    int: st.integers(0, 5).map(str),
+    cli._int_arg: st.integers(0, 5).map(str),
     None: st.sampled_from(("text", "json")),
 }
 _ODD_VALUES = st.sampled_from(

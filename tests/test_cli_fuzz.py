@@ -2,11 +2,12 @@
 
 Every subcommand runs in-process on grammar-built specs and on arbitrary
 text, in `--format text` and `json`.  Whatever the input, the exit code is
-0, 2 or 3 and no exception escapes `main`; a spec error names its line;
-the JSON is strict (no NaN or Infinity); and the two formats carry the same
-records.  The specs are monotone on purpose, so that most of them reach a
-compute path, and they use extreme values: turn counts up to 10^400,
-coordinates, radial values and breakpoints from 10^-400 to 10^400.
+0, 2 or 3 and no exception escapes `main`; a spec error names its line,
+line 1 or later also for a missing key; the JSON is strict (no NaN or
+Infinity); and the two formats carry the same records.  The specs are
+monotone on purpose, so that most of them reach a compute path, and they
+use extreme values: turn counts up to 10^400, coordinates, radial values
+and breakpoints from 10^-400 to 10^400.
 
 `homotopy` lists one planar zero per odd multiple of pi between its two
 profiles, so its partner profile differs from the first by a few turns at
@@ -82,9 +83,12 @@ def literal(a: Angle) -> str:
 @st.composite
 def spec_texts(draw, profile=None):
     """Spec text around a profile: a radial line or none, a domain line or
-    none, and collapse lines that make a valid cut, arbitrary ones, or none."""
+    none, and collapse lines that make a valid cut, arbitrary ones, or none.
+    Now and then the phi line itself is left out, a spec error."""
     breaks, values = profile or draw(profiles())
     lines = ["form.phi.breaks = " + " ".join(f"{t}:{literal(v)}" for t, v in zip(breaks, values))]
+    if draw(st.integers(0, 9)) == 0:
+        lines = []
     kind = draw(st.sampled_from(["none", "constant", "pieces"]))
     if kind == "constant":
         lines.append(f"form.radial = {draw(rationals(positive=True))}")
@@ -192,6 +196,7 @@ def test_exit_code_contract(spec_dir, name, data):
     for path, spec in specs.items():
         e = spec_error(spec, _BY_NAME[name].validate)
         if e is not None:
+            assert e.line >= 1
             assert err == f"error: {path}: line {e.line}: {e.args[0].split(': ', 1)[1]}\n"
             break
     json_code, out, json_err = run(argv + ["--format", "json"])

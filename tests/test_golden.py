@@ -54,8 +54,13 @@ def _cases() -> dict[str, list[str]]:
                 "reproduce-paper", "--kmax", kmax, "--format", fmt
             ]
     cases["reproduce-paper-kmax-negative"] = ["reproduce-paper", "--kmax", "-1"]
-    # argparse's own message for a --kmax that is not an integer
+    # argparse's own message for a --kmax that is not an integer; a digit
+    # separator is no ASCII digit, in an option as in a spec file
     cases["reproduce-paper-kmax-not-int"] = ["reproduce-paper", "--kmax", "x"]
+    cases["reproduce-paper-kmax-separator"] = ["reproduce-paper", "--kmax", "1_0"]
+    cases["usage-invariants-direction-separator"] = [
+        "invariants", PARTNER, "--direction", "1_0,1"
+    ]
     cases["check-unreadable"] = ["check", "specs/missing.cut"]
     cases["usage-no-subcommand"] = []
     cases["usage-unknown-subcommand"] = ["frobnicate", PARTNER]
@@ -77,11 +82,12 @@ def _cases() -> dict[str, list[str]]:
     cases["check-not-utf8"] = ["check", "tests/golden/not_utf8.cut"]
     # grammar errors of the spec reader, each naming the line of its key: a
     # collapse that is not a pair or not integers, an empty radial, a bad and
-    # a non-primitive angle literal, a radial token without t: and a domain
-    # that is not a pair
+    # a non-primitive angle literal, a radial token without t:, a domain
+    # that is not a pair, angle integers with digit separators or non-ASCII
+    # digits, and a file without form.phi.breaks, named after its last line
     for stem in (
         "bad_pair", "bad_ints", "empty_radial", "bad_angle", "nonprimitive_angle",
-        "radial_token", "domain_pair",
+        "radial_token", "domain_pair", "digit_separators", "non_ascii_digits", "no_phi",
     ):
         cases[f"check-{stem.replace('_', '-')}"] = ["check", f"tests/golden/{stem}.cut"]
     # a 401-digit collapse coordinate and a 401-digit radial value: the
