@@ -31,6 +31,7 @@ from toruscut import (
     alpha_form,
     angle_add,
     angle_compare,
+    angle_sub,
     cc_count,
     cc_profile,
     detect_overtwisted,
@@ -53,6 +54,7 @@ from toruscut.invariants import PlanarZero
 from float_reference import phi_float
 from quarter_reference import quarter_angle
 from test_angles import count_lattice
+from test_forms import monotone_profiles
 
 A = Angle
 D = Direction
@@ -636,6 +638,23 @@ class TestOvertwisted:
         assert detect_overtwisted(just_over) is not None
         exactly = unit_profile(A(D(1, 0)), A(D(-1, 0), 0))
         assert detect_overtwisted(exactly) is None
+        # decreasing: 0 -> -5 pi/4 and 0 -> -pi - Arg(5, 1) have a disk at
+        # phi = -pi, 0 -> -pi has none
+        for end in (A(D(-1, 1), -1), A(D(-5, 1), -1)):
+            form = unit_profile(A(D(1, 0)), end)
+            cert = detect_overtwisted(form)
+            assert cert is not None and cert.target == turns(-1)
+            assert 0 < cert.point.t_float() < 1
+        assert detect_overtwisted(unit_profile(A(D(1, 0)), turns(-1))) is None
+
+    @pytest.mark.parametrize("orientation", (1, -1))
+    @settings(derandomize=True, max_examples=200)
+    @given(data=st.data())
+    def test_disk_exactly_when_sweep_exceeds_half_turn(self, orientation, data):
+        phi = data.draw(monotone_profiles(orientation=orientation))
+        swept = angle_sub(phi.values[-1], phi.values[0])
+        beyond = angle_compare(swept, turns(1)) > 0 or angle_compare(swept, turns(-1)) < 0
+        assert (detect_overtwisted(InvariantContactForm.unit(phi)) is not None) == beyond
 
     def test_decreasing_profile_certificate(self):
         form = alpha_form(1).reversed()
