@@ -320,13 +320,13 @@ def _reproduce(args):
 
 def _int_arg(text: str) -> int:
     try:
-        return _int(text)
+        return _int(text.strip())
     except ValueError:  # argparse's own message for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _pair_arg(text: str) -> tuple[int, int]:
-    m, _, n = text.partition(",")
+    m, _, n = text.strip().partition(",")
     try:
         return _int(m), _int(n)
     except ValueError:

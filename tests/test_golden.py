@@ -61,6 +61,13 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-invariants-direction-separator"] = [
         "invariants", PARTNER, "--direction", "1_0,1"
     ]
+    # an option value is stripped as a whole, as an angle literal is; a
+    # blank inside it is a grammar error
+    cases["invariants-direction-outer-blank"] = ["invariants", PARTNER, "--direction", " -1,1"]
+    cases["reproduce-paper-kmax-outer-blank"] = ["reproduce-paper", "--kmax", " 1"]
+    cases["usage-invariants-direction-inner-blank"] = [
+        "invariants", PARTNER, "--direction", "-1, 1"
+    ]
     cases["check-unreadable"] = ["check", "specs/missing.cut"]
     cases["usage-no-subcommand"] = []
     cases["usage-unknown-subcommand"] = ["frobnicate", PARTNER]
