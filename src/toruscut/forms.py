@@ -219,8 +219,6 @@ class AngleProfile:
         contact condition for the associated form.  Decided once, on
         first use; a failure is not kept, so it raises on every use.
         """
-        if self.is_degenerate:
-            raise ZeroSlopeSegment(0)
         sign = 0
         v = self.values
         for i in range(len(v) - 1):
@@ -336,8 +334,6 @@ class AngleProfile:
             end = -last(m[i + 1])
             js = range(j, end + sign, sign)
             j = end + sign
-            if not js:
-                continue
             t_lo, t_hi, at = b[i], b[i + 1], m[i]
             for j_hit in js:
                 out.append((j_hit, ProfilePoint(i, t_lo, t_hi, step(at, j_hit), span)))
@@ -491,36 +487,26 @@ class RadialProfile:
         """float(r(t)) at each point of a sequence ascending in t, or None
         where r(t) is beyond float range.
 
-        At an exact t it is float(`evaluate`(t)) bit for bit.  An
-        irrational t = t_lo + (t_hi - t_lo) lam, lam = offset.ratio(span),
-        is placed by lam, and r is evaluated exactly there, with lam read
-        as the exact value of its float; either way `to_float` rounds once,
-        and no float of t or of a breakpoint is taken.  One piece
-        index moves forward with t, so the cost is O(n + len(points)).  A
-        constant piece is one float, and once the index is on the last
-        piece and that piece is constant, no point's t is read at all.
+        One placement rule: t is the point's exact t, or for an irrational
+        t, t_lo + (t_hi - t_lo) * lam with lam = offset.ratio(span) read as
+        the exact value of its float.  One piece index moves forward past
+        every breakpoint at or below t, as `evaluate` places t, and
+        `to_float` rounds r(t) once, so each value is `evaluate` at that t,
+        bit for bit, with no float of t or of a breakpoint taken.  The cost
+        is O(n + len(points)); a constant radial is one float, and no
+        point's t is read.
         """
         b, pieces = self.breaks, self.pieces
-        # ... marks a piece that is not constant
-        flat = [to_float(p[0]) if not any(p[1:]) else ... for p in pieces]
+        if len(pieces) == 1 and not any(pieces[0][1:]):
+            r = to_float(pieces[0][0])
+            return [r for _ in points]
         i, last, out = 0, len(pieces) - 1, []
         for pt in points:
-            if i == last and flat[i] is not ...:
-                out.append(flat[i])
-                continue
             t = pt.t_fraction()
-            if t is not None:
-                while i < last and b[i + 1] <= t:
-                    i += 1
-            else:  # b[i + 1] <= t where its own lam is at most lam
-                lo, hi, lam = pt.t_lo, pt.t_hi, pt.offset.ratio(pt.span)
-                while i < last and b[i + 1] < hi and (b[i + 1] - lo) / (hi - lo) <= lam:
-                    i += 1
-            if flat[i] is not ...:
-                out.append(flat[i])
-                continue
             if t is None:
-                t = lo + (hi - lo) * Fraction(lam)
+                t = pt.t_lo + (pt.t_hi - pt.t_lo) * Fraction(pt.offset.ratio(pt.span))
+            while i < last and b[i + 1] <= t:
+                i += 1
             out.append(to_float(_poly_eval(pieces[i], t - b[i])))
         return out
 

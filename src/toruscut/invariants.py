@@ -27,8 +27,9 @@ from a collapsed end bounds a disk whose boundary is tangent to the
 contact planes.  homotopy_certificate connects two cut forms with the
 same boundary directions through the straight-line interpolation of unit
 covectors pushed off zero by the bump s(1 - s) in a third coordinate;
-its planar zeros are enumerated exactly, in t order, in one pass over
-the merged segments.
+its planar zeros are enumerated exactly, in t order: the zeros on each
+merged segment are one range, of the n with phi_a - phi_b = (2n + 1) pi
+for t in (u_k, u_{k+1}].
 """
 
 from __future__ import annotations
@@ -271,19 +272,16 @@ def detect_overtwisted(spec) -> OvertwistedCertificate | None:
     """The smallest disk certificate of the standard family, or None.
 
     A disk exists as soon as the total sweep strictly exceeds pi: the
-    parameter where phi has advanced by pi from the t = 0 boundary is
-    then interior.  Ties at exactly pi put the advance on the far
-    boundary, which is collapsed, so no certificate.  None is not a
-    tightness proof, only the absence of this family.
+    parameter t* where phi has advanced by pi from the t = 0 boundary is
+    then interior.  Ties at exactly pi put t* on the far boundary, which
+    is collapsed, so no certificate.  None is not a tightness proof, only
+    the absence of this family.
     """
     phi = _phi_of(spec)
-    orientation = phi.orientation
-    swept = angle_sub(phi.values[-1], phi.values[0])
-    magnitude = swept if orientation > 0 else angle_sub(ZERO_ANGLE, swept)
-    if angle_compare(magnitude, add_half_turns(ZERO_ANGLE, 1)) <= 0:
+    target = add_half_turns(phi.values[0], phi.orientation)
+    # solve finds no t* beyond the sweep; at its end t* = t1 is collapsed
+    if target == phi.values[-1] or (point := phi.solve(target)) is None:
         return None
-    target = add_half_turns(phi.values[0], orientation)
-    point = phi.solve(target)
     return OvertwistedCertificate(
         side=0,
         j=1,
@@ -350,11 +348,12 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     Requires both boundary directions to agree (turn counts are free); the
     planar zeros, where the profiles differ by an odd multiple of pi, are
     enumerated exactly in one pass over the merged segments: the
-    difference is an `AngleForm` at each merged breakpoint and affine in
-    between, so each segment's zeros are one range of n, walked in t
-    order, and no zero needs its exact t.  The cost per segment depends
-    on the bit length of the breakpoint directions, not on the breakpoint
-    denominators.
+    difference psi is an `AngleForm` at each merged breakpoint u_k and
+    affine in between, so segment k's zeros are one range of n, the
+    (2n + 1) pi that psi takes for t in (u_k, u_{k+1}], from two floors,
+    less its last element when segment k + 1 is a zero interval.  No zero
+    needs its exact t; the cost per segment depends on the bit length of
+    the breakpoint directions, not on the breakpoint denominators.
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
@@ -369,33 +368,31 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     merged = sorted(set(pa.breaks) | set(pb.breaks))
     # psi = phi_a - phi_b is affine on each merged segment
     psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
+    spans = [d1 - d0 for d0, d1 in zip(psi, psi[1:])]
+    slopes = [span.sign() for span in spans]
+    # segment k is a zero interval when psi is constant there at an odd
+    # multiple of pi; interval[-1], past the last segment, is False
+    interval = [
+        not slope and (m := d.pi_multiple()) is not None and m % 2 == 1
+        for slope, d in zip(slopes, psi)
+    ] + [False]
     zeros: list[PlanarZero] = []
     intervals: list[tuple[Fraction, Fraction]] = []
-    for seg, (u0, u1) in enumerate(zip(merged, merged[1:])):
-        d0, d1 = psi[seg], psi[seg + 1]
-        span = d1 - d0
-        slope = span.sign()
-        if slope == 0:
-            m = d0.pi_multiple()
-            if m is not None and m.denominator == 1 and m % 2 == 1:
-                if intervals and intervals[-1][1] == u0:
-                    intervals[-1] = (intervals[-1][0], u1)
-                else:
-                    # the ends agree, so psi(t0) is an even multiple and seg > 0:
-                    # the previous segment ends at u0 with a zero, now inside
-                    zeros.pop()
-                    intervals.append((u0, u1))
+    for k, (u0, u1) in enumerate(zip(merged, merged[1:])):
+        d0, d1, span = psi[k], psi[k + 1], spans[k]
+        if interval[k]:  # joined to the interval before, which ends at u0
+            intervals.append((intervals.pop()[0] if interval[k - 1] else u0, u1))
             continue
-        v_lo, v_hi = (d0, d1) if slope > 0 else (d1, d0)
-        # odd multiples (2n + 1) pi inside [v_lo, v_hi], in t order
-        n_lo = -(_PI - v_lo).floor(2)
-        n_hi = (v_hi - _PI).floor(2)
-        ns = range(n_lo, n_hi + 1) if slope > 0 else range(n_hi, n_lo - 1, -1)
+        # the n with psi = (2n + 1) pi for t in (u0, u1], in t order (none
+        # where psi is constant)
+        if slopes[k] > 0:
+            ns = range((d0 - _PI).floor(2) + 1, (d1 - _PI).floor(2) + 1)
+        else:
+            ns = range(-(_PI - d0).floor(2) - 1, -(_PI - d1).floor(2) - 1, -1)
+        if interval[k + 1]:
+            ns = ns[:-1]  # psi(u1) is odd: the zero at u1 starts the interval
         for n in ns:
-            offset = AngleForm((), Fraction(2 * n + 1)) - d0
-            if seg and n == ns[0] and offset.sign() == 0:
-                continue  # at u0: the previous segment's last zero, or an interval
-            zeros.append(PlanarZero(ProfilePoint(seg, u0, u1, offset, span), 2 * n + 1))
+            zeros.append(PlanarZero(ProfilePoint(k, u0, u1, _PI * (2 * n + 1) - d0, span), 2 * n + 1))
     return HomotopyCertificate(
         form_a=fa,
         form_b=fb,

@@ -10,8 +10,8 @@ reduced coefficient over a collapse circle picks up the factor -e^s.
 sympl_moment_eval evaluates Psi pointwise; check_cut_symplectization_commute
 states the transferred data of a valid cut datum row by row, from exact
 facts: the boundary zeros decided by validity, and the numbers of reduced
-circles and of positive coefficients, counted on the half-turn lattice in
-O(1) from the profile's value bounds, however many turns it sweeps.
+circles and of positive coefficients, which are the ray counts along
+v perp and -v perp, O(1) in the number of turns the profile sweeps.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import Direction, _lattice_bounds, direction_angle, to_float
-from .cuts import CutSpec, require_valid
+from .angles import Direction, to_float
+from .cuts import CutSpec
 from .forms import InvariantContactForm, _moment, moment_sign
+from .invariants import _arc_count, _side
 
 # ln 2 within 2**-129: e^s is 2**j e^(s - j ln 2) to 2**-129 j relative
 _LN2 = Fraction(0xB17217F7D1CF79ABC9E3B39803F2F6AF, 2**128)
@@ -77,13 +78,14 @@ def check_cut_symplectization_commute(spec: CutSpec) -> CommutationReport:
     -e^s c.  A final row states the defining identity.  Raises
     InvalidCutSpec for an invalid datum.
     """
-    require_valid(spec)
+    swept = _side(spec)  # raises InvalidCutSpec first
     rows = []
     for side, v in ((0, spec.v0), (1, spec.v1)):
-        # contact_reduce has one circle per j with phi = base + j*pi, c > 0 iff j is odd
-        base = direction_angle(v.perp())
-        j_min, j_max = _lattice_bounds(base, *spec.form.phi.value_bounds())
-        n, positive = j_max - j_min + 1, (j_max + 1) // 2 - j_min // 2
+        # contact_reduce has one circle per j with phi = Arg(v perp) + j*pi,
+        # c > 0 iff j is odd: the ray counts along v perp and -v perp
+        w = v.perp()
+        positive = _arc_count(swept, -w)
+        n = _arc_count(swept, w) + positive
         # validity puts phi(side) on the lattice: the collapse circle is one of them
         rows.append(CheckRow(
             f"side {side} zero locus",
