@@ -370,8 +370,7 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
     spans = [d1 - d0 for d0, d1 in zip(psi, psi[1:])]
     slopes = [span.sign() for span in spans]
-    # segment k is a zero interval when psi is constant there at an odd
-    # multiple of pi; interval[-1], past the last segment, is False
+    # segment k is a zero interval: psi is constant there, at an odd multiple of pi
     interval = [
         not slope and (m := d.pi_multiple()) is not None and m % 2 == 1
         for slope, d in zip(slopes, psi)
@@ -380,11 +379,13 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     intervals: list[tuple[Fraction, Fraction]] = []
     for k, (u0, u1) in enumerate(zip(merged, merged[1:])):
         d0, d1, span = psi[k], psi[k + 1], spans[k]
-        if interval[k]:  # joined to the interval before, which ends at u0
-            intervals.append((intervals.pop()[0] if interval[k - 1] else u0, u1))
+        if interval[k]:
+            if interval[k - 1]:  # extend the interval that ends at u0
+                intervals[-1] = (intervals[-1][0], u1)
+            else:
+                intervals.append((u0, u1))
             continue
-        # the n with psi = (2n + 1) pi for t in (u0, u1], in t order (none
-        # where psi is constant)
+        # the n with psi = (2n + 1) pi for t in (u0, u1], in t order (none if flat)
         if slopes[k] > 0:
             ns = range((d0 - _PI).floor(2) + 1, (d1 - _PI).floor(2) + 1)
         else:
