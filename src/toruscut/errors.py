@@ -87,12 +87,12 @@ class EndpointMismatch(GeometryError):
 
 
 class SliceNotRepresentable(GeometryError):
-    """A ray slice whose cut boundary does not land on a rational parameter.
+    """A ray slice whose cut boundary has no exact rational parameter.
 
     Slicing produces new compact pieces whose breakpoints must be rational
-    to form cut specs.  This holds whenever the profile's breakpoint angles
-    and the window are exact lattice directions (all cases arising from the
-    standard rotating forms); anything else is refused rather than rounded.
+    to form cut specs.  An end is refused, not rounded, when
+    `ProfilePoint.t_fraction` gives None: its t is irrational, or rational
+    between two irrational but commensurable angles, which is not detected.
     """
 
 

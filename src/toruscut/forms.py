@@ -2,7 +2,7 @@
 
 A torus-invariant contact form is modelled as
 
-    alpha = r(t) * (cos(phi(t)) d\theta_1 + sin(phi(t)) d\theta_2)
+    alpha = r(t) * (cos(phi(t)) dtheta_1 + sin(phi(t)) dtheta_2)
 
 with r a positive radial profile and phi an angle profile.  The profile
 phi is piecewise affine in its value between rational breakpoints, and the
@@ -30,8 +30,8 @@ for affine pieces and is preserved by products.
 Parameter values where a profile attains a given lattice angle are
 returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
-The ratio collapses to a Fraction exactly when both differences are
-rational multiples of pi, computed once, on first use.
+The ratio is read as a Fraction when both differences are rational
+multiples of pi, computed once, on first use.
 `solve_half_turn_lattice` finds all J hits of a half-turn lattice in one
 walk over the n segments, O(n + J).  The walk is written once: only how
 it reads the differences base - v[i] depends on the input, as integer
@@ -91,8 +91,8 @@ class ProfilePoint:
 
     The exact parameter value is computed in one place, `_exact_t`, once,
     on first use, and kept in the slot _t, which is not compared, hashed
-    or shown.  Ellipsis marks it as not yet known, since None means an
-    irrational t.
+    or shown.  Ellipsis marks it as not yet known, since None means that
+    no exact t was found (see `t_fraction`).
     """
 
     segment: int
@@ -103,9 +103,10 @@ class ProfilePoint:
     _t: Fraction | None = field(default=..., init=False, repr=False, compare=False)
 
     def _exact_t(self) -> Fraction | None:
-        """t_lo + (t_hi - t_lo) * offset / span when that ratio is rational,
-        else None.  Between two pi/4 angles it is a ratio of quarter
-        counts, so t is one Fraction from integers."""
+        """t_lo + (t_hi - t_lo) * offset / span when offset is zero or the
+        span, or both are rational multiples of pi, else None.  Between two
+        pi/4 angles it is a ratio of quarter counts, so t is one Fraction
+        from integers."""
         offset, span = self.offset, self.span
         if type(offset) is Angle and type(span) is Angle:
             qo, qs = offset.quarters(), span.quarters()
@@ -124,7 +125,9 @@ class ProfilePoint:
         return self.t_lo + (self.t_hi - self.t_lo) * num / den
 
     def t_fraction(self) -> Fraction | None:
-        """Exact parameter value, when the ratio is rational."""
+        """Exact parameter value when `_exact_t` decides it, else None.
+        None does not prove t irrational: two irrational but commensurable
+        angles have a rational ratio, which is not detected."""
         t = self._t
         if t is ...:
             t = self._exact_t()

@@ -251,64 +251,44 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
 
 @dataclass(frozen=True)
 class OvertwistedCertificate:
-    """Data of one disk of the standard overtwisted family.
+    """One disk of the standard overtwisted family: the parameter t* where
+    the profile has advanced by pi from the collapsed end t = 0, and the
+    angle phi(t*) it reaches there."""
 
-    The profile advances by exactly j pi from the collapsed boundary on
-    the recorded side to the interior parameter t*; the disk over the
-    segment from that boundary to t*, at any fixed value c of the
-    complementary invariant circle coordinate, has boundary tangent to
-    the contact planes.
-    """
-
-    side: int
-    j: int
     point: ProfilePoint
     target: Angle
-    fixed_coordinate: float
-    description: str
 
 
 def detect_overtwisted(spec) -> OvertwistedCertificate | None:
     """The smallest disk certificate of the standard family, or None.
 
     A disk exists as soon as the total sweep strictly exceeds pi: the
-    parameter t* where phi has advanced by pi from the t = 0 boundary is
-    then interior.  Ties at exactly pi put t* on the far boundary, which
-    is collapsed, so no certificate.  None is not a tightness proof, only
-    the absence of this family.
+    parameter t* where phi has advanced by pi (j = 1 half turn) from the
+    t = 0 boundary (side 0) is then interior.  The disk over t in [0, t*],
+    at any fixed value of the complementary invariant circle coordinate,
+    has boundary tangent to the contact planes.  Ties at exactly pi put t*
+    on the far boundary, which is collapsed, so no certificate.  None is
+    not a tightness proof, only the absence of this family.
     """
     phi = _phi_of(spec)
     target = add_half_turns(phi.values[0], phi.orientation)
     # solve finds no t* beyond the sweep; at its end t* = t1 is collapsed
     if target == phi.values[-1] or (point := phi.solve(target)) is None:
         return None
-    return OvertwistedCertificate(
-        side=0,
-        j=1,
-        point=point,
-        target=target,
-        fixed_coordinate=0.0,
-        description=(
-            "disk over t in [0, t*] at fixed complementary coordinate; "
-            "boundary tangent to the contact planes where the profile has "
-            "advanced by pi from the collapsed side"
-        ),
-    )
+    return OvertwistedCertificate(point, target)
 
 
 @dataclass(frozen=True, slots=True)
 class PlanarZero:
     """A parameter where the interpolated planar covectors cancel.
 
-    At s = 1/2 the straight-line interpolation of the two unit covectors
-    vanishes exactly where the profiles differ by an odd multiple of pi;
+    The profiles differ there by odd_multiple pi, so at s = 1/2 the
+    straight-line interpolation of the two unit covectors vanishes exactly;
     the third component of the homotopy is then 1/4.
     """
 
     point: ProfilePoint
     odd_multiple: int
-    s: float = 0.5
-    third_component: Fraction = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -319,27 +299,14 @@ class HomotopyCertificate:
     s(1-s)) with a, b the two angle profiles.  The third component
     vanishes only at s in {0, 1}, where the planar part is a unit vector,
     so H is never zero; the planar part vanishes only at s = 1/2 over the
-    enumerated zeros and intervals, where |H| = 1/4.
+    zeros and the zero intervals, where |H| = 1/4.
     """
 
-    form_a: InvariantContactForm
-    form_b: InvariantContactForm
-    rule: str
     zeros: tuple[PlanarZero, ...]
     zero_intervals: tuple[tuple[Fraction, Fraction], ...]
-    argument: str
 
 
 _PI = AngleForm((), Fraction(1))
-
-_H_RULE = (
-    "H(s,t) = ((1-s) cos a(t) + s cos b(t), (1-s) sin a(t) + s sin b(t), s(1-s))"
-)
-_H_ARGUMENT = (
-    "the third component s(1-s) is positive for 0 < s < 1; at s = 0 and "
-    "s = 1 the planar part is a unit covector; hence H never vanishes, "
-    "and |H| = 1/4 at the planar zeros listed"
-)
 
 
 def homotopy_certificate(a, b) -> HomotopyCertificate:
@@ -394,11 +361,4 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
             ns = ns[:-1]  # psi(u1) is odd: the zero at u1 starts the interval
         for n in ns:
             zeros.append(PlanarZero(ProfilePoint(k, u0, u1, _PI * (2 * n + 1) - d0, span), 2 * n + 1))
-    return HomotopyCertificate(
-        form_a=fa,
-        form_b=fb,
-        rule=_H_RULE,
-        zeros=tuple(zeros),
-        zero_intervals=tuple(intervals),
-        argument=_H_ARGUMENT,
-    )
+    return HomotopyCertificate(tuple(zeros), tuple(intervals))

@@ -24,6 +24,7 @@ from toruscut import (
     MODE_FIXED,
     MODE_GL2Z,
     RadialProfile,
+    add_half_turns,
     alpha_cutspec,
     alpha_form,
     cc_count,
@@ -133,7 +134,7 @@ def test_criterion_4_disk_certificates():
             spec = alpha_cutspec(k)
             cert = detect_overtwisted(spec)
             assert cert is not None
-            assert cert.side == 0 and cert.j == 1
+            assert cert.target == add_half_turns(spec.form.phi.values[0], 1)
             t_star = cert.point.t_fraction()
             assert t_star is not None
             # the angle equation is exact, not a float residual

@@ -30,6 +30,7 @@ from toruscut import (
     direction_angle,
     moment_eval,
     moment_sign,
+    parse_angle,
     rescale,
     sweep,
     sympl_moment_eval,
@@ -359,6 +360,7 @@ class TestSolveBisection:
         for phi in (AngleProfile((t, t), (a, a)), AngleProfile((t, t + 1), (a, a))):
             assert phi.solve(a) is None and scan_solve(phi, a) is None
             assert phi.solve(target) is None
+            assert phi.solve_half_turn_lattice(a) == []
 
     @given(
         st.one_of(
@@ -714,6 +716,19 @@ class TestMoment:
         for a, b in zip(ts, ts[1:]):
             mid = (a + b) / 2
             assert moment_sign(form, eta, mid) != 0
+
+    @pytest.mark.xfail(
+        strict=True, reason="no exact t between irrational but commensurable angles"
+    )
+    def test_commensurable_hit_has_exact_t(self):
+        # phi(1/4) = 3pi/2: the offset pi/2 - Arg(3, 1) is half the span
+        # pi - 2 Arg(3, 1), a rational ratio of two irrational multiples of pi
+        values = ("0,1;0", "-3,-1;1", "3,-1;1", "0,1;1")
+        phi = AngleProfile((0, F(1, 6), F(1, 3), F(1, 2)), tuple(map(parse_angle, values)))
+        assert moment_sign(InvariantContactForm.unit(phi), (1, 0), F(1, 4)) == 0
+        hits = dict(phi.solve_half_turn_lattice(A(D(0, 1))))
+        assert hits[1].t_fraction() == F(1, 4)
+        assert str(hits[1]) == "1/4"
 
 
 def quarters_at(breaks, qs, t):
