@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .angles import (
     Angle,
     AngleForm,
+    Direction,
     _fraction,
     add_half_turns,
     angle_compare,
@@ -71,6 +72,7 @@ from .errors import (
 )
 
 Rational = Fraction | int
+Eta = Direction | tuple[int, int]  # a pair need not be primitive: (2, 0) is 2 (1, 0)
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -161,34 +163,20 @@ class MomentValue(NamedTuple):
 
 
 @dataclass(frozen=True)
-class AngleProfile:
-    """Piecewise affine (in value) angle profile over rational breakpoints.
-
-    breaks are strictly ascending; values are the exact angles attained at
-    the breakpoints.  A degenerate profile with two equal breakpoints and
-    equal values is allowed as the collapsed interval [t0, t0]; it is not
-    contact and has zero sweep.
-    """
+class _Grid:
+    """The domain [t0, t1] of a profile, cut at rational breakpoints
+    t0 = breaks[0] < ... < breaks[-1] = t1 into pieces [breaks[i],
+    breaks[i + 1]]: the rules that `AngleProfile` and `RadialProfile`
+    share, each written once.  A profile checks its counts, then calls
+    this `__post_init__`."""
 
     breaks: tuple[Fraction, ...]
-    values: tuple[Angle, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_fraction(t) for t in self.breaks))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
-            raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
-        degenerate = (
-            len(self.breaks) == 2
-            and self.breaks[0] == self.breaks[1]
-            and self.values[0] == self.values[1]
-        )
-        if not degenerate:
-            for i in range(len(self.breaks) - 1):
-                if not self.breaks[i] < self.breaks[i + 1]:
-                    raise BadBreakpoints("breakpoints must be strictly ascending")
-
-    # -- basic queries ---------------------------------------------------
+        b = tuple(map(_fraction, self.breaks))
+        object.__setattr__(self, "breaks", b)
+        if any(not s < t for s, t in zip(b, b[1:])):
+            raise BadBreakpoints("breakpoints must be strictly ascending")
 
     @property
     def t0(self) -> Fraction:
@@ -198,9 +186,54 @@ class AngleProfile:
     def t1(self) -> Fraction:
         return self.breaks[-1]
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.breaks[0] == self.breaks[-1]
+    def _piece(self, t: Fraction) -> int:
+        """The piece that holds t: the last one starting at or below t, so
+        a shared breakpoint starts its piece, and t1 is on the last."""
+        return min(bisect_right(self.breaks, t) - 1, len(self.breaks) - 2)
+
+    def _locate(self, t: Rational) -> tuple[Fraction, int]:
+        """t as a Fraction and its piece; OutsideDomain off [t0, t1]."""
+        t = _fraction(t)
+        if not (self.t0 <= t <= self.t1):
+            raise OutsideDomain(t, self.t0, self.t1)
+        return t, self._piece(t)
+
+    def _mirrored(self) -> tuple[Fraction, ...]:
+        """The breakpoints under t -> t0 + t1 - t, ascending."""
+        lo, hi = self.t0, self.t1
+        return tuple(lo + hi - t for t in reversed(self.breaks))
+
+    def _onto(self, new_lo: Rational, new_hi: Rational) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The breakpoints mapped affinely onto [new_lo, new_hi], and the
+        rate d(old t) / d(new t)."""
+        new_lo, new_hi = _fraction(new_lo), _fraction(new_hi)
+        span, new_span = self.t1 - self.t0, new_hi - new_lo
+        if new_span <= 0:
+            raise BadBreakpoints("reparametrization needs nondegenerate domains")
+        breaks = tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks)
+        return breaks, span / new_span
+
+    def _unit(self, t_a: Fraction, t_b: Fraction, lo: int, hi: int) -> tuple[Fraction, ...]:
+        """The breakpoints of the restriction to [t_a, t_b] mapped onto
+        [0, 1]: 0, breaks[lo:hi] (those strictly inside), and 1."""
+        w = t_b - t_a
+        return (0, *[(t - t_a) / w for t in self.breaks[lo:hi]], 1)
+
+
+@dataclass(frozen=True)
+class AngleProfile(_Grid):
+    """Piecewise affine (in value) angle profile: values are the exact
+    angles attained at two or more rational breakpoints."""
+
+    values: tuple[Angle, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+        if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
+            raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
+        super().__post_init__()
+
+    # -- basic queries ---------------------------------------------------
 
     @cached_property
     def _sweeps(self) -> tuple[Angle, ...]:
@@ -239,12 +272,6 @@ class AngleProfile:
         lo, hi = self.values[0], self.values[-1]
         return (lo, hi) if angle_compare(lo, hi) <= 0 else (hi, lo)
 
-    def _segment_of(self, t: Fraction) -> int:
-        if not (self.t0 <= t <= self.t1):
-            raise OutsideDomain(t, self.t0, self.t1)
-        i = bisect_right(self.breaks, t) - 1
-        return min(i, len(self.breaks) - 2)
-
     # -- evaluation ------------------------------------------------------
 
     def compare_at(self, t: Rational, target: Angle) -> int:
@@ -257,10 +284,9 @@ class AngleProfile:
         v[i] + lambda * sweep[i] as an `AngleForm`, with lambda in (0, 1)
         the position of t inside segment i.  This is the one way phi is
         read at a rational t."""
-        t = _fraction(t)
-        i = self._segment_of(t)
+        t, i = self._locate(t)
         t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
-        if t == t_lo or self.is_degenerate:
+        if t == t_lo:
             return AngleForm.of(self.values[i])
         if t == t_hi:
             return AngleForm.of(self.values[i + 1])
@@ -271,8 +297,8 @@ class AngleProfile:
         """The unique parameter with phi(t) = target, or None if out of range.
 
         Requires a strictly monotone profile (either orientation); the
-        answer is not meaningful otherwise.  A degenerate or zero-sweep
-        profile returns None.  A hit at a shared breakpoint is reported
+        answer is not meaningful otherwise.  A profile with zero total
+        sweep returns None.  A hit at a shared breakpoint is reported
         on the earlier segment.
 
         Cost: O(log n) angle comparisons for n breakpoints, by bisection
@@ -346,22 +372,11 @@ class AngleProfile:
 
     def reversed(self) -> "AngleProfile":
         """Reflect the parameter: phi'(t) = phi(t0 + t1 - t)."""
-        lo, hi = self.t0, self.t1
-        return AngleProfile(
-            tuple(lo + hi - t for t in reversed(self.breaks)),
-            tuple(reversed(self.values)),
-        )
+        return AngleProfile(self._mirrored(), tuple(reversed(self.values)))
 
     def reparametrized(self, new_lo: Rational, new_hi: Rational) -> "AngleProfile":
         """Affinely map the domain onto [new_lo, new_hi]; values unchanged."""
-        new_lo, new_hi = _fraction(new_lo), _fraction(new_hi)
-        span, new_span = self.t1 - self.t0, new_hi - new_lo
-        if span == 0 or new_span <= 0:
-            raise BadBreakpoints("reparametrization needs nondegenerate domains")
-        return AngleProfile(
-            tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks),
-            self.values,
-        )
+        return AngleProfile(self._onto(new_lo, new_hi)[0], self.values)
 
     def _restricted_unit(
         self, i: int, t_a: Fraction, value_a: Angle, j: int, t_b: Fraction, value_b: Angle
@@ -374,11 +389,9 @@ class AngleProfile:
         breakpoints strictly inside are b[i + 1 .. j], without b[i + 1]
         when t_a is b[i + 1], so nothing is searched: O(j - i).
         """
-        b, w = self.breaks, t_b - t_a
-        i0 = i + 1 if t_a < b[i + 1] else i + 2
+        i0 = i + 1 if t_a < self.breaks[i + 1] else i + 2
         return AngleProfile(
-            (0, *[(t - t_a) / w for t in b[i0 : j + 1]], 1),
-            (value_a, *self.values[i0 : j + 1], value_b),
+            self._unit(t_a, t_b, i0, j + 1), (value_a, *self.values[i0 : j + 1], value_b)
         )
 
 
@@ -420,22 +433,18 @@ def _radial_values(
     breaks: Sequence[Rational], values: Sequence[Rational]
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """breaks and values as Fractions, checked for a radial profile: as many
-    of each, at least two, every value positive, breaks strictly ascending."""
-    breaks = tuple(map(_fraction, breaks))
-    values = tuple(map(_fraction, values))
+    of each, at least two, every value positive, then the `_Grid` rules."""
     if len(breaks) != len(values) or len(breaks) < 2:
         raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
+    values = tuple(map(_fraction, values))
     for t, v in zip(breaks, values):
         if v <= 0:
-            raise NonPositiveRadial(t, v)
-    for i in range(len(breaks) - 1):
-        if not breaks[i] < breaks[i + 1]:
-            raise BadBreakpoints("breakpoints must be strictly ascending")
-    return breaks, values
+            raise NonPositiveRadial(_fraction(t), v)
+    return _Grid(breaks).breaks, values
 
 
 @dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(_Grid):
     """Positive piecewise polynomial r(t) with rational coefficients.
 
     Each piece i covers [breaks[i], breaks[i+1]] and stores coefficients in
@@ -446,14 +455,13 @@ class RadialProfile:
     whole domain.
     """
 
-    breaks: tuple[Fraction, ...]
     pieces: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_fraction(t) for t in self.breaks))
         object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
         if len(self.breaks) != len(self.pieces) + 1:
             raise BadBreakpoints("need exactly one piece per breakpoint gap")
+        super().__post_init__()
 
     @staticmethod
     def from_values(breaks: Sequence[Rational], values: Sequence[Rational]) -> "RadialProfile":
@@ -471,19 +479,8 @@ class RadialProfile:
         breaks, (c, _) = _radial_values(domain, (c, c))
         return RadialProfile(breaks, ((c, _ZERO),))
 
-    @property
-    def t0(self) -> Fraction:
-        return self.breaks[0]
-
-    @property
-    def t1(self) -> Fraction:
-        return self.breaks[-1]
-
     def evaluate(self, t: Rational) -> Fraction:
-        t = _fraction(t)
-        if not (self.t0 <= t <= self.t1):
-            raise OutsideDomain(t, self.t0, self.t1)
-        i = min(bisect_right(self.breaks, t) - 1, len(self.pieces) - 1)
+        t, i = self._locate(t)
         return _poly_eval(self.pieces[i], t - self.breaks[i])
 
     def floats_along(self, points: Iterable[ProfilePoint]) -> list[float | None]:
@@ -520,9 +517,9 @@ class RadialProfile:
         """Insert additional breakpoints (values unchanged)."""
         merged = sorted(set(self.breaks) | {t for t in extra if self.t0 < t < self.t1})
         pieces = []
-        for i in range(len(merged) - 1):
-            j = min(bisect_right(self.breaks, merged[i]) - 1, len(self.pieces) - 1)
-            pieces.append(_poly_shift(self.pieces[j], merged[i] - self.breaks[j]))
+        for t in merged[:-1]:
+            j = self._piece(t)
+            pieces.append(_poly_shift(self.pieces[j], t - self.breaks[j]))
         return RadialProfile(tuple(merged), tuple(pieces))
 
     def multiply(self, other: "RadialProfile") -> "RadialProfile":
@@ -536,26 +533,14 @@ class RadialProfile:
         )
 
     def reversed(self) -> "RadialProfile":
-        lo, hi = self.t0, self.t1
-        breaks = tuple(lo + hi - t for t in reversed(self.breaks))
-        pieces = []
-        for i in reversed(range(len(self.pieces))):
-            span = self.breaks[i + 1] - self.breaks[i]
-            # r'(u) = r(span - u) on the mirrored piece
-            flipped = _poly_shift(self.pieces[i], span)
-            pieces.append(tuple(c * (-1) ** k for k, c in enumerate(flipped)))
-        return RadialProfile(breaks, tuple(pieces))
+        b = self.breaks
+        # r'(u) = r(span - u) on the mirrored piece
+        pieces = [_poly_shift(p, b[i + 1] - b[i], -1) for i, p in enumerate(self.pieces)]
+        return RadialProfile(self._mirrored(), tuple(reversed(pieces)))
 
     def reparametrized(self, new_lo: Rational, new_hi: Rational) -> "RadialProfile":
-        new_lo, new_hi = _fraction(new_lo), _fraction(new_hi)
-        span, new_span = self.t1 - self.t0, new_hi - new_lo
-        if span == 0 or new_span <= 0:
-            raise BadBreakpoints("reparametrization needs nondegenerate domains")
-        rate = span / new_span
-        breaks = tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks)
-        pieces = tuple(
-            tuple(c * rate**k for k, c in enumerate(p)) for p in self.pieces
-        )
+        breaks, rate = self._onto(new_lo, new_hi)
+        pieces = tuple(tuple(c * rate**k for k, c in enumerate(p)) for p in self.pieces)
         return RadialProfile(breaks, pieces)
 
     def _restricted_unit(self, t_a: Fraction, t_b: Fraction) -> "RadialProfile":
@@ -567,12 +552,12 @@ class RadialProfile:
         """
         b, w = self.breaks, t_b - t_a
         # piece i0 holds t_a; breakpoints i0+1 .. i1-1 lie strictly inside
-        i0, i1 = bisect_right(b, t_a) - 1, bisect_left(b, t_b)
+        i0, i1 = self._piece(t_a), bisect_left(b, t_b)
         pieces = tuple(
             p[:1] if not any(p[1:]) else _poly_shift(p, t_a - b[i] if i == i0 else 0, w)
             for i, p in enumerate(self.pieces[i0:i1], start=i0)
         )
-        return RadialProfile((0, *[(t - t_a) / w for t in b[i0 + 1 : i1]], 1), pieces)
+        return RadialProfile(self._unit(t_a, t_b, i0 + 1, i1), pieces)
 
 
 @dataclass(frozen=True)
@@ -620,7 +605,12 @@ def sweep(form: InvariantContactForm) -> Angle:
     return angle_sub(form.phi.values[-1], form.phi.values[0])
 
 
-def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -> int:
+def _eta(eta: Eta) -> tuple[int, int]:
+    """eta as (m, n): a `Direction`'s components, a pair as it is given."""
+    return eta.as_tuple() if isinstance(eta, Direction) else tuple(eta)
+
+
+def moment_sign(form: InvariantContactForm, eta: Eta, t: Rational) -> int:
     """Exact sign of the eta-moment r(t)(m cos phi(t) + n sin phi(t)).
 
     The moment vanishes iff phi(t) lies on the half-turn lattice through
@@ -629,7 +619,7 @@ def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     d = phi(t) - base as one `AngleForm`, the index below phi(t) is
     j = floor(d / pi), and the moment is zero iff d - j*pi is.
     """
-    m, n = eta
+    m, n = _eta(eta)
     d = form.phi.form_at(t) - AngleForm.of(direction_angle((-n, m)))
     j = d.floor()
     if AngleForm._normal(d.terms, d.r - j).sign() == 0:
@@ -637,26 +627,26 @@ def moment_sign(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -
     return 1 if j % 2 else -1
 
 
-def _moment(form: InvariantContactForm, eta: tuple[int, int], t: Rational):
+def _moment(form: InvariantContactForm, eta: Eta, t: Rational):
     """The eta-moment at t as (r(t), m cos a + n sin a, k), for `to_float`:
     a is phi(t) less its whole turns, exactly, and an eta beyond float
     range is shifted right by k bits (the factor moves by under 2**-999)."""
-    m, n = eta
+    m, n = _eta(eta)
     f = form.phi.form_at(t)
     a = AngleForm._normal(f.terms, f.r % 2).value()
     k = max(abs(m).bit_length(), abs(n).bit_length(), 1000) - 1000
     return form.radial.evaluate(t), (m >> k) * math.cos(a) + (n >> k) * math.sin(a), k
 
 
-def moment_eval(form: InvariantContactForm, eta: tuple[int, int], t: Rational) -> MomentValue:
-    """Moment of the torus element eta = (m, n) at rational t.
+def moment_eval(form: InvariantContactForm, eta: Eta, t: Rational) -> MomentValue:
+    """Moment of the torus element eta = (m, n), or a `Direction`, at rational t.
 
     Returns the float value together with the exact sign; the value is
     snapped to 0.0 when the sign is provably zero, and is None when it is
     beyond float range, above or below (`to_float`), so 0.0 always means
     an exact zero.
     """
-    sign = 0 if tuple(eta) == (0, 0) else moment_sign(form, eta, t)
+    sign = 0 if _eta(eta) == (0, 0) else moment_sign(form, eta, t)
     if sign == 0:
         return MomentValue(0.0, 0)
     # a float factor of 0.0 is cancellation in m cos a + n sin a: no float

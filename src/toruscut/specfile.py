@@ -104,9 +104,8 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
     The contact condition is always checked; with validate=True (the
     default) cut data are additionally required to be valid.  A geometry
     error names the line of the key being read: form.phi.breaks for the
-    profile, the contact condition and the unit radial of a degenerate
-    domain, and for an invalid cut the collapse line of the first
-    violated end.
+    profile and the contact condition, and for an invalid cut the
+    collapse line of the first violated end.
     """
     entries = _parse_lines(text)
     if "form.phi.breaks" not in entries:
@@ -142,7 +141,7 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
                 radial = RadialProfile.constant(_fraction(value, line), (phi.t0, phi.t1))
             form = InvariantContactForm(phi, radial)
             line = phi_line  # the contact condition is the profile's
-        else:  # a degenerate phi domain has no unit radial
+        else:
             form = InvariantContactForm.unit(phi)
         contact_check(form)
 

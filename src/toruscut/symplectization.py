@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import Direction, to_float
+from .angles import to_float
 from .cuts import CutSpec
 from .forms import InvariantContactForm, _moment, moment_sign
 from .invariants import _arc_count, _side
@@ -29,20 +29,15 @@ from .invariants import _arc_count, _side
 _LN2 = Fraction(0xB17217F7D1CF79ABC9E3B39803F2F6AF, 2**128)
 
 
-def _pair(eta) -> tuple[int, int]:
-    return eta.as_tuple() if isinstance(eta, Direction) else tuple(eta)
-
-
 def sympl_moment_sign(form: InvariantContactForm, eta, t) -> int:
     """Exact sign of Psi_eta at (t, s), independent of s: minus the contact sign."""
-    return -moment_sign(form, _pair(eta), t)
+    return -moment_sign(form, eta, t)
 
 
 def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float | None:
     """Psi_eta(t, s) = -e^s f_eta(t), exactly zero where the contact moment
     is, and None where it is beyond float range or s is not finite.  e^s is
     2**j e^(s - j ln 2), j = round(s / ln 2), and 2**j goes to `to_float`."""
-    eta = _pair(eta)
     if not math.isfinite(s):
         return None
     if eta == (0, 0) or moment_sign(form, eta, t) == 0:

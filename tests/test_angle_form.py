@@ -129,6 +129,11 @@ class TestArithmetic:
         ):
             assert got.terms == want.terms and got.r == want.r
             assert type(got.r) is F and all(type(c) is F for _, c in got.terms)
+        # a form combines with forms and scales by rationals, nothing else
+        for other in (lambda: a + 1, lambda: a - 1, lambda: a * 0.5):
+            with pytest.raises(TypeError):
+                other()
+        assert (a == 3) is False
 
 
 class TestSign:

@@ -96,6 +96,7 @@ class TestCompare:
     def test_antisymmetric_and_float_consistent(self, a, b):
         c = angle_compare(a, b)
         assert c == -angle_compare(b, a)
+        assert ((a < b), (a <= b), (a > b), (a >= b)) == (c < 0, c <= 0, c > 0, c >= 0)
         gap = a.value() - b.value()
         if abs(gap) > 1e-9:
             assert c == (1 if gap > 0 else -1)

@@ -563,11 +563,6 @@ class TestCountsMatchLatticeReference:
         self.check(phi, xi)
         assert len(cc_profile(phi).arcs) == 1
 
-    @given(wide_dirs(), many_turns(), xis())
-    def test_degenerate_profile(self, d, turns, xi):
-        a = A(d, turns)
-        self.check(AngleProfile((F(1, 2), F(1, 2)), (a, a)), xi)
-
     def test_paper_families(self):
         specs = [alpha_cutspec(k) for k in (0, 1, 2, 10**30)]
         specs += [lens_cutspec(k, l, j) for k, l in _LENS_TABLE for j in (1, 2, 10**30)]

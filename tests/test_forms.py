@@ -1,9 +1,11 @@
 """Profiles, forms, and exact moment signs."""
 
+import importlib.util
 import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -166,11 +168,9 @@ class TestAngleProfile:
             AngleProfile((F(0), F(1), F(2)), (A(D(1, 0)), A(D(0, 1))))
 
     def test_degenerate_interval(self):
-        d = AngleProfile((F(0), F(0)), (A(D(1, 1)), A(D(1, 1))))
-        assert d.is_degenerate
-        with pytest.raises(ZeroSlopeSegment):
-            d.orientation
-        assert d.compare_at(F(0), A(D(1, 1))) == 0
+        # a collapsed interval [t0, t0] is no profile: no form can carry it
+        with pytest.raises(BadBreakpoints, match="strictly ascending"):
+            AngleProfile((F(0), F(0)), (A(D(1, 1)), A(D(1, 1))))
 
     def test_eval_float_at_breakpoints(self):
         phi = alpha_phi(2)
@@ -356,11 +356,11 @@ class TestSolveBisection:
             assert phi.solve(target) is None
 
     @given(angles(), angles(), st.fractions(min_value=-2, max_value=2, max_denominator=6))
-    def test_degenerate_and_zero_sweep_profiles_have_no_solution(self, a, target, t):
-        for phi in (AngleProfile((t, t), (a, a)), AngleProfile((t, t + 1), (a, a))):
-            assert phi.solve(a) is None and scan_solve(phi, a) is None
-            assert phi.solve(target) is None
-            assert phi.solve_half_turn_lattice(a) == []
+    def test_zero_sweep_profile_has_no_solution(self, a, target, t):
+        phi = AngleProfile((t, t + 1), (a, a))
+        assert phi.solve(a) is None and scan_solve(phi, a) is None
+        assert phi.solve(target) is None
+        assert phi.solve_half_turn_lattice(a) == []
 
     @given(
         st.one_of(
@@ -496,6 +496,7 @@ class TestRadialProfile:
                              RadialProfile.from_values([0, 2], [1, 1])),
              "radial profiles must share their domain"),
             (lambda: RadialProfile((F(0), F(1)), ()), "need exactly one piece per breakpoint gap"),
+            (lambda: RadialProfile((F(1), F(0)), ((F(1),),)), "strictly ascending"),
             (lambda: unit.reparametrized(1, 1), "reparametrization needs nondegenerate domains"),
             (lambda: alpha_phi(1).reparametrized(1, 0),
              "reparametrization needs nondegenerate domains"),
@@ -664,12 +665,10 @@ class TestMoment:
             return counted
 
         monkeypatch.setattr(forms, "add_half_turns", counting("add_half_turns", add_half_turns))
-        monkeypatch.setattr(
-            AngleProfile, "_segment_of", counting("_segment_of", AngleProfile._segment_of)
-        )
+        monkeypatch.setattr(AngleProfile, "_locate", counting("_locate", AngleProfile._locate))
         monkeypatch.setattr(AngleForm, "sign", counting("sign", AngleForm.sign))
         assert moment_sign(form, (1, 2), F(1, 3)) == -1  # phi(1/3) = 2 pi (99 + 2/3)
-        assert calls["_segment_of"] == 1
+        assert calls["_locate"] == 1
         assert calls["add_half_turns"] == 0
         assert 1 <= calls["sign"] <= 2
 
@@ -907,6 +906,20 @@ class TestRescale:
         )  # affine dipping negative
         with pytest.raises(NonPositiveRadial):
             rescale(form, bad)
+
+
+class TestTracerTargets:
+    def test_tracer_wraps_the_classes_own_attributes(self):
+        # perfbench/tracer.py reads vars(cls): a profile method or a
+        # constructor that only a base class defines is a KeyError there
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for name in (*tracer.PROFILE_METHODS, "segments"):
+            assert name in vars(AngleProfile), name
+        for name in tracer.CONSTRUCTORS:
+            assert "__init__" in vars(getattr(forms, name)), name
 
 
 class TestValueTypes:

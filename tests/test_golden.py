@@ -85,6 +85,8 @@ def _cases() -> dict[str, list[str]]:
     ]
     # equal breakpoints and no radial line: the error names the phi line
     cases["check-equal-breaks"] = ["check", "tests/golden/equal_breaks.cut"]
+    # and with a radial line: the phi line is named, before the radial is read
+    cases["check-equal-breaks-radial"] = ["check", "tests/golden/equal_breaks_radial.cut"]
     # a spec that is not UTF-8 (a Latin-1 byte in a comment) is unreadable input
     cases["check-not-utf8"] = ["check", "tests/golden/not_utf8.cut"]
     # grammar errors of the spec reader, each naming the line of its key: a

@@ -72,7 +72,7 @@ class TestEval:
     )
     def test_identity_and_sign(self, eta, t, s, k):
         form = alpha_form(k)
-        value, sign = moment_eval(form, eta.as_tuple(), t)
+        value, sign = moment_eval(form, eta, t)
         psi = sympl_moment_eval(form, eta, t, s)
         assert abs(psi + math.exp(s) * value) < 1e-12 * max(1.0, math.exp(s))
         assert sympl_moment_sign(form, eta, t) == -sign
