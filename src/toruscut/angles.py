@@ -20,18 +20,18 @@ integers and correct the branch by an exactly determined element of
 {-1, 0, +1}.
 
 Rational combinations of angles, such as p*a - q*b or a profile value
-between two breakpoints, are `AngleForm`s: sum(c_i * Arg(z_i)) + r*pi with
-rational c_i and r, kept in a normal form (terms sorted by direction).
-Addition and subtraction of forms merge two normal forms in one linear
-pass.  No Gaussian integer is ever raised to the power of a
-coefficient.  The sign of a form is read off a float estimate with a
-stated error bound; only near a tie is it decided exactly.  Whether the
-value is a multiple of pi/4 is read from the norms of the z_i over a
-coprime base in Z and from the square roots of -1 that the z_i give
-modulo each base element (integer gcds, no integer factorization; D. J.
-Bernstein, "Factoring into coprimes in essentially linear time",
-J. Algorithms 54, 2005); a near-tie that is not a tie is decided by
-fixed-point Args in integer arithmetic.
+between two breakpoints, are `AngleForm`s: (sum(c_i * Arg(z_i)) + r*pi) / den
+with integer c_i and r over one integer den > 0, kept in a normal form
+(terms sorted by direction).  Addition and subtraction of forms merge two
+normal forms in one linear pass.  No Gaussian integer is ever raised to
+the power of a coefficient.  The sign of a form is read off a float
+estimate with a stated error bound; only near a tie is it decided
+exactly.  Whether the value is a multiple of pi/4 is read from the norms
+of the z_i over a coprime base in Z and from the square roots of -1 that
+the z_i give modulo each base element (integer gcds, no integer
+factorization; D. J. Bernstein, "Factoring into coprimes in essentially
+linear time", J. Algorithms 54, 2005); a near-tie that is not a tie is
+decided by fixed-point Args in integer arithmetic.
 
 Floating point appears in `to_float`, which makes every float the package
 shows (`Angle.value()`, parameter values, moments) from an exact quantity,
@@ -55,7 +55,7 @@ directions into its rational multiple of pi through the same table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonPrimitive, ZeroVector
@@ -334,9 +334,6 @@ def _term_key(term) -> tuple[int, int]:
     return (term[0].x, term[0].y)
 
 
-_ONE = Fraction(1)
-
-
 def _merge(a, b) -> tuple:
     """The normal terms of a + b, for term tuples a and b that are already
     normal (folded, merged, nonzero, sorted by (x, y)): one merge of the
@@ -366,9 +363,9 @@ def _merge(a, b) -> tuple:
     return (*out, *a[i:], *b[j:])
 
 
-def _negated(terms) -> tuple:
-    """-terms, still normal."""
-    return tuple((d, -c) for d, c in terms)
+def _scaled(terms, k: int) -> tuple:
+    """k * terms for a nonzero integer k, still normal."""
+    return terms if k == 1 else tuple((d, c * k) for d, c in terms)
 
 
 def _arg(d: Direction) -> float:
@@ -385,22 +382,21 @@ def _arg(d: Direction) -> float:
         return math.atan2(d.y >> s, d.x >> s)
 
 
-def _float_sum(terms, r) -> tuple[float, float]:
-    """(v, e) with |sum(c * Arg(d)) + r*pi - v| <= e, for rational c and r.
+def _float_sum(terms, r: int, den: int) -> tuple[float, float]:
+    """(v, e) with |(sum(c * Arg(d)) + r*pi) / den - v| <= e, all integers.
 
-    Each float Arg is within 2**-50 (`_arg`), and every conversion,
-    product and sum rounds by at most 2**-53 relative, so with k terms
-    and S = sum |c| + |r| the error is below (k + 4) * 2**-50 * S; e
-    doubles that, to cover the rounding of S itself, and adds 2**-1000
-    for coefficients that underflow.  A coefficient beyond float range
-    gives e = inf.
+    Each float Arg is within 2**-50 (`_arg`), each c / den and r / den is
+    one correctly rounded integer division, and every product and sum
+    rounds by at most 2**-53 relative, so with k terms and S = (sum |c| +
+    |r|) / den the error is below (k + 4) * 2**-50 * S; e doubles that, to
+    cover the rounding of S itself, and adds 2**-1000 for coefficients
+    that underflow.  A coefficient beyond float range gives e = inf.
     """
     try:
-        # n / d is float(q) of a Fraction q, without the ABC's __float__
-        fr = r.numerator / r.denominator
+        fr = r / den
         v, size = fr * math.pi, abs(fr)
         for d, c in terms:
-            fc = c.numerator / c.denominator
+            fc = c / den
             v += fc * _arg(d)
             size += abs(fc)
     except OverflowError:
@@ -529,21 +525,23 @@ def _fixed_sum(terms, r: int, prec: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class AngleForm:
-    """sum(c * Arg(d) for d, c in terms) + r*pi, with rational c and r.
+    """(sum(c * Arg(d) for d, c in terms) + r*pi) / den, integer c and r, den > 0.
 
     The d are primitive directions.  The constructor is the one place
-    that normalises arbitrary terms: the eight directions at multiples of
-    pi/4 are folded into r, equal directions are merged, zero
-    coefficients dropped and the terms sorted by (x, y).  `+` and `-`
-    merge the sorted terms of two normal forms, adding equal directions
-    and dropping sums that cancel, and `-x` and `*` scale each term, so
-    arithmetic never normalises again.  Equal values need not be
-    structurally equal (Arg(2,1) + Arg(2,-1) = 0), so `==` is the
-    `sign()` of the difference and forms are not hashable.
+    that takes rational terms and r: the eight directions at multiples of
+    pi/4 are folded into r, equal directions merged, zero coefficients
+    dropped, the terms sorted by (x, y) and put over the lcm of the
+    denominators.  `+` and `-` put both sides over the lcm of their dens
+    and merge the sorted terms, `-x` and `*` scale numerators and den, so
+    arithmetic never normalises again and builds no Fraction.  den need
+    not be minimal, and equal values need not be structurally equal
+    (Arg(2,1) + Arg(2,-1) = 0), so `==` is the `sign()` of the difference
+    and forms are not hashable.
     """
 
-    terms: tuple[tuple[Direction, Fraction], ...] = ()
-    r: Fraction = Fraction(0)
+    terms: tuple[tuple[Direction, int], ...] = ()
+    r: int = 0
+    den: int = field(default=1, init=False)
 
     def __post_init__(self):
         r = _fraction(self.r)
@@ -557,42 +555,50 @@ class AngleForm:
             else:
                 coeffs[d] = c
         terms = sorted(((d, _fraction(c)) for d, c in coeffs.items() if c), key=_term_key)
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "r", r)
+        den = math.lcm(r.denominator, *(c.denominator for _, c in terms))
+        terms = tuple((d, (c * den).numerator) for d, c in terms)
+        self.__dict__.update(terms=terms, r=(r * den).numerator, den=den)
 
     @staticmethod
-    def _normal(terms, r: Fraction) -> "AngleForm":
+    def _normal(terms, r: int, den: int) -> "AngleForm":
         """A form from terms that are already folded, merged, nonzero and sorted."""
         f = object.__new__(AngleForm)
-        f.__dict__.update(terms=terms, r=r)
+        f.__dict__.update(terms=terms, r=r, den=den)
         return f
 
     @staticmethod
     def of(a: Angle) -> "AngleForm":
-        q = a.pi_multiple()
+        q = a.quarters()
         if q is not None:
-            return AngleForm._normal((), q)
-        return AngleForm._normal(((a.dir, _ONE),), Fraction(2 * a.turns))
+            g = math.gcd(q, 4)
+            return AngleForm._normal((), q // g, 4 // g)
+        return AngleForm._normal(((a.dir, 1),), 2 * a.turns, 1)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
-        if not isinstance(other, AngleForm):
-            return NotImplemented
-        return AngleForm._normal(_merge(self.terms, other.terms), self.r + other.r)
-
-    def __neg__(self) -> "AngleForm":
-        return AngleForm._normal(_negated(self.terms), -self.r)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "AngleForm") -> "AngleForm":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "AngleForm", s: int) -> "AngleForm":
+        """self + s * other, s = +1 or -1: both over the lcm of the dens, one merge."""
         if not isinstance(other, AngleForm):
             return NotImplemented
-        return AngleForm._normal(_merge(self.terms, _negated(other.terms)), self.r - other.r)
+        g = math.gcd(self.den, other.den)
+        ka, kb = other.den // g, s * (self.den // g)
+        terms = _merge(_scaled(self.terms, ka), _scaled(other.terms, kb))
+        return AngleForm._normal(terms, self.r * ka + other.r * kb, self.den * ka)
+
+    def __neg__(self) -> "AngleForm":
+        return AngleForm._normal(_scaled(self.terms, -1), -self.r, self.den)
 
     def __mul__(self, k: Fraction | int) -> "AngleForm":
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
         if not k:
-            return AngleForm()
-        return AngleForm._normal(tuple((d, c * k) for d, c in self.terms), self.r * k)
+            return AngleForm._normal((), 0, 1)
+        p, q = k.numerator, k.denominator
+        return AngleForm._normal(_scaled(self.terms, p), self.r * p, self.den * q)
 
     __rmul__ = __mul__
 
@@ -602,41 +608,34 @@ class AngleForm:
         return (self - other).sign() == 0
 
     def __str__(self) -> str:
-        parts = [f"{c}*Arg({d.x},{d.y})" for d, c in self.terms]
+        parts = [f"{Fraction(c, self.den)}*Arg({d.x},{d.y})" for d, c in self.terms]
         if self.r or not parts:
-            parts.append(f"{self.r}*pi")
+            parts.append(f"{Fraction(self.r, self.den)}*pi")
         return " + ".join(parts)
 
     def value(self) -> float | None:
         """Float approximation within the bound of `_float_sum`, or None."""
-        v = _float_sum(self.terms, self.r)[0]
+        v = _float_sum(self.terms, self.r, self.den)[0]
         return v if math.isfinite(v) else None
-
-    def _integral(self):
-        """(n, integer terms, integer r) of n * self, n > 0 the lcm of all
-        denominators."""
-        n = math.lcm(self.r.denominator, *(c.denominator for _, c in self.terms))
-        terms = tuple((d, c.numerator * (n // c.denominator)) for d, c in self.terms)
-        return n, terms, self.r.numerator * (n // self.r.denominator)
 
     def sign(self) -> int:
         """-1, 0 or +1 as the value is negative, zero or positive.  Exact.
 
         1. Float: the estimate decides when it is farther from 0 than its
-           error bound, (k + 4) * 2**-49 * (sum |c| + |r|) for k terms (see
-           `_float_sum`).  One pass over the terms; it never raises.
+           error bound, (k + 4) * 2**-49 * (sum |c| + |r|) / den for k terms
+           (see `_float_sum`).  One pass over the terms; it never raises.
         2. Tie test: otherwise `pi_multiple()` decides whether the value
            is a rational multiple of pi, and if it is, its exact sign.  It
            costs integer gcds on the bit length of the directions' norms,
            whatever the coefficients.
         3. Fixed point: otherwise the value is irrational, hence not 0,
-           and the Args are evaluated in integers at 64, 128, ... bits
-           until the sign clears the error bound.  The bits needed grow
-           with log(1 / |value|) and the bit length of the coefficients.
+           and den times it is evaluated in integers at 64, 128, ... bits
+           until the sign clears the error bound; the bits grow with
+           log(1 / |value|) and the bit length of the numerators.
         """
         if not self.terms:
             return _sign(self.r)
-        v, e = _float_sum(self.terms, self.r)
+        v, e = _float_sum(self.terms, self.r, self.den)
         if v > e:
             return 1
         if v < -e:
@@ -644,10 +643,9 @@ class AngleForm:
         m = self.pi_multiple()
         if m is not None:
             return _sign(m)
-        _, terms, r = self._integral()
         prec = 64
         while True:
-            x, err = _fixed_sum(terms, r, prec)
+            x, err = _fixed_sum(self.terms, self.r, prec)
             if abs(x) > err:
                 return _sign(x)
             prec *= 2
@@ -655,56 +653,52 @@ class AngleForm:
     def pi_multiple(self) -> Fraction | None:
         """value / pi as an exact Fraction, or None when it is irrational.
 
-        With n clearing all denominators, x = sum(n*c * Arg(d)) is, up to
-        whole turns, the argument of a Gaussian integer, so it is a
-        rational multiple of pi exactly when it is a multiple of pi/4.
-        When the float estimate of x is farther than its bound from every
-        multiple of pi/4 the answer is None at once; otherwise the tie test
-        decides (`_in_quarter_turns`: the norms of the directions over a
-        coprime base in Z, and roots of -1 modulo each base element, in
-        integer gcds on the norms' bit length), and the multiple is
-        rounded from the estimate, or, when the bound is not below pi/16,
-        from a fixed-point evaluation.
+        x = sum(c * Arg(d)) over the integer numerators is, up to whole
+        turns, the argument of a Gaussian integer, so it is a rational
+        multiple of pi exactly when it is a multiple k pi/4 of pi/4, and
+        then value / pi = (k + 4r) / (4 den).  When the float estimate of x
+        is farther than its bound from every multiple of pi/4 the answer
+        is None at once; otherwise the tie test `_in_quarter_turns`
+        decides (integer gcds on the bit length of the directions' norms),
+        and k is rounded from the estimate, or, when the bound is not below
+        pi/16, from a fixed-point evaluation.
         """
         if not self.terms:
-            return self.r
-        n, terms, _ = self._integral()
-        v, e = _float_sum(terms, 0)
+            return Fraction(self.r, self.den)
+        v, e = _float_sum(self.terms, 0, 1)
         precise = e < _QUARTER_PI / 4
         if precise:
             k = round(v / _QUARTER_PI)
             if abs(v - k * _QUARTER_PI) > 2 * e:
                 return None
-        if not _in_quarter_turns(terms):
+        if not _in_quarter_turns(self.terms):
             return None
         if not precise:
-            prec = sum(abs(c) for _, c in terms).bit_length() + 8
-            x, _ = _fixed_sum(terms, 0, prec)
+            prec = sum(abs(c) for _, c in self.terms).bit_length() + 8
+            x, _ = _fixed_sum(self.terms, 0, prec)
             pi = _atan_fixed(1, 1, prec + 2)
             k = (8 * x + pi) // (2 * pi)  # round(x / (pi/4))
-        return Fraction(k, 4 * n) + self.r
+        return Fraction(k + 4 * self.r, 4 * self.den)
 
-    def ratio(self, den: "AngleForm") -> float:
-        """self / den as a float, for a den whose value is not 0.
+    def ratio(self, other: "AngleForm") -> float:
+        """self / other as a float, for an other whose value is not 0.
 
-        The float estimates of both forms are used when den is more than
+        The float estimates of both forms are used when other is more than
         2**40 times the sum of their error bounds (`_float_sum`); else
-        both are evaluated in fixed point at 64, 128, ... bits until den
+        both are evaluated in fixed point at 64, 128, ... bits until other
         is.  Either way the result is within 2**-40 * (1 + |ratio|) of the
-        true ratio, also when den is a tiny difference of large Args.
+        true ratio, also when other is a tiny difference of large Args.
         """
-        vn, en = _float_sum(self.terms, self.r)
-        vd, ed = _float_sum(den.terms, den.r)
+        vn, en = _float_sum(self.terms, self.r, self.den)
+        vd, ed = _float_sum(other.terms, other.r, other.den)
         if abs(vd) > (en + ed) * 2.0**40:
             return vn / vd
-        if den.sign() == 0:
+        if other.sign() == 0:
             raise ZeroDivisionError("AngleForm ratio by a zero form")
-        nn, tn, rn = self._integral()
-        nd, td, rd = den._integral()
-        prec = 64
+        nn, nd, prec = self.den, other.den, 64
         while True:
-            xn, en = _fixed_sum(tn, rn, prec)
-            xd, ed = _fixed_sum(td, rd, prec)
+            xn, en = _fixed_sum(self.terms, self.r, prec)
+            xd, ed = _fixed_sum(other.terms, other.r, prec)
             # in value units: |xd / nd| > 2**40 * (en / nn + ed / nd)
             if abs(xd) * nn > (en * nd + ed * nn) << 40:
                 return (xn * nd) / (xd * nn)
@@ -717,21 +711,26 @@ class AngleForm:
         outside float range has none) brackets the answer between the
         floors of its two ends, widened by the bound once more for the
         rounding of the division; usually they agree and no exact sign is
-        needed.  Otherwise |value| <= pi * (sum |c| + |r|) brackets it.
-        Bisection with `sign()` finishes.
+        needed.  Otherwise |value| <= pi * (sum |c| + |r|) / den brackets
+        it.  Bisection with `sign()` finishes on the terms scaled once:
+        for step = p/q, value >= m*step*pi iff q*sum(c*Arg(d)) + (q*r -
+        m*p*den)*pi >= 0.
         """
         step = _fraction(step)
-        v, e = _float_sum(self.terms, self.r)
+        p, q = step.numerator, step.denominator
+        v, e = _float_sum(self.terms, self.r, self.den)
         fstep = to_float(step)
         if fstep is not None and e < fstep and math.isfinite(v):
             unit = fstep * math.pi
             lo, hi = math.floor((v - 2 * e) / unit), math.floor((v + 2 * e) / unit)
         else:
-            t = math.ceil((sum(abs(c) for _, c in self.terms) + abs(self.r)) / step)
+            size = sum(abs(c) for _, c in self.terms) + abs(self.r)
+            t = -(-size * q // (self.den * p))  # ceil(size / den / step)
             lo, hi = -t - 1, t
+        terms, r, pd = _scaled(self.terms, q), q * self.r, p * self.den
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if AngleForm._normal(self.terms, self.r - step * mid).sign() >= 0:
+            if AngleForm._normal(terms, r - mid * pd, 1).sign() >= 0:
                 lo = mid
             else:
                 hi = mid - 1

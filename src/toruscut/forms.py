@@ -14,13 +14,14 @@ half-turn lattice through Arg(-n, m).
 
 Exact sign policy.  phi(t) at a rational t is one `AngleForm`,
 `AngleProfile.form_at(t)`: the breakpoint value at a breakpoint, else
-v_lo + lambda * sweep.  Comparing it with an angle is the sign of the
-difference; placing it on a half-turn lattice is the floor of that
-difference in half turns.  Both are `AngleForm` decisions: a float
-estimate with a stated error bound, then exact fallbacks.  moment_eval
-reports a zero only when it can prove one, and its float value drops
-whole turns exactly before cos and sin are taken.  No decision rests on
-an unbounded float, and every float shown comes from `angles.to_float`.
+v_lo + lambda * sweep, with lambda read in integers, not Fractions.
+Comparing it with an angle is the sign of the difference; placing it on
+a half-turn lattice is the floor of that difference in half turns.  Both
+are `AngleForm` decisions: a float estimate with a stated error bound,
+then exact fallbacks.  moment_eval reports a zero only when it can prove
+one, and its float value drops whole turns exactly before cos and sin
+are taken.  No decision rests on an unbounded float, and every float
+shown comes from `angles.to_float`.
 
 The radial profile is piecewise polynomial with rational coefficients.
 Users build affine profiles from breakpoint values; products (needed for
@@ -284,14 +285,19 @@ class AngleProfile(_Grid):
         v[i] + lambda * sweep[i] as an `AngleForm`, with lambda in (0, 1)
         the position of t inside segment i.  This is the one way phi is
         read at a rational t."""
-        t, i = self._locate(t)
+        return self._form_on(*self._locate(t))
+
+    def _form_on(self, t: Fraction, i: int) -> AngleForm:
+        """`form_at(t)` for t on segment i: (d v[i] + n sweep[i]) / d, lambda = n/d."""
         t_lo, t_hi = self.breaks[i], self.breaks[i + 1]
         if t == t_lo:
             return AngleForm.of(self.values[i])
         if t == t_hi:
             return AngleForm.of(self.values[i + 1])
-        lam = (t - t_lo) / (t_hi - t_lo)
-        return AngleForm.of(self.values[i]) + AngleForm.of(self._sweeps[i]) * lam
+        (tn, td), (ln, ld), (hn, hd) = ((x.numerator, x.denominator) for x in (t, t_lo, t_hi))
+        n, d = (tn * ld - ln * td) * hd, td * (hn * ld - ln * hd)
+        f = AngleForm.of(self.values[i]) * d + AngleForm.of(self._sweeps[i]) * n
+        return AngleForm._normal(f.terms, f.r, f.den * d)
 
     def solve(self, target: Angle) -> ProfilePoint | None:
         """The unique parameter with phi(t) = target, or None if out of range.
@@ -459,8 +465,8 @@ class RadialProfile(_Grid):
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
-        if len(self.breaks) != len(self.pieces) + 1:
-            raise BadBreakpoints("need exactly one piece per breakpoint gap")
+        if not 2 <= len(self.breaks) == len(self.pieces) + 1:
+            raise BadBreakpoints("need exactly one piece per breakpoint gap, at least one gap")
         super().__post_init__()
 
     @staticmethod
@@ -613,16 +619,18 @@ def _eta(eta: Eta) -> tuple[int, int]:
 def moment_sign(form: InvariantContactForm, eta: Eta, t: Rational) -> int:
     """Exact sign of the eta-moment r(t)(m cos phi(t) + n sin phi(t)).
 
-    The moment vanishes iff phi(t) lies on the half-turn lattice through
-    base = Arg(-n, m); between consecutive lattice points the sign
-    alternates, positive just above odd lattice indices.  With
-    d = phi(t) - base as one `AngleForm`, the index below phi(t) is
-    j = floor(d / pi), and the moment is zero iff d - j*pi is.
+    It is 0 for eta = (0, 0); else it vanishes iff phi(t) lies on the
+    half-turn lattice through base = Arg(-n, m); between consecutive
+    lattice points the sign alternates, positive just above odd lattice
+    indices.  With d = phi(t) - base as one `AngleForm`, the index below
+    phi(t) is j = floor(d / pi), and the moment is zero iff d - j*pi is.
     """
     m, n = _eta(eta)
+    if m == n == 0:
+        return 0
     d = form.phi.form_at(t) - AngleForm.of(direction_angle((-n, m)))
     j = d.floor()
-    if AngleForm._normal(d.terms, d.r - j).sign() == 0:
+    if AngleForm._normal(d.terms, d.r - j * d.den, d.den).sign() == 0:
         return 0
     return 1 if j % 2 else -1
 
@@ -633,7 +641,7 @@ def _moment(form: InvariantContactForm, eta: Eta, t: Rational):
     range is shifted right by k bits (the factor moves by under 2**-999)."""
     m, n = _eta(eta)
     f = form.phi.form_at(t)
-    a = AngleForm._normal(f.terms, f.r % 2).value()
+    a = AngleForm._normal(f.terms, f.r % (2 * f.den), f.den).value()
     k = max(abs(m).bit_length(), abs(n).bit_length(), 1000) - 1000
     return form.radial.evaluate(t), (m >> k) * math.cos(a) + (n >> k) * math.sin(a), k
 
@@ -646,8 +654,7 @@ def moment_eval(form: InvariantContactForm, eta: Eta, t: Rational) -> MomentValu
     beyond float range, above or below (`to_float`), so 0.0 always means
     an exact zero.
     """
-    sign = 0 if _eta(eta) == (0, 0) else moment_sign(form, eta, t)
-    if sign == 0:
+    if (sign := moment_sign(form, eta, t)) == 0:
         return MomentValue(0.0, 0)
     # a float factor of 0.0 is cancellation in m cos a + n sin a: no float
     return MomentValue(to_float(*_moment(form, eta, t)) or None, sign)

@@ -306,7 +306,7 @@ class HomotopyCertificate:
     zero_intervals: tuple[tuple[Fraction, Fraction], ...]
 
 
-_PI = AngleForm((), Fraction(1))
+_PI = AngleForm((), 1)
 
 
 def homotopy_certificate(a, b) -> HomotopyCertificate:
@@ -319,8 +319,10 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     affine in between, so segment k's zeros are one range of n, the
     (2n + 1) pi that psi takes for t in (u_k, u_{k+1}], from two floors,
     less its last element when segment k + 1 is a zero interval.  No zero
-    needs its exact t; the cost per segment depends on the bit length of
-    the breakpoint directions, not on the breakpoint denominators.
+    needs its exact t.  One merge walk over both breakpoint tuples gives
+    the u_k and each profile's segment: at its own breakpoint a profile's
+    value is its `Angle`, at the other's it is read on that segment in
+    integers, with no search, hash or Fraction division.
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
@@ -332,9 +334,13 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
         if va.dir != vb.dir:
             raise EndpointMismatch(end, va.dir, vb.dir)
 
-    merged = sorted(set(pa.breaks) | set(pb.breaks))
-    # psi = phi_a - phi_b is affine on each merged segment
-    psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
+    # psi = phi_a - phi_b, affine per merged segment; u is on segments i - 1 and j - 1
+    A, B = pa.breaks, pb.breaks
+    merged, psi, i, j = [], [], 0, 0
+    while i < len(A):
+        merged.append(u := min(A[i], B[j]))
+        psi.append(pa._form_on(u, max(i - 1, 0)) - pb._form_on(u, max(j - 1, 0)))
+        i, j = i + (A[i] == u), j + (B[j] == u)
     spans = [d1 - d0 for d0, d1 in zip(psi, psi[1:])]
     slopes = [span.sign() for span in spans]
     # segment k is a zero interval: psi is constant there, at an odd multiple of pi

@@ -40,7 +40,7 @@ def sympl_moment_eval(form: InvariantContactForm, eta, t, s: float) -> float | N
     2**j e^(s - j ln 2), j = round(s / ln 2), and 2**j goes to `to_float`."""
     if not math.isfinite(s):
         return None
-    if eta == (0, 0) or moment_sign(form, eta, t) == 0:
+    if moment_sign(form, eta, t) == 0:
         return 0.0
     r, f, k = _moment(form, eta, t)
     x = Fraction(s)

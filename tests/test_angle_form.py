@@ -25,9 +25,9 @@ def oracle(form: AngleForm):
     """The value of the form, to 200 digits; skips the test without mpmath."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 200
-    total = mpmath.mpf(form.r.numerator) / form.r.denominator * mpmath.mp.pi
+    total = mpmath.mpf(form.r) / form.den * mpmath.mp.pi
     for d, c in form.terms:
-        total += mpmath.mpf(c.numerator) / c.denominator * mpmath.atan2(d.y, d.x)
+        total += mpmath.mpf(c) / form.den * mpmath.atan2(d.y, d.x)
     return total
 
 
@@ -90,7 +90,8 @@ def form_pairs(draw):
     the same or the opposite coefficient, cancel exactly in a - b or a + b."""
     raw = st.lists(st.tuples(merge_dirs, rationals()), max_size=5)
     a = AngleForm(tuple(draw(raw)), draw(rationals()))
-    shared = draw(st.lists(st.sampled_from(a.terms), max_size=4)) if a.terms else []
+    a_terms = [(d, F(c, a.den)) for d, c in a.terms]
+    shared = draw(st.lists(st.sampled_from(a_terms), max_size=4)) if a_terms else []
     b_terms = draw(raw) + [(d, c if draw(st.booleans()) else -c) for d, c in shared]
     return a, AngleForm(tuple(draw(st.permutations(b_terms))), draw(rationals()))
 
@@ -122,13 +123,20 @@ class TestArithmetic:
     @given(form_pairs())
     def test_add_and_sub_merge_like_the_constructor(self, pair):
         a, b = pair
-        neg_b = tuple((d, -c) for d, c in b.terms)
+
+        def rational(f):
+            """f's terms and r as Fractions, numerator over den."""
+            return tuple((d, F(c, f.den)) for d, c in f.terms), F(f.r, f.den)
+
+        (ta, ra), (tb, rb) = rational(a), rational(b)
+        neg_b = tuple((d, -c) for d, c in tb)
         for got, want in (
-            (a + b, AngleForm(a.terms + b.terms, a.r + b.r)),
-            (a - b, AngleForm(a.terms + neg_b, a.r - b.r)),
+            (a + b, AngleForm(ta + tb, ra + rb)),
+            (a - b, AngleForm(ta + neg_b, ra - rb)),
         ):
-            assert got.terms == want.terms and got.r == want.r
-            assert type(got.r) is F and all(type(c) is F for _, c in got.terms)
+            assert rational(got) == rational(want)
+            assert type(got.den) is int and got.den > 0
+            assert type(got.r) is int and all(type(c) is int for _, c in got.terms)
         # a form combines with forms and scales by rationals, nothing else
         for other in (lambda: a + 1, lambda: a - 1, lambda: a * 0.5):
             with pytest.raises(TypeError):

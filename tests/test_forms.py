@@ -2,7 +2,7 @@
 
 import importlib.util
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -36,6 +36,7 @@ from toruscut import (
     rescale,
     sweep,
     sympl_moment_eval,
+    sympl_moment_sign,
 )
 from toruscut import cuts, forms
 from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate, to_float
@@ -496,6 +497,9 @@ class TestRadialProfile:
                              RadialProfile.from_values([0, 2], [1, 1])),
              "radial profiles must share their domain"),
             (lambda: RadialProfile((F(0), F(1)), ()), "need exactly one piece per breakpoint gap"),
+            # one breakpoint and no piece: no domain to evaluate on
+            (lambda: RadialProfile((F(0),), ()), "at least one gap"),
+            (lambda: RadialProfile((), ()), "at least one gap"),
             (lambda: RadialProfile((F(1), F(0)), ((F(1),),)), "strictly ascending"),
             (lambda: unit.reparametrized(1, 1), "reparametrization needs nondegenerate domains"),
             (lambda: alpha_phi(1).reparametrized(1, 0),
@@ -620,8 +624,14 @@ class TestMoment:
                 assert mv.value == 0.0
 
     def test_zero_vector_moment(self):
-        form = InvariantContactForm.unit(alpha_phi(0))
-        assert moment_eval(form, (0, 0), F(1, 2)) == (0.0, 0)
+        # the moment of (0, 0) is 0 everywhere: one rule, in moment_sign,
+        # read by the value and the symplectized functions alike
+        form = InvariantContactForm.unit(alpha_phi(1))
+        for t in (F(0), F(1, 3), F(1, 2), F(1)):
+            assert moment_sign(form, (0, 0), t) == 0
+            assert sympl_moment_sign(form, (0, 0), t) == 0
+            assert moment_eval(form, (0, 0), t) == (0.0, 0)
+            assert sympl_moment_eval(form, (0, 0), t, 0.5) == 0.0
 
     def test_nonprimitive_eta_allowed(self):
         # moment is linear in eta, so sign of 2*eta equals sign of eta
@@ -795,6 +805,75 @@ class TestExactPhi:
         # of w^p: p Arg(w) is an even index, so the sign is -want
         d = multiples[p].dir
         assert moment_sign(InvariantContactForm.unit(phi), (d.y, -d.x), t) == -want
+
+
+@st.composite
+def huge_profiles(draw):
+    """A monotone profile and a t in its domain; half the draws move the
+    breakpoints onto 401-digit denominators, and half place t by a
+    401-digit fraction of the domain."""
+    phi = draw(monotone_profiles())
+    if draw(st.booleans()):
+        scale = F(1, 10**400 + draw(st.integers(1, 99)))
+        phi = AngleProfile(tuple(F(1, 3) + b * scale for b in phi.breaks), phi.values)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 10**400 + 1))
+        at = F(k, 10**400 + 1)
+    else:
+        at = draw(st.fractions(0, 1, max_denominator=840))
+    return phi, phi.t0 + (phi.t1 - phi.t0) * at
+
+
+class TestFormAt:
+    @given(huge_profiles())
+    @settings(max_examples=200)
+    def test_matches_the_constructor(self, drawn):
+        # form_at reads lambda in integers; the constructor takes it as a
+        # Fraction: v[i] + lam * sweep[i], sweep[i] = Arg(s) + 2 pi turns
+        phi, t = drawn
+        b = phi.breaks
+        i = min(bisect_right(b, t) - 1, len(b) - 2)
+        lam = (t - b[i]) / (b[i + 1] - b[i])
+        v, s = phi.values[i], angle_sub(phi.values[i + 1], phi.values[i])
+        want = AngleForm(((v.dir, 1), (s.dir, lam)), 2 * v.turns + 2 * lam * s.turns)
+        got = phi.form_at(t)
+        assert (got - want).sign() == 0
+        assert type(got.den) is int and got.den > 0
+        assert type(got.r) is int and all(type(c) is int for _, c in got.terms)
+
+    def test_tie_queries_build_no_fraction(self, monkeypatch):
+        # the exact-ties tie shape: phi = q Arg(w) t on [0, 1] with q = 136,
+        # which is p Arg(w) exactly at t = p/q
+        q, w = 136, A(D(2, 1))
+        multiples = [A(D(1, 0))]
+        for _ in range(q):
+            multiples.append(angle_add(multiples[-1], w))
+        phi = AngleProfile((F(0), F(1)), (multiples[0], multiples[q]))
+        queries = [(F(p, q), multiples[p]) for p in (67, 69)]
+        hairs = [(t, angle_add(a, A(D(10**6, 1)))) for t, a in queries]
+        built = []
+        new = F.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting_new)
+        if "_from_coprime_ints" in vars(F):  # Fraction arithmetic since 3.12
+            coprime = vars(F)["_from_coprime_ints"].__func__
+
+            def counting_coprime(cls, n, d):
+                built.append((n, d))
+                return coprime(cls, n, d)
+
+            monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
+        for t, a in hairs:  # targets a hair above the tie: the float stage decides
+            assert phi.compare_at(t, a) == -1
+        assert built == []
+        for t, a in queries:  # exact ties: only the returned pi multiple
+            built.clear()
+            assert phi.compare_at(t, a) == 0
+            assert len(built) <= 1
 
 
 class TestBeyondFloatRange:
