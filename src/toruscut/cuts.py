@@ -42,6 +42,7 @@ from .angles import (
     angle_of_quarters,
     angle_sub,
     direction_angle,
+    format_angle,
     to_float,
 )
 from .errors import (
@@ -326,7 +327,7 @@ def slice_by_ray(
         ta, tb = pa.t_fraction(), pb.t_fraction()
         if ta is None or tb is None:
             raise SliceNotRepresentable(
-                f"slice endpoint at phi = {b if ta is not None else a} "
+                f"slice endpoint at phi = {format_angle(b if ta is not None else a)} "
                 "is not a rational parameter"
             )
         if orientation > 0:

@@ -23,8 +23,8 @@ class NonPrimitive(GeometryError):
     """
 
     def __init__(self, vector):
-        self.vector = tuple(vector)
-        super().__init__(f"vector {self.vector} is not primitive")
+        self.vector = x, y = tuple(vector)
+        super().__init__(f"vector {x},{y} is not primitive")
 
 
 class ZeroSlopeSegment(GeometryError):
@@ -81,9 +81,8 @@ class EndpointMismatch(GeometryError):
 
     def __init__(self, end, dir_a, dir_b):
         self.end = end
-        super().__init__(
-            f"boundary angle directions differ at t={end}: {dir_a} vs {dir_b}"
-        )
+        a, b = (f"{d.x},{d.y}" for d in (dir_a, dir_b))
+        super().__init__(f"boundary angle directions differ at t={end}: {a} vs {b}")
 
 
 class SliceNotRepresentable(GeometryError):

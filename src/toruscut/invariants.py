@@ -19,7 +19,10 @@ distinguish reads both data once and searches the candidate rays for
 directions witnessing that two cut data cannot be matched by an
 equivariant contactomorphism (in either orientation of the ray), or
 compares the relabeling-invariant summary (min, max) when torus
-automorphisms are allowed.
+automorphisms are allowed.  The candidate rays are a constant when every
+arc end is a pi/4 direction and are generated lazily otherwise.  The
+modulo-GL2Z answer is a function of the fixed-action witness, so a
+caller that wants both searches once.
 
 detect_overtwisted locates the standard disk family: as soon as the sweep
 strictly exceeds pi, the parameter t* where phi has advanced by exactly pi
@@ -180,35 +183,40 @@ class DistinguishWitness:
     summary_b: tuple[int, int]
 
 
-def _critical_directions(*sides):
-    """Candidate rays, in increasing argument: each gap's representative,
-    then the gap's upper end, the wrap-around gap first.
-
-    The directions are the standard eight and the arc ends of every side
-    with their negatives.  The standard eight are the pi/4 directions, the
-    keys of `_QUARTERS`; only the other arc ends and their negatives, at
-    most eight, are inserted into a copy of the standard ring, which is
-    already sorted, by a linear scan that skips a direction already
-    present.  Consecutive standard directions are pi/4 apart, so every gap
-    is shorter than pi and the vector sum of its ends lies strictly inside
-    it.
-    """
-    ring = list(_STANDARD_DIRECTIONS)
-    for _, a, b in sides:
-        for d in (a, b):
-            if (d.x, d.y) in _QUARTERS:
-                continue
-            for e in (d, -d):
-                i = 0
-                while (c := _arg_compare(ring[i], e)) < 0:
-                    i += 1
-                if c:
-                    ring.insert(i, e)
+def _candidates(ring):
+    """(xi, -xi) for the candidate rays of a sorted ring that holds the
+    standard eight, in increasing argument: each gap's representative, the
+    vector sum of its ends (a gap is at most pi/4, so the sum lies strictly
+    inside it), then the gap's upper end, the wrap-around gap first.  Lazy:
+    a search stops at the first candidate that decides it."""
     prev = ring[-1]
     for d in ring:
-        yield Direction.reduced(prev.x + d.x, prev.y + d.y)
-        yield d
+        rep = Direction.reduced(prev.x + d.x, prev.y + d.y)
+        yield rep, -rep
+        yield d, -d
         prev = d
+
+
+_STANDARD_CANDIDATES = tuple(_candidates(_STANDARD_DIRECTIONS))  # all arc ends pi/4
+
+
+def _critical_directions(*sides):
+    """The `_candidates` of the standard eight (the pi/4 directions, keys of
+    `_QUARTERS`) and each arc end with its negative: `_STANDARD_CANDIDATES`
+    when all ends are standard, else the ring with the others and their
+    negatives, at most eight, put in by a linear scan that skips repeats."""
+    ends = [d for _, a, b in sides for d in (a, b) if (d.x, d.y) not in _QUARTERS]
+    if not ends:
+        return _STANDARD_CANDIDATES
+    ring = list(_STANDARD_DIRECTIONS)
+    for d in ends:
+        for e in (d, -d):
+            i = 0
+            while (c := _arg_compare(ring[i], e)) < 0:
+                i += 1
+            if c:
+                ring.insert(i, e)
+    return _candidates(ring)
 
 
 def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
@@ -222,9 +230,16 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
     Each datum is read once: its whole turns q and the ends of the arc
     where the count is q + 1.  A count along a candidate ray is then an
     arc test by integer cross products, so the cost does not depend on
-    turn counts.  One search serves both modes: the plus witness is the
-    first ray xi where the counts differ; fixed-action mode also needs the
-    minus witness, the first xi where a's count differs from b's along -xi.
+    turn counts, and on pi/4 data the candidates are a constant.  One
+    search serves both modes: the plus witness is the first ray xi where
+    the counts differ; fixed-action mode also needs the minus witness, the
+    first xi where a's count differs from b's along -xi.
+
+    modulo-GL2Z mode is None exactly when the fixed-action witness w is
+    None or has equal summaries, and otherwise has w's summaries: when a
+    sweeps more whole turns, a's count along an arc end e of a exceeds b's
+    along every ray, so xi = e witnesses both cases (when b sweeps more,
+    e of b and -e do), and w is not None.
     """
     if mode not in (MODE_FIXED, MODE_GL2Z):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -234,16 +249,12 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
     if not fixed and summary_a == summary_b:
         return None
     plus = minus = None
-    for xi in _critical_directions(sa, sb):
+    for xi, neg in _critical_directions(sa, sb):
         ca = _arc_count(sa, xi)
-        if plus is None:
-            cb = _arc_count(sb, xi)
-            if ca != cb:
-                plus = (xi, (ca, cb))
-        if fixed and minus is None:
-            cbn = _arc_count(sb, -xi)
-            if ca != cbn:
-                minus = (xi, (ca, cbn))
+        if plus is None and ca != (cb := _arc_count(sb, xi)):
+            plus = (xi, (ca, cb))
+        if fixed and minus is None and ca != (cbn := _arc_count(sb, neg)):
+            minus = (xi, (ca, cbn))
         if plus and (minus or not fixed):
             return DistinguishWitness(mode, *plus, *(minus or (None, None)), summary_a, summary_b)
     return None

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toruscut import angles, cuts, invariants
+from toruscut import angles, cli, cuts, invariants
 from toruscut import (
     Angle,
     AngleProfile,
@@ -376,8 +376,10 @@ def assert_matches_reference(a, b):
     for mode in (MODE_FIXED, MODE_GL2Z):
         assert distinguish(a, b, mode) == reference_distinguish(a, b, mode)
     sides = invariants._side(a), invariants._side(b)
-    candidates = list(invariants._critical_directions(*sides))
+    pairs = list(invariants._critical_directions(*sides))
+    candidates = [xi for xi, _ in pairs]
     assert candidates == reference_candidates(a, b)
+    assert all(neg == -xi for xi, neg in pairs)
     for spec, side in zip((a, b), sides):
         for xi in candidates:
             assert invariants._arc_count(side, xi) == reference_cc_count(spec, xi)
@@ -451,7 +453,7 @@ class TestDistinguishMatchesEnumeration:
     def test_bare_forms_and_profiles(self, a, b):
         assert_matches_reference(a, b)
 
-    def test_reads_each_side_once(self, monkeypatch):
+    def test_reads_each_side_once(self, monkeypatch, capsys):
         # one value_bounds and one _arg_compare per side for q; no angle
         # arithmetic and no count profile in distinguish or cc_count, and no
         # floor of a sweep in cc_profile either
@@ -471,6 +473,12 @@ class TestDistinguishMatchesEnumeration:
             for module in (angles, invariants):
                 if hasattr(module, name):
                     count(module, name)
+
+        def reduced(*args, original=Direction.reduced):
+            calls["reduced"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(Direction, "reduced", staticmethod(reduced))
         huge, skew = alpha_cutspec(10**30), minimal_valid_cutspec((3, -5), (7, 2))
         standard_ends = [
             (alpha_cutspec(1), alpha_cutspec(2)),
@@ -485,6 +493,7 @@ class TestDistinguishMatchesEnumeration:
                 assert calls["angle_sub"] == calls["floor_half_turns"] == 0
                 if (a, b) in standard_ends:
                     assert calls["_arg_compare"] == 2  # the two q, no ring scan
+                    assert calls["reduced"] == 0  # the standard candidates are a constant
                 else:
                     # skew's two ends and their negatives are not standard:
                     # four scans, of a ring of 8, 9, 10 and 11 directions at
@@ -498,6 +507,11 @@ class TestDistinguishMatchesEnumeration:
             calls.clear()
             invariants.cc_profile(spec)
             assert calls["floor_half_turns"] == 0
+        # reproduce-paper searches each of its 190 pairs once, for both modes
+        count(cli, "distinguish")
+        assert cli.main(["reproduce-paper", "--kmax", "20"]) == 0
+        capsys.readouterr()
+        assert calls["distinguish"] == 20 * 19 // 2
 
     @given(
         st.one_of(st.just(angles.NEG_X), wide_dirs()),
@@ -521,6 +535,39 @@ class TestDistinguishMatchesEnumeration:
         }
         for d, e in zip(ring, ring[1:]):
             assert angles._arg_compare(d, e) < 0
+
+
+def assert_gl2z_reads_off_fixed_witness(a, b):
+    """modulo-GL2Z is None exactly when the fixed-action search finds no
+    witness or finds one whose summaries are equal, and otherwise carries
+    the same summaries."""
+    w, g = distinguish(a, b, MODE_FIXED), distinguish(a, b, MODE_GL2Z)
+    assert (g is None) == (w is None or w.summary_a == w.summary_b)
+    if g is not None:
+        assert (g.summary_a, g.summary_b) == (w.summary_a, w.summary_b)
+
+
+class TestGL2ZFromFixedWitness:
+    @settings(max_examples=200)
+    @given(valid_cut_data(), valid_cut_data())
+    def test_valid_cut_data(self, a, b):
+        assert_gl2z_reads_off_fixed_witness(a, b)
+
+    @given(bare_profiles(), bare_profiles())
+    def test_bare_forms_and_profiles(self, a, b):
+        assert_gl2z_reads_off_fixed_witness(a, b)
+
+    def test_alpha_pairs(self):
+        specs = [alpha_cutspec(k) for k in range(41)]
+        for a in specs:
+            for b in specs:
+                assert_gl2z_reads_off_fixed_witness(a, b)
+
+    def test_lens_table(self):
+        specs = [lens_cutspec(k, l, j) for k, l in _LENS_TABLE for j in (1, 2, 3)]
+        for a in specs:
+            for b in specs:
+                assert_gl2z_reads_off_fixed_witness(a, b)
 
 
 def xis():

@@ -22,10 +22,14 @@ from toruscut import (
     Direction,
     InvariantContactForm,
     Item,
+    MODE_FIXED,
+    MODE_GL2Z,
     Record,
     Report,
     SpecSemanticError,
     SpecSyntaxError,
+    alpha_cutspec,
+    distinguish,
     homotopy_certificate,
     parse_spec,
     parse_spec_file,
@@ -644,6 +648,26 @@ class TestReproduce:
         titles = [rec.title for rec in report.records]
         assert len(titles) == len(set(titles)) == 21 + 190 + 12 + 1
         assert sum(line.startswith("[") for line in text.splitlines()) == len(titles)
+
+    def test_pair_records_match_one_library_call_per_mode(self, capsys):
+        # the pair table built the long way, one distinguish call per mode
+        kmax = 30
+        assert main(["reproduce-paper", "--kmax", str(kmax), "--format", "json"]) == 0
+        report = report_from_json(capsys.readouterr().out)
+        got = {r.title: r.items for r in report.records if r.title.startswith("distinguish[")}
+        specs = [alpha_cutspec(k) for k in range(kmax + 1)]
+        want = {}
+        for k in range(1, kmax + 1):
+            for l in range(k + 1, kmax + 1):
+                w = distinguish(specs[k], specs[l], MODE_FIXED)
+                g = distinguish(specs[k], specs[l], MODE_GL2Z)
+                items = [Item("fixed-action", "indistinguishable" if w is None else "distinguished")]
+                items += [] if w is None else cli._counts_items(w)
+                items.append(Item("modulo-GL2Z", "indistinguishable" if g is None else "distinguished"))
+                items += [] if g is None else cli._summary_items(g)
+                want[f"distinguish[k={k},l={l}]"] = tuple(items)
+        assert len(got) == kmax * (kmax - 1) // 2
+        assert got == want
 
 
 def text_records(text):

@@ -12,6 +12,7 @@ subcommand, at a fixed terminal width (COLUMNS=80).
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -211,3 +212,16 @@ def test_json_is_strict(name, monkeypatch):
         main(CASES[name])
     if out.getvalue():  # a json case that fails prints nothing on stdout
         json.loads(out.getvalue(), parse_constant=_not_json)
+
+
+# a Python repr in a message: a dataclass, a Fraction, or a tuple of ints
+_REPR = re.compile(r"Direction\(|Angle\(|Fraction\(|\(-?\d+, -?\d+\)")
+
+
+def test_messages_are_in_the_input_grammar():
+    # errors print vectors as x,y and angles as x,y;n, as a spec file writes them
+    outs = sorted(GOLDEN.glob("*.out"))
+    assert len(outs) == len(CASES)
+    for path in outs:
+        stderr = path.read_text(encoding="utf-8").partition("--- stderr\n")[2]
+        assert not _REPR.search(stderr), path.name
