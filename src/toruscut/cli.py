@@ -312,7 +312,7 @@ def _reproduce(args):
             if w is not None:
                 items += _counts_items(w)
             # modulo GL(2, Z) read off w, exactly: if the summaries differ, an arc
-            # end of the datum with more turns witnesses both cases, so w is set
+            # end of the datum with more turns witnesses both cases, so w is not None
             g = w if w is not None and w.summary_a != w.summary_b else None
             items.append(Item("modulo-GL2Z", _verdict(g)))
             if g is not None:

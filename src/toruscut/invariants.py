@@ -236,10 +236,10 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
     first xi where a's count differs from b's along -xi.
 
     modulo-GL2Z mode is None exactly when the fixed-action witness w is
-    None or has equal summaries, and otherwise has w's summaries: when a
-    sweeps more whole turns, a's count along an arc end e of a exceeds b's
-    along every ray, so xi = e witnesses both cases (when b sweeps more,
-    e of b and -e do), and w is not None.
+    None or has equal summaries, and otherwise has w's summaries.  If a
+    sweeps more whole turns, its count along an arc end e of a exceeds b's
+    along every ray, so xi = e witnesses both cases; if b does, xi = e and
+    xi = -e for an arc end e of b.  Either way w is not None.
     """
     if mode not in (MODE_FIXED, MODE_GL2Z):
         raise ValueError(f"unknown mode: {mode!r}")
