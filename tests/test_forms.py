@@ -521,6 +521,12 @@ class TestRadialProfile:
         t = F(min(i, j), 840)
         assert r.multiply(s).evaluate(t) == r.evaluate(t) * s.evaluate(t)
 
+    def test_multiply_commutes(self):
+        # interleaved breakpoints: each profile breaks inside the other's pieces
+        r = RadialProfile.from_values([0, F(1, 3), F(3, 4), 1], [1, 3, F(1, 2), 2])
+        s = RadialProfile.from_values([0, F(1, 2), F(5, 6), 1], [2, F(1, 2), 4, 1])
+        assert r.multiply(s) == s.multiply(r)
+
     @given(st.integers(0, 840))
     def test_refined_preserves_values(self, i):
         r = RadialProfile.from_values([0, F(1, 3), 1], [1, 3, 2])

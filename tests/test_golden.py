@@ -108,6 +108,9 @@ def _cases() -> dict[str, list[str]]:
     # a radial value of 10^-400: the boundary moment is below float range,
     # reported without a float too, not as 0
     cases["check-tiny-radial"] = ["check", "tests/golden/tiny_radial.cut"]
+    # an affine radial that reaches 0 inside the domain: a semantic error
+    # naming the radial line and the first breakpoint where it is not positive
+    cases["check-nonpositive-radial"] = ["check", "tests/golden/nonpositive_radial.cut"]
     # a 401-digit breakpoint: the exact t of a disk or a planar zero is
     # beyond float range and is reported without a float
     cases["overtwisted-huge-breaks"] = ["overtwisted", "tests/golden/huge_breaks.cut"]
