@@ -23,10 +23,13 @@ one, and its float value drops whole turns exactly before cos and sin
 are taken.  No decision rests on an unbounded float, and every float
 shown comes from `angles.to_float`.
 
-The radial profile is piecewise polynomial with rational coefficients.
-Users build affine profiles from breakpoint values; products (needed for
-exact rescaling) stay in the class.  Positivity is checked on construction
-for affine pieces and is preserved by products.
+The radial profile is stored as the angle profile is, by its values at
+the breakpoints: a product of one or more factors, each read per piece by
+linear interpolation of its rational breakpoint values.  Users build one
+factor from breakpoint values; `multiply` (exact rescaling) puts the
+factors of two profiles on their merged breakpoints.  Every instance is
+checked positive when it is built: a factor positive at each breakpoint
+is positive on each piece, and so is the product.
 
 Parameter values where a profile attains a given lattice angle are
 returned as `ProfilePoint`s: the exact ratio of two angle differences
@@ -168,7 +171,10 @@ class _Grid:
     """The domain [t0, t1] of a profile, cut at rational breakpoints
     t0 = breaks[0] < ... < breaks[-1] = t1 into pieces [breaks[i],
     breaks[i + 1]]: the rules that `AngleProfile` and `RadialProfile`
-    share, each written once.  A profile checks its counts, then calls
+    share, each written once.  A profile holds one entry of `values` per
+    breakpoint and is read per piece by linear interpolation, so the
+    surgery below (reversal, reparametrization, restriction) moves
+    breakpoints and keeps values.  A profile checks its values, then calls
     this `__post_init__`."""
 
     breaks: tuple[Fraction, ...]
@@ -199,26 +205,29 @@ class _Grid:
             raise OutsideDomain(t, self.t0, self.t1)
         return t, self._piece(t)
 
-    def _mirrored(self) -> tuple[Fraction, ...]:
-        """The breakpoints under t -> t0 + t1 - t, ascending."""
+    def reversed(self):
+        """Reflect the parameter: p'(t) = p(t0 + t1 - t)."""
         lo, hi = self.t0, self.t1
-        return tuple(lo + hi - t for t in reversed(self.breaks))
+        return type(self)(tuple(lo + hi - t for t in reversed(self.breaks)), self.values[::-1])
 
-    def _onto(self, new_lo: Rational, new_hi: Rational) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The breakpoints mapped affinely onto [new_lo, new_hi], and the
-        rate d(old t) / d(new t)."""
+    def reparametrized(self, new_lo: Rational, new_hi: Rational):
+        """Affinely map the domain onto [new_lo, new_hi]; values unchanged."""
         new_lo, new_hi = _fraction(new_lo), _fraction(new_hi)
         span, new_span = self.t1 - self.t0, new_hi - new_lo
         if new_span <= 0:
             raise BadBreakpoints("reparametrization needs nondegenerate domains")
         breaks = tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks)
-        return breaks, span / new_span
+        return type(self)(breaks, self.values)
 
-    def _unit(self, t_a: Fraction, t_b: Fraction, lo: int, hi: int) -> tuple[Fraction, ...]:
-        """The breakpoints of the restriction to [t_a, t_b] mapped onto
-        [0, 1]: 0, breaks[lo:hi] (those strictly inside), and 1."""
+    def _restricted(self, t_a: Fraction, value_a, lo: int, hi: int, t_b: Fraction, value_b):
+        """The restriction to [t_a, t_b] mapped affinely onto [0, 1], where
+        the profile takes value_a and value_b and breaks[lo:hi] are the
+        breakpoints strictly inside: O(hi - lo)."""
         w = t_b - t_a
-        return (0, *[(t - t_a) / w for t in self.breaks[lo:hi]], 1)
+        return type(self)(
+            (0, *[(t - t_a) / w for t in self.breaks[lo:hi]], 1),
+            (value_a, *self.values[lo:hi], value_b),
+        )
 
 
 @dataclass(frozen=True)
@@ -374,16 +383,6 @@ class AngleProfile(_Grid):
                 out.append((j_hit, ProfilePoint(i, t_lo, t_hi, step(at, j_hit), span)))
         return out
 
-    # -- surgery ---------------------------------------------------------
-
-    def reversed(self) -> "AngleProfile":
-        """Reflect the parameter: phi'(t) = phi(t0 + t1 - t)."""
-        return AngleProfile(self._mirrored(), tuple(reversed(self.values)))
-
-    def reparametrized(self, new_lo: Rational, new_hi: Rational) -> "AngleProfile":
-        """Affinely map the domain onto [new_lo, new_hi]; values unchanged."""
-        return AngleProfile(self._onto(new_lo, new_hi)[0], self.values)
-
     def _restricted_unit(
         self, i: int, t_a: Fraction, value_a: Angle, j: int, t_b: Fraction, value_b: Angle
     ) -> "AngleProfile":
@@ -396,98 +395,56 @@ class AngleProfile(_Grid):
         when t_a is b[i + 1], so nothing is searched: O(j - i).
         """
         i0 = i + 1 if t_a < self.breaks[i + 1] else i + 2
-        return AngleProfile(
-            self._unit(t_a, t_b, i0, j + 1), (value_a, *self.values[i0 : j + 1], value_b)
-        )
-
-
-def _poly_shift(
-    coeffs: Sequence[Fraction], delta: Fraction, scale: Rational = 1
-) -> tuple[Fraction, ...]:
-    # p(u) -> p(delta + scale*u), by Horner: result := result*(scale*u + delta) + c
-    result = [Fraction(0)]
-    for c in reversed(coeffs):
-        shifted = [Fraction(0)] + [x * scale for x in result]
-        for i in range(len(result)):
-            shifted[i] += result[i] * delta
-        shifted[0] += c
-        result = shifted
-    while len(result) > 1 and result[-1] == 0:
-        result.pop()
-    return tuple(result)
-
-
-def _poly_eval(coeffs: Sequence[Fraction], u: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-_ZERO = Fraction(0)
-
-
-def _radial_values(
-    breaks: Sequence[Rational], values: Sequence[Rational]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """breaks and values as Fractions, checked for a radial profile: as many
-    of each, at least two, every value positive, then the `_Grid` rules."""
-    if len(breaks) != len(values) or len(breaks) < 2:
-        raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
-    values = tuple(map(_fraction, values))
-    for t, v in zip(breaks, values):
-        if v <= 0:
-            raise NonPositiveRadial(_fraction(t), v)
-    return _Grid(breaks).breaks, values
+        return self._restricted(t_a, value_a, i0, j + 1, t_b, value_b)
 
 
 @dataclass(frozen=True)
 class RadialProfile(_Grid):
-    """Positive piecewise polynomial r(t) with rational coefficients.
+    """Positive r(t), a product of piecewise affine factors.
 
-    Each piece i covers [breaks[i], breaks[i+1]] and stores coefficients in
-    the local variable u = t - breaks[i], lowest degree first.  The public
-    constructors only produce affine pieces (positivity checked at the
-    breakpoints, which suffices for degree one) and products of existing
-    profiles (positivity inherited), so every instance is positive on its
-    whole domain.
+    values[i] holds each factor's value at breaks[i], and a factor is
+    affine on each piece, so r is read per piece by interpolating every
+    factor and multiplying.  `from_values` and `constant` build one
+    factor; `multiply` gives the product of two profiles.  Every value of
+    every factor must be positive, checked once, when the profile is
+    built; then every factor is positive on its whole domain, and so is r.
     """
 
-    pieces: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(tuple(p) for p in self.pieces))
-        if not 2 <= len(self.breaks) == len(self.pieces) + 1:
-            raise BadBreakpoints("need exactly one piece per breakpoint gap, at least one gap")
+        v = tuple(map(tuple, self.values))
+        object.__setattr__(self, "values", v)
+        if not 2 <= len(self.breaks) == len(v) or not v[0] or any(len(x) != len(v[0]) for x in v):
+            raise BadBreakpoints("radial profile needs matching breaks/values, at least two")
+        for t, x in zip(self.breaks, v):
+            for c in x:
+                if c.numerator <= 0:
+                    raise NonPositiveRadial(_fraction(t), c)
         super().__post_init__()
 
     @staticmethod
     def from_values(breaks: Sequence[Rational], values: Sequence[Rational]) -> "RadialProfile":
-        breaks, values = _radial_values(breaks, values)
-        pieces = tuple(
-            (values[i], (values[i + 1] - values[i]) / (breaks[i + 1] - breaks[i]))
-            for i in range(len(breaks) - 1)
-        )
-        return RadialProfile(breaks, pieces)
+        """The one factor that takes these values at these breakpoints."""
+        return RadialProfile(tuple(breaks), tuple((_fraction(v),) for v in values))
 
     @staticmethod
     def constant(c: Rational, domain: tuple[Rational, Rational]) -> "RadialProfile":
-        """r = c on the domain: `from_values` with two equal values, whose
-        one piece (c, 0) needs no slope arithmetic."""
-        breaks, (c, _) = _radial_values(domain, (c, c))
-        return RadialProfile(breaks, ((c, _ZERO),))
+        """r = c on the domain: `from_values` with two equal values."""
+        return RadialProfile.from_values(domain, (c, c))
+
+    def _factors(self, t: Fraction, i: int) -> tuple[Fraction, ...]:
+        """Each factor's value at t on piece i; a piece whose ends are equal
+        is read with no arithmetic."""
+        lo, hi = self.values[i], self.values[i + 1]
+        if lo == hi:
+            return lo
+        t_lo = self.breaks[i]
+        lam = (t - t_lo) / (self.breaks[i + 1] - t_lo)
+        return tuple(x + (y - x) * lam for x, y in zip(lo, hi))
 
     def evaluate(self, t: Rational) -> Fraction:
-        t, i = self._locate(t)
-        return _poly_eval(self.pieces[i], t - self.breaks[i])
+        return math.prod(self._factors(*self._locate(t)))
 
     def floats_along(self, points: Iterable[ProfilePoint]) -> list[float | None]:
         """float(r(t)) at each point of a sequence ascending in t, or None
@@ -499,71 +456,48 @@ class RadialProfile(_Grid):
         every breakpoint at or below t, as `evaluate` places t, and
         `to_float` rounds r(t) once, so each value is `evaluate` at that t,
         bit for bit, with no float of t or of a breakpoint taken.  The cost
-        is O(n + len(points)); a constant radial is one float, and no
-        point's t is read.
+        is O(n + len(points)); a radial of one piece with equal end values
+        is one float, and no point's t is read.
         """
-        b, pieces = self.breaks, self.pieces
-        if len(pieces) == 1 and not any(pieces[0][1:]):
-            r = to_float(pieces[0][0])
+        b, v = self.breaks, self.values
+        if len(v) == 2 and v[0] == v[1]:
+            r = to_float(math.prod(v[0]))
             return [r for _ in points]
-        i, last, out = 0, len(pieces) - 1, []
+        i, last, out = 0, len(b) - 2, []
         for pt in points:
             t = pt.t_fraction()
             if t is None:
                 t = pt.t_lo + (pt.t_hi - pt.t_lo) * Fraction(pt.offset.ratio(pt.span))
             while i < last and b[i + 1] <= t:
                 i += 1
-            out.append(to_float(_poly_eval(pieces[i], t - b[i])))
+            out.append(to_float(math.prod(self._factors(t, i))))
         return out
-
-    def breakpoint_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.evaluate(t) for t in self.breaks)
 
     def refined(self, extra: Sequence[Fraction]) -> "RadialProfile":
         """Insert additional breakpoints (values unchanged)."""
         merged = sorted(set(self.breaks) | {t for t in extra if self.t0 < t < self.t1})
-        pieces = []
-        for t in merged[:-1]:
-            j = self._piece(t)
-            pieces.append(_poly_shift(self.pieces[j], t - self.breaks[j]))
-        return RadialProfile(tuple(merged), tuple(pieces))
+        return RadialProfile(tuple(merged), tuple(self._factors(t, self._piece(t)) for t in merged))
 
     def multiply(self, other: "RadialProfile") -> "RadialProfile":
-        """Exact pointwise product; domains must coincide."""
+        """Exact pointwise product; domains must coincide.  The factors of
+        both, on the merged breakpoints, in one sorted order, so the product
+        does not depend on the order of the operands."""
         if (self.t0, self.t1) != (other.t0, other.t1):
             raise BadBreakpoints("radial profiles must share their domain")
-        a = self.refined(other.breaks)
-        b = other.refined(self.breaks)
-        return RadialProfile(
-            a.breaks, tuple(_poly_mul(p, q) for p, q in zip(a.pieces, b.pieces))
-        )
-
-    def reversed(self) -> "RadialProfile":
-        b = self.breaks
-        # r'(u) = r(span - u) on the mirrored piece
-        pieces = [_poly_shift(p, b[i + 1] - b[i], -1) for i, p in enumerate(self.pieces)]
-        return RadialProfile(self._mirrored(), tuple(reversed(pieces)))
-
-    def reparametrized(self, new_lo: Rational, new_hi: Rational) -> "RadialProfile":
-        breaks, rate = self._onto(new_lo, new_hi)
-        pieces = tuple(tuple(c * rate**k for k, c in enumerate(p)) for p in self.pieces)
-        return RadialProfile(breaks, pieces)
+        a, b = self.refined(other.breaks), other.refined(self.breaks)
+        return RadialProfile(a.breaks, tuple(zip(*sorted((*zip(*a.values), *zip(*b.values))))))
 
     def _restricted_unit(self, t_a: Fraction, t_b: Fraction) -> "RadialProfile":
         """The restriction to [t_a, t_b], mapped affinely onto [0, 1].
 
-        Each piece is shifted to its new start and rescaled in one pass
-        (`_poly_shift`); a constant piece is copied as it is.  Two
-        bisections find the pieces, so the cost is O(log n + pieces kept).
+        The factor values at t_a and t_b are interpolated on their pieces,
+        found by two bisections, so the cost is O(log n + pieces kept).
         """
-        b, w = self.breaks, t_b - t_a
         # piece i0 holds t_a; breakpoints i0+1 .. i1-1 lie strictly inside
-        i0, i1 = self._piece(t_a), bisect_left(b, t_b)
-        pieces = tuple(
-            p[:1] if not any(p[1:]) else _poly_shift(p, t_a - b[i] if i == i0 else 0, w)
-            for i, p in enumerate(self.pieces[i0:i1], start=i0)
+        i0, i1 = self._piece(t_a), bisect_left(self.breaks, t_b)
+        return self._restricted(
+            t_a, self._factors(t_a, i0), i0 + 1, i1, t_b, self._factors(t_b, i1 - 1)
         )
-        return RadialProfile(self._unit(t_a, t_b, i0 + 1, i1), pieces)
 
 
 @dataclass(frozen=True)
@@ -661,12 +595,10 @@ def moment_eval(form: InvariantContactForm, eta: Eta, t: Rational) -> MomentValu
 
 
 def rescale(form: InvariantContactForm, radial2: RadialProfile) -> InvariantContactForm:
-    """Multiply the radial part pointwise by the positive profile radial2.
+    """Multiply the radial part pointwise by radial2, positive as every
+    `RadialProfile` is.
 
     The contact verdict and every exact moment sign are unchanged; moment
     values scale pointwise by radial2(t).
     """
-    for t, v in zip(radial2.breaks, radial2.breakpoint_values()):
-        if v <= 0:
-            raise NonPositiveRadial(t, v)
     return replace(form, radial=form.radial.multiply(radial2))

@@ -66,18 +66,17 @@ MODE_GL2Z = "modulo-GL2Z"
 _STANDARD_DIRECTIONS = _QUARTER_DIRS[5:] + _QUARTER_DIRS[:5]
 
 
-def _phi_of(obj) -> AngleProfile:
-    # a cut datum must be valid; bare forms and profiles are taken as-is
+def _form_of(obj) -> InvariantContactForm:
+    # a cut datum must be valid; bare forms are taken as-is
     if isinstance(obj, CutSpec):
         require_valid(obj)
-        return obj.form.phi
-    if isinstance(obj, InvariantContactForm):
-        return obj.phi
+        return obj.form
     return obj
 
 
-def _form_of(obj) -> InvariantContactForm:
-    return obj.form if isinstance(obj, CutSpec) else obj
+def _phi_of(obj) -> AngleProfile:
+    # a bare profile is taken as-is
+    return obj if isinstance(obj, AngleProfile) else _form_of(obj).phi
 
 
 @dataclass(frozen=True, slots=True)

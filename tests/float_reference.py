@@ -17,11 +17,13 @@ def phi_float(phi, t: float) -> float:
 
 
 def radial_float(r, t: float) -> float:
-    """r(t) by a float Horner sum on the piece holding t: at an irrational
-    point, what `RadialProfile.floats_along` must give to rounding."""
-    i = max(0, min(len(r.pieces) - 1, bisect_right(r.breaks, t) - 1))
-    u = t - float(r.breaks[i])
-    acc = 0.0
-    for c in reversed(r.pieces[i]):
-        acc = acc * u + float(c)
+    """r(t) as the float product of the factors, each interpolated in floats
+    on the piece holding t: at an irrational point, what
+    `RadialProfile.floats_along` must give to rounding."""
+    i = max(0, min(len(r.breaks) - 2, bisect_right(r.breaks, t) - 1))
+    t_lo, t_hi = float(r.breaks[i]), float(r.breaks[i + 1])
+    lam = (t - t_lo) / (t_hi - t_lo)
+    acc = 1.0
+    for lo, hi in zip(r.values[i], r.values[i + 1]):
+        acc *= float(lo) + lam * (float(hi) - float(lo))
     return acc

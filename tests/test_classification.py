@@ -728,6 +728,13 @@ class TestHomotopyCertificate:
         with pytest.raises(DomainMismatch, match="forms must share their parameter domain"):
             homotopy_certificate(alpha_form(1), other)
 
+    def test_invalid_spec_rejected(self):
+        # as every other query: an invalid cut datum raises, on either side
+        bad = CutSpec(alpha_form(1), D(1, 0), D(1, 0))
+        for a, b in ((bad, alpha_cutspec(2)), (alpha_cutspec(2), bad)):
+            with pytest.raises(InvalidCutSpec):
+                homotopy_certificate(a, b)
+
     def test_constant_difference_interval(self):
         a = piecewise((0, F(1, 3), F(2, 3), 1), [quarter(0), quarter(2), quarter(4), quarter(6)])
         b = piecewise((0, F(1, 3), F(2, 3), 1), [quarter(0), quarter(0), quarter(2), quarter(6)])

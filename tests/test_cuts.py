@@ -350,20 +350,6 @@ def line_like_forms(draw):
     return form.reversed() if draw(st.booleans()) else form
 
 
-def _poly_shift(coeffs, delta):
-    # p(u) -> p(delta + u), by Horner, trailing zeros trimmed
-    result = [F(0)]
-    for c in reversed(coeffs):
-        shifted = [F(0)] + result
-        for i in range(len(result)):
-            shifted[i] += result[i] * delta
-        shifted[0] += c
-        result = shifted
-    while len(result) > 1 and result[-1] == 0:
-        result.pop()
-    return tuple(result)
-
-
 def restricted_exact(phi, t_a, value_a, t_b, value_b):
     """Reference phi of a piece on [t_a, t_b]: the breakpoints strictly
     inside, found by bisection."""
@@ -372,14 +358,11 @@ def restricted_exact(phi, t_a, value_a, t_b, value_b):
 
 
 def restricted(r, t_a, t_b):
-    """Reference radial of a piece on [t_a, t_b]: every kept piece shifted
-    to its new start."""
-    i0, i1 = bisect_right(r.breaks, t_a) - 1, bisect_left(r.breaks, t_b)
-    starts = (t_a, *r.breaks[i0 + 1 : i1])
-    pieces = tuple(
-        _poly_shift(r.pieces[i], t - r.breaks[i]) for i, t in enumerate(starts, start=i0)
-    )
-    return RadialProfile((*starts, t_b), pieces)
+    """Reference radial of a piece on [t_a, t_b]: refined at both ends, with
+    the breakpoints outside dropped."""
+    fine = r.refined([t_a, t_b])
+    kept = [(t, v) for t, v in zip(fine.breaks, fine.values) if t_a <= t <= t_b]
+    return RadialProfile(tuple(t for t, _ in kept), tuple(v for _, v in kept))
 
 
 def slice_by_restriction(line_form, eta, window):
@@ -425,6 +408,13 @@ class TestSliceByRay:
         bounds = [p.form.phi.value_bounds() for p in pieces]
         for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
             assert angle_compare(hi, lo) < 0
+
+    def test_pieces_equal_unit_cut_data(self):
+        # a constant radial restricts to the unit radial a hand-built datum has
+        pieces = slice_by_ray(rotating_line_form(3), (0, 1), (turns(-3), turns(3)))
+        for piece in pieces:
+            unit = InvariantContactForm.unit(piece.form.phi)
+            assert piece == CutSpec(unit, piece.v0, piece.v1)
 
     def test_window_drops_clipped_intervals(self):
         line = rotating_line_form(3)
@@ -481,9 +471,9 @@ class TestSliceByRay:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert (g.form.phi.breaks, g.form.phi.values) == (w.form.phi.breaks, w.form.phi.values)
-            assert (g.form.radial.breaks, g.form.radial.pieces) == (
+            assert (g.form.radial.breaks, g.form.radial.values) == (
                 w.form.radial.breaks,
-                w.form.radial.pieces,
+                w.form.radial.values,
             )
             assert (g.v0, g.v1, g.violations) == (w.v0, w.v1, w.violations)
 

@@ -286,11 +286,11 @@ def scan_restricted_exact(phi, t_a, value_a, t_b, value_b):
 
 
 def refine_restricted(r, t_a, t_b):
-    """Reference restriction onto [0, 1]: refine at both ends, cut, then
-    reparametrize."""
+    """Reference restriction onto [0, 1]: refine at both ends, keep [t_a,
+    t_b], then reparametrize."""
     fine = r.refined([t_a, t_b])
     i0, i1 = fine.breaks.index(t_a), fine.breaks.index(t_b)
-    return RadialProfile(fine.breaks[i0 : i1 + 1], fine.pieces[i0:i1]).reparametrized(0, 1)
+    return RadialProfile(fine.breaks[i0 : i1 + 1], fine.values[i0 : i1 + 1]).reparametrized(0, 1)
 
 
 def segment_as_solved(breaks, t):
@@ -472,7 +472,7 @@ class TestSolveBisection:
         t_a, t_b = data.draw(sub_intervals(r.breaks))
         sub = r._restricted_unit(t_a, t_b)
         ref = refine_restricted(r, t_a, t_b)
-        assert (sub.breaks, sub.pieces) == (ref.breaks, ref.pieces)
+        assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
         for t in sub.breaks:
             assert sub.evaluate(t) == r.evaluate(t_a + (t_b - t_a) * t)
 
@@ -496,11 +496,15 @@ class TestRadialProfile:
             (lambda: rescale(InvariantContactForm.unit(alpha_phi(1)),
                              RadialProfile.from_values([0, 2], [1, 1])),
              "radial profiles must share their domain"),
-            (lambda: RadialProfile((F(0), F(1)), ()), "need exactly one piece per breakpoint gap"),
-            # one breakpoint and no piece: no domain to evaluate on
-            (lambda: RadialProfile((F(0),), ()), "at least one gap"),
-            (lambda: RadialProfile((), ()), "at least one gap"),
-            (lambda: RadialProfile((F(1), F(0)), ((F(1),),)), "strictly ascending"),
+            (lambda: RadialProfile((F(0), F(1)), ()), "needs matching breaks/values"),
+            # one breakpoint: no domain to evaluate on
+            (lambda: RadialProfile((F(0),), ((F(1),),)), "at least two"),
+            (lambda: RadialProfile((), ()), "at least two"),
+            # a factor missing at one breakpoint, and no factor at all
+            (lambda: RadialProfile((F(0), F(1)), ((F(1), F(2)), (F(1),))),
+             "needs matching breaks/values"),
+            (lambda: RadialProfile((F(0), F(1)), ((), ())), "needs matching breaks/values"),
+            (lambda: RadialProfile((F(1), F(0)), ((F(1),), (F(1),))), "strictly ascending"),
             (lambda: unit.reparametrized(1, 1), "reparametrization needs nondegenerate domains"),
             (lambda: alpha_phi(1).reparametrized(1, 0),
              "reparametrization needs nondegenerate domains"),
@@ -520,6 +524,27 @@ class TestRadialProfile:
         s = RadialProfile.from_values([0, F(1, 2), 1], [2, F(1, 2), 1])
         t = F(min(i, j), 840)
         assert r.multiply(s).evaluate(t) == r.evaluate(t) * s.evaluate(t)
+
+    @pytest.mark.parametrize(
+        "values, t, value",
+        [
+            (((1,), (-1,)), 1, -1),
+            (((0,), (1,)), 0, 0),
+            # (1 - 2t)^2: positive at both ends, 0 at t = 1/2
+            (((1, 1), (-1, -1)), 1, -1),
+            (((2, 1), (1, 3), (1, 0)), 2, 0),
+        ],
+    )
+    def test_raw_nonpositive_factor_rejected(self, values, t, value):
+        breaks = tuple(F(i) for i in range(len(values)))
+        with pytest.raises(NonPositiveRadial) as e:
+            RadialProfile(breaks, values)
+        assert str(e.value) == f"radial profile must be positive; value at t={t} is {value}"
+
+    def test_equal_radials_compare_equal(self):
+        r = RadialProfile.constant(2, (0, 1))
+        assert r.reversed() == r
+        assert r.reparametrized(0, 1) == r
 
     def test_multiply_commutes(self):
         # interleaved breakpoints: each profile breaks inside the other's pieces
@@ -986,11 +1011,9 @@ class TestRescale:
 
     def test_rescale_rejects_nonpositive(self):
         form = InvariantContactForm.unit(alpha_phi(0))
-        bad = RadialProfile(
-            (F(0), F(1)), ((F(1), F(-2)),)
-        )  # affine dipping negative
         with pytest.raises(NonPositiveRadial):
-            rescale(form, bad)
+            # affine dipping negative: the radial is refused before rescale
+            rescale(form, RadialProfile((F(0), F(1)), ((1,), (-1,))))
 
 
 class TestTracerTargets:
