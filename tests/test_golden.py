@@ -111,6 +111,10 @@ def _cases() -> dict[str, list[str]]:
     # an affine radial that reaches 0 inside the domain: a semantic error
     # naming the radial line and the first breakpoint where it is not positive
     cases["check-nonpositive-radial"] = ["check", "tests/golden/nonpositive_radial.cut"]
+    # a phi that turns back and a phi constant on a segment: the form is not
+    # contact, a semantic error naming the phi line
+    cases["check-nonmonotone"] = ["check", "tests/golden/nonmonotone.cut"]
+    cases["cut-zero-slope"] = ["cut", "tests/golden/zero_slope.cut"]
     # a 401-digit breakpoint: the exact t of a disk or a planar zero is
     # beyond float range and is reported without a float
     cases["overtwisted-huge-breaks"] = ["overtwisted", "tests/golden/huge_breaks.cut"]
