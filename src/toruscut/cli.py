@@ -219,8 +219,7 @@ def _check(args, obj):
         Item("valid", "no" if violations else "yes"),
     ]
     for i, v in enumerate(violations):
-        where = "form" if v.end is None else f"end {v.end}"
-        items.append(Item(f"violation{i}", f"{v.code} at {where}: {v.message}"))
+        items.append(Item(f"violation{i}", f"{v.code} at end {v.end}: {v.message}"))
     return _one("cut-validation", items, EXIT_SEMANTIC if violations else EXIT_OK)
 
 

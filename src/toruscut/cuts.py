@@ -45,18 +45,8 @@ from .angles import (
     format_angle,
     to_float,
 )
-from .errors import (
-    InvalidCutSpec,
-    NonMonotone,
-    SliceNotRepresentable,
-    ZeroSlopeSegment,
-)
-from .forms import (
-    InvariantContactForm,
-    ProfilePoint,
-    _moment,
-    contact_check,
-)
+from .errors import InvalidCutSpec, SliceNotRepresentable
+from .forms import InvariantContactForm, ProfilePoint, _moment
 
 
 def _dir(v) -> Direction:
@@ -81,10 +71,10 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed validity condition of a cut datum."""
+    """One failed boundary condition of a cut datum."""
 
-    code: str  # "not-contact" | "nonzero-boundary-moment" | "wrong-sign"
-    end: int | None  # boundary side 0 or 1; None for form-level failures
+    code: str  # "nonzero-boundary-moment" | "wrong-sign"
+    end: int  # boundary side 0 or 1
     message: str
 
 
@@ -163,9 +153,7 @@ class ReducedCircle:
         return 1 if self.index % 2 else -1
 
 
-def _boundary_checks(
-    form: InvariantContactForm, v: Direction, end: int, orientation: int
-) -> list[Violation]:
+def _boundary_checks(form: InvariantContactForm, v: Direction, end: int) -> list[Violation]:
     phi = form.phi
     d = (phi.values[0] if end == 0 else phi.values[-1]).dir
     # the moment r (v.x cos phi + v.y sin phi) vanishes iff phi's direction is
@@ -183,7 +171,7 @@ def _boundary_checks(
     # Just inside, phi moves by +orientation*dt from t=0 (by -orientation*dt
     # into t=1), so the moment's interior sign is the sign of the dot
     # product of the quarter-turned boundary direction with v.
-    inward = orientation if end == 0 else -orientation
+    inward = phi.orientation if end == 0 else -phi.orientation
     rotated = (-d.y * inward, d.x * inward)
     if rotated[0] * v.x + rotated[1] * v.y < 0:
         return [
@@ -199,18 +187,12 @@ def _boundary_checks(
 def _violations(spec: CutSpec) -> tuple[Violation, ...]:
     """Every violated cut condition of spec; empty when the datum is valid.
 
-    Conditions: the form is contact; the v0-moment vanishes exactly at
-    t = 0 and is positive on (0, eps); mirror conditions for v1 at t = 1.
-    Everything is decided in integer arithmetic on the angle data.
+    The form is contact by construction.  Conditions: the v0-moment
+    vanishes exactly at t = 0 and is positive on (0, eps); mirror
+    conditions for v1 at t = 1.  Everything is decided in integer
+    arithmetic on the angle data.
     """
-    try:
-        orientation = contact_check(spec.form)
-    except (ZeroSlopeSegment, NonMonotone) as e:
-        return (Violation("not-contact", None, str(e)),)
-    return tuple(
-        _boundary_checks(spec.form, spec.v0, 0, orientation)
-        + _boundary_checks(spec.form, spec.v1, 1, orientation)
-    )
+    return tuple(_boundary_checks(spec.form, spec.v0, 0) + _boundary_checks(spec.form, spec.v1, 1))
 
 
 def validate_cutspec(spec: CutSpec) -> list[Violation]:
@@ -261,7 +243,6 @@ def complement_vector(eta: Direction) -> Direction:
 def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     """All reduced circles of the eta-moment's zero level, ordered by t."""
     eta = _dir(eta)
-    contact_check(form)
     base = direction_angle(eta.perp())
     zeta = complement_vector(eta)
     x, y = to_float(eta.x), to_float(eta.y)
@@ -310,7 +291,6 @@ def slice_by_ray(
     CutSpec has nothing to reparametrize.
     """
     eta = _dir(eta)
-    orientation = contact_check(line_form)
     w0, w1 = window
     if angle_compare(w0, w1) >= 0:
         raise ValueError("window must be an increasing pair of angles")
@@ -330,7 +310,7 @@ def slice_by_ray(
                 f"slice endpoint at phi = {format_angle(b if ta is not None else a)} "
                 "is not a rational parameter"
             )
-        if orientation > 0:
+        if phi.orientation > 0:
             left, t_l, v_l, right, t_r, v_r = pa, ta, a, pb, tb, b
         else:
             left, t_l, v_l, right, t_r, v_r = pb, tb, b, pa, ta, a
@@ -340,4 +320,4 @@ def slice_by_ray(
         )
         pieces.append(CutSpec(piece, eta, eta))
     # j ascends with phi, so t descends on a decreasing profile
-    return pieces if orientation > 0 else pieces[::-1]
+    return pieces if phi.orientation > 0 else pieces[::-1]

@@ -233,15 +233,31 @@ class _Grid:
 @dataclass(frozen=True)
 class AngleProfile(_Grid):
     """Piecewise affine (in value) angle profile: values are the exact
-    angles attained at two or more rational breakpoints."""
+    angles attained at two or more rational breakpoints, strictly monotone,
+    which is the contact condition for the associated form.
+
+    The values are checked once, when the profile is built, right after
+    the breakpoints: ZeroSlopeSegment or NonMonotone names the first
+    segment that is constant or turns back.  orientation is then +1 on an
+    increasing profile, -1 on a decreasing one.
+    """
 
     values: tuple[Angle, ...]
+    orientation: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.breaks) < 2 or len(self.breaks) != len(self.values):
+        v = tuple(self.values)
+        object.__setattr__(self, "values", v)
+        if len(self.breaks) < 2 or len(self.breaks) != len(v):
             raise BadBreakpoints("profile needs matching breaks/values with at least two entries")
         super().__post_init__()
+        signs = [angle_compare(y, x) for x, y in zip(v, v[1:])]
+        for i, s in enumerate(signs):
+            if s == 0:
+                raise ZeroSlopeSegment(i)
+            if s != signs[0]:
+                raise NonMonotone(i)
+        object.__setattr__(self, "orientation", signs[0])
 
     # -- basic queries ---------------------------------------------------
 
@@ -257,30 +273,10 @@ class AngleProfile(_Grid):
         for i, sweep in enumerate(self._sweeps):
             yield i, b[i], b[i + 1], v[i], v[i + 1], sweep
 
-    @cached_property
-    def orientation(self) -> int:
-        """+1 if strictly increasing, -1 if strictly decreasing.
-
-        Raises ZeroSlopeSegment / NonMonotone otherwise; this is the
-        contact condition for the associated form.  Decided once, on
-        first use; a failure is not kept, so it raises on every use.
-        """
-        sign = 0
-        v = self.values
-        for i in range(len(v) - 1):
-            s = angle_compare(v[i + 1], v[i])
-            if s == 0:
-                raise ZeroSlopeSegment(i)
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                raise NonMonotone(i)
-        return sign
-
     def value_bounds(self) -> tuple[Angle, Angle]:
-        """(smallest, largest) attained value; assumes monotone profile."""
+        """(smallest, largest) attained value."""
         lo, hi = self.values[0], self.values[-1]
-        return (lo, hi) if angle_compare(lo, hi) <= 0 else (hi, lo)
+        return (lo, hi) if self.orientation > 0 else (hi, lo)
 
     # -- evaluation ------------------------------------------------------
 
@@ -311,19 +307,13 @@ class AngleProfile(_Grid):
     def solve(self, target: Angle) -> ProfilePoint | None:
         """The unique parameter with phi(t) = target, or None if out of range.
 
-        Requires a strictly monotone profile (either orientation); the
-        answer is not meaningful otherwise.  A profile with zero total
-        sweep returns None.  A hit at a shared breakpoint is reported
-        on the earlier segment.
+        A hit at a shared breakpoint is reported on the earlier segment.
 
         Cost: O(log n) angle comparisons for n breakpoints, by bisection
         of the monotone breakpoint values, plus one angle difference.  The
         first call on a profile also computes its n - 1 segment sweeps.
         """
-        v = self.values
-        sign = angle_compare(v[-1], v[0])
-        if sign == 0:
-            return None
+        v, sign = self.values, self.orientation
         if sign * angle_compare(target, v[0]) < 0 or sign * angle_compare(target, v[-1]) > 0:
             return None
         # Smallest i >= 1 with v[i] at or past the target; the hit is on
@@ -350,16 +340,16 @@ class AngleProfile(_Grid):
     def solve_half_turn_lattice(self, base: Angle) -> list[tuple[int, ProfilePoint]]:
         """All (j, point) with phi(point) = base + j*pi, ordered by parameter.
 
-        Requires a strictly monotone profile; each lattice value in range
-        is hit exactly once, a hit on a shared breakpoint on the earlier
-        segment.  One walk over the segments reads m[i] = base - v[i] once
-        per value: in integer quarter counts (`Angle.quarters`) when the
-        base and every value are pi/4 directions, else as `Angle`s.  j
-        starts at -floor(m[0]) and segment i ends at -ceil(m[i+1]), floor
-        and ceiling swapped on a decreasing profile, where j descends; a
-        hit's offset is m[i] plus j half turns, its span the segment's
-        sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
-        search; each point computes its exact t on first use.
+        Each lattice value in range is hit exactly once, a hit on a shared
+        breakpoint on the earlier segment.  One walk over the segments reads
+        m[i] = base - v[i] once per value: in integer quarter counts
+        (`Angle.quarters`) when the base and every value are pi/4
+        directions, else as `Angle`s.  j starts at -floor(m[0]) and
+        segment i ends at -ceil(m[i+1]), floor and ceiling swapped on a
+        decreasing profile, where j descends; a hit's offset is m[i] plus j
+        half turns, its span the segment's sweep.  O(n + J) for n
+        breakpoints and J hits, with no per-hit search; each point computes
+        its exact t on first use.
         """
         v, b, qs, q_base = self.values, self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
@@ -369,9 +359,7 @@ class AngleProfile(_Grid):
         else:
             m = [angle_sub(base, x) for x in v]
             floor, ceil, step = floor_half_turns, ceil_half_turns, add_half_turns
-        sign = angle_compare(v[-1], v[0])
-        if sign == 0:
-            return []
+        sign = self.orientation
         first, last = (floor, ceil) if sign > 0 else (ceil, floor)
         out, j = [], -first(m[0])
         for i, span in enumerate(self._sweeps):
@@ -502,7 +490,8 @@ class RadialProfile(_Grid):
 
 @dataclass(frozen=True)
 class InvariantContactForm:
-    """r(t) * (cos(phi(t)) dtheta_1 + sin(phi(t)) dtheta_2) on T^2 x [t0, t1]."""
+    """r(t) * (cos(phi(t)) dtheta_1 + sin(phi(t)) dtheta_2) on T^2 x [t0, t1],
+    contact by construction: r is positive and phi strictly monotone."""
 
     phi: AngleProfile
     radial: RadialProfile
@@ -534,8 +523,8 @@ def contact_check(form: InvariantContactForm) -> int:
 
     With alpha = r (cos phi, sin phi) the 3-form is r^2 phi' dt dtheta_1
     dtheta_2, so given r > 0 the form is contact iff phi is strictly
-    monotone, and the verdict is the slope sign.  Raises ZeroSlopeSegment
-    or NonMonotone otherwise.
+    monotone, and the verdict is the slope sign.  Both are checked when
+    the profiles are built, so this reads phi's orientation.
     """
     return form.phi.orientation
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .angles import Angle, Direction, _int, parse_angle
 from .cuts import CutSpec
 from .errors import GeometryError, InvalidCutSpec, SpecSemanticError, SpecSyntaxError
-from .forms import AngleProfile, InvariantContactForm, RadialProfile, contact_check
+from .forms import AngleProfile, InvariantContactForm, RadialProfile
 
 _KEYS = ("form.phi.breaks", "form.radial", "form.domain", "collapse0", "collapse1")
 
@@ -101,11 +101,11 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
     """Parse a spec file into a CutSpec, or a bare form when no collapse
     vectors are given.
 
-    The contact condition is always checked; with validate=True (the
-    default) cut data are additionally required to be valid.  A geometry
-    error names the line of the key being read: form.phi.breaks for the
-    profile and the contact condition, and for an invalid cut the
-    collapse line of the first violated end.
+    With validate=True (the default) cut data are required to be valid.
+    A geometry error names the line of the key being read: form.phi.breaks
+    for the profile, its breakpoints and the contact condition, all read
+    before any other line's value, and for an invalid cut the collapse
+    line of the first violated end.
     """
     entries = _parse_lines(text)
     if "form.phi.breaks" not in entries:
@@ -113,7 +113,6 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
         last = len(text.splitlines())
         raise SpecSyntaxError(last + 1, "missing required key 'form.phi.breaks'")
     line, value = entries["form.phi.breaks"]
-    phi_line = line
     try:
         breaks, values = _points(value, line, "angle", _angle)
         if len(breaks) < 2:
@@ -140,10 +139,8 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
             else:
                 radial = RadialProfile.constant(_fraction(value, line), (phi.t0, phi.t1))
             form = InvariantContactForm(phi, radial)
-            line = phi_line  # the contact condition is the profile's
         else:
             form = InvariantContactForm.unit(phi)
-        contact_check(form)
 
         has0, has1 = "collapse0" in entries, "collapse1" in entries
         if not has0 and not has1:
@@ -158,7 +155,6 @@ def parse_spec(text: str, validate: bool = True) -> CutSpec | InvariantContactFo
             vectors.append(Direction(*_int_pair(value, line)))
         spec = CutSpec(form, *vectors)
         if validate and spec.violations:
-            # the form is contact, so the first violation is at an end
             line = entries[f"collapse{spec.violations[0].end}"][0]
             raise InvalidCutSpec(spec.violations)
         return spec

@@ -40,7 +40,6 @@ from toruscut import (
 )
 from toruscut import cli
 from toruscut.cli import main
-from toruscut.forms import AngleProfile
 from toruscut.report import fmt_float
 from toruscut.specfile import _fraction
 
@@ -725,26 +724,6 @@ class TestCliCost:
             assert main(["invariants", spec, "--dir", "-1,1"]) == 0
             assert main(["cut", spec, "--format", "json", "--format", "text"]) == 0
         assert built == [] and len(parsed) == 3
-
-    @pytest.mark.parametrize("command", ["check", "cut"])
-    def test_each_profile_decides_its_orientation_once(self, monkeypatch, command):
-        # parse_spec, the cut conditions and the tight tag's disk search all
-        # read the orientation; each profile computes it on first use only
-        decided = []
-        orientation = vars(AngleProfile)["orientation"]
-        func = orientation.func
-
-        def counting(phi):
-            decided.append(phi)  # kept alive, so ids are not reused
-            return func(phi)
-
-        monkeypatch.setattr(orientation, "func", counting)
-        for path in sorted(SPECS.glob("*.cut")):
-            decided.clear()
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main([command, str(path)])
-            assert code == (3 if command == "cut" and path.stem == "line" else 0)
-            assert decided and len({id(phi) for phi in decided}) == len(decided)
 
     def test_homotopy_zero_positions_are_computed_once(self, monkeypatch):
         # the certificate computes no exact t; the CLI renders each zero with

@@ -16,6 +16,7 @@ from toruscut import (
     InvalidCutSpec,
     InvariantContactForm,
     LensKind,
+    NonMonotone,
     NonPrimitive,
     RadialProfile,
     SliceNotRepresentable,
@@ -102,11 +103,10 @@ class TestValidation:
         assert codes(validate_cutspec(spec)) == [("wrong-sign", 0), ("wrong-sign", 1)]
 
     def test_not_contact(self):
-        phi = AngleProfile(
-            (F(0), F(1, 2), F(1)), (A(D(1, 0)), A(D(-1, 0)), A(D(0, 1)))
-        )
-        spec = CutSpec(InvariantContactForm.unit(phi), D(0, 1), D(1, 0))
-        assert codes(validate_cutspec(spec)) == [("not-contact", None)]
+        # the profile refuses to be built, so no CutSpec holds a form that is
+        # not contact and every violation is at an end
+        with pytest.raises(NonMonotone, match="segment 1$"):
+            AngleProfile((F(0), F(1, 2), F(1)), (A(D(1, 0)), A(D(-1, 0)), A(D(0, 1))))
 
     def test_require_valid(self):
         require_valid(alpha_cutspec(2))

@@ -115,6 +115,10 @@ def _cases() -> dict[str, list[str]]:
     # contact, a semantic error naming the phi line
     cases["check-nonmonotone"] = ["check", "tests/golden/nonmonotone.cut"]
     cases["cut-zero-slope"] = ["cut", "tests/golden/zero_slope.cut"]
+    # and with a second bad line, a radial 1/0 (a grammar error) or a domain
+    # other than the breakpoints': the phi line is named, before the other
+    for stem in ("nonmonotone_bad_radial", "nonmonotone_bad_domain"):
+        cases[f"check-{stem.replace('_', '-')}"] = ["check", f"tests/golden/{stem}.cut"]
     # a 401-digit breakpoint: the exact t of a disk or a planar zero is
     # beyond float range and is reported without a float
     cases["overtwisted-huge-breaks"] = ["overtwisted", "tests/golden/huge_breaks.cut"]
