@@ -95,17 +95,17 @@ class SliceNotRepresentable(GeometryError):
     """
 
 
-class SpecSyntaxError(Exception):
+class _SpecError(Exception):
+    """An error of an input file, at its line."""
+
+    def __init__(self, line, message):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
+class SpecSyntaxError(_SpecError):
     """Malformed input file (bad key, bad literal, duplicate)."""
 
-    def __init__(self, line, message):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
-
-class SpecSemanticError(Exception):
+class SpecSemanticError(_SpecError):
     """Well-formed input describing bad geometry; wraps the cause."""
-
-    def __init__(self, line, message):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
