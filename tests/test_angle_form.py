@@ -326,6 +326,11 @@ class TestFloorAndPiMultiple:
         assert (f.floor(10**400), (-f).floor(10**400)) == (0, -1)
         assert f.floor(F(1, 10**400)) // 10**395 == 314758  # (Arg(2, 1) + 3 pi) / pi = 3.14758...
 
+    def test_floor_of_coefficients_outside_float_range(self):
+        # no float of r / den: the bracket from the coefficient sizes
+        f = AngleForm((), 10**400) + term(D(2, 1))  # 10**400 pi + Arg(2, 1)
+        assert (f.floor(), (-f).floor()) == (10**400, -(10**400) - 1)
+
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0)),
            st.integers(-50, 50), rationals())
     def test_single_angle_forms_match_as_pi_multiple(self, v, turns, c):
