@@ -278,25 +278,15 @@ def add_turns(a: Angle, n: int) -> Angle:
     return Angle(a.dir, a.turns + n)
 
 
-def floor_half_turns(a: Angle, q: int = 1) -> int:
-    """floor(value / (q*pi)) for q >= 1, exactly: floor(floor(value/pi) / q).
-
-    q = 2 counts whole turns.
-    """
+def floor_half_turns(a: Angle) -> int:
+    """floor(value / pi), exactly: 2 turns, less 1 if Arg < 0, plus 1 if Arg = pi."""
     k = _argclass(a.dir)
-    down = 2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))  # floor(value/pi)
-    return down // q
+    return 2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))
 
 
-def ceil_half_turns(a: Angle, q: int = 1) -> int:
-    """ceil(value / (q*pi)) for q >= 1, exactly: ceil(ceil(value/pi) / q)."""
-    up = 2 * a.turns + (1 if _argclass(a.dir) >= 2 else 0)  # ceil(value/pi)
-    return -(-up // q)
-
-
-def _lattice_bounds(theta: Angle, lo: Angle, hi: Angle, q: int = 1) -> tuple[int, int]:
-    """Least and greatest j with theta + j*q*pi in [lo, hi]; none if j_min > j_max."""
-    return ceil_half_turns(angle_sub(lo, theta), q), floor_half_turns(angle_sub(hi, theta), q)
+def ceil_half_turns(a: Angle) -> int:
+    """ceil(value / pi), exactly: 2 turns, plus 1 if Arg > 0."""
+    return 2 * a.turns + (1 if _argclass(a.dir) >= 2 else 0)
 
 
 # The eight primitive directions whose argument is a rational multiple of pi
@@ -704,33 +694,25 @@ class AngleForm:
                 return (xn * nd) / (xd * nn)
             prec *= 2
 
-    def floor(self, step: Fraction | int = 1) -> int:
-        """floor(value / (step*pi)), exactly, for a positive rational step.
+    def floor(self) -> int:
+        """floor(value / pi), exactly.
 
-        A float estimate whose bound is below the step's float (a step
-        outside float range has none) brackets the answer between the
-        floors of its two ends, widened by the bound once more for the
+        A float estimate whose bound is below 1 brackets the answer between
+        the floors of its two ends, widened by the bound once more for the
         rounding of the division; usually they agree and no exact sign is
         needed.  Otherwise |value| <= pi * (sum |c| + |r|) / den brackets
-        it.  Bisection with `sign()` finishes on the terms scaled once:
-        for step = p/q, value >= m*step*pi iff q*sum(c*Arg(d)) + (q*r -
-        m*p*den)*pi >= 0.
+        it.  Bisection with `sign()` finishes: value >= m*pi iff
+        sum(c*Arg(d)) + (r - m*den)*pi >= 0.
         """
-        step = _fraction(step)
-        p, q = step.numerator, step.denominator
         v, e = _float_sum(self.terms, self.r, self.den)
-        fstep = to_float(step)
-        if fstep is not None and e < fstep and math.isfinite(v):
-            unit = fstep * math.pi
-            lo, hi = math.floor((v - 2 * e) / unit), math.floor((v + 2 * e) / unit)
+        if e < 1:
+            lo, hi = math.floor((v - 2 * e) / math.pi), math.floor((v + 2 * e) / math.pi)
         else:
-            size = sum(abs(c) for _, c in self.terms) + abs(self.r)
-            t = -(-size * q // (self.den * p))  # ceil(size / den / step)
+            t = -(-(sum(abs(c) for _, c in self.terms) + abs(self.r)) // self.den)
             lo, hi = -t - 1, t
-        terms, r, pd = _scaled(self.terms, q), q * self.r, p * self.den
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if AngleForm._normal(terms, r - mid * pd, 1).sign() >= 0:
+            if AngleForm._normal(self.terms, self.r - mid * self.den, 1).sign() >= 0:
                 lo = mid
             else:
                 hi = mid - 1

@@ -32,16 +32,16 @@ from fractions import Fraction
 from .angles import (
     Angle,
     Direction,
-    HALF_TURN,
     QUARTER_TURN,
-    _lattice_bounds,
     add_half_turns,
     add_turns,
     angle_add,
     angle_compare,
     angle_of_quarters,
     angle_sub,
+    ceil_half_turns,
     direction_angle,
+    floor_half_turns,
     format_angle,
     to_float,
 )
@@ -299,7 +299,8 @@ def slice_by_ray(
     v_lo, v_hi = phi.value_bounds()
     lo, hi = max(w0, v_lo), min(w1, v_hi)
     start, stop = angle_sub(beta, QUARTER_TURN), angle_add(beta, QUARTER_TURN)
-    j_min, j_max = _lattice_bounds(start, lo, angle_sub(hi, HALF_TURN), 2)  # stop = start + pi
+    j_min = -(-ceil_half_turns(angle_sub(lo, start)) // 2)  # start + 2 pi j >= lo
+    j_max = (floor_half_turns(angle_sub(hi, start)) - 1) // 2  # stop + 2 pi j <= hi
     pieces = []
     for j in range(j_min, j_max + 1):
         a, b = add_turns(start, j), add_turns(stop, j)

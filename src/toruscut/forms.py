@@ -36,11 +36,11 @@ returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio is read as a Fraction when both differences are rational
 multiples of pi, computed once, on first use.
-`solve_half_turn_lattice` finds all J hits of a half-turn lattice in one
-walk over the n segments, O(n + J).  The walk is written once: only how
-it reads the differences base - v[i] depends on the input, as integer
-quarter turns on a pi/4 lattice through a profile of pi/4 values, else
-as `Angle`s.
+One rule, `_lattice_ranges`, walks the n segments of a piecewise-affine
+function once and gives the J lattice points it crosses as one range per
+segment, O(n + J): the hits of phi on a half-turn lattice
+(`solve_half_turn_lattice`, in quarter counts on pi/4 data, else in
+`Angle`s), and the planar zeros of `invariants.homotopy_certificate`.
 """
 
 from __future__ import annotations
@@ -81,6 +81,24 @@ Eta = Direction | tuple[int, int]  # a pair need not be primitive: (2, 0) is 2 (
 
 def _literal(a: Angle | AngleForm) -> str:
     return format_angle(a) if isinstance(a, Angle) else str(a)
+
+
+def _lattice_ranges(x: Sequence, floor, ceil, slopes: Sequence[int]) -> list[range]:
+    """The integers that a piecewise-affine x crosses, one `range` per
+    segment in t order: those in (x[k], x[k + 1]] ascending where slopes[k]
+    > 0, in [x[k + 1], x[k]) descending where it is < 0, none where it is
+    0, and the first segment is also closed at x[0].  x[k] is read only as
+    floor(x[k]) and ceil(x[k]), in lattice units, and once along a run of
+    one slope: a range's stop is the next one's start."""
+    out, start, prev = [], 0, 0
+    for k, s in enumerate(slopes):
+        if s and s != prev:
+            first, last = (ceil, floor) if s > 0 else (floor, ceil)
+            start = first(x[0]) if k == 0 else last(x[k]) + s
+        stop = last(x[k + 1]) + s if s else start
+        out.append(range(start, stop, s or 1))
+        start, prev = stop, s
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,35 +359,29 @@ class AngleProfile(_Grid):
         """All (j, point) with phi(point) = base + j*pi, ordered by parameter.
 
         Each lattice value in range is hit exactly once, a hit on a shared
-        breakpoint on the earlier segment.  One walk over the segments reads
-        m[i] = base - v[i] once per value: in integer quarter counts
-        (`Angle.quarters`) when the base and every value are pi/4
-        directions, else as `Angle`s.  j starts at -floor(m[0]) and
-        segment i ends at -ceil(m[i+1]), floor and ceiling swapped on a
-        decreasing profile, where j descends; a hit's offset is m[i] plus j
-        half turns, its span the segment's sweep.  O(n + J) for n
-        breakpoints and J hits, with no per-hit search; each point computes
-        its exact t on first use.
+        breakpoint on the earlier segment: the j of segment i are
+        `_lattice_ranges` of v[i] - base in half turns, read from m[i] =
+        base - v[i] in integer quarter counts (`Angle.quarters`) when the
+        base and every value are pi/4 directions, else as `Angle`s.  A
+        hit's offset is m[i] plus j half turns, its span the segment's
+        sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
+        search; each point computes its exact t on first use.
         """
-        v, b, qs, q_base = self.values, self.breaks, self._quarters, base.quarters()
+        b, qs, q_base = self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
             m = [q_base - q for q in qs]
-            floor, ceil = (lambda d: d // 4), (lambda d: -(-d // 4))
+            floor, ceil = (lambda d: -d // 4), (lambda d: -(d // 4))
             step = lambda d, j: angle_of_quarters(d + 4 * j)
         else:
-            m = [angle_sub(base, x) for x in v]
-            floor, ceil, step = floor_half_turns, ceil_half_turns, add_half_turns
-        sign = self.orientation
-        first, last = (floor, ceil) if sign > 0 else (ceil, floor)
-        out, j = [], -first(m[0])
-        for i, span in enumerate(self._sweeps):
-            end = -last(m[i + 1])
-            js = range(j, end + sign, sign)
-            j = end + sign
-            t_lo, t_hi, at = b[i], b[i + 1], m[i]
-            for j_hit in js:
-                out.append((j_hit, ProfilePoint(i, t_lo, t_hi, step(at, j_hit), span)))
-        return out
+            m = [angle_sub(base, v) for v in self.values]
+            floor, ceil = (lambda a: -ceil_half_turns(a)), (lambda a: -floor_half_turns(a))
+            step = add_half_turns
+        ranges = _lattice_ranges(m, floor, ceil, [self.orientation] * (len(b) - 1))
+        return [
+            (j, ProfilePoint(i, b[i], b[i + 1], step(m[i], j), span))
+            for i, (span, js) in enumerate(zip(self._sweeps, ranges))
+            for j in js
+        ]
 
     def _restricted_unit(
         self, i: int, t_a: Fraction, value_a: Angle, j: int, t_b: Fraction, value_b: Angle

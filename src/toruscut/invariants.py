@@ -30,9 +30,9 @@ from a collapsed end bounds a disk whose boundary is tangent to the
 contact planes.  homotopy_certificate connects two cut forms with the
 same boundary directions through the straight-line interpolation of unit
 covectors pushed off zero by the bump s(1 - s) in a third coordinate;
-its planar zeros are enumerated exactly, in t order: the zeros on each
-merged segment are one range, of the n with phi_a - phi_b = (2n + 1) pi
-for t in (u_k, u_{k+1}].
+its planar zeros are enumerated exactly, in t order: they are the n
+where (phi_a - phi_b - pi) / 2pi crosses the integers, one range per
+merged segment by the lattice rule of the profile layer.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .angles import (
 )
 from .cuts import CutSpec, require_valid
 from .errors import DomainMismatch, EndpointMismatch
-from .forms import AngleProfile, InvariantContactForm, ProfilePoint
+from .forms import AngleProfile, InvariantContactForm, ProfilePoint, _lattice_ranges
 
 MODE_FIXED = "fixed-action"
 MODE_GL2Z = "modulo-GL2Z"
@@ -327,7 +327,8 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     enumerated exactly in one pass over the merged segments: the
     difference psi is an `AngleForm` at each merged breakpoint u_k and
     affine in between, so segment k's zeros are one range of n, the
-    (2n + 1) pi that psi takes for t in (u_k, u_{k+1}], from two floors,
+    (2n + 1) pi that psi takes for t in (u_k, u_{k+1}]: `_lattice_ranges`
+    of x = (psi - pi) / 2pi, read in half-turn floors once per breakpoint,
     less its last element when segment k + 1 is a zero interval.  No zero
     needs its exact t.  One merge walk over both breakpoint tuples gives
     the u_k and each profile's segment: at its own breakpoint a profile's
@@ -358,21 +359,18 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
         not slope and (m := d.pi_multiple()) is not None and m % 2 == 1
         for slope, d in zip(slopes, psi)
     ] + [False]
+    # psi = (2n + 1) pi where x = (psi - pi) / 2pi = n: its floor and ceiling in half turns
+    floor, ceil = (lambda d: (d - _PI).floor() // 2), (lambda d: -((_PI - d).floor() // 2))
+    ranges = _lattice_ranges(psi, floor, ceil, slopes)
     zeros: list[PlanarZero] = []
     intervals: list[tuple[Fraction, Fraction]] = []
-    for k, (u0, u1) in enumerate(zip(merged, merged[1:])):
-        d0, d1, span = psi[k], psi[k + 1], spans[k]
+    for k, (u0, u1, d0, span, ns) in enumerate(zip(merged, merged[1:], psi, spans, ranges)):
         if interval[k]:
             if interval[k - 1]:  # extend the interval that ends at u0
                 intervals[-1] = (intervals[-1][0], u1)
             else:
                 intervals.append((u0, u1))
             continue
-        # the n with psi = (2n + 1) pi for t in (u0, u1], in t order (none if flat)
-        if slopes[k] > 0:
-            ns = range((d0 - _PI).floor(2) + 1, (d1 - _PI).floor(2) + 1)
-        else:
-            ns = range(-(_PI - d0).floor(2) - 1, -(_PI - d1).floor(2) - 1, -1)
         if interval[k + 1]:
             ns = ns[:-1]  # psi(u1) is odd: the zero at u1 starts the interval
         for n in ns:

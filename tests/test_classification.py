@@ -330,7 +330,7 @@ def reference_cc_profile(spec):
     turns, and the partial arc rho from lo's direction to hi's."""
     lo, hi = invariants._phi_of(spec).value_bounds()
     swept = angles.angle_sub(hi, lo)
-    q = angles.floor_half_turns(swept, 2)
+    q = angles.floor_half_turns(swept) // 2
     c_lo, c_hi = A(lo.dir), A(hi.dir)
     rho = angles.angle_sub(c_hi, c_lo)
     if angle_compare(rho, angles.ZERO_ANGLE) < 0:
@@ -527,7 +527,7 @@ class TestDistinguishMatchesEnumeration:
             lo, hi = hi, lo
         q, lo_dir, hi_dir = invariants._side(AngleProfile((F(0), F(1)), (lo, hi)))
         assert (lo_dir, hi_dir) == (lo.dir, hi.dir)
-        assert q == angles.floor_half_turns(angles.angle_sub(hi, lo), 2)
+        assert q == angles.floor_half_turns(angles.angle_sub(hi, lo)) // 2
 
     def test_standard_ring_is_sorted(self):
         ring = invariants._STANDARD_DIRECTIONS
@@ -987,8 +987,8 @@ def reference_homotopy(a, b):
                     intervals.append((u0, u1))
             continue
         v_lo, v_hi = (d0, d1) if slope > 0 else (d1, d0)
-        n_lo = -(_PI_FORM - v_lo).floor(2)
-        n_hi = (v_hi - _PI_FORM).floor(2)
+        n_lo = -((_PI_FORM - v_lo).floor() // 2)
+        n_hi = (v_hi - _PI_FORM).floor() // 2
         for n in range(n_lo, n_hi + 1):
             offset = AngleForm((), F(2 * n + 1)) - d0
             if seg > 0 and offset.sign() == 0:

@@ -37,9 +37,7 @@ from toruscut import (
     validate_cutspec,
 )
 from toruscut.angles import (
-    HALF_TURN,
     QUARTER_TURN,
-    _lattice_bounds,
     add_turns,
     angle_add,
     angle_sub,
@@ -374,10 +372,15 @@ def slice_by_restriction(line_form, eta, window):
     v_lo, v_hi = phi.value_bounds()
     lo, hi = max(window[0], v_lo), min(window[1], v_hi)
     start, stop = angle_sub(beta, QUARTER_TURN), angle_add(beta, QUARTER_TURN)
-    j_min, j_max = _lattice_bounds(start, lo, angle_sub(hi, HALF_TURN), 2)
+    # the j with lo <= start + 2 pi j and stop + 2 pi j <= hi, by a linear
+    # scan up from a j whose start lies a whole turn count below lo
+    j = lo.turns - start.turns - 1
+    while angle_compare(add_turns(start, j), lo) < 0:
+        j += 1
     pieces = []
-    for j in range(j_min, j_max + 1):
-        a, b = add_turns(start, j), add_turns(stop, j)
+    while angle_compare(b := add_turns(stop, j), hi) <= 0:
+        a = add_turns(start, j)
+        j += 1
         ta, tb = phi.solve(a).t_fraction(), phi.solve(b).t_fraction()
         t_l, v_l, t_r, v_r = (ta, a, tb, b) if orientation > 0 else (tb, b, ta, a)
         piece = InvariantContactForm(
