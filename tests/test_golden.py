@@ -161,6 +161,13 @@ def _cases() -> dict[str, list[str]]:
         cases[f"profile-one-direction-{fmt}"] = [
             "profile", "tests/golden/one_direction.cut", "--format", fmt
         ]
+    # on the 10^20-turn cut, the two argv shapes that argparse reads (an
+    # attached value, an abbreviation) and the symplectization check
+    cases["argv-attached-value-turns"] = [
+        "invariants", "tests/golden/turns.cut", "--direction=-1,1"
+    ]
+    cases["argv-abbreviation-turns"] = ["invariants", "tests/golden/turns.cut", "--dir", "-1,1"]
+    cases["symplectization-check-turns"] = ["symplectization-check", "tests/golden/turns.cut"]
     # a sphere cut sweeping 10^400 whole turns, its bare form, and one of
     # 10^308 turns: 2 pi times the turns is beyond float range, so the swept
     # angle and the window are shown without a float (null in json)
