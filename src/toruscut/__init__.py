@@ -86,7 +86,6 @@ from .models import (
     lens_cutspec,
     minimal_valid_cutspec,
     rotating_line_form,
-    theta_angle,
 )
 from .report import (
     Item,

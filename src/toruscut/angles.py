@@ -209,7 +209,6 @@ class Angle:
 
 
 ZERO_ANGLE = Angle(UNIT_X, 0)
-HALF_TURN = Angle(NEG_X, 0)
 QUARTER_TURN = Angle(Direction(0, 1), 0)
 FULL_TURN = Angle(UNIT_X, 1)
 

@@ -37,7 +37,6 @@ from .angles import (
     add_turns,
     angle_add,
     angle_compare,
-    angle_of_quarters,
     angle_sub,
     ceil_half_turns,
     direction_angle,
@@ -247,19 +246,17 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     zeta = complement_vector(eta)
     x, y = to_float(eta.x), to_float(eta.y)
     mag = None if x is None or y is None else math.hypot(x, y)
-    q_base = base.quarters()
     hits = form.phi.solve_half_turn_lattice(base)
     radii = form.radial.floats_along(pt for _, pt in hits)
     out = []
     for (j, pt), r in zip(hits, radii):
         sign = 1 if j % 2 else -1
-        angle = add_half_turns(base, j) if q_base is None else angle_of_quarters(q_base + 4 * j)
         # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
         q = None if r is None or mag is None else r / mag
         out.append(
             ReducedCircle(
                 index=j,
-                angle=angle,
+                angle=add_half_turns(base, j),
                 point=pt,
                 coefficient=None if q is None or q < sys.float_info.min else sign * q,
                 complement=zeta,
@@ -311,14 +308,6 @@ def slice_by_ray(
                 f"slice endpoint at phi = {format_angle(b if ta is not None else a)} "
                 "is not a rational parameter"
             )
-        if phi.orientation > 0:
-            left, t_l, v_l, right, t_r, v_r = pa, ta, a, pb, tb, b
-        else:
-            left, t_l, v_l, right, t_r, v_r = pb, tb, b, pa, ta, a
-        piece = InvariantContactForm(
-            phi._restricted_unit(left.segment, t_l, v_l, right.segment, t_r, v_r),
-            line_form.radial._restricted_unit(t_l, t_r),
-        )
-        pieces.append(CutSpec(piece, eta, eta))
+        pieces.append(CutSpec(line_form._restricted_unit(pa, a, pb, b), eta, eta))
     # j ascends with phi, so t descends on a decreasing profile
     return pieces if phi.orientation > 0 else pieces[::-1]

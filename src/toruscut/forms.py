@@ -105,7 +105,9 @@ def _lattice_ranges(x: Sequence, floor, ceil, slopes: Sequence[int]) -> list[ran
 class ProfilePoint:
     """Parameter value where a profile meets a target angle.
 
-    The location inside segment [t_lo, t_hi] is the ratio of angle values
+    segment indexes [t_lo, t_hi] among the profile's segments, or for a
+    planar zero of `invariants.homotopy_certificate` among the merged
+    segments of the two profiles.  The location inside it is the ratio
     offset/span (span is the sweep across the segment, offset the part of
     it up to the target).  Both are `Angle`s, or both `AngleForm`s where
     the swept quantity is itself a combination of angles (the difference
@@ -383,21 +385,6 @@ class AngleProfile(_Grid):
             for j in js
         ]
 
-    def _restricted_unit(
-        self, i: int, t_a: Fraction, value_a: Angle, j: int, t_b: Fraction, value_b: Angle
-    ) -> "AngleProfile":
-        """The restriction to [t_a, t_b], mapped affinely onto [0, 1].
-
-        t_a lies on segment i and t_b on segment j as `solve` reports them
-        (a shared breakpoint on the earlier segment), where phi takes the
-        values value_a and value_b that the caller solved exactly.  The
-        breakpoints strictly inside are b[i + 1 .. j], without b[i + 1]
-        when t_a is b[i + 1], so nothing is searched: O(j - i).
-        """
-        i0 = i + 1 if t_a < self.breaks[i + 1] else i + 2
-        return self._restricted(t_a, value_a, i0, j + 1, t_b, value_b)
-
-
 @dataclass(frozen=True)
 class RadialProfile(_Grid):
     """Positive r(t), a product of piecewise affine factors.
@@ -487,19 +474,6 @@ class RadialProfile(_Grid):
         a, b = self.refined(other.breaks), other.refined(self.breaks)
         return RadialProfile(a.breaks, tuple(zip(*sorted((*zip(*a.values), *zip(*b.values))))))
 
-    def _restricted_unit(self, t_a: Fraction, t_b: Fraction) -> "RadialProfile":
-        """The restriction to [t_a, t_b], mapped affinely onto [0, 1].
-
-        The factor values at t_a and t_b are interpolated on their pieces,
-        found by two bisections, so the cost is O(log n + pieces kept).
-        """
-        # piece i0 holds t_a; breakpoints i0+1 .. i1-1 lie strictly inside
-        i0, i1 = self._piece(t_a), bisect_left(self.breaks, t_b)
-        return self._restricted(
-            t_a, self._factors(t_a, i0), i0 + 1, i1, t_b, self._factors(t_b, i1 - 1)
-        )
-
-
 @dataclass(frozen=True)
 class InvariantContactForm:
     """r(t) * (cos(phi(t)) dtheta_1 + sin(phi(t)) dtheta_2) on T^2 x [t0, t1],
@@ -527,6 +501,29 @@ class InvariantContactForm:
         return InvariantContactForm(
             self.phi.reparametrized(new_lo, new_hi),
             self.radial.reparametrized(new_lo, new_hi),
+        )
+
+    def _restricted_unit(
+        self, a: ProfilePoint, value_a: Angle, b: ProfilePoint, value_b: Angle
+    ) -> "InvariantContactForm":
+        """The form between two points, mapped affinely onto [0, 1].
+
+        a and b are where phi takes value_a and value_b, as `phi.solve`
+        reports them (a shared breakpoint on the earlier segment), with an
+        exact t each, in either order.  With the earlier on segment i and
+        the later on segment j, phi's breakpoints strictly inside are
+        b[i + 1 .. j], without b[i + 1] when the earlier point is on it, so
+        phi is not searched; the radial's are found by two bisections.
+        O(log n + breakpoints kept).
+        """
+        if a.t_fraction() > b.t_fraction():
+            a, value_a, b, value_b = b, value_b, a, value_a
+        t_a, t_b, phi, r = a.t_fraction(), b.t_fraction(), self.phi, self.radial
+        i = a.segment + (1 if t_a < phi.breaks[a.segment + 1] else 2)
+        lo, hi = r._piece(t_a), bisect_left(r.breaks, t_b)
+        return InvariantContactForm(
+            phi._restricted(t_a, value_a, i, b.segment + 1, t_b, value_b),
+            r._restricted(t_a, r._factors(t_a, lo), lo + 1, hi, t_b, r._factors(t_b, hi - 1)),
         )
 
 

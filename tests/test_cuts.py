@@ -33,7 +33,6 @@ from toruscut import (
     require_valid,
     slice_by_ray,
     sweep,
-    theta_angle,
     validate_cutspec,
 )
 from toruscut.angles import (
@@ -42,7 +41,6 @@ from toruscut.angles import (
     angle_add,
     angle_sub,
     direction_angle,
-    format_angle,
 )
 from toruscut.forms import ProfilePoint, contact_check
 
@@ -481,19 +479,28 @@ class TestSliceByRay:
             assert (g.v0, g.v1, g.violations) == (w.v0, w.v1, w.violations)
 
 
+PRIMITIVE_PAIRS = [
+    (k, l) for k in range(-6, 7) for l in range(-6, 7) if math.gcd(k, l) == 1
+]
+
+
 class TestModels:
-    @pytest.mark.parametrize(
-        "k, l, want", [(1, 1, "1,1;0"), (0, 3, "0,1;0"), (1, -1, "-1,1;0"), (1, 0, "-1,0;0")]
-    )
-    def test_theta_angle_in_zero_to_pi(self, k, l, want):
-        # Arg(k, l) <= 0 is lifted by pi into (0, pi]
-        assert format_angle(theta_angle(k, l)) == want
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("k, l", PRIMITIVE_PAIRS)
+    def test_lens_cutspec_valid_for_every_pair(self, k, l, j):
+        # phi rises from 0 to Arg(k, l) + 2 pi j when Arg(k, l) is in (0, pi],
+        # and one turn further when Arg(k, l) <= 0, so that it rises at all
+        spec = lens_cutspec(k, l, j)
+        assert validate_cutspec(spec) == []
+        assert spec.v1 == D.reduced(l, -k)
+        e = 1 if l < 0 or (l == 0 and k > 0) else 0
+        assert spec.form.phi.values[-1] == A(D.reduced(k, l), j + e)
 
     @pytest.mark.parametrize(
         "call, message",
         [
             (lambda: alpha_form(-1), "k must be nonnegative"),
-            (lambda: theta_angle(0, 0), "must be nonzero"),
+            (lambda: lens_cutspec(0, 0), "must be a nonzero"),
             (lambda: lens_cutspec(1, 1, 0), "j must be at least 1"),
             (lambda: rotating_line_form(0), "at least one turn"),
         ],

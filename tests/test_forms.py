@@ -251,11 +251,15 @@ class TestAngleProfile:
         assert new.compare_at(lam, phi.values[0]) == phi.compare_at(t_old, phi.values[0])
 
     def test_restricted_exact(self):
-        # the restriction to [1/10, 9/10], on [0, 1]: phi(1/2) is 5 pi/4
-        phi = alpha_phi(1)
-        sub = phi._restricted_unit(
-            0, F(1, 10), direction_angle((1, 1)), 0, F(9, 10), A(D(1, 1), 1)
-        )
+        # the restriction to [1/10, 9/10], on [0, 1]: phi(1/2) is 5 pi/4;
+        # the two solved ends are taken in either order
+        form = InvariantContactForm.unit(alpha_phi(1))
+        a, b = direction_angle((1, 1)), A(D(1, 1), 1)
+        pa, pb = form.phi.solve(a), form.phi.solve(b)
+        assert (pa.t_fraction(), pb.t_fraction()) == (F(1, 10), F(9, 10))
+        piece = form._restricted_unit(pa, a, pb, b)
+        assert form._restricted_unit(pb, b, pa, a) == piece
+        sub = piece.phi
         assert sub.breaks == (F(0), F(1))
         assert angle_sub(sub.values[1], sub.values[0]).pi_multiple() == F(2)
         assert sub.compare_at(F(1, 2), A(D(-1, -1), 1)) == 0
@@ -294,6 +298,21 @@ def refine_restricted(r, t_a, t_b):
 def segment_as_solved(breaks, t):
     """The segment `solve` reports t on: the earlier one at a shared breakpoint."""
     return max(0, bisect_left(breaks, t) - 1)
+
+
+def pinned(segment, t):
+    """A point on a segment whose exact t is t (its offset is its span), as
+    `solve` reports an end there."""
+    quarter = A(D(0, 1))
+    return ProfilePoint(segment, t, t, quarter, quarter)
+
+
+def radial_restricted(r, t_a, t_b):
+    """r restricted to [t_a, t_b] and mapped onto [0, 1] by the form-level
+    restriction, under a phi of one segment."""
+    phi = AngleProfile((r.t0, r.t1), (A(D(1, 0)), A(D(1, 0), 1)))
+    a, b = pinned(0, t_a), pinned(0, t_b)
+    return InvariantContactForm(phi, r)._restricted_unit(a, phi.values[0], b, phi.values[1]).radial
 
 
 def lattice_by_solving(phi, base):
@@ -428,8 +447,8 @@ class TestSolveBisection:
             (cuts, "add_half_turns"),
         ):
 
-            def counted(*args, _real=getattr(module, name, None), _name=name):
-                calls[_name] += 1
+            def counted(*args, _real=getattr(module, name, None), _key=(module, name)):
+                calls[_key] += 1
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted, raising=False)
@@ -451,24 +470,30 @@ class TestSolveBisection:
             assert calls["solve"] == 0
             # one solve per hit makes about J log n angle comparisons
             assert sum(calls.values()) <= 4 * (n + hits)
+            # each circle's angle is one step from the base, outside the walk
+            assert calls[cuts, "add_half_turns"] == hits
             # a pi/4 lattice on pi/4 values is walked in integer quarter turns
-            walked_in_angles = [calls[k] for k in ("angle_add", "negate", "add_half_turns")]
+            walked_in_angles = [calls[forms, k] for k in ("angle_add", "negate", "add_half_turns")]
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
 
     @given(monotone_profiles(), st.data())
     def test_restricted_exact_matches_scan(self, phi, data):
         t_a, t_b = data.draw(sub_intervals(phi.breaks))
-        i, j = segment_as_solved(phi.breaks, t_a), segment_as_solved(phi.breaks, t_b)
+        a = pinned(segment_as_solved(phi.breaks, t_a), t_a)
+        b = pinned(segment_as_solved(phi.breaks, t_b), t_b)
         value_a, value_b = phi.values[0], phi.values[-1]
-        sub = phi._restricted_unit(i, t_a, value_a, j, t_b, value_b)
+        ends = [(a, value_a), (b, value_b)]
+        if data.draw(st.booleans(), label="later end first"):
+            ends.reverse()
+        sub = InvariantContactForm.unit(phi)._restricted_unit(*ends[0], *ends[1]).phi
         ref = scan_restricted_exact(phi, t_a, value_a, t_b, value_b)
         assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
 
     @given(radial_profiles(), st.data())
     def test_radial_restricted_matches_refine(self, r, data):
         t_a, t_b = data.draw(sub_intervals(r.breaks))
-        sub = r._restricted_unit(t_a, t_b)
+        sub = radial_restricted(r, t_a, t_b)
         ref = refine_restricted(r, t_a, t_b)
         assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
         for t in sub.breaks:
@@ -574,7 +599,7 @@ class TestRadialProfile:
     def test_restricted(self):
         # [1/6, 2/3] onto [0, 1]: u = 2t - 1/3
         r = RadialProfile.from_values([0, F(1, 3), 1], [1, 3, 2])
-        sub = r._restricted_unit(F(1, 6), F(2, 3))
+        sub = radial_restricted(r, F(1, 6), F(2, 3))
         assert sub.breaks == (F(0), F(1, 3), F(1))
         for t in (F(1, 6), F(1, 3), F(1, 2), F(2, 3)):
             assert sub.evaluate(2 * t - F(1, 3)) == r.evaluate(t)
