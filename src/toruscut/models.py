@@ -4,8 +4,8 @@ These are the forms the rest of the package is exercised on.  Every cut
 datum here comes from one rule, `_lifted(v0, v1, turns)`: the unit-radius
 datum collapsing v0 at t = 0 and v1 at t = 1 whose phi rises from the
 clockwise perpendicular of v0 to the counterclockwise perpendicular of v1,
-by the fewest whole turns that make it rise, then by `turns` more, so
-every datum built here is valid.  alpha_form(k) rotates from angle 0 to
+lifted by the fewest whole turns that make it rise, then by `turns` more,
+so every datum built here is valid.  alpha_form(k) rotates from angle 0 to
 (4k+1) pi/2; with collapse vectors (0, 1) and (1, 0) it cuts to the
 3-sphere carrying the k-th structure in the family, whose ray-count
 invariant distinguishes every k.  lens_cutspec builds the cut datum whose
