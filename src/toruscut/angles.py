@@ -263,13 +263,16 @@ def angle_sub(a: Angle, b: Angle) -> Angle:
     return angle_add(a, negate(b))
 
 
+def _half_turns(a: Angle) -> tuple[tuple[Direction, int], tuple[Direction, int]]:
+    """a + j*pi is Angle(d, t + j // 2) for (d, t) at index j % 2: a's own,
+    or -a.dir with one more turn when Arg > 0, since adding pi then wraps."""
+    return (a.dir, a.turns), (-a.dir, a.turns + (1 if _argclass(a.dir) >= 2 else 0))
+
+
 def add_half_turns(a: Angle, j: int) -> Angle:
     """Exact a + j*pi."""
-    c, odd = divmod(j, 2)
-    if not odd:
-        return Angle(a.dir, a.turns + c)
-    bump = 1 if _argclass(a.dir) >= 2 else 0  # adding pi wraps iff Arg > 0
-    return Angle(-a.dir, a.turns + c + bump)
+    d, t = _half_turns(a)[j % 2]
+    return Angle(d, t + j // 2)
 
 
 def add_turns(a: Angle, n: int) -> Angle:

@@ -33,7 +33,7 @@ from .angles import (
     Angle,
     Direction,
     QUARTER_TURN,
-    add_half_turns,
+    _half_turns,
     add_turns,
     angle_add,
     angle_compare,
@@ -240,9 +240,12 @@ def complement_vector(eta: Direction) -> Direction:
 
 
 def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
-    """All reduced circles of the eta-moment's zero level, ordered by t."""
+    """All reduced circles of the eta-moment's zero level, ordered by t: one
+    per lattice hit, with the angle base + j*pi on one of the two directions
+    of base, read once per call, and one pass of the radial over the hits."""
     eta = _dir(eta)
     base = direction_angle(eta.perp())
+    steps = _half_turns(base)
     zeta = complement_vector(eta)
     x, y = to_float(eta.x), to_float(eta.y)
     mag = None if x is None or y is None else math.hypot(x, y)
@@ -250,15 +253,15 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     radii = form.radial.floats_along(pt for _, pt in hits)
     out = []
     for (j, pt), r in zip(hits, radii):
-        sign = 1 if j % 2 else -1
+        d, turns = steps[j % 2]
         # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
         q = None if r is None or mag is None else r / mag
         out.append(
             ReducedCircle(
                 index=j,
-                angle=add_half_turns(base, j),
+                angle=Angle(d, turns + j // 2),
                 point=pt,
-                coefficient=None if q is None or q < sys.float_info.min else sign * q,
+                coefficient=None if q is None or q < sys.float_info.min else (q if j % 2 else -q),
                 complement=zeta,
             )
         )
@@ -284,8 +287,9 @@ def slice_by_ray(
 
     Each piece is built once, on [0, 1]: two O(log n) `solve`s give its
     ends and their segments, which index its inner breakpoints without a
-    second search, so a piece costs O(log n + piece size), and its
-    CutSpec has nothing to reparametrize.
+    second search, and each inner breakpoint maps onto [0, 1] as one
+    Fraction from integers, so a piece costs O(log n + piece size), and
+    its CutSpec has nothing to reparametrize.
     """
     eta = _dir(eta)
     w0, w1 = window

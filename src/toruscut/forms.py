@@ -57,7 +57,7 @@ from .angles import (
     AngleForm,
     Direction,
     _fraction,
-    add_half_turns,
+    _half_turns,
     angle_compare,
     angle_of_quarters,
     angle_sub,
@@ -77,6 +77,7 @@ from .errors import (
 
 Rational = Fraction | int
 Eta = Direction | tuple[int, int]  # a pair need not be primitive: (2, 0) is 2 (1, 0)
+_ZERO, _ONE = Fraction(0), Fraction(1)  # the ends of every restricted domain
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -140,6 +141,8 @@ class ProfilePoint:
                 t_lo, t_hi = self.t_lo, self.t_hi
                 p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
                 return Fraction(p * u * qs + (s * r - p * u) * qo, r * u * qs)
+            if qo is None:  # an irrational offset: t is known only when it is the span
+                return self.t_hi if qs is None and offset == span else None
         if offset == span:
             return self.t_hi
         num = self.offset.pi_multiple()
@@ -166,8 +169,9 @@ class ProfilePoint:
         exact = self.t_fraction()
         if exact is not None:
             return to_float(exact)
+        (p, r), (s, u) = self.t_lo.as_integer_ratio(), self.t_hi.as_integer_ratio()
         lo = to_float(self.t_lo)
-        width = to_float(self.t_hi - self.t_lo, self.offset.ratio(self.span))
+        width = to_float(Fraction(s * r - p * u, r * u), self.offset.ratio(self.span))
         t = None if lo is None or width is None else lo + width
         return t if t is None or math.isfinite(t) else None
 
@@ -202,7 +206,8 @@ class _Grid:
     def __post_init__(self):
         b = tuple(map(_fraction, self.breaks))
         object.__setattr__(self, "breaks", b)
-        if any(not s < t for s, t in zip(b, b[1:])):
+        if any(s.numerator * t.denominator >= t.numerator * s.denominator
+               for s, t in zip(b, b[1:])):
             raise BadBreakpoints("breakpoints must be strictly ascending")
 
     @property
@@ -243,9 +248,11 @@ class _Grid:
         """The restriction to [t_a, t_b] mapped affinely onto [0, 1], where
         the profile takes value_a and value_b and breaks[lo:hi] are the
         breakpoints strictly inside: O(hi - lo)."""
-        w = t_b - t_a
+        (p, q), (r, s) = t_a.as_integer_ratio(), t_b.as_integer_ratio()
+        w = r * q - p * s  # t_b - t_a = w/(qs), so t = u/v maps to (uq - pv)s/(vw)
         return type(self)(
-            (0, *[(t - t_a) / w for t in self.breaks[lo:hi]], 1),
+            (_ZERO, *[Fraction((t.numerator * q - p * t.denominator) * s, t.denominator * w)
+                      for t in self.breaks[lo:hi]], _ONE),
             (value_a, *self.values[lo:hi], value_b),
         )
 
@@ -283,8 +290,10 @@ class AngleProfile(_Grid):
 
     @cached_property
     def _sweeps(self) -> tuple[Angle, ...]:
-        """values[i+1] - values[i] per segment, computed on first use."""
-        v = self.values
+        """values[i+1] - values[i] per segment, on first use; in quarters on pi/4 values."""
+        v, qs = self.values, self._quarters
+        if qs is not None:
+            return tuple(angle_of_quarters(y - x) for x, y in zip(qs, qs[1:]))
         return tuple(angle_sub(v[i + 1], v[i]) for i in range(len(v) - 1))
 
     def segments(self) -> Iterator[tuple[int, Fraction, Fraction, Angle, Angle, Angle]]:
@@ -367,23 +376,30 @@ class AngleProfile(_Grid):
         base and every value are pi/4 directions, else as `Angle`s.  A
         hit's offset is m[i] plus j half turns, its span the segment's
         sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
-        search; each point computes its exact t on first use.
+        search: a hit makes one offset `Angle`, a table lookup or one of
+        the two directions of m[i] that its segment reads once
+        (`angles._half_turns`), and one `ProfilePoint`, whose exact t is
+        computed on first use.
         """
         b, qs, q_base = self.breaks, self._quarters, base.quarters()
+        slopes = [self.orientation] * (len(b) - 1)
         if qs is not None and q_base is not None:
             m = [q_base - q for q in qs]
-            floor, ceil = (lambda d: -d // 4), (lambda d: -(d // 4))
-            step = lambda d, j: angle_of_quarters(d + 4 * j)
-        else:
-            m = [angle_sub(base, v) for v in self.values]
-            floor, ceil = (lambda a: -ceil_half_turns(a)), (lambda a: -floor_half_turns(a))
-            step = add_half_turns
-        ranges = _lattice_ranges(m, floor, ceil, [self.orientation] * (len(b) - 1))
-        return [
-            (j, ProfilePoint(i, b[i], b[i + 1], step(m[i], j), span))
-            for i, (span, js) in enumerate(zip(self._sweeps, ranges))
-            for j in js
-        ]
+            ranges = _lattice_ranges(m, lambda d: -d // 4, lambda d: -(d // 4), slopes)
+            return [
+                (j, ProfilePoint(i, b[i], b[i + 1], angle_of_quarters(m[i] + 4 * j), span))
+                for i, (span, js) in enumerate(zip(self._sweeps, ranges))
+                for j in js
+            ]
+        m = [angle_sub(base, v) for v in self.values]
+        floor, ceil = (lambda a: -ceil_half_turns(a)), (lambda a: -floor_half_turns(a))
+        hits = []
+        for i, (span, js) in enumerate(zip(self._sweeps, _lattice_ranges(m, floor, ceil, slopes))):
+            steps, t_lo, t_hi = _half_turns(m[i]), b[i], b[i + 1]
+            for j in js:
+                d, turns = steps[j % 2]
+                hits.append((j, ProfilePoint(i, t_lo, t_hi, Angle(d, turns + j // 2), span)))
+        return hits
 
 @dataclass(frozen=True)
 class RadialProfile(_Grid):

@@ -58,7 +58,8 @@ def lens_cutspec(k: int, l: int, j: int = 1) -> CutSpec:
     It collapses (0, 1) at t = 0 and (l, -k) at t = 1, and phi runs from 0
     to Arg(k, l) + 2 pi j at unit radius, or to Arg(k, l) + 2 pi (j + 1)
     when Arg(k, l) <= 0; j >= 1 adds full turns, changing the contact
-    structure but not the cut space.
+    structure but not the cut space.  For (1, 0), v1 = -v0: the end directions
+    coincide, the lift adds a whole turn, and `cc_profile` reads (j + 1, j + 2).
     """
     if j < 1:
         raise ValueError("j must be at least 1")

@@ -43,6 +43,7 @@ from toruscut.angles import (
     direction_angle,
 )
 from toruscut.forms import ProfilePoint, contact_check
+from toruscut.invariants import Arc, CCProfile, cc_count, cc_profile
 
 from quarter_reference import EIGHTHS, quarter_angle
 
@@ -495,6 +496,21 @@ class TestModels:
         assert spec.v1 == D.reduced(l, -k)
         e = 1 if l < 0 or (l == 0 and k > 0) else 0
         assert spec.form.phi.values[-1] == A(D.reduced(k, l), j + e)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_lens_one_zero_sweeps_j_plus_one_turns(self, j):
+        # v1 = (0, -1) = -v0, so phi starts and ends on the direction (1, 0)
+        # and the lift adds a whole turn: phi sweeps 2 pi (j + 1), which
+        # meets every ray j + 1 times and the ray of both ends j + 2 times
+        spec = lens_cutspec(1, 0, j)
+        assert spec.v1 == -spec.v0
+        x = D(1, 0)
+        assert spec.form.phi.values == (A(x), A(x, j + 1))
+        arcs = (Arc(A(x), A(x), A(x, 1), j + 1),)
+        assert cc_profile(spec) == CCProfile(arcs, j + 1, j + 2, A(x, j + 1))
+        assert [cc_count(spec, xi) for xi in ((1, 0), (0, 1), (-1, 0), (1, -1))] == [
+            j + 2, j + 1, j + 1, j + 1
+        ]
 
     @pytest.mark.parametrize(
         "call, message",

@@ -444,7 +444,6 @@ class TestSolveBisection:
             (forms, "angle_sub"),
             (forms, "negate"),
             (forms, "add_half_turns"),
-            (cuts, "add_half_turns"),
         ):
 
             def counted(*args, _real=getattr(module, name, None), _key=(module, name)):
@@ -459,6 +458,8 @@ class TestSolveBisection:
         monkeypatch.setattr(
             Angle, "pi_multiple", lambda a: calls.update(["pi_multiple"]) or pi_multiple(a)
         )
+        neg = D.__neg__
+        monkeypatch.setattr(D, "__neg__", lambda v: calls.update(["neg"]) or neg(v))
         for d in (D(1, 0), D(2, 1)):
             calls.clear()
             phi = AngleProfile(
@@ -470,10 +471,12 @@ class TestSolveBisection:
             assert calls["solve"] == 0
             # one solve per hit makes about J log n angle comparisons
             assert sum(calls.values()) <= 4 * (n + hits)
-            # each circle's angle is one step from the base, outside the walk
-            assert calls[cuts, "add_half_turns"] == hits
+            # a direction is negated at most once per segment and once per
+            # call, never per hit or per circle
+            assert calls["neg"] <= n, calls["neg"]
             # a pi/4 lattice on pi/4 values is walked in integer quarter turns
-            walked_in_angles = [calls[forms, k] for k in ("angle_add", "negate", "add_half_turns")]
+            keys = ("angle_add", "negate", "add_half_turns", "angle_sub")
+            walked_in_angles = [calls[forms, k] for k in keys]
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
 
@@ -515,6 +518,7 @@ class TestRadialProfile:
 
     def test_domain_and_piece_checks_are_geometry_errors(self):
         unit = RadialProfile.constant(1, (0, 1))
+        big, tiny = F(10**399 + 7), F(1, 10**800)
         cases = [
             (lambda: rescale(InvariantContactForm.unit(alpha_phi(1)),
                              RadialProfile.from_values([0, 2], [1, 1])),
@@ -528,6 +532,15 @@ class TestRadialProfile:
              "needs matching breaks/values"),
             (lambda: RadialProfile((F(0), F(1)), ((), ())), "needs matching breaks/values"),
             (lambda: RadialProfile((F(1), F(0)), ((F(1),), (F(1),))), "strictly ascending"),
+            # equal breakpoints given as an int and as a Fraction
+            (lambda: RadialProfile((0, F(0), F(1)), ((F(1),),) * 3), "strictly ascending"),
+            (lambda: AngleProfile((F(0), 0), (A(D(1, 0)), A(D(0, 1)))), "strictly ascending"),
+            # 400-digit neighbours 10^-800 apart, descending, and equal
+            (lambda: RadialProfile((big + tiny, big), ((F(1),),) * 2), "strictly ascending"),
+            (lambda: RadialProfile((big, big + 0), ((F(1),),) * 2), "strictly ascending"),
+            # negative breakpoints, descending
+            (lambda: RadialProfile((F(-1, 3), F(-1, 2)), ((F(1),),) * 2), "strictly ascending"),
+            (lambda: AngleProfile((-1, -2, 0), (A(D(1, 0)),) * 3), "strictly ascending"),
             (lambda: unit.reparametrized(1, 1), "reparametrization needs nondegenerate domains"),
             (lambda: alpha_phi(1).reparametrized(1, 0),
              "reparametrization needs nondegenerate domains"),
@@ -535,6 +548,9 @@ class TestRadialProfile:
         for call, message in cases:
             with pytest.raises(BadBreakpoints, match=message):
                 call()
+        # the same neighbours ascending, and negative ones, are accepted
+        assert RadialProfile((big, big + tiny), ((F(1),),) * 2).breaks == (big, big + tiny)
+        assert RadialProfile((F(-1, 2), F(-1, 3)), ((F(1),),) * 2).t1 == F(-1, 3)
 
     def test_outside_domain(self):
         r = RadialProfile.constant(1, (0, 1))
@@ -728,7 +744,11 @@ class TestMoment:
 
             return counted
 
-        monkeypatch.setattr(forms, "add_half_turns", counting("add_half_turns", add_half_turns))
+        # forms does not import add_half_turns; the name is added, so a call
+        # from a later import would be counted
+        monkeypatch.setattr(
+            forms, "add_half_turns", counting("add_half_turns", add_half_turns), raising=False
+        )
         monkeypatch.setattr(AngleProfile, "_locate", counting("_locate", AngleProfile._locate))
         monkeypatch.setattr(AngleForm, "sign", counting("sign", AngleForm.sign))
         assert moment_sign(form, (1, 2), F(1, 3)) == -1  # phi(1/3) = 2 pi (99 + 2/3)
@@ -1078,6 +1098,25 @@ class TestValueTypes:
         assert exact.t_float() is None and irrational.t_float() is None
         near = ProfilePoint(0, F(0), F(2), A(D(1, 1)), quarter)
         assert near.t_float() == 1.0
+
+    @given(monotone_profiles(), dirs())
+    def test_irrational_t_float_matches_its_formula(self, phi, eta):
+        points = [p for _, p in phi.solve_half_turn_lattice(direction_angle(eta))]
+        big, quarter = F(10**400), A(D(0, 1))
+        points += [
+            ProfilePoint(0, big, 2 * big, A(D(1, 2)), quarter),
+            ProfilePoint(0, -big, F(1, 3), A(D(1, 2)), quarter),
+        ]
+        for p in points:
+            if p.t_fraction() is not None:
+                continue
+            lo = to_float(p.t_lo)
+            width = to_float(p.t_hi - p.t_lo, p.offset.ratio(p.span))
+            want = None if lo is None or width is None else lo + width
+            got = p.t_float()
+            # bit for bit, and None on both sides beyond float range
+            assert (got is None) == (want is None), (p, got, want)
+            assert got is None or got.hex() == want.hex(), (p, got, want)
 
     def test_exact_t_is_not_compared_hashed_or_shown(self):
         (_, walked), _, _ = alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))
