@@ -290,10 +290,8 @@ class AngleProfile(_Grid):
 
     @cached_property
     def _sweeps(self) -> tuple[Angle, ...]:
-        """values[i+1] - values[i] per segment, on first use; in quarters on pi/4 values."""
-        v, qs = self.values, self._quarters
-        if qs is not None:
-            return tuple(angle_of_quarters(y - x) for x, y in zip(qs, qs[1:]))
+        """values[i+1] - values[i] per segment, computed on first use."""
+        v = self.values
         return tuple(angle_sub(v[i + 1], v[i]) for i in range(len(v) - 1))
 
     def segments(self) -> Iterator[tuple[int, Fraction, Fraction, Angle, Angle, Angle]]:

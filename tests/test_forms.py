@@ -443,7 +443,7 @@ class TestSolveBisection:
             (forms, "angle_add"),
             (forms, "angle_sub"),
             (forms, "negate"),
-            (forms, "add_half_turns"),
+            (forms, "_half_turns"),
         ):
 
             def counted(*args, _real=getattr(module, name, None), _key=(module, name)):
@@ -475,8 +475,7 @@ class TestSolveBisection:
             # call, never per hit or per circle
             assert calls["neg"] <= n, calls["neg"]
             # a pi/4 lattice on pi/4 values is walked in integer quarter turns
-            keys = ("angle_add", "negate", "add_half_turns", "angle_sub")
-            walked_in_angles = [calls[forms, k] for k in keys]
+            walked_in_angles = [calls[forms, k] for k in ("angle_add", "negate", "_half_turns")]
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
 
@@ -744,16 +743,14 @@ class TestMoment:
 
             return counted
 
-        # forms does not import add_half_turns; the name is added, so a call
-        # from a later import would be counted
-        monkeypatch.setattr(
-            forms, "add_half_turns", counting("add_half_turns", add_half_turns), raising=False
-        )
+        # base (-2, 1) is no pi/4 direction: a lattice walk would read its
+        # directions per segment through _half_turns
+        monkeypatch.setattr(forms, "_half_turns", counting("_half_turns", forms._half_turns))
         monkeypatch.setattr(AngleProfile, "_locate", counting("_locate", AngleProfile._locate))
         monkeypatch.setattr(AngleForm, "sign", counting("sign", AngleForm.sign))
         assert moment_sign(form, (1, 2), F(1, 3)) == -1  # phi(1/3) = 2 pi (99 + 2/3)
         assert calls["_locate"] == 1
-        assert calls["add_half_turns"] == 0
+        assert calls["_half_turns"] == 0
         assert 1 <= calls["sign"] <= 2
 
     @pytest.mark.parametrize(
