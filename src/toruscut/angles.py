@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import NonPrimitive, ZeroVector
 
@@ -159,6 +160,7 @@ def _arg_compare(a: Direction, b: Direction) -> int:
     return 0
 
 
+@total_ordering  # <= > >= from __lt__ and ==, exact since the form is canonical
 @dataclass(frozen=True, slots=True)
 class Angle:
     """Arg(dir) + 2*pi*turns, with Arg in (-pi, pi] and dir primitive."""
@@ -197,15 +199,6 @@ class Angle:
 
     def __lt__(self, other):
         return angle_compare(self, other) < 0
-
-    def __le__(self, other):
-        return angle_compare(self, other) <= 0
-
-    def __gt__(self, other):
-        return angle_compare(self, other) > 0
-
-    def __ge__(self, other):
-        return angle_compare(self, other) >= 0
 
 
 ZERO_ANGLE = Angle(UNIT_X, 0)
@@ -712,7 +705,7 @@ class AngleForm:
         else:
             t = -(-(sum(abs(c) for _, c in self.terms) + abs(self.r)) // self.den)
             lo, hi = -t - 1, t
-        while lo < hi:
+        while lo < hi:  # not `bisect`, which indexes by machine ints: t may be ~10**400
             mid = (lo + hi + 1) // 2
             if AngleForm._normal(self.terms, self.r - mid * self.den, 1).sign() >= 0:
                 lo = mid

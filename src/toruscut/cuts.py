@@ -36,7 +36,6 @@ from .angles import (
     _half_turns,
     add_turns,
     angle_add,
-    angle_compare,
     angle_sub,
     ceil_half_turns,
     direction_angle,
@@ -293,7 +292,7 @@ def slice_by_ray(
     """
     eta = _dir(eta)
     w0, w1 = window
-    if angle_compare(w0, w1) >= 0:
+    if w0 >= w1:
         raise ValueError("window must be an increasing pair of angles")
     phi = line_form.phi
     beta = direction_angle(eta)

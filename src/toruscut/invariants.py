@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import pairwise
 
 from .angles import (
     FULL_TURN,
@@ -51,7 +53,6 @@ from .angles import (
     _arg_compare,
     add_half_turns,
     add_turns,
-    angle_compare,
     angle_sub,
     cross,
 )
@@ -62,8 +63,9 @@ from .forms import AngleProfile, InvariantContactForm, ProfilePoint, _lattice_ra
 MODE_FIXED = "fixed-action"
 MODE_GL2Z = "modulo-GL2Z"
 
+_BY_ARG = cmp_to_key(_arg_compare)  # directions by principal argument
 # the eight pi/4 directions in increasing principal argument, k = -3..4
-_STANDARD_DIRECTIONS = _QUARTER_DIRS[5:] + _QUARTER_DIRS[:5]
+_STANDARD_DIRECTIONS = tuple(sorted(_QUARTER_DIRS, key=_BY_ARG))
 
 
 def _form_of(obj) -> InvariantContactForm:
@@ -152,7 +154,7 @@ def cc_profile(spec) -> CCProfile:
     q, a, b = _side(spec)
     start, end = Angle(a), Angle(b)
     rho = angle_sub(end, start)  # the partial arc, in [0, 2pi)
-    if angle_compare(rho, ZERO_ANGLE) < 0:
+    if rho < ZERO_ANGLE:
         rho = add_turns(rho, 1)
     if a == b:
         arcs = (Arc(start, start, FULL_TURN, q),)
@@ -188,12 +190,10 @@ def _candidates(ring):
     vector sum of its ends (a gap is at most pi/4, so the sum lies strictly
     inside it), then the gap's upper end, the wrap-around gap first.  Lazy:
     a search stops at the first candidate that decides it."""
-    prev = ring[-1]
-    for d in ring:
+    for prev, d in pairwise((ring[-1], *ring)):
         rep = Direction.reduced(prev.x + d.x, prev.y + d.y)
         yield rep, -rep
         yield d, -d
-        prev = d
 
 
 _STANDARD_CANDIDATES = tuple(_candidates(_STANDARD_DIRECTIONS))  # all arc ends pi/4
@@ -202,20 +202,12 @@ _STANDARD_CANDIDATES = tuple(_candidates(_STANDARD_DIRECTIONS))  # all arc ends 
 def _critical_directions(*sides):
     """The `_candidates` of the standard eight (the pi/4 directions, keys of
     `_QUARTERS`) and each arc end with its negative: `_STANDARD_CANDIDATES`
-    when all ends are standard, else the ring with the others and their
-    negatives, at most eight, put in by a linear scan that skips repeats."""
+    when all ends are standard, else all of them sorted by Arg; the set drops
+    repeats, since primitive directions with one Arg are equal."""
     ends = [d for _, a, b in sides for d in (a, b) if (d.x, d.y) not in _QUARTERS]
     if not ends:
         return _STANDARD_CANDIDATES
-    ring = list(_STANDARD_DIRECTIONS)
-    for d in ends:
-        for e in (d, -d):
-            i = 0
-            while (c := _arg_compare(ring[i], e)) < 0:
-                i += 1
-            if c:
-                ring.insert(i, e)
-    return _candidates(ring)
+    return _candidates(sorted({*_STANDARD_DIRECTIONS, *ends, *(-d for d in ends)}, key=_BY_ARG))
 
 
 def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .angles import Angle, Direction, angle_compare, angle_of_quarters
+from .angles import Angle, Direction, angle_of_quarters
 from .cuts import CutSpec, _dir
 from .forms import AngleProfile, InvariantContactForm
 
@@ -33,7 +33,7 @@ def _lifted(v0, v1, turns: int) -> CutSpec:
     """
     v0, v1 = _dir(v0), _dir(v1)
     start, end = Angle(-v0.perp()), Angle(v1.perp())
-    lift = 1 if angle_compare(end, start) <= 0 else 0
+    lift = 1 if end <= start else 0
     phi = AngleProfile((Fraction(0), Fraction(1)), (start, Angle(end.dir, lift + turns)))
     return CutSpec(InvariantContactForm.unit(phi), v0, v1)
 

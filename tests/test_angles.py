@@ -113,6 +113,21 @@ class TestCompare:
     def test_equality_is_structural(self, a):
         assert angle_compare(a, Angle(a.dir, a.turns)) == 0
 
+    @given(angles())
+    def test_operators_on_equal_angles(self, a):
+        b = Angle(Direction(a.dir.x, a.dir.y), a.turns)  # built separately
+        assert a is not b and a == b
+        assert (a < b, a <= b, a > b, a >= b) == (False, True, False, True)
+        assert max(a, b) is a and min(a, b) is a
+        assert sorted([a, b])[0] is a and sorted([b, a])[0] is b
+
+    def test_operators_on_pi_and_minus_quarter(self):
+        pi, low = A(-1, 0), A(1, -1)  # pi > -pi/4: the branch endpoint
+        assert (pi < low, pi <= low, pi > low, pi >= low) == (False, False, True, True)
+        assert (low < pi, low <= pi, low > pi, low >= pi) == (True, True, False, False)
+        assert max(low, pi) is pi and min(pi, low) is low
+        assert sorted([pi, low]) == [low, pi]
+
 
 class TestAddSub:
     def test_half_minus_quarter(self):

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
@@ -468,6 +469,9 @@ class TestDistinguishMatchesEnumeration:
 
         for name in ("cc_profile", "cc_count", "_arg_compare"):
             count(invariants, name)
+        # the ring is sorted through _BY_ARG, which holds the function it was
+        # built from: rebuild it on the counted one, so a sort counts too
+        monkeypatch.setattr(invariants, "_BY_ARG", cmp_to_key(invariants._arg_compare))
         # in invariants, and in angles, whose own helpers call them
         for name in ("angle_sub", "floor_half_turns"):
             for module in (angles, invariants):
@@ -496,9 +500,9 @@ class TestDistinguishMatchesEnumeration:
                     assert calls["reduced"] == 0  # the standard candidates are a constant
                 else:
                     # skew's two ends and their negatives are not standard:
-                    # four scans, of a ring of 8, 9, 10 and 11 directions at
-                    # most (22 calls today)
-                    assert calls["_arg_compare"] <= 2 + 8 + 9 + 10 + 11
+                    # the two q, and one sort of a ring of 12 directions, at
+                    # most 12 * ceil(log2 12) comparisons (2 + 30 calls today)
+                    assert calls["_arg_compare"] <= 2 + 12 * 4
         for spec in (alpha_cutspec(1), huge, skew):
             calls.clear()
             for xi in ((1, 0), (4, -2), D(-1, 1), D(7, 2)):
