@@ -729,9 +729,9 @@ def _int(text: str) -> int:
 
 
 def parse_angle(text: str) -> Angle:
-    """Parse "x,y;n" (";n" may be omitted when n = 0), integers by `_int`."""
-    body, _, tail = text.strip().partition(";")
-    turns = _int(tail) if tail else 0
+    """Parse "x,y;n" (";n" may be omitted when n = 0; a ";" needs its n), integers by `_int`."""
+    body, semi, tail = text.strip().partition(";")
+    turns = _int(tail) if semi else 0
     xs, _, ys = body.partition(",")
     if not ys:
         raise ValueError(f"bad angle literal {text!r}: expected x,y;n")

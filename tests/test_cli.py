@@ -61,6 +61,48 @@ form.domain = -3,3
 """
 
 
+# every integer and rational field of the spec grammar is set, each key on its own line
+FIELDS = """\
+form.phi.breaks = 0:1,0 1:0,1;1
+form.radial = 0:1 1:1
+collapse0 = 0,1
+collapse1 = 1,0
+form.domain = 0,1
+"""
+
+
+def _empty_field_cases():
+    """(spec text, command, line) with one integer or rational field left
+    empty: in a spec line, whose key's line the error names, or in an option
+    value, where line is None."""
+    edits = {
+        "literal-x": ("0:1,0 ", "0:,0 ", 1),
+        "literal-y": ("0:1,0 ", "0:1, ", 1),
+        "literal-n": ("0,1;1", "0,1;", 1),
+        "breakpoint-t": ("0:1,0", ":1,0", 1),
+        "breakpoint-value": ("0:1,0 ", "0: ", 1),
+        "radial-t": ("radial = 0:1", "radial = :1", 2),
+        "radial-value": ("1:1\n", "1:\n", 2),
+        "collapse0-x": ("collapse0 = 0,1", "collapse0 = ,1", 3),
+        "collapse0-y": ("collapse0 = 0,1", "collapse0 = 0,", 3),
+        "collapse1-x": ("collapse1 = 1,0", "collapse1 = ,0", 4),
+        "collapse1-y": ("collapse1 = 1,0", "collapse1 = 1,", 4),
+        "domain-t0": ("domain = 0,1", "domain = ,1", 5),
+        "domain-t1": ("domain = 0,1", "domain = 0,", 5),
+    }
+    cases = []
+    for name, (old, new, line) in edits.items():
+        assert FIELDS.count(old) == 1, name
+        cases.append(pytest.param(FIELDS.replace(old, new), ["check"], line, id=name))
+    for name, value in (("x", ",1"), ("y", "-1,")):
+        argv = ["invariants", "--direction", value]
+        cases.append(pytest.param(ALPHA1, argv, None, id=f"direction-{name}"))
+    for name, value in (("x", ",1"), ("y", "0,")):
+        argv = ["slice", "--eta", value, "--window", "-1,0;-2", "-1,0;1"]
+        cases.append(pytest.param(LINE, argv, None, id=f"eta-{name}"))
+    return cases
+
+
 def int_digit_limit():
     """Python's int <-> str digit limit, None before it existed (3.10.7)."""
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -409,6 +451,15 @@ class TestCliExitCodes:
         assert main(["check", path]) == 2
         err = capsys.readouterr().err
         assert "line 1" in err and repr(t) in err
+
+    @pytest.mark.parametrize("text, command, line", _empty_field_cases())
+    def test_empty_field_is_a_grammar_error(self, tmp_path, capsys, text, command, line):
+        # every integer and rational has one or more digits; a ';' needs its turn count
+        assert main(["check", spec_path(tmp_path, FIELDS, "fields.cut")]) == 0
+        capsys.readouterr()
+        assert main([command[0], spec_path(tmp_path, text), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f": line {line}: " in err if line else f"error: argument {command[1]}" in err
 
     @pytest.mark.parametrize("t", ["1/2", "0.5", "3"])
     def test_plain_rationals_parse(self, tmp_path, capsys, t):

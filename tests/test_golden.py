@@ -84,6 +84,10 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-slice-window-order"] = [
         "slice", "specs/line.cut", "--eta", "0,1", "--window", "1,0;1", "1,0;0"
     ]
+    # a ';' needs its turn count, in an option as in a spec file
+    cases["usage-slice-window-empty-turns"] = [
+        "slice", "specs/line.cut", "--eta", "0,1", "--window", "-1,0;", "-1,0;1"
+    ]
     # equal breakpoints and no radial line: the error names the phi line
     cases["check-equal-breaks"] = ["check", "tests/golden/equal_breaks.cut"]
     # and with a radial line: the phi line is named, before the radial is read
@@ -94,10 +98,12 @@ def _cases() -> dict[str, list[str]]:
     # collapse that is not a pair or not integers, an empty radial, a bad and
     # a non-primitive angle literal, a radial token without t:, a domain
     # that is not a pair, angle integers with digit separators or non-ASCII
-    # digits, and a file without form.phi.breaks, named after its last line
+    # digits, a file without form.phi.breaks, named after its last line, and
+    # an angle literal whose ';' has no turn count
     for stem in (
         "bad_pair", "bad_ints", "empty_radial", "bad_angle", "nonprimitive_angle",
         "radial_token", "domain_pair", "digit_separators", "non_ascii_digits", "no_phi",
+        "empty_turns",
     ):
         cases[f"check-{stem.replace('_', '-')}"] = ["check", f"tests/golden/{stem}.cut"]
     # a 401-digit collapse coordinate and a 401-digit radial value: the
