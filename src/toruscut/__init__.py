@@ -34,7 +34,6 @@ from .errors import (
     NonPositiveRadial,
     NonPrimitive,
     OutsideDomain,
-    SliceNotRepresentable,
     SpecSemanticError,
     SpecSyntaxError,
     ZeroSlopeSegment,

@@ -198,6 +198,8 @@ class Angle:
         return None if q is None else Fraction(q, 4)
 
     def __lt__(self, other):
+        if not isinstance(other, Angle):
+            return NotImplemented
         return angle_compare(self, other) < 0
 
 

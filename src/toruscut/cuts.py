@@ -17,8 +17,8 @@ moment function, with the coefficient of the reduced 1-form, and
 slice_by_ray chops a form on a long interval into the maximal cut pieces
 carved out by one moment inequality f_eta >= 0.  Both enumerate their
 output and pay only for it: a circle reads its hit's parameter only
-when the radial profile needs it, and a piece is built once, directly on
-[0, 1], from its two solved ends for O(log n + piece size).
+when the radial profile needs it, and a piece is built in normal form
+from its two end values alone, for O(1) each.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from .angles import (
     ceil_half_turns,
     direction_angle,
     floor_half_turns,
-    format_angle,
     to_float,
 )
-from .errors import InvalidCutSpec, SliceNotRepresentable
-from .forms import InvariantContactForm, ProfilePoint, _moment
+from .errors import InvalidCutSpec
+from .forms import AngleProfile, InvariantContactForm, ProfilePoint, _moment
 
 
 def _dir(v) -> Direction:
@@ -274,21 +273,18 @@ def slice_by_ray(
 
     The window is a pair of angle values restricting the relevant range of
     phi.  The moment of eta is nonnegative exactly where phi lies in
-    [Arg(eta) - pi/2 + 2 pi j, Arg(eta) + pi/2 + 2 pi j]; every such
-    interval contained in both the window and the swept range becomes one
-    CutSpec with both collapse vectors equal to eta, while intervals cut
-    off by the window or the domain are dropped.  Raises
-    SliceNotRepresentable when `ProfilePoint.t_fraction` finds no exact
-    parameter for an interval endpoint: an irrational one, or a rational
-    one between irrational but commensurable angles (never the case for
-    breakpoint values that differ from eta's angle by rational multiples
-    of pi).
+    [a, b] = [Arg(eta) - pi/2 + 2 pi j, Arg(eta) + pi/2 + 2 pi j]; every
+    such interval contained in both the window and the swept range becomes
+    one CutSpec with both collapse vectors equal to eta, while intervals
+    cut off by the window or the domain are dropped.
 
-    Each piece is built once, on [0, 1]: two O(log n) `solve`s give its
-    ends and their segments, which index its inner breakpoints without a
-    second search, and each inner breakpoint maps onto [0, 1] as one
-    Fraction from integers, so a piece costs O(log n + piece size), and
-    its CutSpec has nothing to reparametrize.
+    Each piece is given in normal form: phi from a to b (from b to a on a
+    decreasing profile) on [0, 1] with two breakpoints and a unit radial.
+    That is the input form on the part of its domain where phi sweeps
+    [a, b], up to an equivariant contactomorphism: a monotone change of
+    the parameter makes phi affine there, and a positive radial factor
+    leaves ker alpha as it is.  No parameter is solved, so every legal
+    form is sliced, and a piece costs O(1).
     """
     eta = _dir(eta)
     w0, w1 = window
@@ -304,13 +300,7 @@ def slice_by_ray(
     pieces = []
     for j in range(j_min, j_max + 1):
         a, b = add_turns(start, j), add_turns(stop, j)
-        pa, pb = phi.solve(a), phi.solve(b)
-        ta, tb = pa.t_fraction(), pb.t_fraction()
-        if ta is None or tb is None:
-            raise SliceNotRepresentable(
-                f"slice endpoint at phi = {format_angle(b if ta is not None else a)} "
-                "is not a rational parameter"
-            )
-        pieces.append(CutSpec(line_form._restricted_unit(pa, a, pb, b), eta, eta))
+        ends = (a, b) if phi.orientation > 0 else (b, a)
+        pieces.append(CutSpec(InvariantContactForm.unit(AngleProfile((0, 1), ends)), eta, eta))
     # j ascends with phi, so t descends on a decreasing profile
     return pieces if phi.orientation > 0 else pieces[::-1]

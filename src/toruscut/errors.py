@@ -85,16 +85,6 @@ class EndpointMismatch(GeometryError):
         super().__init__(f"boundary angle directions differ at t={end}: {a} vs {b}")
 
 
-class SliceNotRepresentable(GeometryError):
-    """A ray slice whose cut boundary has no exact rational parameter.
-
-    Slicing produces new compact pieces whose breakpoints must be rational
-    to form cut specs.  An end is refused, not rounded, when
-    `ProfilePoint.t_fraction` gives None: its t is irrational, or rational
-    between two irrational but commensurable angles, which is not detected.
-    """
-
-
 class _SpecError(Exception):
     """An error of an input file, at its line."""
 

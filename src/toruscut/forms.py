@@ -46,7 +46,7 @@ segment, O(n + J): the hits of phi on a half-turn lattice
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -77,7 +77,6 @@ from .errors import (
 
 Rational = Fraction | int
 Eta = Direction | tuple[int, int]  # a pair need not be primitive: (2, 0) is 2 (1, 0)
-_ZERO, _ONE = Fraction(0), Fraction(1)  # the ends of every restricted domain
 
 
 def _literal(a: Angle | AngleForm) -> str:
@@ -197,9 +196,9 @@ class _Grid:
     breaks[i + 1]]: the rules that `AngleProfile` and `RadialProfile`
     share, each written once.  A profile holds one entry of `values` per
     breakpoint and is read per piece by linear interpolation, so the
-    surgery below (reversal, reparametrization, restriction) moves
-    breakpoints and keeps values.  A profile checks its values, then calls
-    this `__post_init__`."""
+    surgery below (reversal, reparametrization) moves breakpoints and
+    keeps values.  A profile checks its values, then calls this
+    `__post_init__`."""
 
     breaks: tuple[Fraction, ...]
 
@@ -243,18 +242,6 @@ class _Grid:
             raise BadBreakpoints("reparametrization needs nondegenerate domains")
         breaks = tuple(new_lo + (t - self.t0) / span * new_span for t in self.breaks)
         return type(self)(breaks, self.values)
-
-    def _restricted(self, t_a: Fraction, value_a, lo: int, hi: int, t_b: Fraction, value_b):
-        """The restriction to [t_a, t_b] mapped affinely onto [0, 1], where
-        the profile takes value_a and value_b and breaks[lo:hi] are the
-        breakpoints strictly inside: O(hi - lo)."""
-        (p, q), (r, s) = t_a.as_integer_ratio(), t_b.as_integer_ratio()
-        w = r * q - p * s  # t_b - t_a = w/(qs), so t = u/v maps to (uq - pv)s/(vw)
-        return type(self)(
-            (_ZERO, *[Fraction((t.numerator * q - p * t.denominator) * s, t.denominator * w)
-                      for t in self.breaks[lo:hi]], _ONE),
-            (value_a, *self.values[lo:hi], value_b),
-        )
 
 
 @dataclass(frozen=True)
@@ -515,29 +502,6 @@ class InvariantContactForm:
         return InvariantContactForm(
             self.phi.reparametrized(new_lo, new_hi),
             self.radial.reparametrized(new_lo, new_hi),
-        )
-
-    def _restricted_unit(
-        self, a: ProfilePoint, value_a: Angle, b: ProfilePoint, value_b: Angle
-    ) -> "InvariantContactForm":
-        """The form between two points, mapped affinely onto [0, 1].
-
-        a and b are where phi takes value_a and value_b, as `phi.solve`
-        reports them (a shared breakpoint on the earlier segment), with an
-        exact t each, in either order.  With the earlier on segment i and
-        the later on segment j, phi's breakpoints strictly inside are
-        b[i + 1 .. j], without b[i + 1] when the earlier point is on it, so
-        phi is not searched; the radial's are found by two bisections.
-        O(log n + breakpoints kept).
-        """
-        if a.t_fraction() > b.t_fraction():
-            a, value_a, b, value_b = b, value_b, a, value_a
-        t_a, t_b, phi, r = a.t_fraction(), b.t_fraction(), self.phi, self.radial
-        i = a.segment + (1 if t_a < phi.breaks[a.segment + 1] else 2)
-        lo, hi = r._piece(t_a), bisect_left(r.breaks, t_b)
-        return InvariantContactForm(
-            phi._restricted(t_a, value_a, i, b.segment + 1, t_b, value_b),
-            r._restricted(t_a, r._factors(t_a, lo), lo + 1, hi, t_b, r._factors(t_b, hi - 1)),
         )
 
 

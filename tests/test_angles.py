@@ -128,6 +128,13 @@ class TestCompare:
         assert max(low, pi) is pi and min(pi, low) is low
         assert sorted([pi, low]) == [low, pi]
 
+    def test_order_with_other_types_is_a_type_error(self):
+        a = Angle(Direction(1, 0))
+        for compare in (lambda: a < 1, lambda: a >= 1, lambda: sorted([a, None])):
+            with pytest.raises(TypeError):
+                compare()
+        assert (a == 1, a != None) == (False, True)  # noqa: E711
+
 
 class TestAddSub:
     def test_half_minus_quarter(self):

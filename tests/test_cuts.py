@@ -19,7 +19,6 @@ from toruscut import (
     NonMonotone,
     NonPrimitive,
     RadialProfile,
-    SliceNotRepresentable,
     alpha_cutspec,
     alpha_form,
     angle_compare,
@@ -43,7 +42,7 @@ from toruscut.angles import (
     direction_angle,
 )
 from toruscut.forms import ProfilePoint, contact_check
-from toruscut.invariants import Arc, CCProfile, cc_count, cc_profile
+from toruscut.invariants import Arc, CCProfile, cc_count, cc_profile, detect_overtwisted
 
 from quarter_reference import EIGHTHS, quarter_angle
 
@@ -412,7 +411,7 @@ class TestSliceByRay:
             assert angle_compare(hi, lo) < 0
 
     def test_pieces_equal_unit_cut_data(self):
-        # a constant radial restricts to the unit radial a hand-built datum has
+        # every piece has the unit radial that a hand-built datum has
         pieces = slice_by_ray(rotating_line_form(3), (0, 1), (turns(-3), turns(3)))
         for piece in pieces:
             unit = InvariantContactForm.unit(piece.form.phi)
@@ -453,16 +452,21 @@ class TestSliceByRay:
         with pytest.raises(ValueError):
             slice_by_ray(rotating_line_form(3), (0, 1), (turns(3), turns(-3)))
 
-    def test_incommensurable_endpoint_not_representable(self):
+    def test_incommensurable_endpoint_piece(self):
+        # phi = pi at an irrational t; the piece is read from its end values
         phi = AngleProfile((F(0), F(1)), (A(D(1, 0)), A(D(2, 1), 1)))
         form = InvariantContactForm.unit(phi)
-        with pytest.raises(SliceNotRepresentable):
-            slice_by_ray(form, (0, 1), (turns(-3), turns(3)))
+        unit = InvariantContactForm.unit(AngleProfile((0, 1), (A(D(1, 0)), A(D(-1, 0)))))
+        assert slice_by_ray(form, (0, 1), (turns(-3), turns(3))) == [
+            CutSpec(unit, D(0, 1), D(0, 1))
+        ]
 
     @given(line_like_forms(), st.sampled_from(EIGHTHS), st.data())
     @settings(max_examples=200)
     def test_pieces_match_restriction_then_reparametrization(self, form, eta, data):
-        # window ends on breakpoint values and on other multiples of pi/4
+        # window ends on breakpoint values and on other multiples of pi/4;
+        # a piece in normal form and the restricted one agree in every
+        # invariant that is read off a cut datum
         ends = st.one_of(
             st.sampled_from(form.phi.values), st.integers(-60, 120).map(quarter_angle)
         )
@@ -472,12 +476,65 @@ class TestSliceByRay:
         got, want = slice_by_ray(form, eta, window), slice_by_restriction(form, eta, window)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert (g.form.phi.breaks, g.form.phi.values) == (w.form.phi.breaks, w.form.phi.values)
-            assert (g.form.radial.breaks, g.form.radial.values) == (
-                w.form.radial.breaks,
-                w.form.radial.values,
-            )
             assert (g.v0, g.v1, g.violations) == (w.v0, w.v1, w.violations)
+            gv, wv = g.form.phi.values, w.form.phi.values
+            assert (gv[0], gv[-1]) == (wv[0], wv[-1])
+            assert classify_lens(g) == classify_lens(w)
+            assert cc_profile(g) == cc_profile(w)
+            assert detect_overtwisted(g) == detect_overtwisted(w) is None
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_pieces_are_the_moment_intervals(self, data):
+        # values of any primitive directions, up to 10^30 whole turns, in
+        # either orientation, sliced along any eta in a window of any ends
+        big = st.integers(-(10**30), 10**30)
+        t0 = data.draw(big, label="turns")
+        values = {A(data.draw(dirs()), t0 + data.draw(st.integers(0, 4))) for _ in range(6)}
+        assume(len(values) > 1)
+        values = sorted(values)
+        v_lo, v_hi = values[0], values[-1]
+        if data.draw(st.booleans(), label="decreasing"):
+            values.reverse()
+        phi = AngleProfile(tuple(range(len(values))), tuple(values))
+        w = sorted({A(data.draw(dirs()), t0 + data.draw(st.integers(-2, 6))) for _ in range(2)})
+        assume(len(w) == 2)
+        eta = data.draw(dirs())
+
+        def arg(v):
+            return math.atan2(v.y, v.x)
+
+        def key(a):  # whole turns, then the Arg: ordered as the angles are
+            return (a.turns, arg(a.dir))
+
+        lo_turns, lo_arg = max(key(w[0]), key(v_lo))
+        hi_turns, hi_arg = min(key(w[1]), key(v_hi))
+        # the j with Arg(eta) - pi/2 + 2 pi j >= lo and Arg(eta) + pi/2 + 2 pi j
+        # <= hi, counted in whole turns with the Args' share in floats
+        beta = arg(eta)
+        x = (lo_arg - beta + math.pi / 2) / (2 * math.pi)
+        y = (hi_arg - beta - math.pi / 2) / (2 * math.pi)
+        assume(min(abs(x - round(x)), abs(y - round(y))) > 1e-9)
+        js = range(lo_turns + math.ceil(x), hi_turns + math.floor(y) + 1)
+        pieces = slice_by_ray(InvariantContactForm.unit(phi), eta, tuple(w))
+        assert len(pieces) == len(js)
+        for spec, j in zip(pieces, js[:: phi.orientation]):
+            assert spec.violations == () and spec.v0 == spec.v1 == eta
+            # Arg(eta) -+ pi/2 + 2 pi j lie on the directions (y, -x) and (-y, x)
+            ends = tuple(
+                A(d, j + round((beta + s * math.pi / 2 - arg(d)) / (2 * math.pi)))
+                for d, s in ((D(eta.y, -eta.x), -1), (D(-eta.y, eta.x), 1))
+            )
+            assert spec.form.phi.values == ends[:: phi.orientation]
+
+    def test_pieces_solve_no_parameter(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a slice piece solved a parameter")
+
+        monkeypatch.setattr(AngleProfile, "solve", refuse)
+        monkeypatch.setattr(ProfilePoint, "t_fraction", refuse)
+        window = (A(D(1, 0), -100), A(D(1, 0), 100))
+        assert len(slice_by_ray(rotating_line_form(60), (1, 1), window)) == 59
 
 
 PRIMITIVE_PAIRS = [

@@ -2,13 +2,13 @@
 
 import importlib.util
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruscut import (
@@ -127,20 +127,6 @@ def radial_profiles(draw, max_segments=4):
     return r
 
 
-@st.composite
-def sub_intervals(draw, breaks):
-    """t_a < t_b inside [breaks[0], breaks[-1]]; endpoints often breakpoints."""
-
-    def point():
-        if draw(st.booleans()):
-            return draw(st.sampled_from(breaks))
-        return draw(rational_in(breaks[0], breaks[-1]))
-
-    t_a, t_b = point(), point()
-    assume(t_a != t_b)
-    return min(t_a, t_b), max(t_a, t_b)
-
-
 def rational_in(lo, hi, q=840):
     # evenly spread rationals with denominator q
     n_lo = math.ceil(lo * q)
@@ -250,20 +236,6 @@ class TestAngleProfile:
         t_old = phi.t0 + (phi.t1 - phi.t0) * lam
         assert new.compare_at(lam, phi.values[0]) == phi.compare_at(t_old, phi.values[0])
 
-    def test_restricted_exact(self):
-        # the restriction to [1/10, 9/10], on [0, 1]: phi(1/2) is 5 pi/4;
-        # the two solved ends are taken in either order
-        form = InvariantContactForm.unit(alpha_phi(1))
-        a, b = direction_angle((1, 1)), A(D(1, 1), 1)
-        pa, pb = form.phi.solve(a), form.phi.solve(b)
-        assert (pa.t_fraction(), pb.t_fraction()) == (F(1, 10), F(9, 10))
-        piece = form._restricted_unit(pa, a, pb, b)
-        assert form._restricted_unit(pb, b, pa, a) == piece
-        sub = piece.phi
-        assert sub.breaks == (F(0), F(1))
-        assert angle_sub(sub.values[1], sub.values[0]).pi_multiple() == F(2)
-        assert sub.compare_at(F(1, 2), A(D(-1, -1), 1)) == 0
-
 
 def scan_solve(phi, target):
     """Reference solve: the first segment in parameter order whose closed
@@ -276,43 +248,6 @@ def scan_solve(phi, target):
                 i, phi.breaks[i], phi.breaks[i + 1], angle_sub(target, v0), angle_sub(v1, v0)
             )
     return None
-
-
-def scan_restricted_exact(phi, t_a, value_a, t_b, value_b):
-    """Reference restriction onto [0, 1]: keep the breakpoints strictly
-    inside (t_a, t_b), then reparametrize."""
-    mid = [(t, v) for t, v in zip(phi.breaks, phi.values) if t_a < t < t_b]
-    return AngleProfile(
-        (t_a, *[t for t, _ in mid], t_b), (value_a, *[v for _, v in mid], value_b)
-    ).reparametrized(0, 1)
-
-
-def refine_restricted(r, t_a, t_b):
-    """Reference restriction onto [0, 1]: refine at both ends, keep [t_a,
-    t_b], then reparametrize."""
-    fine = r.refined([t_a, t_b])
-    i0, i1 = fine.breaks.index(t_a), fine.breaks.index(t_b)
-    return RadialProfile(fine.breaks[i0 : i1 + 1], fine.values[i0 : i1 + 1]).reparametrized(0, 1)
-
-
-def segment_as_solved(breaks, t):
-    """The segment `solve` reports t on: the earlier one at a shared breakpoint."""
-    return max(0, bisect_left(breaks, t) - 1)
-
-
-def pinned(segment, t):
-    """A point on a segment whose exact t is t (its offset is its span), as
-    `solve` reports an end there."""
-    quarter = A(D(0, 1))
-    return ProfilePoint(segment, t, t, quarter, quarter)
-
-
-def radial_restricted(r, t_a, t_b):
-    """r restricted to [t_a, t_b] and mapped onto [0, 1] by the form-level
-    restriction, under a phi of one segment."""
-    phi = AngleProfile((r.t0, r.t1), (A(D(1, 0)), A(D(1, 0), 1)))
-    a, b = pinned(0, t_a), pinned(0, t_b)
-    return InvariantContactForm(phi, r)._restricted_unit(a, phi.values[0], b, phi.values[1]).radial
 
 
 def lattice_by_solving(phi, base):
@@ -479,28 +414,6 @@ class TestSolveBisection:
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
 
-    @given(monotone_profiles(), st.data())
-    def test_restricted_exact_matches_scan(self, phi, data):
-        t_a, t_b = data.draw(sub_intervals(phi.breaks))
-        a = pinned(segment_as_solved(phi.breaks, t_a), t_a)
-        b = pinned(segment_as_solved(phi.breaks, t_b), t_b)
-        value_a, value_b = phi.values[0], phi.values[-1]
-        ends = [(a, value_a), (b, value_b)]
-        if data.draw(st.booleans(), label="later end first"):
-            ends.reverse()
-        sub = InvariantContactForm.unit(phi)._restricted_unit(*ends[0], *ends[1]).phi
-        ref = scan_restricted_exact(phi, t_a, value_a, t_b, value_b)
-        assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
-
-    @given(radial_profiles(), st.data())
-    def test_radial_restricted_matches_refine(self, r, data):
-        t_a, t_b = data.draw(sub_intervals(r.breaks))
-        sub = radial_restricted(r, t_a, t_b)
-        ref = refine_restricted(r, t_a, t_b)
-        assert (sub.breaks, sub.values) == (ref.breaks, ref.values)
-        for t in sub.breaks:
-            assert sub.evaluate(t) == r.evaluate(t_a + (t_b - t_a) * t)
-
 
 class TestRadialProfile:
     def test_positive_required(self):
@@ -610,14 +523,6 @@ class TestRadialProfile:
         new = r.reparametrized(F(-1), F(3))
         t = F(i, 840)
         assert new.evaluate(-1 + 4 * t) == r.evaluate(t)
-
-    def test_restricted(self):
-        # [1/6, 2/3] onto [0, 1]: u = 2t - 1/3
-        r = RadialProfile.from_values([0, F(1, 3), 1], [1, 3, 2])
-        sub = radial_restricted(r, F(1, 6), F(2, 3))
-        assert sub.breaks == (F(0), F(1, 3), F(1))
-        for t in (F(1, 6), F(1, 3), F(1, 2), F(2, 3)):
-            assert sub.evaluate(2 * t - F(1, 3)) == r.evaluate(t)
 
     @given(radial_profiles(), st.data())
     def test_floats_along_matches_pointwise(self, r, data):

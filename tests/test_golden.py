@@ -187,6 +187,13 @@ def _cases() -> dict[str, list[str]]:
         "slice", "tests/golden/huge_turns.cut", "--eta", "0,1",
         "--window", f"-1,0;{huge - 2}", f"-1,0;{huge}",
     ]
+    # a slice whose ends have no rational parameter on the input form: each
+    # piece is built from its two end values alone
+    for fmt in ("text", "json"):
+        cases[f"slice-big-direction-{fmt}"] = [
+            "slice", "tests/golden/big_direction.cut", "--eta", "2,1",
+            "--window", "1,0;0", "0,1;2", "--format", fmt,
+        ]
     cases["profile-turns-e308-json"] = [
         "profile", "tests/golden/turns_e308.cut", "--format", "json"
     ]
