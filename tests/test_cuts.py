@@ -488,8 +488,7 @@ class TestSliceByRay:
     def test_pieces_are_the_moment_intervals(self, data):
         # values of any primitive directions, up to 10^30 whole turns, in
         # either orientation, sliced along any eta in a window of any ends
-        big = st.integers(-(10**30), 10**30)
-        t0 = data.draw(big, label="turns")
+        t0 = data.draw(st.integers(-(10**30), 10**30), label="turns")
         values = {A(data.draw(dirs()), t0 + data.draw(st.integers(0, 4))) for _ in range(6)}
         assume(len(values) > 1)
         values = sorted(values)

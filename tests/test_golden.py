@@ -187,8 +187,9 @@ def _cases() -> dict[str, list[str]]:
         "slice", "tests/golden/huge_turns.cut", "--eta", "0,1",
         "--window", f"-1,0;{huge - 2}", f"-1,0;{huge}",
     ]
-    # a slice whose ends have no rational parameter on the input form: each
-    # piece is built from its two end values alone
+    # a slice of a form through a 101-digit direction that is not pi/4,
+    # whose piece ends have no known rational t: each piece is built from
+    # its two end values alone
     for fmt in ("text", "json"):
         cases[f"slice-big-direction-{fmt}"] = [
             "slice", "tests/golden/big_direction.cut", "--eta", "2,1",
