@@ -146,6 +146,19 @@ def _cases() -> dict[str, list[str]]:
             "homotopy", "tests/golden/opposite_dirs.cut",
             "tests/golden/opposite_dirs_partner.cut", "--format", fmt,
         ]
+    # near-ties of the exact fallback: at t = p/q, a continued-fraction
+    # convergent of Arg(3,1)/Arg(2,1), the difference is within a hair of
+    # -pi (the C pairs: its exact sign decides which merged segment holds
+    # zero0) or of 0 (the B pair: no output byte depends on that near-tie)
+    for fmt in ("text", "json"):
+        for q_digits in ("20", "200"):
+            cases[f"homotopy-near-tie-c{q_digits}-{fmt}"] = [
+                "homotopy", "tests/golden/near_tie_a.cut",
+                f"tests/golden/near_tie_c{q_digits}.cut", "--format", fmt,
+            ]
+    cases["homotopy-near-tie-b200-text"] = [
+        "homotopy", "tests/golden/near_tie_a.cut", "tests/golden/near_tie_b200.cut"
+    ]
     # the ray count at the arc ends of lens21_j1 and at their negatives, on
     # a non-primitive direction, and on the zero vector (exit 3)
     for direction in ("1,0", "-1,0", "2,1", "-2,-1", "4,-2"):
@@ -194,6 +207,13 @@ def _cases() -> dict[str, list[str]]:
         cases[f"slice-big-direction-{fmt}"] = [
             "slice", "tests/golden/big_direction.cut", "--eta", "2,1",
             "--window", "1,0;0", "0,1;2", "--format", fmt,
+        ]
+    # a slice of a decreasing profile: pieces in t order, each from its
+    # value at the lower t to its value at the upper t
+    for fmt in ("text", "json"):
+        cases[f"slice-line-reversed-{fmt}"] = [
+            "slice", "tests/golden/line_reversed.cut", "--eta", "0,1",
+            "--window", "-1,0;-2", "-1,0;1", "--format", fmt,
         ]
     cases["profile-turns-e308-json"] = [
         "profile", "tests/golden/turns_e308.cut", "--format", "json"
