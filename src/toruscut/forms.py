@@ -36,11 +36,11 @@ returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio is read as a Fraction when both differences are rational
 multiples of pi, computed once, on first use.
-One rule, `_lattice_ranges`, walks the n segments of a piecewise-affine
-function once and gives the J lattice points it crosses as one range per
-segment, O(n + J): the hits of phi on a half-turn lattice
-(`solve_half_turn_lattice`, in quarter counts on pi/4 data, else in
-`Angle`s), and the planar zeros of `invariants.homotopy_certificate`.
+One rule, `_lattice_ranges`, reads a piecewise-affine function's floor
+and ceiling at its n + 1 breakpoints, with no slope, and gives the J
+lattice points it crosses as one range per segment, O(n + J): the hits of
+phi on a half-turn lattice (`solve_half_turn_lattice`, quarter counts on
+pi/4 data, else `Angle`s), and `invariants.homotopy_certificate`'s zeros.
 """
 
 from __future__ import annotations
@@ -83,22 +83,19 @@ def _literal(a: Angle | AngleForm) -> str:
     return format_angle(a) if isinstance(a, Angle) else str(a)
 
 
-def _lattice_ranges(x: Sequence, floor, ceil, slopes: Sequence[int]) -> list[range]:
+def _lattice_ranges(f: Sequence[int], c: Sequence[int]) -> list[range]:
     """The integers that a piecewise-affine x crosses, one `range` per
-    segment in t order: those in (x[k], x[k + 1]] ascending where slopes[k]
-    > 0, in [x[k + 1], x[k]) descending where it is < 0, none where it is
-    0, and the first segment is also closed at x[0].  x[k] is read only as
-    floor(x[k]) and ceil(x[k]), in lattice units, and once along a run of
-    one slope: a range's stop is the next one's start."""
-    out, start, prev = [], 0, 0
-    for k, s in enumerate(slopes):
-        if s and s != prev:
-            first, last = (ceil, floor) if s > 0 else (floor, ceil)
-            start = first(x[0]) if k == 0 else last(x[k]) + s
-        stop = last(x[k + 1]) + s if s else start
-        out.append(range(start, stop, s or 1))
-        start, prev = stop, s
-    return out
+    segment in t order, from x's floor f[k] and ceiling c[k] at each
+    breakpoint: in [x[k + 1], x[k]) descending where f or c drops, else in
+    (x[k], x[k + 1]] ascending, and the first segment is also closed at
+    x[0].  No slope is asked: where x falls but neither drops, no integer
+    lies between the two ends, so the rising branch's empty range is right."""
+    return [
+        range(c[k] - 1 if k else f[k], c[k + 1] - 1, -1)
+        if f[k + 1] < f[k] or c[k + 1] < c[k]
+        else range(f[k] + 1 if k else c[k], f[k + 1] + 1)
+        for k in range(len(f) - 1)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,9 +353,10 @@ class AngleProfile(_Grid):
 
         Each lattice value in range is hit exactly once, a hit on a shared
         breakpoint on the earlier segment: the j of segment i are
-        `_lattice_ranges` of v[i] - base in half turns, read from m[i] =
-        base - v[i] in integer quarter counts (`Angle.quarters`) when the
-        base and every value are pi/4 directions, else as `Angle`s.  A
+        `_lattice_ranges` of the floors and ceilings of v[i] - base in half
+        turns, read from m[i] = base - v[i] in integer quarter counts
+        (`Angle.quarters`) when the base and every value are pi/4
+        directions, else as `Angle`s; the orientation is not asked.  A
         hit's offset is m[i] plus j half turns, its span the segment's
         sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
         search: a hit makes one offset `Angle`, a table lookup or one of
@@ -367,19 +365,20 @@ class AngleProfile(_Grid):
         computed on first use.
         """
         b, qs, q_base = self.breaks, self._quarters, base.quarters()
-        slopes = [self.orientation] * (len(b) - 1)
         if qs is not None and q_base is not None:
             m = [q_base - q for q in qs]
-            ranges = _lattice_ranges(m, lambda d: -d // 4, lambda d: -(d // 4), slopes)
+            ranges = _lattice_ranges([-d // 4 for d in m], [-(d // 4) for d in m])
             return [
                 (j, ProfilePoint(i, b[i], b[i + 1], angle_of_quarters(m[i] + 4 * j), span))
                 for i, (span, js) in enumerate(zip(self._sweeps, ranges))
                 for j in js
             ]
         m = [angle_sub(base, v) for v in self.values]
-        floor, ceil = (lambda a: -ceil_half_turns(a)), (lambda a: -floor_half_turns(a))
+        ranges = _lattice_ranges(
+            [-ceil_half_turns(a) for a in m], [-floor_half_turns(a) for a in m]
+        )
         hits = []
-        for i, (span, js) in enumerate(zip(self._sweeps, _lattice_ranges(m, floor, ceil, slopes))):
+        for i, (span, js) in enumerate(zip(self._sweeps, ranges)):
             steps, t_lo, t_hi = _half_turns(m[i]), b[i], b[i + 1]
             for j in js:
                 d, turns = steps[j % 2]

@@ -320,12 +320,14 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     difference psi is an `AngleForm` at each merged breakpoint u_k and
     affine in between, so segment k's zeros are one range of n, the
     (2n + 1) pi that psi takes for t in (u_k, u_{k+1}]: `_lattice_ranges`
-    of x = (psi - pi) / 2pi, read in half-turn floors once per breakpoint,
-    less its last element when segment k + 1 is a zero interval.  No zero
-    needs its exact t.  One merge walk over both breakpoint tuples gives
-    the u_k and each profile's segment: at its own breakpoint a profile's
-    value is its `Angle`, at the other's it is read on that segment in
-    integers, with no search, hash or Fraction division.
+    of the floor and ceiling of x = (psi - pi) / 2pi at each u_k, less its
+    last element when segment k + 1 is a zero interval, where x is one
+    integer at both ends.  The only exact questions compare psi with odd
+    multiples of pi: per breakpoint one whole-turn floor of x and one sign,
+    of psi - (2 floor(x) + 1) pi, and no span sign.  No zero needs its
+    exact t.  One merge walk over both breakpoint tuples gives the u_k and
+    each profile's segment: at its own breakpoint a profile's value is its
+    `Angle`, at the other's it is read on that segment in integers.
     """
     fa, fb = _form_of(a), _form_of(b)
     if fa.domain != fb.domain:
@@ -344,19 +346,15 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
         merged.append(u := min(A[i], B[j]))
         psi.append(pa._form_on(u, max(i - 1, 0)) - pb._form_on(u, max(j - 1, 0)))
         i, j = i + (A[i] == u), j + (B[j] == u)
-    spans = [d1 - d0 for d0, d1 in zip(psi, psi[1:])]
-    slopes = [span.sign() for span in spans]
+    # psi = (2n + 1) pi where x = (psi - pi) / 2pi = n: the floor of x in whole turns
+    # bisects psi against odd pi, and x is on the lattice iff psi = (2 floor + 1) pi
+    f = [AngleForm._normal(d.terms, d.r - d.den, 2 * d.den).floor() for d in psi]
+    c = [n + ((d - _PI * (2 * n + 1)).sign() != 0) for n, d in zip(f, psi)]
     # segment k is a zero interval: psi is constant there, at an odd multiple of pi
-    interval = [
-        not slope and (m := d.pi_multiple()) is not None and m % 2 == 1
-        for slope, d in zip(slopes, psi)
-    ] + [False]
-    # psi = (2n + 1) pi where x = (psi - pi) / 2pi = n: its floor and ceiling in half turns
-    floor, ceil = (lambda d: (d - _PI).floor() // 2), (lambda d: -((_PI - d).floor() // 2))
-    ranges = _lattice_ranges(psi, floor, ceil, slopes)
+    interval = [f[k] == c[k] == f[k + 1] == c[k + 1] for k in range(len(f) - 1)] + [False]
     zeros: list[PlanarZero] = []
     intervals: list[tuple[Fraction, Fraction]] = []
-    for k, (u0, u1, d0, span, ns) in enumerate(zip(merged, merged[1:], psi, spans, ranges)):
+    for k, (u0, u1, d0, ns) in enumerate(zip(merged, merged[1:], psi, _lattice_ranges(f, c))):
         if interval[k]:
             if interval[k - 1]:  # extend the interval that ends at u0
                 intervals[-1] = (intervals[-1][0], u1)
@@ -365,6 +363,8 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
             continue
         if interval[k + 1]:
             ns = ns[:-1]  # psi(u1) is odd: the zero at u1 starts the interval
+        span = psi[k + 1] - d0 if ns else None
         for n in ns:
-            zeros.append(PlanarZero(ProfilePoint(k, u0, u1, _PI * (2 * n + 1) - d0, span), 2 * n + 1))
+            point = ProfilePoint(k, u0, u1, _PI * (2 * n + 1) - d0, span)
+            zeros.append(PlanarZero(point, 2 * n + 1))
     return HomotopyCertificate(tuple(zeros), tuple(intervals))

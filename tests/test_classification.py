@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toruscut import angles, cli, cuts, invariants
+from toruscut import angles, cli, cuts, forms, invariants
 from toruscut import (
     Angle,
     AngleProfile,
@@ -48,7 +48,7 @@ from toruscut import (
 )
 from toruscut.angles import AngleForm
 from toruscut.cli import _LENS_TABLE
-from toruscut.errors import ZeroVector
+from toruscut.errors import NonMonotone, ZeroVector
 from toruscut.forms import ProfilePoint
 from toruscut.invariants import PlanarZero
 
@@ -1130,3 +1130,176 @@ class TestHomotopyMatchesReference:
     @given(quarter_pairs())
     def test_quarter_profiles(self, pair):
         assert_homotopy_matches_reference(*pair)
+
+
+# -- the rule before floors and ceilings, kept as the reference --------------
+
+
+def slope_rule_ranges(x, floor, ceil, slopes):
+    """The earlier `_lattice_ranges`: per segment the integers in (x[k],
+    x[k + 1]] ascending where slopes[k] > 0, in [x[k + 1], x[k]) descending
+    where it is < 0, none where it is 0, the first segment also closed at
+    x[0]; x[k] read once along a run of one slope."""
+    out, start, prev = [], 0, 0
+    for k, s in enumerate(slopes):
+        if s and s != prev:
+            first, last = (ceil, floor) if s > 0 else (floor, ceil)
+            start = first(x[0]) if k == 0 else last(x[k]) + s
+        stop = last(x[k + 1]) + s if s else start
+        out.append(range(start, stop, s or 1))
+        start, prev = stop, s
+    return out
+
+
+def slope_rule_homotopy(a, b):
+    """(zeros, intervals) by the earlier certificate: every span's sign, a
+    zero interval where the span is 0 and psi an odd multiple of pi
+    (`pi_multiple`), and x = (psi - pi) / 2pi floored in half turns.  A zero
+    is (str(point), odd multiple, segment, t_lo, t_hi)."""
+    pa, pb = invariants._form_of(a).phi, invariants._form_of(b).phi
+    merged = sorted(set(pa.breaks) | set(pb.breaks))
+    psi = [pa.form_at(u) - pb.form_at(u) for u in merged]
+    spans = [d1 - d0 for d0, d1 in zip(psi, psi[1:])]
+    slopes = [span.sign() for span in spans]
+    interval = [
+        not s and (m := d.pi_multiple()) is not None and m % 2 == 1
+        for s, d in zip(slopes, psi)
+    ] + [False]
+    floor = lambda d: (d - _PI_FORM).floor() // 2  # noqa: E731
+    ceil = lambda d: -((_PI_FORM - d).floor() // 2)  # noqa: E731
+    zeros, intervals = [], []
+    ranges = slope_rule_ranges(psi, floor, ceil, slopes)
+    for k, (u0, u1, d0, span, ns) in enumerate(zip(merged, merged[1:], psi, spans, ranges)):
+        if interval[k]:
+            if interval[k - 1]:
+                intervals[-1] = (intervals[-1][0], u1)
+            else:
+                intervals.append((u0, u1))
+            continue
+        if interval[k + 1]:
+            ns = ns[:-1]
+        for n in ns:
+            point = ProfilePoint(k, u0, u1, _PI_FORM * (2 * n + 1) - d0, span)
+            zeros.append((str(point), 2 * n + 1, k, u0, u1))
+    return zeros, tuple(intervals)
+
+
+def _inner_breaks(n):
+    fracs = st.builds(F, st.integers(1, 11), st.just(12))
+    return st.sets(fracs, min_size=n, max_size=n).map(sorted)
+
+
+def _with_ends(inner, first_dir, last_dir, rising):
+    """inner (sorted, distinct) between two angles on first_dir and
+    last_dir whose turns put them beyond every inner value, in the
+    profile's orientation."""
+    t = [v.turns for v in inner] or [0]
+    lo, hi = min(t) - 1, max(t) + 1
+    vals = [A(first_dir, lo), *inner, A(last_dir, hi)]
+    if not rising:
+        vals = [A(first_dir, hi), *inner[::-1], A(last_dir, lo)]
+    return vals
+
+
+@st.composite
+def parent_rule_pairs(draw):
+    """Pairs whose end directions agree, each profile rising or falling.
+
+    free: inner values from pi/4 and other directions, each profile on
+    its own breakpoints or both on a's.  odd: b = a + j pi at a's
+    breakpoints, j even at the ends and monotone with a, so psi stays on
+    odd multiples of pi over some segments (zero intervals, adjacent ones
+    among them).  even: b = a + 2 pi m with b's inner directions nudged by
+    up to 10^-30, so psi sits on or near even multiples of pi.  A zero
+    interval on the first segment cannot occur: psi starts on an even
+    multiple of pi."""
+    angle = st.builds(A, dirs(3), st.integers(-2, 2))
+    kind = draw(st.sampled_from(("free", "odd", "odd", "even")))
+    inner_a = sorted(set(draw(st.lists(angle, min_size=1 + (kind != "free"), max_size=5))))
+    a_rises = draw(st.booleans())
+    a_vals = _with_ends(inner_a, draw(dirs(3)), draw(dirs(3)), a_rises)
+    a_breaks = [F(0), *draw(_inner_breaks(len(a_vals) - 2)), F(1)]
+    a = piecewise(a_breaks, a_vals)
+    if kind == "free":
+        inner_b = sorted(set(draw(st.lists(angle, max_size=4))))
+        b_vals = _with_ends(inner_b, a_vals[0].dir, a_vals[-1].dir, draw(st.booleans()))
+        if len(b_vals) == len(a_vals) and draw(st.booleans()):
+            b_breaks = a_breaks
+        else:
+            b_breaks = [F(0), *draw(_inner_breaks(len(b_vals) - 2)), F(1)]
+        return a, piecewise(b_breaks, b_vals)
+    # j in 0..3 at the inner breakpoints, odd ones first, sorted with a's orientation
+    odd_first = st.sampled_from((1, 3, 2, 0))
+    inner_j = sorted(draw(st.lists(odd_first, min_size=len(inner_a), max_size=len(inner_a))))
+    j = [n if a_rises else -n for n in (0, *inner_j, 4)]
+    if kind == "odd":
+        return a, piecewise(a_breaks, [angles.add_half_turns(v, n) for v, n in zip(a_vals, j)])
+    scale = 10 ** draw(st.integers(1, 30))
+    b_vals = [add_turns(v, n // 2) for v, n in zip(a_vals, j)]
+    nudged = [
+        A(D.reduced(v.dir.x * scale + draw(st.integers(-1, 1)), v.dir.y * scale), v.turns)
+        for v in b_vals[1:-1]
+    ]
+    try:
+        return a, piecewise(a_breaks, [b_vals[0], *nudged, b_vals[-1]])
+    except NonMonotone:  # a nudge across the branch cut at pi
+        return a, piecewise(a_breaks, b_vals)
+
+
+@st.composite
+def broken_lines(draw):
+    """Values x[k] of a piecewise-affine function with no constant segment:
+    integers and thirds, so breakpoints fall on the lattice and off it."""
+    x = [F(draw(st.integers(-12, 12)), draw(st.sampled_from((1, 3))))]
+    for _ in range(draw(st.integers(1, 6))):
+        x.append(x[-1] + F(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from((1, 3)))))
+    return x
+
+
+class TestHomotopyMatchesParentRule:
+    """The certificate from floors and ceilings in whole turns, against the
+    earlier rule from span signs, half-turn floors and a run rule."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(parent_rule_pairs())
+    def test_same_zeros_and_intervals(self, pair):
+        cert = homotopy_certificate(*pair)
+        zeros, intervals = slope_rule_homotopy(*pair)
+        got = [
+            (str(z.point), z.odd_multiple, z.point.segment, z.point.t_lo, z.point.t_hi)
+            for z in cert.zeros
+        ]
+        assert got == zeros
+        assert cert.zero_intervals == intervals
+
+    @settings(derandomize=True, max_examples=300)
+    @given(broken_lines())
+    def test_ranges_match_slope_rule(self, x):
+        # x[0] on the lattice reaches the first segment's closed end, which
+        # the certificate never does: there psi starts on an even multiple
+        f = [math.floor(v) for v in x]
+        c = [math.ceil(v) for v in x]
+        slopes = [(y > v) - (y < v) for v, y in zip(x, x[1:])]
+        assert forms._lattice_ranges(f, c) == slope_rule_ranges(x, math.floor, math.ceil, slopes)
+
+    def test_near_tie_b_pair_asks_no_fixed_point(self, monkeypatch):
+        # psi stays near 0 at the 200-digit breakpoint, so only a question
+        # about an even multiple of pi would reach the fixed point
+        golden = Path(__file__).resolve().parent / "golden"
+        a, b, c = (
+            parse_spec_file(str(golden / f"near_tie_{name}.cut"), validate=False)
+            for name in ("a", "b200", "c200")
+        )
+        calls = []
+        real = angles._fixed_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(angles, "_fixed_sum", counted)
+        assert homotopy_certificate(a, b).zeros == ()
+        assert calls == []
+        # at the C pair psi is within a hair of -pi: the answer needs it
+        assert len(homotopy_certificate(a, c).zeros) == 1
+        assert len(calls) >= 1
