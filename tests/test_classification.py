@@ -1165,10 +1165,13 @@ def slope_rule_homotopy(a, b):
         not s and (m := d.pi_multiple()) is not None and m % 2 == 1
         for s, d in zip(slopes, psi)
     ] + [False]
-    floor = lambda d: (d - _PI_FORM).floor() // 2  # noqa: E731
-    ceil = lambda d: -((_PI_FORM - d).floor() // 2)  # noqa: E731
+    ranges = slope_rule_ranges(
+        psi,
+        lambda d: (d - _PI_FORM).floor() // 2,
+        lambda d: -((_PI_FORM - d).floor() // 2),
+        slopes,
+    )
     zeros, intervals = [], []
-    ranges = slope_rule_ranges(psi, floor, ceil, slopes)
     for k, (u0, u1, d0, span, ns) in enumerate(zip(merged, merged[1:], psi, spans, ranges)):
         if interval[k]:
             if interval[k - 1]:
@@ -1210,7 +1213,7 @@ def parent_rule_pairs(draw):
     breakpoints, j even at the ends and monotone with a, so psi stays on
     odd multiples of pi over some segments (zero intervals, adjacent ones
     among them).  even: b = a + 2 pi m with b's inner directions nudged by
-    up to 10^-30, so psi sits on or near even multiples of pi.  A zero
+    about 10^-1 to 10^-30, so psi sits on or near even multiples of pi.  A zero
     interval on the first segment cannot occur: psi starts on an even
     multiple of pi."""
     angle = st.builds(A, dirs(3), st.integers(-2, 2))
