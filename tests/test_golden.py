@@ -159,6 +159,19 @@ def _cases() -> dict[str, list[str]]:
     cases["homotopy-near-tie-b200-text"] = [
         "homotopy", "tests/golden/near_tie_a.cut", "tests/golden/near_tie_b200.cut"
     ]
+    # the exact fallback's other paths: the next convergent after C20's, a
+    # hair above -pi; a half-turn floor whose float bound is above 1 (the
+    # profiles are 10^16 turns apart); and a zero whose span's float
+    # estimate is 0, so its ratio is read in fixed point
+    for fmt in ("text", "json"):
+        for label, a, b in (
+            ("near-tie-c20-above", "near_tie_a", "near_tie_c20_above"),
+            ("far-turns", "far_turns", "far_turns_partner"),
+            ("tiny-span", "tiny_span", "tiny_span_partner"),
+        ):
+            cases[f"homotopy-{label}-{fmt}"] = [
+                "homotopy", f"tests/golden/{a}.cut", f"tests/golden/{b}.cut", "--format", fmt,
+            ]
     # the ray count at the arc ends of lens21_j1 and at their negatives, on
     # a non-primitive direction, and on the zero vector (exit 3)
     for direction in ("1,0", "-1,0", "2,1", "-2,-1", "4,-2"):
