@@ -35,10 +35,11 @@ decided by fixed-point Args in integer arithmetic.
 
 Floating point appears in `to_float`, which makes every float the package
 shows (`Angle.value()`, parameter values, moments) from an exact quantity,
-and in the float stage of `AngleForm.sign` and `AngleForm.floor`
+and in the float stage of `AngleForm.sign` and `AngleForm.floor_ceil`
 (`_float_sum`, with a stated error bound), which decides only outside
 that bound.  Every exact sign of a rational combination of angles goes
-through that one stage and its exact fallbacks.
+through that one stage and its exact fallbacks, and one bisection of
+such signs, `floor_ceil`, gives a form's floor and ceiling in half turns.
 
 Only eight primitive directions have an argument that is a rational
 multiple of pi: the axes and diagonals, at k quarter turns (multiples of
@@ -691,29 +692,29 @@ class AngleForm:
                 return (xn * nd) / (xd * nn)
             prec *= 2
 
-    def floor(self) -> int:
-        """floor(value / pi), exactly.
+    def floor_ceil(self) -> tuple[int, int]:
+        """(floor, ceil) of value / pi, exactly, from one bisection.
 
-        A float estimate whose bound is below 1 brackets the answer between
+        A float estimate whose bound is below 1 brackets the floor between
         the floors of its two ends, widened by the bound once more for the
-        rounding of the division; usually they agree and no exact sign is
-        needed.  Otherwise |value| <= pi * (sum |c| + |r|) / den brackets
-        it.  Bisection with `sign()` finishes: value >= m*pi iff
-        sum(c*Arg(d)) + (r - m*den)*pi >= 0.
+        rounding of the division; else |value| <= pi * (sum |c| + |r|) / den
+        does.  Bisection with `sign()` finishes: value >= m*pi iff
+        sum(c*Arg(d)) + (r - m*den)*pi >= 0.  It starts below the floor, so
+        its last step up asks the floor itself, and that sign gives the ceiling.
         """
         v, e = _float_sum(self.terms, self.r, self.den)
         if e < 1:
-            lo, hi = math.floor((v - 2 * e) / math.pi), math.floor((v + 2 * e) / math.pi)
+            lo, hi = math.floor((v - 2 * e) / math.pi) - 1, math.floor((v + 2 * e) / math.pi)
         else:
             t = -(-(sum(abs(c) for _, c in self.terms) + abs(self.r)) // self.den)
             lo, hi = -t - 1, t
         while lo < hi:  # not `bisect`, which indexes by machine ints: t may be ~10**400
             mid = (lo + hi + 1) // 2
-            if AngleForm._normal(self.terms, self.r - mid * self.den, 1).sign() >= 0:
-                lo = mid
+            if (s := AngleForm._normal(self.terms, self.r - mid * self.den, self.den).sign()) >= 0:
+                lo, at_lo = mid, s
             else:
                 hi = mid - 1
-        return lo
+        return lo, lo + (at_lo > 0)
 
 
 def format_angle(a: Angle) -> str:

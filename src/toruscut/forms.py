@@ -16,12 +16,12 @@ Exact sign policy.  phi(t) at a rational t is one `AngleForm`,
 `AngleProfile.form_at(t)`: the breakpoint value at a breakpoint, else
 v_lo + lambda * sweep, with lambda read in integers, not Fractions.
 Comparing it with an angle is the sign of the difference; placing it on
-a half-turn lattice is the floor of that difference in half turns.  Both
-are `AngleForm` decisions: a float estimate with a stated error bound,
-then exact fallbacks.  moment_eval reports a zero only when it can prove
-one, and its float value drops whole turns exactly before cos and sin
-are taken.  No decision rests on an unbounded float, and every float
-shown comes from `angles.to_float`.
+a half-turn lattice is one `floor_ceil` of that difference, its floor
+and ceiling in half turns.  Both are `AngleForm` decisions: a float
+estimate with a stated error bound, then exact fallbacks.  moment_eval
+reports a zero only when it can prove one, and its float value drops
+whole turns exactly before cos and sin are taken.  No decision rests on
+an unbounded float, and every float shown comes from `angles.to_float`.
 
 The radial profile is stored as the angle profile is, by its values at
 the breakpoints: a product of one or more factors, each read per piece by
@@ -313,6 +313,7 @@ class AngleProfile(_Grid):
         (tn, td), (ln, ld), (hn, hd) = ((x.numerator, x.denominator) for x in (t, t_lo, t_hi))
         n, d = (tn * ld - ln * td) * hd, td * (hn * ld - ln * hd)
         f = AngleForm.of(self.values[i]) * d + AngleForm.of(self._sweeps[i]) * n
+        # over d through den, not `* Fraction(1, d)`: phi(t) builds no Fraction
         return AngleForm._normal(f.terms, f.r, f.den * d)
 
     def solve(self, target: Angle) -> ProfilePoint | None:
@@ -531,17 +532,15 @@ def moment_sign(form: InvariantContactForm, eta: Eta, t: Rational) -> int:
     It is 0 for eta = (0, 0); else it vanishes iff phi(t) lies on the
     half-turn lattice through base = Arg(-n, m); between consecutive
     lattice points the sign alternates, positive just above odd lattice
-    indices.  With d = phi(t) - base as one `AngleForm`, the index below
-    phi(t) is j = floor(d / pi), and the moment is zero iff d - j*pi is.
+    indices.  One `floor_ceil` of d = phi(t) - base gives j = floor(d / pi),
+    the index below phi(t), and the ceiling; the moment is 0 iff they agree.
     """
     m, n = _eta(eta)
     if m == n == 0:
         return 0
     d = form.phi.form_at(t) - AngleForm.of(direction_angle((-n, m)))
-    j = d.floor()
-    if AngleForm._normal(d.terms, d.r - j * d.den, d.den).sign() == 0:
-        return 0
-    return 1 if j % 2 else -1
+    j, c = d.floor_ceil()
+    return 0 if j == c else (1 if j % 2 else -1)
 
 
 def _moment(form: InvariantContactForm, eta: Eta, t: Rational):
@@ -550,6 +549,7 @@ def _moment(form: InvariantContactForm, eta: Eta, t: Rational):
     range is shifted right by k bits (the factor moves by under 2**-999)."""
     m, n = _eta(eta)
     f = form.phi.form_at(t)
+    # whole turns dropped from r in integers; violation messages print the float it gives
     a = AngleForm._normal(f.terms, f.r % (2 * f.den), f.den).value()
     k = max(abs(m).bit_length(), abs(n).bit_length(), 1000) - 1000
     return form.radial.evaluate(t), (m >> k) * math.cos(a) + (n >> k) * math.sin(a), k

@@ -323,8 +323,8 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
     of the floor and ceiling of x = (psi - pi) / 2pi at each u_k, less its
     last element when segment k + 1 is a zero interval, where x is one
     integer at both ends.  The only exact questions compare psi with odd
-    multiples of pi: per breakpoint one whole-turn floor of x and one sign,
-    of psi - (2 floor(x) + 1) pi, and no span sign.  No zero needs its
+    multiples of pi: per breakpoint one `floor_ceil` of x, whose one
+    bisection gives both integers, and no span sign.  No zero needs its
     exact t.  One merge walk over both breakpoint tuples gives the u_k and
     each profile's segment: at its own breakpoint a profile's value is its
     `Angle`, at the other's it is read on that segment in integers.
@@ -346,10 +346,8 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
         merged.append(u := min(A[i], B[j]))
         psi.append(pa._form_on(u, max(i - 1, 0)) - pb._form_on(u, max(j - 1, 0)))
         i, j = i + (A[i] == u), j + (B[j] == u)
-    # psi = (2n + 1) pi where x = (psi - pi) / 2pi = n: the floor of x in whole turns
-    # bisects psi against odd pi, and x is on the lattice iff psi = (2 floor + 1) pi
-    f = [AngleForm._normal(d.terms, d.r - d.den, 2 * d.den).floor() for d in psi]
-    c = [n + ((d - _PI * (2 * n + 1)).sign() != 0) for n, d in zip(f, psi)]
+    # psi = (2n + 1) pi where x = (psi - pi) / 2pi = n; one bisection gives x's floor and ceiling
+    f, c = zip(*(((d - _PI) * Fraction(1, 2)).floor_ceil() for d in psi))
     # segment k is a zero interval: psi is constant there, at an odd multiple of pi
     interval = [f[k] == c[k] == f[k + 1] == c[k + 1] for k in range(len(f) - 1)] + [False]
     zeros: list[PlanarZero] = []

@@ -21,10 +21,10 @@ from quarter_reference import EIGHTHS
 D = Direction
 
 
-def oracle(form: AngleForm):
-    """The value of the form, to 200 digits; skips the test without mpmath."""
+def oracle(form: AngleForm, digits: int = 200):
+    """The value of the form, to `digits` digits; skips the test without mpmath."""
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 200
+    mpmath.mp.dps = digits
     total = mpmath.mpf(form.r) / form.den * mpmath.mp.pi
     for d, c in form.terms:
         total += mpmath.mpf(c) / form.den * mpmath.atan2(d.y, d.x)
@@ -306,24 +306,60 @@ class TestRatio:
             term(D(2, 1)).ratio(term(D(2, 1)) + term(D(2, -1)))
 
 
+# a convergent p/q of Arg(3,1)/Arg(2,1): p*Arg(2,1) - q*Arg(3,1) is about 1/q
+C20 = (24163505532541357399, 34819991487658706090)
+
+
+@st.composite
+def placed_forms(draw):
+    """Forms for `floor_ceil`: exact multiples of pi, near-ties a hair off
+    one (a difference of two Args near 0, or a continued-fraction
+    convergent), and random forms, each moved by k pi, and some by 10**400
+    pi more, so that no coefficient over den has a float."""
+    kind = draw(st.sampled_from(("tie", "near", "convergent", "random")))
+    if kind == "tie":
+        f = exact_tie(draw(st.sampled_from(((2, 1), (3, 2), (5, 1)))), draw(st.integers(2, 9)))
+    elif kind == "near":
+        n = 10 ** draw(st.integers(8, 40))
+        f = term(D(n, 1)) - term(D(n + 1, 1))  # about 1 / n**2
+    elif kind == "convergent":
+        f = term(D(2, 1), C20[0]) - term(D(3, 1), C20[1])
+    else:
+        f = draw(forms)
+    f = f if draw(st.booleans()) else -f
+    return f + pi(draw(st.integers(-40, 40)) + draw(st.sampled_from((0, 0, 10**400, -(10**400)))))
+
+
 class TestFloorAndPiMultiple:
+    @settings(derandomize=True, max_examples=150)
+    @given(placed_forms())
+    def test_floor_ceil(self, f):
+        mpmath = pytest.importorskip("mpmath")
+        size = max(len(str(abs(c))) for c in (f.r, f.den, *(c for _, c in f.terms)))
+        q = oracle(f, 200 + size) / mpmath.mp.pi
+        n = mpmath.nint(q)
+        fl = int(n) if abs(q - n) < 1e-100 else int(mpmath.floor(q))
+        want = (fl, fl) if abs(q - n) < 1e-100 else (fl, fl + 1)
+        assert f.floor_ceil() == want
+        assert (-f).floor_ceil() == (-want[1], -want[0])
+
     @given(forms)
     def test_floor(self, f):
         mpmath = pytest.importorskip("mpmath")
         q = oracle(f) / mpmath.mp.pi
         n = mpmath.nint(q)
         want = n if abs(q - n) < 1e-150 else mpmath.floor(q)
-        assert f.floor() == int(want)
+        assert f.floor_ceil()[0] == int(want)
 
     @given(st.integers(-40, 40))
     def test_floor_on_exact_multiples(self, k):
         f = exact_tie((2, 1), 5) + pi(k)
-        assert f.floor() == k
+        assert f.floor_ceil()[0] == k
 
     def test_floor_of_coefficients_outside_float_range(self):
         # no float of r / den: the bracket from the coefficient sizes
         f = AngleForm((), 10**400) + term(D(2, 1))  # 10**400 pi + Arg(2, 1)
-        assert (f.floor(), (-f).floor()) == (10**400, -(10**400) - 1)
+        assert (f.floor_ceil()[0], (-f).floor_ceil()[0]) == (10**400, -(10**400) - 1)
 
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0)),
            st.integers(-50, 50), rationals())

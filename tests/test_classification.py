@@ -991,8 +991,8 @@ def reference_homotopy(a, b):
                     intervals.append((u0, u1))
             continue
         v_lo, v_hi = (d0, d1) if slope > 0 else (d1, d0)
-        n_lo = -((_PI_FORM - v_lo).floor() // 2)
-        n_hi = (v_hi - _PI_FORM).floor() // 2
+        n_lo = -((_PI_FORM - v_lo).floor_ceil()[0] // 2)
+        n_hi = (v_hi - _PI_FORM).floor_ceil()[0] // 2
         for n in range(n_lo, n_hi + 1):
             offset = AngleForm((), F(2 * n + 1)) - d0
             if seg > 0 and offset.sign() == 0:
@@ -1167,8 +1167,8 @@ def slope_rule_homotopy(a, b):
     ] + [False]
     ranges = slope_rule_ranges(
         psi,
-        lambda d: (d - _PI_FORM).floor() // 2,
-        lambda d: -((_PI_FORM - d).floor() // 2),
+        lambda d: (d - _PI_FORM).floor_ceil()[0] // 2,
+        lambda d: -((_PI_FORM - d).floor_ceil()[0] // 2),
         slopes,
     )
     zeros, intervals = [], []
@@ -1306,3 +1306,29 @@ class TestHomotopyMatchesParentRule:
         # at the C pair psi is within a hair of -pi: the answer needs it
         assert len(homotopy_certificate(a, c).zeros) == 1
         assert len(calls) >= 1
+
+    def test_near_tie_is_asked_once(self, monkeypatch):
+        # psi a hair above -pi (C20-above, 308 digits): the bisection's last
+        # step up asks the floor, and its sign gives the ceiling, so the
+        # fixed point runs once, not twice.  Below -pi (309 digits) the
+        # numerators are beyond float range, but not over their den: a
+        # bisection form over den 1 sends its far question there too
+        golden = Path(__file__).resolve().parent / "golden"
+        a, *others = (
+            parse_spec_file(str(golden / f"near_tie_{name}.cut"), validate=False)
+            for name in ("a", "c20_above", "c308_above", "c309")
+        )
+        calls = []
+        real = angles._fixed_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(angles, "_fixed_sum", counted)
+        counts = []
+        for b in others:
+            calls.clear()
+            assert len(homotopy_certificate(a, b).zeros) == 1
+            counts.append(len(calls))
+        assert counts[:2] == [3, 7] and counts[2] <= 7
