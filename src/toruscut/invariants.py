@@ -308,7 +308,7 @@ class HomotopyCertificate:
     zero_intervals: tuple[tuple[Fraction, Fraction], ...]
 
 
-_PI = AngleForm((), 1)
+_PI, _HALF = AngleForm((), 1), Fraction(1, 2)
 
 
 def homotopy_certificate(a, b) -> HomotopyCertificate:
@@ -347,7 +347,7 @@ def homotopy_certificate(a, b) -> HomotopyCertificate:
         psi.append(pa._form_on(u, max(i - 1, 0)) - pb._form_on(u, max(j - 1, 0)))
         i, j = i + (A[i] == u), j + (B[j] == u)
     # psi = (2n + 1) pi where x = (psi - pi) / 2pi = n; one bisection gives x's floor and ceiling
-    f, c = zip(*(((d - _PI) * Fraction(1, 2)).floor_ceil() for d in psi))
+    f, c = zip(*(((d - _PI) * _HALF).floor_ceil() for d in psi))
     # segment k is a zero interval: psi is constant there, at an odd multiple of pi
     interval = [f[k] == c[k] == f[k + 1] == c[k + 1] for k in range(len(f) - 1)] + [False]
     zeros: list[PlanarZero] = []
