@@ -33,7 +33,7 @@ WORKLOADS = ("cli-mix", "dense-profile", "exact-ties", "paper-families")
 REASONS = {
     "forms.py AngleProfile.segments": "no caller in src/ or tests (ROADMAP item 9)",
     "forms.py InvariantContactForm.reparametrized":
-        "`CutSpec` puts a form on another domain on [0, 1]; no corpus spec has one",
+        "`CutSpec` moves a form on another domain to [0, 1]; no corpus spec has one",
     "forms.py InvariantContactForm.reversed": "library API; unit tests reverse forms with it",
     "forms.py RadialProfile.multiply": "`rescale` multiplies radials exactly with it",
     "forms.py RadialProfile.refined": "`multiply` puts both radials on merged breakpoints",
@@ -49,10 +49,10 @@ REASONS = {
 }
 
 
-def statements() -> list[tuple[tuple[str, str], int, int]]:
-    """[((file function, first line of text), first line, last line)], one
-    per simple statement of src/toruscut, docstrings and bare declarations
-    left out."""
+def statements() -> list[tuple[str, tuple[str, str], int, int]]:
+    """[(file, (file function, first line of text), first line, last line)],
+    one per simple statement of src/toruscut, docstrings and bare
+    declarations left out."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -71,17 +71,17 @@ def _walk(node, file, func, lines, out):
                   lines, out)
         elif isinstance(child, ast.expr) or child is doc or _declares(child):
             continue
-        elif not isinstance(child, ast.stmt) or _COMPOUND(child):
+        elif not isinstance(child, ast.stmt) or _compound(child):
             _walk(child, file, func, lines, out)  # a block, an except clause, a match case
         else:
             key = (f"{file} {func}", lines[child.lineno - 1].strip())
-            out.append((key, child.lineno, child.end_lineno))
+            out.append((file, key, child.lineno, child.end_lineno))
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _COMPOUND(stmt) -> bool:
+def _compound(stmt) -> bool:
     return hasattr(stmt, "body") or hasattr(stmt, "cases")
 
 
@@ -136,8 +136,8 @@ def unreached() -> Counter:
     seen = reached_lines()
     return Counter(
         key
-        for key, lo, hi in statements()
-        if not seen.get(key[0].split()[0], set()).intersection(range(lo, hi + 1))
+        for file, key, lo, hi in statements()
+        if not seen.get(file, set()).intersection(range(lo, hi + 1))
     )
 
 

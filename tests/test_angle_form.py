@@ -338,8 +338,9 @@ class TestFloorAndPiMultiple:
         size = max(len(str(abs(c))) for c in (f.r, f.den, *(c for _, c in f.terms)))
         q = oracle(f, 200 + size) / mpmath.mp.pi
         n = mpmath.nint(q)
-        fl = int(n) if abs(q - n) < 1e-100 else int(mpmath.floor(q))
-        want = (fl, fl) if abs(q - n) < 1e-100 else (fl, fl + 1)
+        on_lattice = abs(q - n) < 1e-100
+        fl = int(n) if on_lattice else int(mpmath.floor(q))
+        want = (fl, fl if on_lattice else fl + 1)
         assert f.floor_ceil() == want
         assert (-f).floor_ceil() == (-want[1], -want[0])
 
