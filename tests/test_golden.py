@@ -160,14 +160,17 @@ def _cases() -> dict[str, list[str]]:
         "homotopy", "tests/golden/near_tie_a.cut", "tests/golden/near_tie_b200.cut"
     ]
     # the exact fallback's other paths: the next convergent after C20's, a
-    # hair above -pi; a half-turn floor whose float bound is above 1 (the
-    # profiles are 10^16 turns apart); and a zero whose span's float
-    # estimate is 0, so its ratio is read in fixed point
+    # hair above -pi; half-turn placements of profiles 10^16 and 10^1000
+    # turns apart; a zero whose span's float estimate is 0, so its ratio is
+    # read in fixed point; and a zero on a breakpoint reached from an
+    # irrational value, whose offset equals its span
     for fmt in ("text", "json"):
         for label, a, b in (
             ("near-tie-c20-above", "near_tie_a", "near_tie_c20_above"),
             ("far-turns", "far_turns", "far_turns_partner"),
+            ("far-turns-e1000", "far_turns_e1000", "far_turns_partner"),
             ("tiny-span", "tiny_span", "tiny_span_partner"),
+            ("breakpoint-zero", "breakpoint_zero", "breakpoint_zero_partner"),
         ):
             cases[f"homotopy-{label}-{fmt}"] = [
                 "homotopy", f"tests/golden/{a}.cut", f"tests/golden/{b}.cut", "--format", fmt,
