@@ -92,7 +92,6 @@ from .report import (
     Report,
     render_json,
     render_text,
-    report_from_json,
 )
 from .specfile import parse_spec, parse_spec_file
 from .symplectization import (

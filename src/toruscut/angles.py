@@ -39,7 +39,9 @@ and in the float stage of `AngleForm.sign` and `AngleForm.floor_ceil`
 (`_float_sum`, with a stated error bound), which decides only outside
 that bound.  Every exact sign of a rational combination of angles goes
 through that one stage and its exact fallbacks, and one bisection of
-such signs, `floor_ceil`, gives a form's floor and ceiling in half turns.
+such signs, `floor_ceil`, gives a form's floor and ceiling in half turns,
+after the whole half turns of its rational part are split off in integers,
+so the bisection does not grow with the turn count.
 
 Only eight primitive directions have an argument that is a rational
 multiple of pi: the axes and diagonals, at k quarter turns (multiples of
@@ -681,7 +683,7 @@ class AngleForm:
         vd, ed = _float_sum(other.terms, other.r, other.den)
         if abs(vd) > (en + ed) * 2.0**40:
             return vn / vd
-        if other.sign() == 0:
+        if other.pi_multiple() == 0:
             raise ZeroDivisionError("AngleForm ratio by a zero form")
         nn, nd, prec = self.den, other.den, 64
         while True:
@@ -695,26 +697,31 @@ class AngleForm:
     def floor_ceil(self) -> tuple[int, int]:
         """(floor, ceil) of value / pi, exactly, from one bisection.
 
-        A float estimate whose bound is below 1 brackets the floor between
+        The whole half turns q = r // den are split off first, so the
+        bisection places sum(c*Arg(d)) + (r - q*den)*pi, whose size is
+        that of the coefficients, whatever the turn count.  A float
+        estimate of it whose bound is below 1 brackets the floor between
         the floors of its two ends, widened by the bound once more for the
-        rounding of the division; else |value| <= pi * (sum |c| + |r|) / den
-        does.  Bisection with `sign()` finishes: value >= m*pi iff
-        sum(c*Arg(d)) + (r - m*den)*pi >= 0.  It starts below the floor, so
-        its last step up asks the floor itself, and that sign gives the ceiling.
+        rounding of the division; else, for coefficients far above den,
+        |value| <= pi * (sum |c| + |r|) / den does.  Bisection with
+        `sign()` finishes: value >= m*pi iff sum(c*Arg(d)) + (r - m*den)*pi
+        >= 0.  It starts below the floor, so its last step up asks the
+        floor itself, and that sign gives the ceiling.
         """
-        v, e = _float_sum(self.terms, self.r, self.den)
+        q, r = divmod(self.r, self.den)
+        v, e = _float_sum(self.terms, r, self.den)
         if e < 1:
             lo, hi = math.floor((v - 2 * e) / math.pi) - 1, math.floor((v + 2 * e) / math.pi)
         else:
-            t = -(-(sum(abs(c) for _, c in self.terms) + abs(self.r)) // self.den)
+            t = -(-(sum(abs(c) for _, c in self.terms) + r) // self.den)
             lo, hi = -t - 1, t
         while lo < hi:  # not `bisect`, which indexes by machine ints: t may be ~10**400
             mid = (lo + hi + 1) // 2
-            if (s := AngleForm._normal(self.terms, self.r - mid * self.den, self.den).sign()) >= 0:
+            if (s := AngleForm._normal(self.terms, r - mid * self.den, self.den).sign()) >= 0:
                 lo, at_lo = mid, s
             else:
                 hi = mid - 1
-        return lo, lo + (at_lo > 0)
+        return q + lo, q + lo + (at_lo > 0)
 
 
 def format_angle(a: Angle) -> str:

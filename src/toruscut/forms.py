@@ -113,9 +113,10 @@ class ProfilePoint:
     span is a tiny difference of large Args.
 
     The exact parameter value is computed in one place, `_exact_t`, once,
-    on first use, and kept in the slot _t, which is not compared, hashed
-    or shown.  Ellipsis marks it as not yet known, since None means that
-    no exact t was found (see `t_fraction`).
+    on first use, by one rule for both types (with a fast path in
+    quarter counts for two `Angle`s), and kept in the slot _t, which is
+    not compared, hashed or shown.  Ellipsis marks it as not yet known,
+    since None means that no exact t was found (see `t_fraction`).
     """
 
     segment: int
@@ -126,10 +127,12 @@ class ProfilePoint:
     _t: Fraction | None = field(default=..., init=False, repr=False, compare=False)
 
     def _exact_t(self) -> Fraction | None:
-        """t_lo + (t_hi - t_lo) * offset / span when offset is zero or the
-        span, or both are rational multiples of pi, else None.  Between two
-        pi/4 angles it is a ratio of quarter counts, so t is one Fraction
-        from integers."""
+        """t_lo + (t_hi - t_lo) * offset / span when both are rational
+        multiples of pi, t_hi when an irrational offset equals the span,
+        else None.  Between two pi/4 angles it is a ratio of quarter
+        counts, so t is one Fraction from integers.  An offset that is a
+        rational multiple of pi is asked no equality: the ratio of pi
+        multiples is 1 when it is the span."""
         offset, span = self.offset, self.span
         if type(offset) is Angle and type(span) is Angle:
             qo, qs = offset.quarters(), span.quarters()
@@ -139,15 +142,13 @@ class ProfilePoint:
                 return Fraction(p * u * qs + (s * r - p * u) * qo, r * u * qs)
             if qo is None:  # an irrational offset: t is known only when it is the span
                 return self.t_hi if qs is None and offset == span else None
-        if offset == span:
-            return self.t_hi
-        num = self.offset.pi_multiple()
+        num = offset.pi_multiple()
+        if num is None:
+            return self.t_hi if offset == span else None
         if num == 0:
             return self.t_lo
-        den = self.span.pi_multiple()
-        if num is None or den is None:
-            return None
-        return self.t_lo + (self.t_hi - self.t_lo) * num / den
+        den = span.pi_multiple()
+        return None if den is None else self.t_lo + (self.t_hi - self.t_lo) * num / den
 
     def t_fraction(self) -> Fraction | None:
         """Exact parameter value when `_exact_t` decides it, else None.

@@ -104,21 +104,3 @@ def render_json(report: Report) -> str:
         f'  "records": {_array(records, "  ")}\n'
         "}\n"
     )
-
-
-def report_from_json(text: str) -> Report:
-    payload = json.loads(text)
-    return Report(
-        command=payload["command"],
-        input_digest=payload["input_digest"],
-        records=tuple(
-            Record(
-                title=rec["title"],
-                items=tuple(
-                    Item(key=it["key"], exact=it["exact"], approx=it["approx"])
-                    for it in rec["items"]
-                ),
-            )
-            for rec in payload["records"]
-        ),
-    )

@@ -42,7 +42,6 @@ REASONS = {
     "forms.py moment_eval": "acceptance criterion 7 compares moments before and after rescaling",
     "forms.py rescale": "acceptance criteria 7 and 10 rescale radials with it",
     "models.py minimal_valid_cutspec": "acceptance criterion 6 builds the lens table's cuts",
-    "report.py report_from_json": "library API; unit tests read json reports back with it",
     "specfile.py parse_spec_file": "library API; unit tests read spec files with it",
     "symplectization.py sympl_moment_eval": "acceptance criterion 10, the symplectization identity",
     "symplectization.py sympl_moment_sign": "acceptance criterion 10, the symplectization identity",

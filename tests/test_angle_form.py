@@ -314,8 +314,9 @@ C20 = (24163505532541357399, 34819991487658706090)
 def placed_forms(draw):
     """Forms for `floor_ceil`: exact multiples of pi, near-ties a hair off
     one (a difference of two Args near 0, or a continued-fraction
-    convergent), and random forms, each moved by k pi, and some by 10**400
-    pi more, so that no coefficient over den has a float."""
+    convergent), and random forms, each moved by k pi, and some by
+    +-10**400 or +-10**4000 pi more (four near-ties in five), so that no
+    coefficient over den has a float."""
     kind = draw(st.sampled_from(("tie", "near", "convergent", "random")))
     if kind == "tie":
         f = exact_tie(draw(st.sampled_from(((2, 1), (3, 2), (5, 1)))), draw(st.integers(2, 9)))
@@ -327,7 +328,9 @@ def placed_forms(draw):
     else:
         f = draw(forms)
     f = f if draw(st.booleans()) else -f
-    return f + pi(draw(st.integers(-40, 40)) + draw(st.sampled_from((0, 0, 10**400, -(10**400)))))
+    huge = (10**400, -(10**400), 10**4000, -(10**4000))
+    zeros = (0,) if kind in ("near", "convergent") else (0,) * 4
+    return f + pi(draw(st.integers(-40, 40)) + draw(st.sampled_from(zeros + huge)))
 
 
 class TestFloorAndPiMultiple:
@@ -358,9 +361,18 @@ class TestFloorAndPiMultiple:
         assert f.floor_ceil()[0] == k
 
     def test_floor_of_coefficients_outside_float_range(self):
-        # no float of r / den: the bracket from the coefficient sizes
+        # no float of r / den, but its whole half turns are split off in
+        # integers first, so Arg(2, 1) alone takes the float bracket
         f = AngleForm((), 10**400) + term(D(2, 1))  # 10**400 pi + Arg(2, 1)
         assert (f.floor_ceil()[0], (-f).floor_ceil()[0]) == (10**400, -(10**400) - 1)
+
+    def test_floor_ceil_of_a_term_coefficient_outside_float_range(self):
+        # no float of c / den: the bracket from the coefficient sizes
+        mpmath = pytest.importorskip("mpmath")
+        f = term(D(2, 1), 10**400)
+        fl = int(mpmath.floor(oracle(f, 700) / mpmath.mp.pi))
+        assert f.floor_ceil() == (fl, fl + 1)
+        assert (-f).floor_ceil() == (-fl - 1, -fl)
 
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0)),
            st.integers(-50, 50), rationals())

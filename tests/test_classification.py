@@ -1332,3 +1332,51 @@ class TestHomotopyMatchesParentRule:
             assert len(homotopy_certificate(a, b).zeros) == 1
             counts.append(len(calls))
         assert counts[:2] == [3, 7] and counts[2] <= 7
+
+    def test_zero_position_asks_no_fixed_point(self, monkeypatch):
+        # the certificate places psi(u1) on -pi with its own fixed point; the
+        # zero's exact t then asks the offset's tie test and the span's, and
+        # its ratio decides the span is not 0 by the tie test, not by a sign
+        golden = Path(__file__).resolve().parent / "golden"
+        a, *others = (
+            parse_spec_file(str(golden / f"{name}.cut"), validate=False)
+            for name in ("near_tie_a", "near_tie_c20", "near_tie_c200", "near_tie_c309")
+        )
+        calls = []
+        real = angles._fixed_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(angles, "_fixed_sum", counted)
+        for b in others:
+            (zero,) = homotopy_certificate(a, b).zeros
+            calls.clear()
+            str(zero.point)
+            zero.point.t_float()
+            assert calls == []
+
+    def test_tiny_span_ratio_asks_no_sign(self, monkeypatch):
+        # with the exact t decided (None), the float t is the ratio; a span
+        # whose float estimate is 0 is found irrational, hence not 0, by the
+        # tie test, and the ratio loop alone runs in fixed point
+        golden = Path(__file__).resolve().parent / "golden"
+        a, b = (
+            parse_spec_file(str(golden / f"{name}.cut"), validate=False)
+            for name in ("tiny_span", "tiny_span_partner")
+        )
+        signs = []
+        real = AngleForm.sign
+
+        def counted(self):
+            signs.append(self)
+            return real(self)
+
+        zeros = homotopy_certificate(a, b).zeros
+        assert len(zeros) == 2
+        assert [z.point.t_fraction() for z in zeros] == [None, None]
+        monkeypatch.setattr(AngleForm, "sign", counted)
+        for z in zeros:
+            assert z.point.t_float() is not None
+        assert signs == []

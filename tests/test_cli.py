@@ -35,7 +35,6 @@ from toruscut import (
     parse_spec_file,
     render_json,
     render_text,
-    report_from_json,
     validate_cutspec,
 )
 from toruscut import cli
@@ -718,6 +717,25 @@ class TestReproduce:
                 want[f"distinguish[k={k},l={l}]"] = tuple(items)
         assert len(got) == kmax * (kmax - 1) // 2
         assert got == want
+
+
+def report_from_json(text):
+    """The `Report` that `render_json` rendered as text."""
+    payload = json.loads(text)
+    return Report(
+        command=payload["command"],
+        input_digest=payload["input_digest"],
+        records=tuple(
+            Record(
+                title=rec["title"],
+                items=tuple(
+                    Item(key=it["key"], exact=it["exact"], approx=it["approx"])
+                    for it in rec["items"]
+                ),
+            )
+            for rec in payload["records"]
+        ),
+    )
 
 
 def text_records(text):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_cli import text_records
+from test_cli import report_from_json, text_records
 
 from toruscut import (
     Angle,
@@ -31,7 +31,6 @@ from toruscut import (
     SpecSemanticError,
     SpecSyntaxError,
     parse_spec,
-    report_from_json,
 )
 from toruscut.cli import _BY_NAME, _COMMANDS, main
 from toruscut.report import fmt_float

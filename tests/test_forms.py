@@ -39,6 +39,7 @@ from toruscut import (
     sympl_moment_sign,
 )
 from toruscut import cuts, forms
+from toruscut import angles as angle_module
 from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate, to_float
 
 from float_reference import phi_float, radial_float
@@ -657,6 +658,31 @@ class TestMoment:
         assert calls["_locate"] == 1
         assert calls["_half_turns"] == 0
         assert 1 <= calls["sign"] <= 2
+
+    @pytest.mark.parametrize("exponent", [16, 400, 4000])
+    def test_moment_sign_cost_does_not_grow_with_turns(self, exponent, monkeypatch):
+        # phi(1/5) = 2 pi T + 3/5 Arg(2, 1), T = 10**exponent: the placement
+        # splits off the whole half turns in integers, so it asks one float
+        # sign whatever T
+        turns = 10**exponent
+        values = (A(D(1, 0), turns), A(D(2, 1), turns), A(D(0, 1), turns + 1))
+        form = InvariantContactForm.unit(AngleProfile((F(0), F(1, 3), F(1)), values))
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(AngleForm, "sign", counting("sign", AngleForm.sign))
+        fixed_sum = counting("_fixed_sum", angle_module._fixed_sum)
+        monkeypatch.setattr(angle_module, "_fixed_sum", fixed_sum)
+        # 2 cos + sin of 3/5 Arg(2, 1), about 0.278, is positive
+        assert moment_sign(form, (2, 1), F(1, 5)) == 1
+        assert calls["sign"] <= 2
+        assert calls["_fixed_sum"] == 0
 
     @pytest.mark.parametrize(
         "eta, t, value",
