@@ -32,12 +32,9 @@ WORKLOADS = ("cli-mix", "dense-profile", "exact-ties", "paper-families")
 # functions that no subcommand and no workload calls, and why they stay
 REASONS = {
     "forms.py AngleProfile.segments": "no caller in src/ or tests (ROADMAP item 9)",
-    "forms.py InvariantContactForm.reparametrized":
-        "`CutSpec` moves a form on another domain to [0, 1]; no corpus spec has one",
     "forms.py InvariantContactForm.reversed": "library API; unit tests reverse forms with it",
     "forms.py RadialProfile.multiply": "`rescale` multiplies radials exactly with it",
     "forms.py RadialProfile.refined": "`multiply` puts both radials on merged breakpoints",
-    "forms.py _Grid.reparametrized": "`InvariantContactForm.reparametrized` calls it",
     "forms.py _Grid.reversed": "`InvariantContactForm.reversed` calls it",
     "forms.py moment_eval": "acceptance criterion 7 compares moments before and after rescaling",
     "forms.py rescale": "acceptance criteria 7 and 10 rescale radials with it",

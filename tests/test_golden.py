@@ -98,12 +98,15 @@ def _cases() -> dict[str, list[str]]:
     # collapse that is not a pair or not integers, an empty radial, a bad and
     # a non-primitive angle literal, a radial token without t:, a domain
     # that is not a pair, angle integers with digit separators or non-ASCII
-    # digits, a file without form.phi.breaks, named after its last line, and
-    # an angle literal whose ';' has no turn count
+    # digits, a file without form.phi.breaks, named after its last line, an
+    # angle literal whose ';' has no turn count, a key given twice, a profile
+    # of one breakpoint, a breakpoint that is no rational, an angle on the zero
+    # vector, and (a semantic error) collapse0 without collapse1
     for stem in (
         "bad_pair", "bad_ints", "empty_radial", "bad_angle", "nonprimitive_angle",
         "radial_token", "domain_pair", "digit_separators", "non_ascii_digits", "no_phi",
-        "empty_turns",
+        "empty_turns", "duplicate_key", "one_breakpoint", "bad_rational", "zero_direction",
+        "collapse_partner",
     ):
         cases[f"check-{stem.replace('_', '-')}"] = ["check", f"tests/golden/{stem}.cut"]
     # a 401-digit collapse coordinate and a 401-digit radial value: the
@@ -137,6 +140,17 @@ def _cases() -> dict[str, list[str]]:
         cases[f"homotopy-interval-{fmt}"] = [
             "homotopy", "tests/golden/interval.cut", "tests/golden/interval_partner.cut",
             "--format", fmt,
+        ]
+    # the difference stays at pi over two adjacent segments, one zero
+    # interval; and a sphere cut whose breakpoints lie on [0, 2], which
+    # `CutSpec` moves onto [0, 1] before the disk's t* is read
+    for fmt in ("text", "json"):
+        cases[f"homotopy-adjacent-intervals-{fmt}"] = [
+            "homotopy", "tests/golden/adjacent_intervals.cut",
+            "tests/golden/adjacent_intervals_partner.cut", "--format", fmt,
+        ]
+        cases[f"overtwisted-domain-0-2-{fmt}"] = [
+            "overtwisted", "tests/golden/domain_0_2.cut", "--format", fmt
         ]
     # the difference is constant at -pi over a segment whose ends are written
     # with two different pairs of opposite directions that are not pi/4, so
