@@ -18,10 +18,7 @@ from .angles import (
     angle_add,
     angle_compare,
     angle_sub,
-    ceil_half_turns,
     direction_angle,
-    floor_half_turns,
-    format_angle,
     parse_angle,
 )
 from .errors import (

@@ -17,21 +17,24 @@ values is decided entirely with integer sign, cross and dot products:
 
 Addition and subtraction of `Angle`s multiply the underlying Gaussian
 integers and correct the branch by an exactly determined element of
-{-1, 0, +1}.
+{-1, 0, +1}.  An `Angle` answers `floor_ceil()`, the floor and ceiling
+of value / pi, from the half-plane class of its direction and its turns
+alone, and `str()` gives the literal "x,y;n" that `parse_angle` reads.
 
 Rational combinations of angles, such as p*a - q*b or a profile value
 between two breakpoints, are `AngleForm`s: (sum(c_i * Arg(z_i)) + r*pi) / den
 with integer c_i and r over one integer den > 0, kept in a normal form
-(terms sorted by direction).  Addition and subtraction of forms merge two
-normal forms in one linear pass.  No Gaussian integer is ever raised to
-the power of a coefficient.  The sign of a form is read off a float
-estimate with a stated error bound; only near a tie is it decided
-exactly.  Whether the value is a multiple of pi/4 is read from the norms
-of the z_i over a coprime base in Z and from the square roots of -1 that
-the z_i give modulo each base element (integer gcds, no integer
-factorization; D. J. Bernstein, "Factoring into coprimes in essentially
-linear time", J. Algorithms 54, 2005); a near-tie that is not a tie is
-decided by fixed-point Args in integer arithmetic.
+(terms sorted by direction), which answer `floor_ceil()` and `str()` too.
+Addition and subtraction of forms merge two normal forms in one linear
+pass.  No Gaussian integer is ever raised to the power of a coefficient.
+The sign of a form is read off a float estimate with a stated error
+bound; only near a tie is it decided exactly.  Whether the value is a
+multiple of pi/4 is read from the norms of the z_i over a coprime base
+in Z and from the square roots of -1 that the z_i give modulo each base
+element (integer gcds, no integer factorization; D. J. Bernstein,
+"Factoring into coprimes in essentially linear time", J. Algorithms 54,
+2005); a near-tie that is not a tie is decided by fixed-point Args in
+integer arithmetic.
 
 Floating point appears in `to_float`, which makes every float the package
 shows (`Angle.value()`, parameter values, moments) from an exact quantity,
@@ -200,6 +203,19 @@ class Angle:
         q = self.quarters()
         return None if q is None else Fraction(q, 4)
 
+    def floor_ceil(self) -> tuple[int, int]:
+        """(floor, ceil) of value / pi, exactly, from one half-plane class:
+        the floor is 2 turns, less 1 if Arg < 0, plus 1 if Arg = pi, and
+        the ceiling is one more off the x-axis, as `AngleForm.floor_ceil`."""
+        k = _argclass(self.dir)
+        f = 2 * self.turns - (k == 0) + (k == 3)
+        return f, f + (self.dir.y != 0)
+
+    def __str__(self) -> str:
+        """The canonical literal "x,y;n" that `parse_angle` reads; `repr`
+        stays the dataclass's."""
+        return f"{self.dir.x},{self.dir.y};{self.turns}"
+
     def __lt__(self, other):
         if not isinstance(other, Angle):
             return NotImplemented
@@ -276,17 +292,6 @@ def add_half_turns(a: Angle, j: int) -> Angle:
 def add_turns(a: Angle, n: int) -> Angle:
     """Exact a + 2*pi*n."""
     return Angle(a.dir, a.turns + n)
-
-
-def floor_half_turns(a: Angle) -> int:
-    """floor(value / pi), exactly: 2 turns, less 1 if Arg < 0, plus 1 if Arg = pi."""
-    k = _argclass(a.dir)
-    return 2 * a.turns + (-1 if k == 0 else (1 if k == 3 else 0))
-
-
-def ceil_half_turns(a: Angle) -> int:
-    """ceil(value / pi), exactly: 2 turns, plus 1 if Arg > 0."""
-    return 2 * a.turns + (1 if _argclass(a.dir) >= 2 else 0)
 
 
 # The eight primitive directions whose argument is a rational multiple of pi
@@ -722,11 +727,6 @@ class AngleForm:
             else:
                 hi = mid - 1
         return q + lo, q + lo + (at_lo > 0)
-
-
-def format_angle(a: Angle) -> str:
-    """Canonical literal "x,y;n"."""
-    return f"{a.dir.x},{a.dir.y};{a.turns}"
 
 
 def _int(text: str) -> int:

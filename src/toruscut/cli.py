@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-from .angles import Angle, Direction, QUARTER_TURN, _int, format_angle, parse_angle
+from .angles import Angle, Direction, QUARTER_TURN, _int, parse_angle
 from .cuts import (
     CutSpec,
     LensDescriptor,
@@ -91,7 +91,7 @@ def _require_cut(obj, path: str) -> CutSpec:
 
 
 def _angle_item(key: str, a: Angle) -> Item:
-    return Item(key, format_angle(a), a.value())
+    return Item(key, str(a), a.value())
 
 
 def _pair_str(v) -> str:
@@ -152,10 +152,7 @@ def _profile_items(prof) -> list[Item]:
         Item("max", str(prof.max_count)),
     ]
     for i, arc in enumerate(prof.arcs):
-        text = (
-            f"[{format_angle(arc.start)} .. {format_angle(arc.end)}] "
-            f"span {format_angle(arc.span)} count {arc.count}"
-        )
+        text = f"[{arc.start} .. {arc.end}] span {arc.span} count {arc.count}"
         items.append(Item(f"arc{i}", text, arc.span.value()))
     return items
 
@@ -491,8 +488,6 @@ def _table_args(argv) -> argparse.Namespace | None:
 def _echo_value(v) -> str:
     if isinstance(v, list):
         return " ".join(map(_echo_value, v))
-    if isinstance(v, Angle):
-        return format_angle(v)
     return _pair_str(v) if isinstance(v, tuple) else str(v)
 
 

@@ -37,9 +37,7 @@ from .angles import (
     add_turns,
     angle_add,
     angle_sub,
-    ceil_half_turns,
     direction_angle,
-    floor_half_turns,
     to_float,
 )
 from .errors import InvalidCutSpec
@@ -284,7 +282,8 @@ def slice_by_ray(
     [a, b], up to an equivariant contactomorphism: a monotone change of
     the parameter makes phi affine there, and a positive radial factor
     leaves ker alpha as it is.  No parameter is solved, so every legal
-    form is sliced, and a piece costs O(1).
+    form is sliced, and a piece costs O(1): the j are read from one
+    `Angle.floor_ceil` of each end of the range less Arg(eta) - pi/2.
     """
     eta = _dir(eta)
     w0, w1 = window
@@ -295,8 +294,8 @@ def slice_by_ray(
     v_lo, v_hi = phi.value_bounds()
     lo, hi = max(w0, v_lo), min(w1, v_hi)
     start, stop = angle_sub(beta, QUARTER_TURN), angle_add(beta, QUARTER_TURN)
-    j_min = -(-ceil_half_turns(angle_sub(lo, start)) // 2)  # start + 2 pi j >= lo
-    j_max = (floor_half_turns(angle_sub(hi, start)) - 1) // 2  # stop + 2 pi j <= hi
+    (_, c), (f, _) = angle_sub(lo, start).floor_ceil(), angle_sub(hi, start).floor_ceil()
+    j_min, j_max = -(-c // 2), (f - 1) // 2  # start + 2 pi j >= lo, stop + 2 pi j <= hi
     pieces = []
     for j in range(j_min, j_max + 1):
         a, b = add_turns(start, j), add_turns(stop, j)

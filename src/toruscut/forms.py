@@ -40,7 +40,8 @@ One rule, `_lattice_ranges`, reads a piecewise-affine function's floor
 and ceiling at its n + 1 breakpoints, with no slope, and gives the J
 lattice points it crosses as one range per segment, O(n + J): the hits of
 phi on a half-turn lattice (`solve_half_turn_lattice`, quarter counts on
-pi/4 data, else `Angle`s), and `invariants.homotopy_certificate`'s zeros.
+pi/4 data, else `Angle.floor_ceil`), and the zeros of
+`invariants.homotopy_certificate`.
 """
 
 from __future__ import annotations
@@ -61,10 +62,7 @@ from .angles import (
     angle_compare,
     angle_of_quarters,
     angle_sub,
-    ceil_half_turns,
     direction_angle,
-    floor_half_turns,
-    format_angle,
     to_float,
 )
 from .errors import (
@@ -77,10 +75,6 @@ from .errors import (
 
 Rational = Fraction | int
 Eta = Direction | tuple[int, int]  # a pair need not be primitive: (2, 0) is 2 (1, 0)
-
-
-def _literal(a: Angle | AngleForm) -> str:
-    return format_angle(a) if isinstance(a, Angle) else str(a)
 
 
 def _lattice_ranges(f: Sequence[int], c: Sequence[int]) -> list[range]:
@@ -108,8 +102,9 @@ class ProfilePoint:
     offset/span (span is the sweep across the segment, offset the part of
     it up to the target).  Both are `Angle`s, or both `AngleForm`s where
     the swept quantity is itself a combination of angles (the difference
-    of two profiles); either type answers `value()`, `pi_multiple()` and
-    an exact `==`, and `ratio()`, which for forms stays accurate when the
+    of two profiles); either type answers `value()`, `pi_multiple()`, an
+    exact `==`, `str()`, the literal that `__str__` prints for an
+    irrational t, and `ratio()`, which for forms stays accurate when the
     span is a tiny difference of large Args.
 
     The exact parameter value is computed in one place, `_exact_t`, once,
@@ -176,10 +171,7 @@ class ProfilePoint:
         exact = self.t_fraction()
         if exact is not None:
             return str(exact)
-        return (
-            f"{self.t_lo} + ({self.t_hi}-{self.t_lo})"
-            f"*ratio[{_literal(self.offset)} / {_literal(self.span)}]"
-        )
+        return f"{self.t_lo} + ({self.t_hi}-{self.t_lo})*ratio[{self.offset} / {self.span}]"
 
 
 class MomentValue(NamedTuple):
@@ -358,7 +350,8 @@ class AngleProfile(_Grid):
         `_lattice_ranges` of the floors and ceilings of v[i] - base in half
         turns, read from m[i] = base - v[i] in integer quarter counts
         (`Angle.quarters`) when the base and every value are pi/4
-        directions, else as `Angle`s; the orientation is not asked.  A
+        directions, else by one `Angle.floor_ceil` of each m[i]; the
+        orientation is not asked.  A
         hit's offset is m[i] plus j half turns, its span the segment's
         sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
         search: a hit makes one offset `Angle`, a table lookup or one of
@@ -376,9 +369,8 @@ class AngleProfile(_Grid):
                 for j in js
             ]
         m = [angle_sub(base, v) for v in self.values]
-        ranges = _lattice_ranges(
-            [-ceil_half_turns(a) for a in m], [-floor_half_turns(a) for a in m]
-        )
+        f, c = zip(*(a.floor_ceil() for a in m))
+        ranges = _lattice_ranges([-x for x in c], [-x for x in f])
         hits = []
         for i, (span, js) in enumerate(zip(self._sweeps, ranges)):
             steps, t_lo, t_hi = _half_turns(m[i]), b[i], b[i + 1]

@@ -16,10 +16,7 @@ from toruscut.angles import (
     angle_compare,
     angle_of_quarters,
     angle_sub,
-    ceil_half_turns,
     direction_angle,
-    floor_half_turns,
-    format_angle,
     negate,
     parse_angle,
 )
@@ -40,8 +37,8 @@ def count_lattice(theta, a0, a1):
     """
     if angle_compare(a0, a1) > 0:
         raise ValueError("count_lattice needs a0 <= a1")
-    lo = -(-ceil_half_turns(angle_sub(a0, theta)) // 2)
-    hi = floor_half_turns(angle_sub(a1, theta)) // 2
+    lo = -(-angle_sub(a0, theta).floor_ceil()[1] // 2)
+    hi = angle_sub(a1, theta).floor_ceil()[0] // 2
     return max(0, hi - lo + 1)
 
 
@@ -183,17 +180,16 @@ class TestFloorCeil:
         # hits are covered separately below.
         approx = a.value() / math.pi
         if abs(approx - round(approx)) > 1e-6:
-            assert floor_half_turns(a) == math.floor(approx)
-            assert ceil_half_turns(a) == math.ceil(approx)
+            assert a.floor_ceil() == (math.floor(approx), math.ceil(approx))
 
     def test_exact_multiples(self):
-        assert floor_half_turns(A(1, 0, 6)) == ceil_half_turns(A(1, 0, 6)) == 12  # 12pi
-        assert floor_half_turns(A(-1, 0, 1)) == ceil_half_turns(A(-1, 0, 1)) == 3  # 3pi
-        assert floor_half_turns(A(-1, 0, 0)) == ceil_half_turns(A(-1, 0, 0)) == 1  # pi
+        assert A(1, 0, 6).floor_ceil() == (12, 12)  # 12pi
+        assert A(-1, 0, 1).floor_ceil() == (3, 3)  # 3pi
+        assert A(-1, 0, 0).floor_ceil() == (1, 1)  # pi
 
     @given(angles(max_turns=30))
     def test_floor_ceil_sandwich(self, a):
-        f, c = floor_half_turns(a), ceil_half_turns(a)
+        f, c = a.floor_ceil()
         assert f <= c <= f + 1
         exact = a.pi_multiple()
         assert (f == c) == (exact is not None and exact.denominator == 1)
@@ -274,7 +270,7 @@ class TestPiMultiples:
 class TestLiterals:
     @given(angles())
     def test_round_trip(self, a):
-        assert parse_angle(format_angle(a)) == a
+        assert parse_angle(str(a)) == a
 
     def test_omitted_turns(self):
         assert parse_angle("-1,0") == A(-1, 0)

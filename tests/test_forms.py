@@ -40,7 +40,7 @@ from toruscut import (
 )
 from toruscut import cuts, forms
 from toruscut import angles as angle_module
-from toruscut.angles import add_half_turns, ceil_half_turns, floor_half_turns, negate, to_float
+from toruscut.angles import add_half_turns, negate, to_float
 
 from float_reference import phi_float, radial_float
 from quarter_reference import EIGHTHS, quarter_angle
@@ -254,7 +254,7 @@ def scan_solve(phi, target):
 def lattice_by_solving(phi, base):
     """Reference solve_half_turn_lattice: one `solve` per lattice index."""
     lo, hi = phi.value_bounds()
-    j_min, j_max = ceil_half_turns(angle_sub(lo, base)), floor_half_turns(angle_sub(hi, base))
+    j_min, j_max = angle_sub(lo, base).floor_ceil()[1], angle_sub(hi, base).floor_ceil()[0]
     hits = [(j, phi.solve(add_half_turns(base, j))) for j in range(j_min, j_max + 1)]
     return hits[::-1] if phi.orientation < 0 else hits
 
