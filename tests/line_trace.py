@@ -177,7 +177,7 @@ def main(argv: list[str]) -> int:
     listed = read_list(LIST.read_text(encoding="utf-8"))
     joined, left = missing - listed, listed - missing
     for (func, text), n in sorted(left.items()):
-        print(f"now reached, can leave {LIST.name}: {func}: {text}")
+        print(f"now reached, to leave {LIST.name}: {func}: {text}")
     for (func, text), n in sorted(joined.items()):
         print(f"unreached and not in {LIST.name}: {func}: {text}")
     print(
