@@ -4,7 +4,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
-from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
@@ -52,6 +51,7 @@ from toruscut.errors import NonMonotone, ZeroVector
 from toruscut.forms import ProfilePoint
 from toruscut.invariants import PlanarZero
 
+from call_counts import CallCounts
 from float_reference import phi_float
 from quarter_reference import quarter_angle
 from test_angles import count_lattice
@@ -454,36 +454,21 @@ class TestDistinguishMatchesEnumeration:
     def test_bare_forms_and_profiles(self, a, b):
         assert_matches_reference(a, b)
 
-    def test_reads_each_side_once(self, monkeypatch, capsys):
+    def test_reads_each_side_once(self, capsys):
         # one value_bounds and one _arg_compare per side for q; no angle
         # arithmetic and no count profile in distinguish or cc_count, and no
-        # floor of a sweep in cc_profile either
-        calls = Counter()
-
-        def count(module, name):
-            def counted(*args, original=getattr(module, name)):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counted)
-
-        for name in ("cc_profile", "cc_count", "_arg_compare"):
-            count(invariants, name)
-        # the ring is sorted through _BY_ARG, which holds the function it was
-        # built from: rebuild it on the counted one, so a sort counts too
-        monkeypatch.setattr(invariants, "_BY_ARG", cmp_to_key(invariants._arg_compare))
-        # in invariants, and in angles, whose own helpers call it
-        for module in (angles, invariants):
-            count(module, "angle_sub")
-        # a floor is a method, counted on its classes, so no import style hides one
-        for cls in (angles.Angle, angles.AngleForm):
-            count(cls, "floor_ceil")
-
-        def reduced(*args, original=Direction.reduced):
-            calls["reduced"] += 1
-            return original(*args)
-
-        monkeypatch.setattr(Direction, "reduced", staticmethod(reduced))
+        # floor of a sweep in cc_profile either.  Entries are counted on the
+        # code objects, so an alias, a method or a sort key counts too
+        calls = CallCounts(
+            (invariants, "cc_profile"),
+            (invariants, "cc_count"),
+            (angles, "_arg_compare"),
+            (angles, "angle_sub"),
+            (angles.Angle, "floor_ceil"),
+            (angles.AngleForm, "floor_ceil"),
+            (Direction, "reduced"),
+            (invariants, "distinguish"),
+        )
         huge, skew = alpha_cutspec(10**30), minimal_valid_cutspec((3, -5), (7, 2))
         standard_ends = [
             (alpha_cutspec(1), alpha_cutspec(2)),
@@ -493,7 +478,8 @@ class TestDistinguishMatchesEnumeration:
         for a, b in standard_ends + [(huge, skew)]:
             for mode in (MODE_FIXED, MODE_GL2Z):
                 calls.clear()
-                distinguish(a, b, mode)
+                with calls:
+                    distinguish(a, b, mode)
                 assert calls["cc_profile"] == calls["cc_count"] == 0
                 assert calls["angle_sub"] == calls["floor_ceil"] == 0
                 if (a, b) in standard_ends:
@@ -506,15 +492,18 @@ class TestDistinguishMatchesEnumeration:
                     assert calls["_arg_compare"] <= 2 + 12 * 4
         for spec in (alpha_cutspec(1), huge, skew):
             calls.clear()
-            for xi in ((1, 0), (4, -2), D(-1, 1), D(7, 2)):
-                invariants.cc_count(spec, xi)
+            with calls:
+                for xi in ((1, 0), (4, -2), D(-1, 1), D(7, 2)):
+                    invariants.cc_count(spec, xi)
             assert calls["angle_sub"] == calls["floor_ceil"] == 0
             calls.clear()
-            invariants.cc_profile(spec)
+            with calls:
+                invariants.cc_profile(spec)
             assert calls["floor_ceil"] == 0
         # reproduce-paper searches each of its 190 pairs once, for both modes
-        count(cli, "distinguish")
-        assert cli.main(["reproduce-paper", "--kmax", "20"]) == 0
+        calls.clear()
+        with calls:
+            assert cli.main(["reproduce-paper", "--kmax", "20"]) == 0
         capsys.readouterr()
         assert calls["distinguish"] == 20 * 19 // 2
 
