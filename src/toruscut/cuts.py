@@ -33,7 +33,6 @@ from .angles import (
     Angle,
     Direction,
     QUARTER_TURN,
-    _half_turns,
     add_turns,
     angle_add,
     angle_sub,
@@ -128,19 +127,18 @@ class ReducedCircle:
     """A reduced circle over one zero of the eta-moment.
 
     The zero sits where phi crosses the half-turn lattice through
-    Arg(-n, m); index is the lattice index j of the crossing, angle the
-    exact value phi(t*), and point the exact parameter description.  The
-    reduced 1-form on the quotient circle is coefficient * dv in the
-    coordinate v dual to the recorded complement of eta; the coefficient
-    is (-1)^(j+1) r(t*) / |eta|, never zero, as a float, or None when r(t*),
-    |eta| or the quotient is beyond the normal float range.
+    Arg(-n, m); index is the lattice index j of the crossing, and point
+    the exact parameter description.  The reduced 1-form on the quotient
+    circle is coefficient * dv in the coordinate v dual to
+    `complement_vector(eta)`; the coefficient is (-1)^(j+1) r(t*) / |eta|,
+    never zero, as a float, or None when r(t*), |eta| or the quotient is
+    beyond the normal float range.  The exact phi(t*) is
+    `add_half_turns(direction_angle(eta.perp()), index)`.
     """
 
     index: int
-    angle: Angle
     point: ProfilePoint
     coefficient: float | None
-    complement: Direction
 
     @property
     def sign(self) -> int:
@@ -237,30 +235,21 @@ def complement_vector(eta: Direction) -> Direction:
 
 def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     """All reduced circles of the eta-moment's zero level, ordered by t: one
-    per lattice hit, with the angle base + j*pi on one of the two directions
-    of base, read once per call, and one pass of the radial over the hits."""
+    per lattice hit of base = `direction_angle(eta.perp())`, with one pass
+    of the radial over the hits.  A circle's angle is
+    `add_half_turns(base, c.index)`, and its coefficient refers to
+    `complement_vector(eta)`, the same on every circle."""
     eta = _dir(eta)
-    base = direction_angle(eta.perp())
-    steps = _half_turns(base)
-    zeta = complement_vector(eta)
     x, y = to_float(eta.x), to_float(eta.y)
     mag = None if x is None or y is None else math.hypot(x, y)
-    hits = form.phi.solve_half_turn_lattice(base)
+    hits = form.phi.solve_half_turn_lattice(direction_angle(eta.perp()))
     radii = form.radial.floats_along(pt for _, pt in hits)
     out = []
     for (j, pt), r in zip(hits, radii):
-        d, turns = steps[j % 2]
         # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
         q = None if r is None or mag is None else r / mag
-        out.append(
-            ReducedCircle(
-                index=j,
-                angle=Angle(d, turns + j // 2),
-                point=pt,
-                coefficient=None if q is None or q < sys.float_info.min else (q if j % 2 else -q),
-                complement=zeta,
-            )
-        )
+        coefficient = None if q is None or q < sys.float_info.min else (q if j % 2 else -q)
+        out.append(ReducedCircle(j, pt, coefficient))
     return out
 
 

@@ -31,6 +31,7 @@ WORKLOADS = ("cli-mix", "dense-profile", "exact-ties", "paper-families")
 
 # functions that no subcommand and no workload calls, and why they stay
 REASONS = {
+    "cuts.py complement_vector": "library API: the coordinate a reduced circle's coefficient is in",
     "forms.py AngleProfile.segments": "no caller in src/ or tests (ROADMAP item 9)",
     "forms.py InvariantContactForm.reversed": "library API; unit tests reverse forms with it",
     "forms.py RadialProfile.multiply": "`rescale` multiplies radials exactly with it",

@@ -36,14 +36,17 @@ from toruscut import (
 )
 from toruscut.angles import (
     QUARTER_TURN,
+    add_half_turns,
     add_turns,
     angle_add,
     angle_sub,
     direction_angle,
 )
+from toruscut import angles
 from toruscut.forms import ProfilePoint, contact_check
 from toruscut.invariants import Arc, CCProfile, cc_count, cc_profile, detect_overtwisted
 
+from call_counts import CallCounts
 from quarter_reference import EIGHTHS, quarter_angle
 
 A = Angle
@@ -263,15 +266,17 @@ class TestContactReduce:
         assert [c.point.t_fraction() for c in circles] == [F(0), F(2, 5), F(4, 5)]
         assert [c.sign for c in circles] == [1, -1, 1]
         assert [c.coefficient for c in circles] == [1.0, -1.0, 1.0]
-        assert all(c.complement.as_tuple() == (1, 0) for c in circles)
+        # the coordinate the coefficients refer to
+        assert complement_vector(D(0, 1)).as_tuple() == (1, 0)
         assert [c.index for c in circles] == [-1, 0, 1]
 
     def test_circle_angles_lie_on_profile(self):
         form = alpha_form(2)
+        base = direction_angle(D(1, 1).perp())
         for c in contact_reduce(form, (1, 1)):
             t = c.point.t_fraction()
             assert t is not None
-            assert form.phi.compare_at(t, c.angle) == 0
+            assert form.phi.compare_at(t, add_half_turns(base, c.index)) == 0
 
     def test_coefficient_magnitude(self):
         # crossings of an irrational base angle have no rational t, but the
@@ -293,6 +298,20 @@ class TestContactReduce:
         assert [c.sign for c in base] == [c.sign for c in doubled]
         for b, d in zip(base, doubled):
             assert d.coefficient == pytest.approx(2 * b.coefficient, rel=1e-15)
+
+    def test_makes_no_angle_per_circle(self):
+        # the walk's one offset Angle per hit is the only per-circle Angle:
+        # between two forms of one segment the counts differ by the circles
+        for eta in ((1, 1), (2, 1)):
+            made = []
+            for k in (3, 40):
+                form = alpha_form(k)
+                with CallCounts((angles.Angle, "__init__")) as calls:
+                    circles = len(contact_reduce(form, eta))
+                made.append((circles, calls["__init__"]))
+            (few, a_few), (many, a_many) = made
+            assert many > few
+            assert a_many - a_few == many - few
 
     def test_signs_alternate_and_t_increases(self):
         circles = contact_reduce(alpha_form(3), (2, -1))

@@ -27,6 +27,7 @@ from toruscut import (
     angle_add,
     angle_compare,
     angle_sub,
+    complement_vector,
     contact_check,
     contact_reduce,
     direction_angle,
@@ -261,7 +262,7 @@ def lattice_by_solving(phi, base):
 
 def reduce_by_solving(form, eta):
     """Reference contact_reduce: the radial evaluated at each hit on its own,
-    as (index, angle, point, exact t, float t, coefficient)."""
+    as (index, point, exact t, float t, coefficient)."""
     base = direction_angle((-eta[1], eta[0]))
     out = []
     for j, pt in lattice_by_solving(form.phi, base):
@@ -271,7 +272,7 @@ def reduce_by_solving(form, eta):
         else:
             r = radial_float(form.radial, pt.t_float())
         sign = 1 if j % 2 else -1
-        out.append((j, add_half_turns(base, j), pt, t, pt.t_float(), sign * r / math.hypot(*eta)))
+        out.append((j, pt, t, pt.t_float(), sign * r / math.hypot(*eta)))
     return out
 
 
@@ -359,13 +360,13 @@ class TestSolveBisection:
             eta = (base.dir.y, -base.dir.x)  # its zero lattice runs through base
             circles = contact_reduce(form, eta)
             want = reduce_by_solving(form, eta)
+            # each point equals the reference's solve of base + index * pi
             assert [
-                (c.index, c.angle, c.point, c.point.t_fraction(), c.point.t_float())
-                for c in circles
-            ] == [w[:5] for w in want]
+                (c.index, c.point, c.point.t_fraction(), c.point.t_float()) for c in circles
+            ] == [w[:4] for w in want]
             # bit for bit at an exact t, to rounding at an irrational one
             assert [c.coefficient for c in circles] == [
-                w[5] if w[3] is not None else pytest.approx(w[5], rel=1e-12) for w in want
+                w[4] if w[2] is not None else pytest.approx(w[4], rel=1e-12) for w in want
             ]
 
     def test_lattice_enumeration_cost_is_n_plus_j(self, monkeypatch):
@@ -1008,10 +1009,11 @@ class TestValueTypes:
 
         form = InvariantContactForm.unit(alpha_phi(1))
         circle = contact_reduce(form, (0, 1))[0]
+        angle = add_half_turns(direction_angle(D(0, 1).perp()), circle.index)
         arc = cc_profile(form).arcs[0]
         zero = homotopy_certificate(form, InvariantContactForm.unit(alpha_phi(2))).zeros[0]
         item = Item("key", "exact", 1.0)
-        values = (circle.complement, circle.angle, circle.point, circle, arc, zero, item)
+        values = (complement_vector(D(0, 1)), angle, circle.point, circle, arc, zero, item)
         values += (Record("t", (item,)),)
         kinds = (Direction, Angle, ProfilePoint, cuts.ReducedCircle, Arc, PlanarZero, Item, Record)
         for value, kind in zip(values, kinds):

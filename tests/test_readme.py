@@ -37,3 +37,14 @@ def test_library_example_gives_the_values_it_states():
         assert eval(expr, namespace) == eval(expected, namespace), expr
         checked += 1
     assert checked
+
+
+def test_library_example_reads_a_reduced_circle():
+    # a ReducedCircle holds its index, point and coefficient; the example
+    # reads its angle and its complement from the public functions
+    calls = {
+        node.func.id
+        for node in ast.walk(ast.parse(library_block()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"contact_reduce", "add_half_turns", "complement_vector"} <= calls
