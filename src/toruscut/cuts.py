@@ -91,7 +91,8 @@ class CutSpec:
     def __post_init__(self):
         object.__setattr__(self, "v0", _dir(self.v0))
         object.__setattr__(self, "v1", _dir(self.v1))
-        if self.form.domain != (0, 1):
+        t0, t1 = self.form.domain
+        if t0.numerator or t1.numerator != 1 or t1.denominator != 1:  # not [0, 1]
             object.__setattr__(self, "form", self.form.reparametrized(0, 1))
         object.__setattr__(self, "violations", _violations(self))
 
