@@ -27,7 +27,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
