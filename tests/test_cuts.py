@@ -34,6 +34,7 @@ from toruscut import (
     sweep,
     validate_cutspec,
 )
+from toruscut import angles
 from toruscut.angles import (
     QUARTER_TURN,
     add_half_turns,
@@ -42,7 +43,6 @@ from toruscut.angles import (
     angle_sub,
     direction_angle,
 )
-from toruscut import angles
 from toruscut.forms import ProfilePoint, contact_check
 from toruscut.invariants import Arc, CCProfile, cc_count, cc_profile, detect_overtwisted
 

@@ -100,13 +100,6 @@ def exact_pi4(*paths: str) -> bool:
     return all(isinstance(v.p, Fraction) for p in paths for v in read_spec(p)[1])
 
 
-def same(got, want) -> bool:
-    """Exact equality on exact data, float agreement otherwise."""
-    if isinstance(got, Fraction) and isinstance(want, Fraction):
-        return got == want
-    return orc.close(float(got), float(want))
-
-
 def check_invariants(argv, recs):
     _, values = read_spec(argv[1])
     xi = argv[argv.index("--direction") + 1]
@@ -121,7 +114,8 @@ def check_profile(argv, recs):
     assert (recs["cc-profile", "min"][0], recs["cc-profile", "max"][0]) == (str(q), str(q1))
     swept = orc.swept(values)
     exact, approx = recs["cc-profile", "swept"]
-    assert same(orc.total(orc.diff(parse_angle(exact), OAngle((1, 0)))), swept)
+    got = orc.total(orc.diff(parse_angle(exact), OAngle((1, 0))))
+    assert got == swept if isinstance(swept, Fraction) else orc.close(float(got), float(swept))
     try:
         want = float(swept) * math.pi
     except OverflowError:
