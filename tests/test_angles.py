@@ -15,9 +15,9 @@ from toruscut.angles import (
     angle_add,
     angle_compare,
     angle_of_quarters,
+    ZERO_ANGLE,
     angle_sub,
     direction_angle,
-    negate,
     parse_angle,
 )
 from toruscut.errors import NonPrimitive, ZeroVector
@@ -40,6 +40,24 @@ def count_lattice(theta, a0, a1):
     lo = -(-angle_sub(a0, theta).floor_ceil()[1] // 2)
     hi = angle_sub(a1, theta).floor_ceil()[0] // 2
     return max(0, hi - lo + 1)
+
+
+def ref_negate(a):
+    """-a exactly, the rule that `angle_sub` subtracts by, kept as its reference:
+    -(pi + 2*pi*n) = pi + 2*pi*(-n - 1), so the branch endpoint flips turns."""
+    if (a.dir.x, a.dir.y) == (-1, 0):
+        return Angle(Direction(-1, 0), -a.turns - 1)
+    return Angle(Direction(a.dir.x, -a.dir.y), -a.turns)
+
+
+# every primitive direction with coordinates in [-3, 3], at turns -2..2
+SMALL_DIRS = [
+    Direction(x, y)
+    for x in range(-3, 4)
+    for y in range(-3, 4)
+    if math.gcd(x, y) == 1
+]
+SMALL_ANGLES = [Angle(d, n) for d in SMALL_DIRS for n in range(-2, 3)]
 
 
 def dirs(max_coord=9):
@@ -163,8 +181,19 @@ class TestAddSub:
 
     @given(angles())
     def test_negate_involution(self, a):
-        assert negate(negate(a)) == a
-        assert math.isclose(negate(a).value(), -a.value(), abs_tol=1e-9)
+        neg = angle_sub(ZERO_ANGLE, a)
+        assert angle_sub(ZERO_ANGLE, neg) == a
+        assert math.isclose(neg.value(), -a.value(), abs_tol=1e-9)
+
+    def test_sub_adds_the_negation_on_small_angles(self):
+        assert len(SMALL_DIRS) == 32
+        for a in SMALL_ANGLES:
+            for b in SMALL_ANGLES:
+                assert angle_sub(a, b) == angle_add(a, ref_negate(b)), (a, b)
+
+    @given(angles(10**30, 10**30), angles(10**30, 10**30))
+    def test_sub_adds_the_negation(self, a, b):
+        assert angle_sub(a, b) == angle_add(a, ref_negate(b))
 
     @given(angles(max_turns=20), st.integers(-9, 9))
     def test_half_turn_shift(self, a, j):
