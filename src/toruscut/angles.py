@@ -135,7 +135,6 @@ def cross(a: Direction, b: Direction) -> int:
 
 
 UNIT_X = Direction(1, 0)
-NEG_X = Direction(-1, 0)
 
 
 def _argclass(d: Direction) -> int:
@@ -244,22 +243,15 @@ def angle_compare(a: Angle, b: Angle) -> int:
     return _arg_compare(a.dir, b.dir)
 
 
-def negate(a: Angle) -> Angle:
-    # -(pi + 2*pi*n) = pi + 2*pi*(-n - 1): the branch endpoint flips turns.
-    if a.dir == NEG_X:
-        return Angle(NEG_X, -a.turns - 1)
-    return Angle(_primitive(a.dir.x, -a.dir.y), -a.turns)
-
-
-def angle_add(a: Angle, b: Angle) -> Angle:
-    """Exact sum.  The direction is the Gaussian-integer product; the branch
-    correction in {-1, 0, +1} is decided from the half-plane classes of the
-    operands and the sign of the product's components."""
-    px = a.dir.x * b.dir.x - a.dir.y * b.dir.y
-    py = a.dir.x * b.dir.y + a.dir.y * b.dir.x
-    d = Direction.reduced(px, py)
-    a_pos = _argclass(a.dir) >= 2  # Arg > 0
-    b_pos = _argclass(b.dir) >= 2
+def _plus(a: Angle, x: int, y: int, turns: int) -> Angle:
+    """a + Arg(x, y) + 2*pi*turns exactly, for a primitive (x, y).  The
+    direction is the Gaussian-integer product; the branch correction in
+    {-1, 0, +1} is decided from the half-plane classes of the operands and
+    the sign of the product's components."""
+    ax, ay = a.dir.x, a.dir.y
+    px, py = ax * x - ay * y, ax * y + ay * x
+    a_pos = ay > 0 or (ay == 0 and ax < 0)  # Arg > 0
+    b_pos = y > 0 or (y == 0 and x < 0)
     c = 0
     if a_pos and b_pos:
         # Sum lies in (0, 2*pi]; wrapped iff it exceeds pi.
@@ -269,12 +261,20 @@ def angle_add(a: Angle, b: Angle) -> Angle:
         # Sum lies in (-2*pi, 0]; wrapped iff it is at most -pi.
         if py > 0 or (py == 0 and px < 0):
             c = -1
-    return Angle(d, a.turns + b.turns + c)
+    return Angle(Direction.reduced(px, py), a.turns + turns + c)
+
+
+def angle_add(a: Angle, b: Angle) -> Angle:
+    """Exact sum."""
+    return _plus(a, b.dir.x, b.dir.y, b.turns)
 
 
 def angle_sub(a: Angle, b: Angle) -> Angle:
-    """Exact difference a - b."""
-    return angle_add(a, negate(b))
+    """Exact difference a - b: a plus b's conjugate direction, with -b.turns
+    turns, and one turn less at the branch endpoint, since -(pi + 2*pi*n)
+    is pi + 2*pi*(-n - 1)."""
+    x, y = b.dir.x, b.dir.y
+    return _plus(a, x, -y, -b.turns - (y == 0 and x < 0))
 
 
 def _half_turns(a: Angle) -> tuple[tuple[Direction, int], tuple[Direction, int]]:

@@ -40,7 +40,7 @@ from .angles import (
     to_float,
 )
 from .errors import InvalidCutSpec
-from .forms import AngleProfile, InvariantContactForm, ProfilePoint, _moment
+from .forms import AngleProfile, InvariantContactForm, ProfilePoint, RadialProfile, _moment
 
 
 def _dir(v) -> Direction:
@@ -267,13 +267,14 @@ def slice_by_ray(
     cut off by the window or the domain are dropped.
 
     Each piece is given in normal form: phi from a to b (from b to a on a
-    decreasing profile) on [0, 1] with two breakpoints and a unit radial.
-    That is the input form on the part of its domain where phi sweeps
-    [a, b], up to an equivariant contactomorphism: a monotone change of
-    the parameter makes phi affine there, and a positive radial factor
-    leaves ker alpha as it is.  No parameter is solved, so every legal
-    form is sliced, and a piece costs O(1): the j are read from one
-    `Angle.floor_ceil` of each end of the range less Arg(eta) - pi/2.
+    decreasing profile) on [0, 1] with two breakpoints, and one unit
+    radial that every piece shares.  That is the input form on the part of
+    its domain where phi sweeps [a, b], up to an equivariant
+    contactomorphism: a monotone change of the parameter makes phi affine
+    there, and a positive radial factor leaves ker alpha as it is.  No
+    parameter is solved, so every legal form is sliced, and a piece costs
+    O(1): the j are read from one `Angle.floor_ceil` of each end of the
+    range less Arg(eta) - pi/2.
     """
     eta = _dir(eta)
     w0, w1 = window
@@ -286,10 +287,10 @@ def slice_by_ray(
     start, stop = angle_sub(beta, QUARTER_TURN), angle_add(beta, QUARTER_TURN)
     (_, c), (f, _) = angle_sub(lo, start).floor_ceil(), angle_sub(hi, start).floor_ceil()
     j_min, j_max = -(-c // 2), (f - 1) // 2  # start + 2 pi j >= lo, stop + 2 pi j <= hi
-    pieces = []
+    pieces, unit = [], RadialProfile.constant(1, (0, 1))
     for j in range(j_min, j_max + 1):
         a, b = add_turns(start, j), add_turns(stop, j)
         ends = (a, b) if phi.orientation > 0 else (b, a)
-        pieces.append(CutSpec(InvariantContactForm.unit(AngleProfile((0, 1), ends)), eta, eta))
+        pieces.append(CutSpec(InvariantContactForm(AngleProfile((0, 1), ends), unit), eta, eta))
     # j ascends with phi, so t descends on a decreasing profile
     return pieces if phi.orientation > 0 else pieces[::-1]

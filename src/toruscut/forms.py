@@ -35,7 +35,8 @@ Parameter values where a profile attains a given lattice angle are
 returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio is read as a Fraction when both differences are rational
-multiples of pi, computed once, on first use.
+multiples of pi: the half-turn lattice walk sets it for a hit on pi/4
+data, and every other point computes it once, on first use.
 One rule, `_lattice_ranges`, reads a piecewise-affine function's floor
 and ceiling at its n + 1 breakpoints, with no slope, and gives the J
 lattice points it crosses as one range per segment, O(n + J): the hits of
@@ -92,6 +93,14 @@ def _lattice_ranges(f: Sequence[int], c: Sequence[int]) -> list[range]:
     ]
 
 
+def _quarter_t(t_lo: Fraction, t_hi: Fraction, q_offset: int, q_span: int) -> Fraction:
+    """t_lo + (t_hi - t_lo) * q_offset / q_span as one Fraction from
+    integers: the exact t of a point whose offset and span are q_offset and
+    q_span quarter turns, q_span nonzero."""
+    p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
+    return Fraction(p * u * q_span + (s * r - p * u) * q_offset, r * u * q_span)
+
+
 @dataclass(frozen=True, slots=True)
 class ProfilePoint:
     """Parameter value where a profile meets a target angle.
@@ -107,11 +116,13 @@ class ProfilePoint:
     irrational t, and `ratio()`, which for forms stays accurate when the
     span is a tiny difference of large Args.
 
-    The exact parameter value is computed in one place, `_exact_t`, once,
-    on first use, by one rule for both types (with a fast path in
-    quarter counts for two `Angle`s), and kept in the slot _t, which is
-    not compared, hashed or shown.  Ellipsis marks it as not yet known,
-    since None means that no exact t was found (see `t_fraction`).
+    The exact parameter value is kept in the slot _t, which is not
+    compared, hashed or shown.  The half-turn lattice walk sets it for a
+    hit on pi/4 data, by `_quarter_t`; every other point computes it in
+    one place, `_exact_t`, once, on first use, by one rule for both types
+    (with a fast path in quarter counts, `_quarter_t` again, for two
+    `Angle`s).  Ellipsis marks it as not yet known, since None means that
+    no exact t was found (see `t_fraction`).
     """
 
     segment: int
@@ -119,7 +130,7 @@ class ProfilePoint:
     t_hi: Fraction
     offset: Angle | AngleForm
     span: Angle | AngleForm
-    _t: Fraction | None = field(default=..., init=False, repr=False, compare=False)
+    _t: Fraction | None = field(default=..., repr=False, compare=False)
 
     def _exact_t(self) -> Fraction | None:
         """t_lo + (t_hi - t_lo) * offset / span when both are rational
@@ -132,9 +143,7 @@ class ProfilePoint:
         if type(offset) is Angle and type(span) is Angle:
             qo, qs = offset.quarters(), span.quarters()
             if qo is not None and qs:
-                t_lo, t_hi = self.t_lo, self.t_hi
-                p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
-                return Fraction(p * u * qs + (s * r - p * u) * qo, r * u * qs)
+                return _quarter_t(self.t_lo, self.t_hi, qo, qs)
             if qo is None:  # an irrational offset: t is known only when it is the span
                 return self.t_hi if qs is None and offset == span else None
         num = offset.pi_multiple()
@@ -356,18 +365,22 @@ class AngleProfile(_Grid):
         sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
         search: a hit makes one offset `Angle`, a table lookup or one of
         the two directions of m[i] that its segment reads once
-        (`angles._half_turns`), and one `ProfilePoint`, whose exact t is
-        computed on first use.
+        (`angles._half_turns`), and one `ProfilePoint`.  On pi/4 data the
+        walk sets the point's exact t from the quarter counts of offset and
+        span (`_quarter_t`); on the `Angle` path it is computed on first use.
         """
         b, qs, q_base = self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
             m = [q_base - q for q in qs]
             ranges = _lattice_ranges([-d // 4 for d in m], [-(d // 4) for d in m])
-            return [
-                (j, ProfilePoint(i, b[i], b[i + 1], angle_of_quarters(m[i] + 4 * j), span))
-                for i, (span, js) in enumerate(zip(self._sweeps, ranges))
-                for j in js
-            ]
+            hits = []
+            for i, (span, js) in enumerate(zip(self._sweeps, ranges)):
+                t_lo, t_hi, q_span = b[i], b[i + 1], qs[i + 1] - qs[i]
+                for j in js:
+                    q = m[i] + 4 * j
+                    t = _quarter_t(t_lo, t_hi, q, q_span)
+                    hits.append((j, ProfilePoint(i, t_lo, t_hi, angle_of_quarters(q), span, t)))
+            return hits
         m = [angle_sub(base, v) for v in self.values]
         f, c = zip(*(a.floor_ceil() for a in m))
         ranges = _lattice_ranges([-x for x in c], [-x for x in f])

@@ -22,6 +22,7 @@ from toruscut.angles import (
 )
 from toruscut.errors import NonPrimitive, ZeroVector
 
+from call_counts import CallCounts
 from quarter_reference import EIGHTHS, quarter_angle
 
 A = lambda x, y, n=0: Angle(Direction(x, y), n)
@@ -194,6 +195,13 @@ class TestAddSub:
     @given(angles(10**30, 10**30), angles(10**30, 10**30))
     def test_sub_adds_the_negation(self, a, b):
         assert angle_sub(a, b) == angle_add(a, ref_negate(b))
+
+    def test_sub_makes_one_angle(self):
+        # b's conjugate goes into the product as it is: no negated Angle
+        a, b = A(3, -7, 4), A(-1, 0, 2)
+        with CallCounts((Angle, "__init__")) as calls:
+            angle_sub(a, b)
+        assert calls["__init__"] == 1
 
     @given(angles(max_turns=20), st.integers(-9, 9))
     def test_half_turn_shift(self, a, j):

@@ -508,8 +508,8 @@ class TestDistinguishMatchesEnumeration:
         assert calls["distinguish"] == 20 * 19 // 2
 
     @given(
-        st.one_of(st.just(angles.NEG_X), wide_dirs()),
-        st.one_of(st.just(angles.NEG_X), wide_dirs()),
+        st.one_of(st.just(D(-1, 0)), wide_dirs()),
+        st.one_of(st.just(D(-1, 0)), wide_dirs()),
         many_turns(),
         many_turns(),
         st.booleans(),

@@ -300,9 +300,11 @@ class TestContactReduce:
             assert d.coefficient == pytest.approx(2 * b.coefficient, rel=1e-15)
 
     def test_makes_no_angle_per_circle(self):
-        # the walk's one offset Angle per hit is the only per-circle Angle:
-        # between two forms of one segment the counts differ by the circles
-        for eta in ((1, 1), (2, 1)):
+        # the walk's one offset Angle per hit is the only per-circle Angle.
+        # The rest is a constant, one Angle per difference: the base (by
+        # `direction_angle`) and the segment sweep, and along (2,1), off
+        # pi/4 data, the base less each of the two breakpoint values
+        for eta, constant in (((1, 1), 2), ((2, 1), 4)):
             made = []
             for k in (3, 40):
                 form = alpha_form(k)
@@ -311,7 +313,7 @@ class TestContactReduce:
                 made.append((circles, calls["__init__"]))
             (few, a_few), (many, a_many) = made
             assert many > few
-            assert a_many - a_few == many - few
+            assert a_few - few == a_many - many == constant
 
     def test_signs_alternate_and_t_increases(self):
         circles = contact_reduce(alpha_form(3), (2, -1))
@@ -553,6 +555,17 @@ class TestSliceByRay:
         monkeypatch.setattr(ProfilePoint, "t_fraction", refuse)
         window = (A(D(1, 0), -100), A(D(1, 0), 100))
         assert len(slice_by_ray(rotating_line_form(60), (1, 1), window)) == 59
+
+    def test_pieces_share_one_unit_radial(self):
+        # one RadialProfile per call, not one per piece, and each piece is
+        # the datum that `InvariantContactForm.unit` gives
+        line, window = rotating_line_form(60), (A(D(1, 0), -100), A(D(1, 0), 100))
+        with CallCounts((RadialProfile, "__post_init__")) as calls:
+            pieces = slice_by_ray(line, (1, 1), window)
+        assert len(pieces) == 59 and calls["__post_init__"] == 1
+        for piece in pieces:
+            unit = InvariantContactForm.unit(piece.form.phi)
+            assert piece == CutSpec(unit, piece.v0, piece.v1)
 
 
 PRIMITIVE_PAIRS = [

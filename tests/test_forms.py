@@ -41,8 +41,9 @@ from toruscut import (
 )
 from toruscut import cuts, forms
 from toruscut import angles as angle_module
-from toruscut.angles import add_half_turns, negate, to_float
+from toruscut.angles import ZERO_ANGLE, add_half_turns, to_float
 
+from call_counts import CallCounts
 from float_reference import phi_float, radial_float
 from quarter_reference import EIGHTHS, quarter_angle
 
@@ -201,11 +202,42 @@ class TestAngleProfile:
         assert pt.t_float() == pytest.approx(math.atan2(2, 1) / (math.pi / 2))
         assert pt.t_fraction() is None and len(calls) == 1
         assert pt == ProfilePoint(0, F(0), F(1), A(D(1, 2)), A(D(0, 1)))
-        # a walk's points compute their t on first use, once each
+        # a pi/4 walk sets its points' t, so they make no _exact_t call
         pts = [p for _, p in alpha_phi(1).solve_half_turn_lattice(direction_angle((-1, -1)))]
-        assert len(calls) == 1
         assert [p.t_fraction() for p in pts] == [F(1, 10), F(1, 2), F(9, 10)]
-        assert [str(p) for p in pts] == ["1/10", "1/2", "9/10"] and len(calls) == 4
+        assert [str(p) for p in pts] == ["1/10", "1/2", "9/10"] and len(calls) == 1
+
+    def test_angle_walk_computes_exact_t_once(self, monkeypatch):
+        # phi = Arg(1, 2) + 2 pi t meets Arg(1, 2) + j pi at t = 0, 1/2, 1;
+        # off pi/4 data the walk leaves each t to its first use
+        calls = []
+        exact_t = ProfilePoint._exact_t
+        monkeypatch.setattr(ProfilePoint, "_exact_t", lambda p: calls.append(p) or exact_t(p))
+        phi = AngleProfile((F(0), F(1)), (A(D(1, 2)), A(D(1, 2), 1)))
+        pts = [p for _, p in phi.solve_half_turn_lattice(A(D(1, 2)))]
+        assert len(calls) == 0
+        assert [p.t_fraction() for p in pts] == [F(0), F(1, 2), F(1)] and len(calls) == 3
+        assert [str(p) for p in pts] == ["0", "1/2", "1"] and len(calls) == 3
+
+    @given(
+        st.one_of(quarter_profiles(), quarter_profiles(max_turns=10**12)),
+        st.data(),
+    )
+    def test_quarter_walk_sets_each_exact_t(self, phi, data):
+        # both orientations, bases on a breakpoint value and up to 10**12
+        # turns off: each hit's t is the one a fresh point computes, and
+        # reading it enters no _exact_t
+        bases = [
+            data.draw(st.sampled_from(phi.values)),
+            quarter_angle(data.draw(st.integers(-8 * 10**12, 8 * 10**12))),
+        ]
+        for base in bases:
+            pts = [p for _, p in phi.solve_half_turn_lattice(base)]
+            with CallCounts((ProfilePoint, "_exact_t")) as calls:
+                got = [p.t_fraction() for p in pts]
+            assert calls["_exact_t"] == 0
+            fresh = [ProfilePoint(p.segment, p.t_lo, p.t_hi, p.offset, p.span) for p in pts]
+            assert got == [p.t_fraction() for p in fresh]
 
     @given(monotone_profiles())
     def test_solve_inverts_compare(self, phi):
@@ -289,7 +321,7 @@ class TestSolveBisection:
     @settings(max_examples=150)
     def test_matches_linear_scan(self, phi, drawn, quarter):
         v = phi.values
-        step = NUDGE if phi.orientation > 0 else negate(NUDGE)
+        step = NUDGE if phi.orientation > 0 else angle_sub(ZERO_ANGLE, NUDGE)
         inside = [angle_add(x, step) for x in v[:-1]] + [angle_sub(x, step) for x in v[1:]]
         outside = [angle_sub(v[0], step), angle_add(v[-1], step)]
         for target in (*v, *inside, *outside, drawn, quarter):
@@ -379,7 +411,6 @@ class TestSolveBisection:
             (forms, "angle_compare"),
             (forms, "angle_add"),
             (forms, "angle_sub"),
-            (forms, "negate"),
             (forms, "_half_turns"),
         ):
 
@@ -412,7 +443,7 @@ class TestSolveBisection:
             # call, never per hit or per circle
             assert calls["neg"] <= n, calls["neg"]
             # a pi/4 lattice on pi/4 values is walked in integer quarter turns
-            walked_in_angles = [calls[forms, k] for k in ("angle_add", "negate", "_half_turns")]
+            walked_in_angles = [calls[forms, k] for k in ("angle_add", "_half_turns")]
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
 
