@@ -207,17 +207,16 @@ class TestAngleProfile:
         assert [p.t_fraction() for p in pts] == [F(1, 10), F(1, 2), F(9, 10)]
         assert [str(p) for p in pts] == ["1/10", "1/2", "9/10"] and len(calls) == 1
 
-    def test_angle_walk_computes_exact_t_once(self, monkeypatch):
+    def test_angle_walk_computes_exact_t_once(self):
         # phi = Arg(1, 2) + 2 pi t meets Arg(1, 2) + j pi at t = 0, 1/2, 1;
         # off pi/4 data the walk leaves each t to its first use
-        calls = []
-        exact_t = ProfilePoint._exact_t
-        monkeypatch.setattr(ProfilePoint, "_exact_t", lambda p: calls.append(p) or exact_t(p))
         phi = AngleProfile((F(0), F(1)), (A(D(1, 2)), A(D(1, 2), 1)))
-        pts = [p for _, p in phi.solve_half_turn_lattice(A(D(1, 2)))]
-        assert len(calls) == 0
-        assert [p.t_fraction() for p in pts] == [F(0), F(1, 2), F(1)] and len(calls) == 3
-        assert [str(p) for p in pts] == ["0", "1/2", "1"] and len(calls) == 3
+        with CallCounts((ProfilePoint, "_exact_t")) as calls:
+            pts = [p for _, p in phi.solve_half_turn_lattice(A(D(1, 2)))]
+            assert calls["_exact_t"] == 0
+            assert [p.t_fraction() for p in pts] == [F(0), F(1, 2), F(1)]
+            assert calls["_exact_t"] == 3
+            assert [str(p) for p in pts] == ["0", "1/2", "1"] and calls["_exact_t"] == 3
 
     @given(
         st.one_of(quarter_profiles(), quarter_profiles(max_turns=10**12)),
