@@ -37,7 +37,8 @@ element (integer gcds, no integer factorization; D. J. Bernstein,
 integer arithmetic.
 
 Floating point appears in `to_float`, which makes every float the package
-shows (`Angle.value()`, parameter values, moments) from an exact quantity,
+shows (`Angle.value()`, parameter values, moments) from an exact quantity
+(given as a numerator and a denominator, through `_to_float`),
 and in the float stage of `AngleForm.sign` and `AngleForm.floor_ceil`
 (`_float_sum`, with a stated error bound), which decides only outside
 that bound.  Every exact sign of a rational combination of angles goes
@@ -74,11 +75,21 @@ _FAST_TURNS = 2**1000  # `Angle.value` multiplies fewer turns than this in float
 def to_float(q: Fraction | int, factor: float = 1.0, exp2: int = 0) -> float | None:
     """q * factor * 2**exp2 as a float, for an exact rational q and a finite
     float factor, or None outside the normal float range, above or below, so
-    0.0 means q * factor is 0.  Every float the package shows is made here.
+    0.0 means q * factor is 0.  Every float the package shows is made here,
+    or in `_to_float`, the same rule on q's numerator and denominator, which
+    a caller holding n and d calls without building a Fraction.
     q is m * 2**k, m in (1/2, 2), by one correctly rounded integer division
     and `frexp` splits factor, so no step leaves the range; where float(q) *
     factor is a normal float (float(q) too) the result equals it bit for bit."""
-    n, d = q.numerator, q.denominator
+    return _to_float(q.numerator, q.denominator, factor, exp2)
+
+
+def _to_float(n: int, d: int, factor: float = 1.0, exp2: int = 0) -> float | None:
+    """`to_float(Fraction(n, d), factor, exp2)` for integers n and d > 0, bit
+    for bit, whether or not n / d is reduced: the one division rounds the
+    exact quotient n / d * 2**-k, which a common factor leaves or moves by
+    a power of two; k and the exponent from `frexp` move by the same power,
+    so m, e2 and the result stay."""
     k = n.bit_length() - d.bit_length()
     f, e = math.frexp(factor)
     m, e2 = math.frexp(((n << -k) / d if k < 0 else n / (d << k)) * f)
@@ -118,15 +129,24 @@ class Direction:
         return (self.x, self.y)
 
 
+# The private builders (`_primitive`, `_angle`, `forms._point`,
+# `cuts._circle`) set a frozen slotted instance's fields through their slot
+# descriptors, one call per field, in field order: the same object as the
+# public constructor, without its `__init__`, its frozen `__setattr__` or
+# its checks.
+_new = object.__new__
+_DIRECTION_X, _DIRECTION_Y = Direction.x.__set__, Direction.y.__set__
+
+
 def _primitive(x: int, y: int) -> Direction:
     """Direction(x, y) for a pair already known to be primitive.
 
     Skips the gcd of `__post_init__`; sign flips and swaps of a primitive
     pair, and a pair divided by its gcd, are primitive by construction.
     """
-    d = object.__new__(Direction)
-    object.__setattr__(d, "x", x)
-    object.__setattr__(d, "y", y)
+    d = _new(Direction)
+    _DIRECTION_X(d, x)
+    _DIRECTION_Y(d, y)
     return d
 
 
@@ -221,6 +241,18 @@ class Angle:
         return angle_compare(self, other) < 0
 
 
+_ANGLE_DIR, _ANGLE_TURNS = Angle.dir.__set__, Angle.turns.__set__
+
+
+def _angle(d: Direction, turns: int) -> Angle:
+    """Angle(d, turns), built by its slots: the lattice walk's one `Angle`
+    per hit."""
+    a = _new(Angle)
+    _ANGLE_DIR(a, d)
+    _ANGLE_TURNS(a, turns)
+    return a
+
+
 ZERO_ANGLE = Angle(UNIT_X, 0)
 QUARTER_TURN = Angle(Direction(0, 1), 0)
 FULL_TURN = Angle(UNIT_X, 1)
@@ -309,7 +341,7 @@ def angle_of_quarters(q: int) -> Angle:
     >> 3, q - 8n lies in (-4, 4], so it is Arg(dir) / (pi/4) for the
     direction at that index of _QUARTER_DIRS (negative indices wrap)."""
     n = (q + 3) >> 3
-    return Angle(_QUARTER_DIRS[q - 8 * n], n)
+    return _angle(_QUARTER_DIRS[q - 8 * n], n)
 
 
 # -- rational linear forms in angles ---------------------------------------------

@@ -33,6 +33,7 @@ from .angles import (
     Angle,
     Direction,
     QUARTER_TURN,
+    _new,
     add_turns,
     angle_add,
     angle_sub,
@@ -147,6 +148,21 @@ class ReducedCircle:
         return 1 if self.index % 2 else -1
 
 
+_INDEX, _POINT, _COEFFICIENT = (
+    getattr(ReducedCircle, k).__set__ for k in ("index", "point", "coefficient")
+)
+
+
+def _circle(index: int, point: ProfilePoint, coefficient: float | None) -> ReducedCircle:
+    """ReducedCircle(index, point, coefficient), built by its slots
+    (`angles._primitive`): `contact_reduce`'s one circle per hit."""
+    c = _new(ReducedCircle)
+    _INDEX(c, index)
+    _POINT(c, point)
+    _COEFFICIENT(c, coefficient)
+    return c
+
+
 def _boundary_checks(form: InvariantContactForm, v: Direction, end: int) -> list[Violation]:
     phi = form.phi
     d = (phi.values[0] if end == 0 else phi.values[-1]).dir
@@ -237,9 +253,10 @@ def complement_vector(eta: Direction) -> Direction:
 def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     """All reduced circles of the eta-moment's zero level, ordered by t: one
     per lattice hit of base = `direction_angle(eta.perp())`, with one pass
-    of the radial over the hits.  A circle's angle is
-    `add_half_turns(base, c.index)`, and its coefficient refers to
-    `complement_vector(eta)`, the same on every circle."""
+    of the radial over the hits, and each circle built by its slots
+    (`_circle`).  A circle's angle is `add_half_turns(base, c.index)`, and
+    its coefficient refers to `complement_vector(eta)`, the same on every
+    circle."""
     eta = _dir(eta)
     x, y = to_float(eta.x), to_float(eta.y)
     mag = None if x is None or y is None else math.hypot(x, y)
@@ -250,7 +267,7 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
         # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
         q = None if r is None or mag is None else r / mag
         coefficient = None if q is None or q < sys.float_info.min else (q if j % 2 else -q)
-        out.append(ReducedCircle(j, pt, coefficient))
+        out.append(_circle(j, pt, coefficient))
     return out
 
 

@@ -36,7 +36,11 @@ returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio is read as a Fraction when both differences are rational
 multiples of pi: the half-turn lattice walk sets it for a hit on pi/4
-data, and every other point computes it once, on first use.
+data, and every other point computes it once, on first use.  The walk
+builds each hit's point and offset by their slots (`_point`,
+`angles._angle`), the same frozen objects as the public constructors
+give, and a float t comes from `angles.to_float`, or for an irrational t
+from its (n, d) entry `angles._to_float`, with no Fraction of the width.
 One rule, `_lattice_ranges`, reads a piecewise-affine function's floor
 and ceiling at its n + 1 breakpoints, with no slope, and gives the J
 lattice points it crosses as one range per segment, O(n + J): the hits of
@@ -58,8 +62,11 @@ from .angles import (
     Angle,
     AngleForm,
     Direction,
+    _angle,
     _fraction,
     _half_turns,
+    _new,
+    _to_float,
     angle_compare,
     angle_of_quarters,
     angle_sub,
@@ -93,12 +100,13 @@ def _lattice_ranges(f: Sequence[int], c: Sequence[int]) -> list[range]:
     ]
 
 
-def _quarter_t(t_lo: Fraction, t_hi: Fraction, q_offset: int, q_span: int) -> Fraction:
-    """t_lo + (t_hi - t_lo) * q_offset / q_span as one Fraction from
-    integers: the exact t of a point whose offset and span are q_offset and
-    q_span quarter turns, q_span nonzero."""
+def _quarter_t(t_lo: Fraction, t_hi: Fraction, q_span: int) -> tuple[int, int, int]:
+    """(c, w, den) with t_lo + (t_hi - t_lo) * q / q_span = (c + w * q) / den
+    for every integer q: the exact t of a point whose offset and span are q
+    and q_span quarter turns, q_span nonzero, is `Fraction(c + w * q, den)`,
+    one multiply-add once a segment has its three integers."""
     p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
-    return Fraction(p * u * q_span + (s * r - p * u) * q_offset, r * u * q_span)
+    return p * u * q_span, s * r - p * u, r * u * q_span
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +125,14 @@ class ProfilePoint:
     span is a tiny difference of large Args.
 
     The exact parameter value is kept in the slot _t, which is not
-    compared, hashed or shown.  The half-turn lattice walk sets it for a
-    hit on pi/4 data, by `_quarter_t`; every other point computes it in
-    one place, `_exact_t`, once, on first use, by one rule for both types
-    (with a fast path in quarter counts, `_quarter_t` again, for two
-    `Angle`s).  Ellipsis marks it as not yet known, since None means that
-    no exact t was found (see `t_fraction`).
+    compared, hashed or shown.  The half-turn lattice walk builds its
+    points by their slots (`_point`) and sets _t for a hit on pi/4 data,
+    one multiply-add on the three integers that `_quarter_t` gives its
+    segment; every other point computes it in one place, `_exact_t`,
+    once, on first use, by one rule for both types (with a fast path in
+    quarter counts, `_quarter_t` again, for two `Angle`s).  Ellipsis
+    marks it as not yet known, since None means that no exact t was found
+    (see `t_fraction`).
     """
 
     segment: int
@@ -143,7 +153,8 @@ class ProfilePoint:
         if type(offset) is Angle and type(span) is Angle:
             qo, qs = offset.quarters(), span.quarters()
             if qo is not None and qs:
-                return _quarter_t(self.t_lo, self.t_hi, qo, qs)
+                c, w, den = _quarter_t(self.t_lo, self.t_hi, qs)
+                return Fraction(c + w * qo, den)
             if qo is None:  # an irrational offset: t is known only when it is the span
                 return self.t_hi if qs is None and offset == span else None
         num = offset.pi_multiple()
@@ -166,13 +177,15 @@ class ProfilePoint:
 
     def t_float(self) -> float | None:
         """The parameter value as a float, or None beyond float range
-        (`to_float`); an irrational t is t_lo + (t_hi - t_lo) * ratio."""
+        (`to_float`); an irrational t is t_lo + (t_hi - t_lo) * ratio, its
+        width (s r - p u) / (r u) for t_lo = p/r and t_hi = s/u given to
+        `angles._to_float` as those two integers, with no Fraction made."""
         exact = self.t_fraction()
         if exact is not None:
             return to_float(exact)
         (p, r), (s, u) = self.t_lo.as_integer_ratio(), self.t_hi.as_integer_ratio()
         lo = to_float(self.t_lo)
-        width = to_float(Fraction(s * r - p * u, r * u), self.offset.ratio(self.span))
+        width = _to_float(s * r - p * u, r * u, self.offset.ratio(self.span))
         t = None if lo is None or width is None else lo + width
         return t if t is None or math.isfinite(t) else None
 
@@ -181,6 +194,26 @@ class ProfilePoint:
         if exact is not None:
             return str(exact)
         return f"{self.t_lo} + ({self.t_hi}-{self.t_lo})*ratio[{self.offset} / {self.span}]"
+
+
+_SEGMENT, _T_LO, _T_HI, _OFFSET, _SPAN, _T = (
+    getattr(ProfilePoint, k).__set__ for k in ("segment", "t_lo", "t_hi", "offset", "span", "_t")
+)
+
+
+def _point(
+    segment: int, t_lo: Fraction, t_hi: Fraction, offset: Angle, span: Angle, t=...
+) -> ProfilePoint:
+    """ProfilePoint(segment, t_lo, t_hi, offset, span, t), built by its
+    slots (`angles._primitive`): the lattice walk's one point per hit."""
+    pt = _new(ProfilePoint)
+    _SEGMENT(pt, segment)
+    _T_LO(pt, t_lo)
+    _T_HI(pt, t_hi)
+    _OFFSET(pt, offset)
+    _SPAN(pt, span)
+    _T(pt, t)
+    return pt
 
 
 class MomentValue(NamedTuple):
@@ -365,9 +398,12 @@ class AngleProfile(_Grid):
         sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
         search: a hit makes one offset `Angle`, a table lookup or one of
         the two directions of m[i] that its segment reads once
-        (`angles._half_turns`), and one `ProfilePoint`.  On pi/4 data the
-        walk sets the point's exact t from the quarter counts of offset and
-        span (`_quarter_t`); on the `Angle` path it is computed on first use.
+        (`angles._half_turns`), and one `ProfilePoint`, both built by their
+        slots (`angles._angle`, `_point`), with no dataclass `__init__`.
+        On pi/4 data the walk sets the point's exact t from the quarter
+        counts of offset and span: `_quarter_t` gives each segment three
+        integers, and a hit's t is one multiply-add and one Fraction; on
+        the `Angle` path it is computed on first use.
         """
         b, qs, q_base = self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
@@ -375,11 +411,12 @@ class AngleProfile(_Grid):
             ranges = _lattice_ranges([-d // 4 for d in m], [-(d // 4) for d in m])
             hits = []
             for i, (span, js) in enumerate(zip(self._sweeps, ranges)):
-                t_lo, t_hi, q_span = b[i], b[i + 1], qs[i + 1] - qs[i]
+                t_lo, t_hi = b[i], b[i + 1]
+                c, w, den = _quarter_t(t_lo, t_hi, qs[i + 1] - qs[i])
                 for j in js:
                     q = m[i] + 4 * j
-                    t = _quarter_t(t_lo, t_hi, q, q_span)
-                    hits.append((j, ProfilePoint(i, t_lo, t_hi, angle_of_quarters(q), span, t)))
+                    t = Fraction(c + w * q, den)
+                    hits.append((j, _point(i, t_lo, t_hi, angle_of_quarters(q), span, t)))
             return hits
         m = [angle_sub(base, v) for v in self.values]
         f, c = zip(*(a.floor_ceil() for a in m))
@@ -389,7 +426,7 @@ class AngleProfile(_Grid):
             steps, t_lo, t_hi = _half_turns(m[i]), b[i], b[i + 1]
             for j in js:
                 d, turns = steps[j % 2]
-                hits.append((j, ProfilePoint(i, t_lo, t_hi, Angle(d, turns + j // 2), span)))
+                hits.append((j, _point(i, t_lo, t_hi, _angle(d, turns + j // 2), span)))
         return hits
 
 @dataclass(frozen=True)

@@ -303,14 +303,15 @@ class TestContactReduce:
         # the walk's one offset Angle per hit is the only per-circle Angle.
         # The rest is a constant, one Angle per difference: the base (by
         # `direction_angle`) and the segment sweep, and along (2,1), off
-        # pi/4 data, the base less each of the two breakpoint values
+        # pi/4 data, the base less each of the two breakpoint values.  An
+        # Angle is made by its constructor or by the walk's slot builder
         for eta, constant in (((1, 1), 2), ((2, 1), 4)):
             made = []
             for k in (3, 40):
                 form = alpha_form(k)
-                with CallCounts((angles.Angle, "__init__")) as calls:
+                with CallCounts((angles.Angle, "__init__"), (angles, "_angle")) as calls:
                     circles = len(contact_reduce(form, eta))
-                made.append((circles, calls["__init__"]))
+                made.append((circles, calls["__init__"] + calls["_angle"]))
             (few, a_few), (many, a_many) = made
             assert many > few
             assert a_few - few == a_many - many == constant

@@ -27,7 +27,7 @@ from toruscut import (
     moment_eval,
     sympl_moment_eval,
 )
-from toruscut.angles import to_float
+from toruscut.angles import _to_float, to_float
 
 A, D = Angle, Direction
 TINY, HUGE = F(2) ** -1022, F(2) ** 1024  # the normal float range is [TINY, HUGE)
@@ -96,6 +96,111 @@ class TestToFloat:
         assert to_float(10**400, 10.0**-300, -400) == pytest.approx(10.0**100 / 2**400)
         assert to_float(0, -1.0).hex() == (-0.0).hex()
         assert to_float(F(-1, 3), 0.0).hex() == (-0.0).hex()
+
+
+def _bits(x: float | None) -> str | None:
+    return None if x is None else x.hex()
+
+
+def _shift(n: int, d: int) -> int:
+    """The bit-length difference that the float rule scales n / d by."""
+    return abs(n).bit_length() - d.bit_length()
+
+
+# the normal range's ends in exponents of frexp: -1021 and 1024 are in, -1022
+# and 1025 out, with rounding across each end
+EDGE_VALUES = [
+    F(1, 2**1022),
+    F(1, 2**1023),
+    F(2**53 - 1, 2**1075),
+    F(2**53 + 1, 2**1075),
+    F(2**1024 - 2**971),
+    F(2**1024 - 2**970),
+    F(2**1024 - 1),
+    F(2**1024),
+    F(-3, 2**1024),
+    F(10**400 + 1, 10**400 * 2**1021),
+]
+EDGE_FACTORS = (3, 5, 7, 2**64 - 1, 10**400 + 1)
+
+
+class TestTwoIntegerEntry:
+    """`_to_float(n, d, ...)` is `to_float(Fraction(n, d), ...)` bit for
+    bit, None included, whether or not n / d is reduced."""
+
+    @settings(derandomize=True, max_examples=600)
+    @given(
+        rationals,
+        st.one_of(st.integers(1, 2**70), st.integers(1, 10**400), st.sampled_from([2, 3, 2**64])),
+        factors,
+        st.sampled_from([0, 0, 1, -1, 700, -700, 2000, -2000]),
+    )
+    def test_unreduced_equals_reduced(self, q, g, f, exp2):
+        n, d = q.numerator * g, q.denominator * g
+        assert _bits(_to_float(n, d, f, exp2)) == _bits(to_float(q, f, exp2))
+
+    @pytest.mark.parametrize("q", EDGE_VALUES)
+    @pytest.mark.parametrize("f, exp2", [(1.0, 0), (0.75, 0), (1.5, 0), (-1.0, 1), (1.0, -1)])
+    def test_at_the_range_edges(self, q, f, exp2):
+        want = to_float(q, f, exp2)
+        for g in EDGE_FACTORS:
+            assert _bits(_to_float(q.numerator * g, q.denominator * g, f, exp2)) == _bits(want)
+
+    def test_edges_include_a_moved_shift(self):
+        # a common factor can move the bit-length difference by one, as 9/3
+        # against 3/1; the edge grid moves it at both ends of the range, on
+        # a value inside and on one outside
+        assert _shift(9, 3) != _shift(3, 1)
+        moved = {
+            q
+            for q in EDGE_VALUES
+            if any(_shift(q.numerator * g, q.denominator * g) != _shift(*q.as_integer_ratio())
+                   for g in EDGE_FACTORS)
+        }
+        ends = {F(2**53 - 1, 2**1075), F(2**53 + 1, 2**1075)}
+        ends |= {F(2**1024 - 2**971), F(2**1024 - 2**970)}
+        assert ends <= moved
+        assert [to_float(q) is None for q in sorted(ends)] == [True, False, False, True]
+
+
+def _t_float_by_fraction(pt: ProfilePoint) -> float | None:
+    """`ProfilePoint.t_float` at an irrational t, as written when the width
+    went to `to_float` as a Fraction."""
+    (p, r), (s, u) = pt.t_lo.as_integer_ratio(), pt.t_hi.as_integer_ratio()
+    lo = to_float(pt.t_lo)
+    width = to_float(F(s * r - p * u, r * u), pt.offset.ratio(pt.span))
+    t = None if lo is None or width is None else lo + width
+    return t if t is None or math.isfinite(t) else None
+
+
+@st.composite
+def irrational_points(draw):
+    """A point with an irrational t on [t_lo, t_hi], both of up to 400
+    digits, often with denominators that share a factor, so the width
+    (s r - p u) / (r u) is not reduced."""
+    size = st.sampled_from([10, 10**20, 10**400])
+    common = draw(st.integers(1, draw(size)))
+    r, u = (common * draw(st.integers(1, draw(size))) for _ in range(2))
+    t_lo = F(draw(st.integers(-draw(size), draw(size))), r)
+    t_hi = t_lo + F(draw(st.integers(1, draw(size))), u)
+    offset = A(draw(st.sampled_from([D(1, 2), D(3, -1), D(-2, 5)])), draw(st.integers(0, 3)))
+    span = A(draw(st.sampled_from([D(1, 0), D(1, 1), D(4, 1)])), draw(st.integers(1, 10**30)))
+    return ProfilePoint(0, t_lo, t_hi, offset, span)
+
+
+class TestIrrationalTFloat:
+    @settings(derandomize=True, max_examples=400)
+    @given(irrational_points())
+    def test_matches_the_fraction_rule(self, pt):
+        assert pt.t_fraction() is None
+        assert _bits(pt.t_float()) == _bits(_t_float_by_fraction(pt))
+
+    def test_beyond_float_range(self):
+        # t_lo beyond the range above, and a width below it: None both ways
+        offset, span = A(D(1, 2)), A(D(0, 1))
+        for t_lo, t_hi in ((F(10**400), F(10**400 + 1)), (F(0), F(1, 10**400))):
+            pt = ProfilePoint(0, t_lo, t_hi, offset, span)
+            assert pt.t_float() is None and _t_float_by_fraction(pt) is None
 
 
 def _oracle_phi(mpmath, phi, t):

@@ -1,7 +1,9 @@
 """Profiles, forms, and exact moment signs."""
 
+import dataclasses
 import importlib.util
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
@@ -41,7 +43,7 @@ from toruscut import (
 )
 from toruscut import cuts, forms
 from toruscut import angles as angle_module
-from toruscut.angles import ZERO_ANGLE, add_half_turns, to_float
+from toruscut.angles import ZERO_ANGLE, add_half_turns, add_turns, to_float
 
 from call_counts import CallCounts
 from float_reference import phi_float, radial_float
@@ -445,6 +447,104 @@ class TestSolveBisection:
             walked_in_angles = [calls[forms, k] for k in ("angle_add", "_half_turns")]
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
+
+
+def walk_by_constructors(phi, base):
+    """solve_half_turn_lattice's two per-hit loops as written before the
+    walk built its hits by slots: every hit by the public constructors,
+    a pi/4 hit's t by one Fraction of its own integers."""
+    b, qs, q_base = phi.breaks, phi._quarters, base.quarters()
+    hits = []
+    if qs is not None and q_base is not None:
+        m = [q_base - q for q in qs]
+        ranges = forms._lattice_ranges([-d // 4 for d in m], [-(d // 4) for d in m])
+        for i, (span, js) in enumerate(zip(phi._sweeps, ranges)):
+            t_lo, t_hi, q_span = b[i], b[i + 1], qs[i + 1] - qs[i]
+            p, r, s, u = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
+            for j in js:
+                q = m[i] + 4 * j
+                t = F(p * u * q_span + (s * r - p * u) * q, r * u * q_span)
+                hits.append((j, ProfilePoint(i, t_lo, t_hi, quarter_angle(q), span, t)))
+        return hits
+    m = [angle_sub(base, v) for v in phi.values]
+    f, c = zip(*(a.floor_ceil() for a in m))
+    ranges = forms._lattice_ranges([-x for x in c], [-x for x in f])
+    for i, (span, js) in enumerate(zip(phi._sweeps, ranges)):
+        steps, t_lo, t_hi = angle_module._half_turns(m[i]), b[i], b[i + 1]
+        for j in js:
+            d, turns = steps[j % 2]
+            hits.append((j, ProfilePoint(i, t_lo, t_hi, A(d, turns + j // 2), span)))
+    return hits
+
+
+def reduce_by_constructors(form, eta):
+    """contact_reduce's loop as written before it built its circles by
+    slots, over `walk_by_constructors`."""
+    x, y = to_float(eta[0]), to_float(eta[1])
+    mag = None if x is None or y is None else math.hypot(x, y)
+    hits = walk_by_constructors(form.phi, direction_angle((-eta[1], eta[0])))
+    radii = form.radial.floats_along(pt for _, pt in hits)
+    out = []
+    for (j, pt), r in zip(hits, radii):
+        q = None if r is None or mag is None else r / mag
+        coefficient = None if q is None or q < sys.float_info.min else (q if j % 2 else -q)
+        out.append(cuts.ReducedCircle(j, pt, coefficient))
+    return out
+
+
+@st.composite
+def far_profiles(draw):
+    """pi/4 and other profiles, in both orientations, moved by up to 10^30
+    turns."""
+    phi = draw(st.one_of(monotone_profiles(), quarter_profiles()))
+    big = st.integers(10**29, 10**30)
+    turns = draw(st.one_of(st.integers(-3, 3), big, big.map(lambda n: -n)))
+    return AngleProfile(phi.breaks, tuple(add_turns(v, turns) for v in phi.values))
+
+
+def assert_same_objects(got, want):
+    """Equal, of one type, with equal hash and repr, and slotted and frozen."""
+    assert type(got) is type(want) and got == want
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+    assert not hasattr(got, "__dict__")
+    field = dataclasses.fields(got)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(got, field, getattr(got, field))
+
+
+class TestWalkBuiltObjects:
+    """The walk's hits and contact_reduce's circles, built by slots, against
+    the same objects built by the public constructors."""
+
+    @given(far_profiles(), st.data())
+    @settings(derandomize=True, max_examples=200)
+    def test_match_the_public_constructors(self, phi, data):
+        lo, hi = phi.value_bounds()
+        far = st.integers(0, 8 * 10**30)
+        bases = [
+            data.draw(st.sampled_from(phi.values)),
+            add_turns(data.draw(angles()), lo.turns),
+            quarter_angle(8 * lo.turns + data.draw(st.integers(-8, 8))),
+            quarter_angle(8 * lo.turns - data.draw(far)),
+            data.draw(angles(max_turns=10**30)),
+        ]
+        radial = RadialProfile.from_values(phi.breaks, [1 + k % 3 for k in range(len(phi.breaks))])
+        form = InvariantContactForm(phi, radial)
+        for base in bases:
+            got, want = phi.solve_half_turn_lattice(base), walk_by_constructors(phi, base)
+            assert [j for j, _ in got] == [j for j, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                assert_same_objects(g, w)
+                assert_same_objects(g.offset, w.offset)
+                assert g.t_fraction() == w.t_fraction()
+                assert repr(g.t_float()) == repr(w.t_float())
+            eta = (base.dir.y, -base.dir.x)
+            circles, reference = contact_reduce(form, eta), reduce_by_constructors(form, eta)
+            assert len(circles) == len(reference) == len(got)
+            for c, r in zip(circles, reference):
+                assert_same_objects(c, r)
+                assert c.point.t_fraction() == r.point.t_fraction()
+                assert repr(c.point.t_float()) == repr(r.point.t_float())
 
 
 class TestRadialProfile:
