@@ -104,7 +104,7 @@ def _bits(x: float | None) -> str | None:
 
 def _shift(n: int, d: int) -> int:
     """The bit-length difference that the float rule scales n / d by."""
-    return abs(n).bit_length() - d.bit_length()
+    return n.bit_length() - d.bit_length()
 
 
 # the normal range's ends in exponents of frexp: -1021 and 1024 are in, -1022
