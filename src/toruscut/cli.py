@@ -38,6 +38,10 @@ from .forms import InvariantContactForm, contact_check, sweep
 from .invariants import (
     MODE_FIXED,
     MODE_GL2Z,
+    _arc_count,
+    _search,
+    _side,
+    _summary,
     cc_count,
     cc_profile,
     detect_overtwisted,
@@ -54,6 +58,8 @@ EXIT_SYNTAX = 2
 EXIT_SEMANTIC = 3
 
 _LENS_TABLE = ((1, 1), (2, 1), (1, 2), (2, 3))
+# the rays along which reproduce-paper counts each alpha datum, with their keys
+_ALPHA_RAYS = (("cc(-1,1)", Direction(-1, 1)), ("cc(1,-1)", Direction(1, -1)))
 
 
 class _CliError(Exception):
@@ -141,8 +147,10 @@ def _overtwisted_items(spec) -> list[Item]:
     ]
 
 
-def _bounds_items(prof) -> list[Item]:
-    return [Item("profile-min", str(prof.min_count)), Item("profile-max", str(prof.max_count))]
+def _bounds_items(q: int) -> list[Item]:
+    """The count's min and max, from a datum's whole turns q (`_side`)."""
+    lo, hi = _summary(q)
+    return [Item("profile-min", str(lo)), Item("profile-max", str(hi))]
 
 
 def _profile_items(prof) -> list[Item]:
@@ -291,19 +299,20 @@ def _symplectization(args, obj):
 def _reproduce(args):
     if args.kmax < 0:
         raise _CliError(EXIT_SYNTAX, "--kmax must be nonnegative")
+    # each datum's side is read once, for its counts, its bounds and its pairs
     records = []
     specs = [alpha_cutspec(k) for k in range(args.kmax + 1)]
-    for k, spec in enumerate(specs):
+    sides = [_side(spec) for spec in specs]
+    for k, (spec, side) in enumerate(zip(specs, sides)):
         desc = classify_lens(spec)
         items = _classification_items(desc)
-        items.append(Item("cc(-1,1)", str(cc_count(spec, (-1, 1)))))
-        items.append(Item("cc(1,-1)", str(cc_count(spec, (1, -1)))))
-        items += _bounds_items(cc_profile(spec))
+        items += [Item(key, str(_arc_count(side, xi))) for key, xi in _ALPHA_RAYS]
+        items += _bounds_items(side[0])
         items += _overtwisted_items(spec) + _tag_items(spec, desc)
         records.append(Record(f"alpha[k={k}]", tuple(items)))
     for k in range(1, args.kmax + 1):
         for l in range(k + 1, args.kmax + 1):
-            w = distinguish(specs[k], specs[l], MODE_FIXED)
+            w = _search(sides[k], sides[l], MODE_FIXED)
             items = [Item("fixed-action", _verdict(w))]
             if w is not None:
                 items += _counts_items(w)
@@ -317,7 +326,7 @@ def _reproduce(args):
     for k, l in _LENS_TABLE:
         for j in (1, 2, 3):
             spec = lens_cutspec(k, l, j)
-            items = _classification_items(classify_lens(spec)) + _bounds_items(cc_profile(spec))
+            items = _classification_items(classify_lens(spec)) + _bounds_items(_side(spec)[0])
             records.append(Record(f"lens[k={k},l={l},j={j}]", tuple(items)))
     window = (Angle(Direction(-1, 0), -2), Angle(Direction(-1, 0), 1))
     pieces = slice_by_ray(rotating_line_form(3), (0, 1), window)

@@ -401,9 +401,9 @@ class AngleProfile(_Grid):
         (`angles._half_turns`), and one `ProfilePoint`, both built by their
         slots (`angles._angle`, `_point`), with no dataclass `__init__`.
         On pi/4 data the walk sets the point's exact t from the quarter
-        counts of offset and span: `_quarter_t` gives each segment three
-        integers, and a hit's t is one multiply-add and one Fraction; on
-        the `Angle` path it is computed on first use.
+        counts of offset and span: `_quarter_t` gives each segment with a
+        hit three integers, and a hit's t is one multiply-add and one
+        Fraction; on the `Angle` path it is computed on first use.
         """
         b, qs, q_base = self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
@@ -411,6 +411,8 @@ class AngleProfile(_Grid):
             ranges = _lattice_ranges([-d // 4 for d in m], [-(d // 4) for d in m])
             hits = []
             for i, (span, js) in enumerate(zip(self._sweeps, ranges)):
+                if not js:  # no hit, so no t to set up
+                    continue
                 t_lo, t_hi = b[i], b[i + 1]
                 c, w, den = _quarter_t(t_lo, t_hi, qs[i + 1] - qs[i])
                 for j in js:

@@ -21,8 +21,9 @@ equivariant contactomorphism (in either orientation of the ray), or
 compares the relabeling-invariant summary (min, max) when torus
 automorphisms are allowed.  The candidate rays are a constant when every
 arc end is a pi/4 direction and are generated lazily otherwise.  The
-modulo-GL2Z answer is a function of the fixed-action witness, so a
-caller that wants both searches once.
+search runs on the two sides (`_search`), so a caller that compares many
+pairs reads each datum once.  The modulo-GL2Z answer is a function of the
+fixed-action witness, so a caller that wants both searches once.
 
 detect_overtwisted locates the standard disk family: as soon as the sweep
 strictly exceeds pi, the parameter t* where phi has advanced by exactly pi
@@ -126,6 +127,12 @@ def _side(spec) -> tuple[int, Direction, Direction]:
     return q, lo.dir, hi.dir
 
 
+def _summary(q: int) -> tuple[int, int]:
+    """(min, max) of the ray count of a datum sweeping q whole turns: q off
+    the partial arc and q + 1 on it, which is never empty."""
+    return q, q + 1
+
+
 def _arc_count(side, xi: Direction) -> int:
     """cc_count along xi, read from a side: q plus one if xi is on the arc."""
     q, a, b = side
@@ -160,7 +167,8 @@ def cc_profile(spec) -> CCProfile:
         arcs = (Arc(start, start, FULL_TURN, q),)
     else:
         arcs = (Arc(start, end, rho, q + 1), Arc(end, start, angle_sub(FULL_TURN, rho), q))
-    return CCProfile(arcs=arcs, min_count=q, max_count=q + 1, swept=add_turns(rho, q))
+    lo, hi = _summary(q)
+    return CCProfile(arcs=arcs, min_count=lo, max_count=hi, swept=add_turns(rho, q))
 
 
 @dataclass(frozen=True)
@@ -234,8 +242,13 @@ def distinguish(a, b, mode: str = MODE_FIXED) -> DistinguishWitness | None:
     """
     if mode not in (MODE_FIXED, MODE_GL2Z):
         raise ValueError(f"unknown mode: {mode!r}")
-    sa, sb = _side(a), _side(b)
-    summary_a, summary_b = (sa[0], sa[0] + 1), (sb[0], sb[0] + 1)
+    return _search(_side(a), _side(b), mode)
+
+
+def _search(sa, sb, mode: str) -> DistinguishWitness | None:
+    """`distinguish` on the two data's sides (`_side`), for a known mode:
+    a caller that compares many pairs reads each datum once."""
+    summary_a, summary_b = _summary(sa[0]), _summary(sb[0])
     fixed = mode == MODE_FIXED
     if not fixed and summary_a == summary_b:
         return None

@@ -11,17 +11,23 @@ The JSON rendering is exactly `json.dumps(payload, indent=2) + "\n"` of
 the Report -> records -> items payload, but the fixed layout is written
 here by hand: with an indent, CPython's `json` falls back to its
 pure-Python encoder, which made JSON output cost several times the text
-rendering.  Strings still go through the C string encoder and floats
-through `json.dumps`, so escapes, NaN, Infinity and float repr are the
-stdlib's.
+rendering.  Strings still go through the C string encoder, so escapes are
+the stdlib's.  A finite float is written as its `repr`, which is the
+string `json.dumps` gives for it; NaN and +-Infinity go through
+`json.dumps`, which writes them as `NaN`, `Infinity` and `-Infinity`.
+
+Items and records are named tuples, so a report of a few thousand items
+is cheap to build and to unpack; they compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 
 def fmt_float(x: float) -> str:
@@ -32,15 +38,13 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class Item:
+class Item(NamedTuple):
     key: str
     exact: str
     approx: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
+class Record(NamedTuple):
     title: str
     items: tuple[Item, ...]
 
@@ -65,27 +69,26 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ITEM = """\
-        {
-          "key": %s,
-          "exact": %s,
-          "approx": %s
-        }"""
-_RECORD = """\
-    {
-      "title": %s,
-      "items": %s
-    }"""
-
-
 def _array(elements: str, indent: str) -> str:
     # a rendered element is never empty, so no elements is an empty list
     return f"[\n{elements}\n{indent}]" if elements else "[]"
 
 
-def _item(it: Item) -> str:
-    approx = "null" if it.approx is None else json.dumps(it.approx)
-    return _ITEM % (_quote(it.key), _quote(it.exact), approx)
+def _float(x: float) -> str:
+    # json.dumps writes a finite float as its repr
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _items(items: tuple[Item, ...]) -> str:
+    # one f-string per item: a % template is parsed again for every item
+    return ",\n".join([
+        "        {\n"
+        f'          "key": {_quote(key)},\n'
+        f'          "exact": {_quote(exact)},\n'
+        f'          "approx": {"null" if approx is None else _float(approx)}\n'
+        "        }"
+        for key, exact, approx in items
+    ])
 
 
 def render_json(report: Report) -> str:
@@ -93,10 +96,13 @@ def render_json(report: Report) -> str:
     Report -> records -> items layout written out by hand: with an indent,
     CPython's `json` falls back to its pure-Python encoder (see the module
     docstring)."""
-    records = ",\n".join(
-        _RECORD % (_quote(rec.title), _array(",\n".join(map(_item, rec.items)), "      "))
-        for rec in report.records
-    )
+    records = ",\n".join([
+        "    {\n"
+        f'      "title": {_quote(title)},\n'
+        f'      "items": {_array(_items(items), "      ")}\n'
+        "    }"
+        for title, items in report.records
+    ])
     return (
         "{\n"
         f'  "command": {_quote(report.command)},\n'

@@ -397,7 +397,9 @@ def wide_dirs():
 
 
 def many_turns():
-    return st.one_of(st.integers(-2, 2), st.integers(-(10**30), 10**30))
+    # half a few turns, half a huge count of either sign, 10**29 to 10**30
+    huge = st.builds(lambda sign, n: sign * n, st.sampled_from((1, -1)), st.integers(10**29, 10**30))
+    return st.one_of(st.integers(-2, 2), huge)
 
 
 @st.composite
@@ -467,7 +469,6 @@ class TestDistinguishMatchesEnumeration:
             (angles.Angle, "floor_ceil"),
             (angles.AngleForm, "floor_ceil"),
             (Direction, "reduced"),
-            (invariants, "distinguish"),
         )
         huge, skew = alpha_cutspec(10**30), minimal_valid_cutspec((3, -5), (7, 2))
         standard_ends = [
@@ -500,12 +501,19 @@ class TestDistinguishMatchesEnumeration:
             with calls:
                 invariants.cc_profile(spec)
             assert calls["floor_ceil"] == 0
-        # reproduce-paper searches each of its 190 pairs once, for both modes
-        calls.clear()
+        # reproduce-paper reads the side of each datum once, one per alpha and
+        # lens record, searches each of its 190 pairs once, for both modes,
+        # and builds no count profile
+        calls = CallCounts(
+            (invariants, "_side"), (invariants, "_search"), (invariants, "cc_profile")
+        )
         with calls:
             assert cli.main(["reproduce-paper", "--kmax", "20"]) == 0
-        capsys.readouterr()
-        assert calls["distinguish"] == 20 * 19 // 2
+        lines = capsys.readouterr().out.splitlines()
+        data = [line for line in lines if line.startswith(("[alpha[", "[lens["))]
+        assert calls["_side"] == len(data) == 21 + 3 * len(_LENS_TABLE)
+        assert calls["_search"] == 20 * 19 // 2
+        assert calls["cc_profile"] == 0
 
     @given(
         st.one_of(st.just(D(-1, 0)), wide_dirs()),

@@ -29,8 +29,12 @@ from toruscut import (
     SpecSemanticError,
     SpecSyntaxError,
     alpha_cutspec,
+    cc_count,
+    cc_profile,
+    classify_lens,
     distinguish,
     homotopy_certificate,
+    lens_cutspec,
     parse_spec,
     parse_spec_file,
     render_json,
@@ -716,6 +720,36 @@ class TestReproduce:
                 items += [] if g is None else cli._summary_items(g)
                 want[f"distinguish[k={k},l={l}]"] = tuple(items)
         assert len(got) == kmax * (kmax - 1) // 2
+        assert got == want
+
+    def test_datum_records_match_the_public_calls(self, capsys):
+        # the alpha and lens records built the long way, one public call per
+        # item; the overtwisted items are detect_overtwisted's
+        kmax = 30
+        assert main(["reproduce-paper", "--kmax", str(kmax), "--format", "json"]) == 0
+        report = report_from_json(capsys.readouterr().out)
+        got = {r.title: r.items for r in report.records if r.title.startswith(("alpha[", "lens["))}
+
+        def bounds(spec):
+            prof = cc_profile(spec)
+            return [Item("profile-min", str(prof.min_count)), Item("profile-max", str(prof.max_count))]
+
+        want = {}
+        for k in range(kmax + 1):
+            spec = alpha_cutspec(k)
+            desc = classify_lens(spec)
+            items = cli._classification_items(desc)
+            items += [Item(f"cc({m},{n})", str(cc_count(spec, (m, n)))) for m, n in ((-1, 1), (1, -1))]
+            items += bounds(spec)
+            items += cli._overtwisted_items(spec) + cli._tag_items(spec, desc)
+            want[f"alpha[k={k}]"] = tuple(items)
+        for k, l in cli._LENS_TABLE:
+            for j in (1, 2, 3):
+                spec = lens_cutspec(k, l, j)
+                want[f"lens[k={k},l={l},j={j}]"] = tuple(
+                    cli._classification_items(classify_lens(spec)) + bounds(spec)
+                )
+        assert len(got) == kmax + 1 + 3 * len(cli._LENS_TABLE)
         assert got == want
 
 

@@ -227,13 +227,16 @@ class TestAngleProfile:
     def test_quarter_walk_sets_each_exact_t(self, phi, data):
         # both orientations, bases on a breakpoint value and up to 10**12
         # turns off: each hit's t is the one a fresh point computes, and
-        # reading it enters no _exact_t
+        # reading it enters no _exact_t; the walk sets up the t of the
+        # segments with a hit only
         bases = [
             data.draw(st.sampled_from(phi.values)),
             quarter_angle(data.draw(st.integers(-8 * 10**12, 8 * 10**12))),
         ]
         for base in bases:
-            pts = [p for _, p in phi.solve_half_turn_lattice(base)]
+            with CallCounts((forms, "_quarter_t")) as walk:
+                pts = [p for _, p in phi.solve_half_turn_lattice(base)]
+            assert walk["_quarter_t"] == len({p.segment for p in pts})
             with CallCounts((ProfilePoint, "_exact_t")) as calls:
                 got = [p.t_fraction() for p in pts]
             assert calls["_exact_t"] == 0
