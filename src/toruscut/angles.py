@@ -129,11 +129,10 @@ class Direction:
         return (self.x, self.y)
 
 
-# The private builders (`_primitive`, `_angle`, `forms._point`,
-# `cuts._circle`) set a frozen slotted instance's fields through their slot
-# descriptors, one call per field, in field order: the same object as the
-# public constructor, without its `__init__`, its frozen `__setattr__` or
-# its checks.
+# `_primitive`, and the `__init__` of `Angle`, `forms.ProfilePoint` and
+# `cuts.ReducedCircle`, set a frozen slotted instance's fields through their
+# slot descriptors, one call per field, in field order: no frozen
+# `__setattr__`, and `_primitive` also skips `Direction`'s checks.
 _new = object.__new__
 _DIRECTION_X, _DIRECTION_Y = Direction.x.__set__, Direction.y.__set__
 
@@ -186,12 +185,16 @@ def _arg_compare(a: Direction, b: Direction) -> int:
 
 
 @total_ordering  # <= > >= from __lt__ and ==, exact since the form is canonical
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Angle:
     """Arg(dir) + 2*pi*turns, with Arg in (-pi, pi] and dir primitive."""
 
     dir: Direction
     turns: int = 0
+
+    def __init__(self, dir, turns=0):
+        _ANGLE_DIR(self, dir)
+        _ANGLE_TURNS(self, turns)
 
     def value(self) -> float | None:
         """Float approximation within 2**-50 + 2**-51 * |value|, or None
@@ -242,15 +245,6 @@ class Angle:
 
 
 _ANGLE_DIR, _ANGLE_TURNS = Angle.dir.__set__, Angle.turns.__set__
-
-
-def _angle(d: Direction, turns: int) -> Angle:
-    """Angle(d, turns), built by its slots: the lattice walk's one `Angle`
-    per hit."""
-    a = _new(Angle)
-    _ANGLE_DIR(a, d)
-    _ANGLE_TURNS(a, turns)
-    return a
 
 
 ZERO_ANGLE = Angle(UNIT_X, 0)
@@ -341,7 +335,7 @@ def angle_of_quarters(q: int) -> Angle:
     >> 3, q - 8n lies in (-4, 4], so it is Arg(dir) / (pi/4) for the
     direction at that index of _QUARTER_DIRS (negative indices wrap)."""
     n = (q + 3) >> 3
-    return _angle(_QUARTER_DIRS[q - 8 * n], n)
+    return Angle(_QUARTER_DIRS[q - 8 * n], n)
 
 
 # -- rational linear forms in angles ---------------------------------------------

@@ -33,7 +33,6 @@ from .angles import (
     Angle,
     Direction,
     QUARTER_TURN,
-    _new,
     add_turns,
     angle_add,
     angle_sub,
@@ -124,7 +123,7 @@ class LensDescriptor:
     raw_basis_data: tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReducedCircle:
     """A reduced circle over one zero of the eta-moment.
 
@@ -142,6 +141,11 @@ class ReducedCircle:
     point: ProfilePoint
     coefficient: float | None
 
+    def __init__(self, index, point, coefficient):
+        _INDEX(self, index)
+        _POINT(self, point)
+        _COEFFICIENT(self, coefficient)
+
     @property
     def sign(self) -> int:
         """(-1)^(j+1) for the lattice index j: the sign of the coefficient."""
@@ -151,16 +155,6 @@ class ReducedCircle:
 _INDEX, _POINT, _COEFFICIENT = (
     getattr(ReducedCircle, k).__set__ for k in ("index", "point", "coefficient")
 )
-
-
-def _circle(index: int, point: ProfilePoint, coefficient: float | None) -> ReducedCircle:
-    """ReducedCircle(index, point, coefficient), built by its slots
-    (`angles._primitive`): `contact_reduce`'s one circle per hit."""
-    c = _new(ReducedCircle)
-    _INDEX(c, index)
-    _POINT(c, point)
-    _COEFFICIENT(c, coefficient)
-    return c
 
 
 def _boundary_checks(form: InvariantContactForm, v: Direction, end: int) -> list[Violation]:
@@ -253,10 +247,9 @@ def complement_vector(eta: Direction) -> Direction:
 def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
     """All reduced circles of the eta-moment's zero level, ordered by t: one
     per lattice hit of base = `direction_angle(eta.perp())`, with one pass
-    of the radial over the hits, and each circle built by its slots
-    (`_circle`).  A circle's angle is `add_half_turns(base, c.index)`, and
-    its coefficient refers to `complement_vector(eta)`, the same on every
-    circle."""
+    of the radial over the hits.  A circle's angle is
+    `add_half_turns(base, c.index)`, and its coefficient refers to
+    `complement_vector(eta)`, the same on every circle."""
     eta = _dir(eta)
     x, y = to_float(eta.x), to_float(eta.y)
     mag = None if x is None or y is None else math.hypot(x, y)
@@ -267,7 +260,7 @@ def contact_reduce(form: InvariantContactForm, eta) -> list[ReducedCircle]:
         # r(t*) / |eta| > 0; below the normal float range it is None, never 0.0
         q = None if r is None or mag is None else r / mag
         coefficient = None if q is None or q < sys.float_info.min else (q if j % 2 else -q)
-        out.append(_circle(j, pt, coefficient))
+        out.append(ReducedCircle(j, pt, coefficient))
     return out
 
 

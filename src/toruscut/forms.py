@@ -36,11 +36,9 @@ returned as `ProfilePoint`s: the exact ratio of two angle differences
 (`Angle`s or `AngleForm`s) inside a segment, plus a float approximation.
 The ratio is read as a Fraction when both differences are rational
 multiples of pi: the half-turn lattice walk sets it for a hit on pi/4
-data, and every other point computes it once, on first use.  The walk
-builds each hit's point and offset by their slots (`_point`,
-`angles._angle`), the same frozen objects as the public constructors
-give, and a float t comes from `angles.to_float`, or for an irrational t
-from its (n, d) entry `angles._to_float`, with no Fraction of the width.
+data, and every other point computes it once, on first use.  A float t
+comes from `angles.to_float`, or for an irrational t from its (n, d)
+entry `angles._to_float`, with no Fraction of the width.
 One rule, `_lattice_ranges`, reads a piecewise-affine function's floor
 and ceiling at its n + 1 breakpoints, with no slope, and gives the J
 lattice points it crosses as one range per segment, O(n + J): the hits of
@@ -62,10 +60,8 @@ from .angles import (
     Angle,
     AngleForm,
     Direction,
-    _angle,
     _fraction,
     _half_turns,
-    _new,
     _to_float,
     angle_compare,
     angle_of_quarters,
@@ -109,7 +105,7 @@ def _quarter_t(t_lo: Fraction, t_hi: Fraction, q_span: int) -> tuple[int, int, i
     return p * u * q_span, s * r - p * u, r * u * q_span
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProfilePoint:
     """Parameter value where a profile meets a target angle.
 
@@ -125,14 +121,13 @@ class ProfilePoint:
     span is a tiny difference of large Args.
 
     The exact parameter value is kept in the slot _t, which is not
-    compared, hashed or shown.  The half-turn lattice walk builds its
-    points by their slots (`_point`) and sets _t for a hit on pi/4 data,
-    one multiply-add on the three integers that `_quarter_t` gives its
-    segment; every other point computes it in one place, `_exact_t`,
-    once, on first use, by one rule for both types (with a fast path in
-    quarter counts, `_quarter_t` again, for two `Angle`s).  Ellipsis
-    marks it as not yet known, since None means that no exact t was found
-    (see `t_fraction`).
+    compared, hashed or shown.  The half-turn lattice walk sets _t for a
+    hit on pi/4 data, one multiply-add on the three integers that
+    `_quarter_t` gives its segment; every other point computes it in one
+    place, `_exact_t`, once, on first use, by one rule for both types
+    (with a fast path in quarter counts, `_quarter_t` again, for two
+    `Angle`s).  Ellipsis marks it as not yet known, since None means that
+    no exact t was found (see `t_fraction`).
     """
 
     segment: int
@@ -141,6 +136,14 @@ class ProfilePoint:
     offset: Angle | AngleForm
     span: Angle | AngleForm
     _t: Fraction | None = field(default=..., repr=False, compare=False)
+
+    def __init__(self, segment, t_lo, t_hi, offset, span, _t=...):
+        _SEGMENT(self, segment)
+        _T_LO(self, t_lo)
+        _T_HI(self, t_hi)
+        _OFFSET(self, offset)
+        _SPAN(self, span)
+        _T(self, _t)
 
     def _exact_t(self) -> Fraction | None:
         """t_lo + (t_hi - t_lo) * offset / span when both are rational
@@ -172,7 +175,7 @@ class ProfilePoint:
         t = self._t
         if t is ...:
             t = self._exact_t()
-            object.__setattr__(self, "_t", t)
+            _T(self, t)
         return t
 
     def t_float(self) -> float | None:
@@ -199,21 +202,6 @@ class ProfilePoint:
 _SEGMENT, _T_LO, _T_HI, _OFFSET, _SPAN, _T = (
     getattr(ProfilePoint, k).__set__ for k in ("segment", "t_lo", "t_hi", "offset", "span", "_t")
 )
-
-
-def _point(
-    segment: int, t_lo: Fraction, t_hi: Fraction, offset: Angle, span: Angle, t=...
-) -> ProfilePoint:
-    """ProfilePoint(segment, t_lo, t_hi, offset, span, t), built by its
-    slots (`angles._primitive`): the lattice walk's one point per hit."""
-    pt = _new(ProfilePoint)
-    _SEGMENT(pt, segment)
-    _T_LO(pt, t_lo)
-    _T_HI(pt, t_hi)
-    _OFFSET(pt, offset)
-    _SPAN(pt, span)
-    _T(pt, t)
-    return pt
 
 
 class MomentValue(NamedTuple):
@@ -398,12 +386,11 @@ class AngleProfile(_Grid):
         sweep.  O(n + J) for n breakpoints and J hits, with no per-hit
         search: a hit makes one offset `Angle`, a table lookup or one of
         the two directions of m[i] that its segment reads once
-        (`angles._half_turns`), and one `ProfilePoint`, both built by their
-        slots (`angles._angle`, `_point`), with no dataclass `__init__`.
-        On pi/4 data the walk sets the point's exact t from the quarter
-        counts of offset and span: `_quarter_t` gives each segment with a
-        hit three integers, and a hit's t is one multiply-add and one
-        Fraction; on the `Angle` path it is computed on first use.
+        (`angles._half_turns`), and one `ProfilePoint`.  On pi/4 data the
+        walk sets the point's exact t from the quarter counts of offset and
+        span: `_quarter_t` gives each segment with a hit three integers,
+        and a hit's t is one multiply-add and one Fraction; on the `Angle`
+        path it is computed on first use.
         """
         b, qs, q_base = self.breaks, self._quarters, base.quarters()
         if qs is not None and q_base is not None:
@@ -418,7 +405,7 @@ class AngleProfile(_Grid):
                 for j in js:
                     q = m[i] + 4 * j
                     t = Fraction(c + w * q, den)
-                    hits.append((j, _point(i, t_lo, t_hi, angle_of_quarters(q), span, t)))
+                    hits.append((j, ProfilePoint(i, t_lo, t_hi, angle_of_quarters(q), span, t)))
             return hits
         m = [angle_sub(base, v) for v in self.values]
         f, c = zip(*(a.floor_ceil() for a in m))
@@ -428,7 +415,7 @@ class AngleProfile(_Grid):
             steps, t_lo, t_hi = _half_turns(m[i]), b[i], b[i + 1]
             for j in js:
                 d, turns = steps[j % 2]
-                hits.append((j, _point(i, t_lo, t_hi, _angle(d, turns + j // 2), span)))
+                hits.append((j, ProfilePoint(i, t_lo, t_hi, Angle(d, turns + j // 2), span)))
         return hits
 
 @dataclass(frozen=True)

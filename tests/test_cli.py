@@ -752,6 +752,21 @@ class TestReproduce:
         assert len(got) == kmax + 1 + 3 * len(cli._LENS_TABLE)
         assert got == want
 
+    def test_each_alpha_ray_is_counted_on_its_own(self, monkeypatch, capsys):
+        # cc(-1,1) and cc(1,-1) both read k, so a ray counted twice would print
+        # the same bytes; (1,1) lies on the partial arc from (0,1) to (1,0),
+        # so it reads k + 1 and tells the rays apart
+        rays = cli._ALPHA_RAYS + (("cc(1,1)", Direction(1, 1)),)
+        monkeypatch.setattr(cli, "_ALPHA_RAYS", rays)
+        kmax = 3
+        assert main(["reproduce-paper", "--kmax", str(kmax), "--format", "json"]) == 0
+        report = report_from_json(capsys.readouterr().out)
+        records = {r.title: {it.key: it.exact for it in r.items} for r in report.records}
+        for k in range(kmax + 1):
+            got = [records[f"alpha[k={k}]"][key] for key, _ in rays]
+            assert got == [str(cc_count(alpha_cutspec(k), xi)) for _, xi in rays], k
+            assert got[0] == got[1] != got[2], k
+
 
 def report_from_json(text):
     """The `Report` that `render_json` rendered as text."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 import math
 import sys
 from bisect import bisect_right
@@ -68,8 +69,19 @@ def dirs(max_coord=5):
     )
 
 
+def turn_counts(max_turns):
+    """Integers in [-max_turns, max_turns].  Past 10**6, the top decade
+    from max_turns // 10 up is also drawn from its own band, in both
+    signs: `st.integers` alone reaches a wide range's top in few draws."""
+    turns = st.integers(-max_turns, max_turns)
+    if max_turns <= 10**6:
+        return turns
+    top = st.integers(max_turns // 10, max_turns)
+    return st.one_of(turns, top, top.map(lambda n: -n))
+
+
 def angles(max_coord=5, max_turns=3):
-    return st.builds(A, dirs(max_coord), st.integers(-max_turns, max_turns))
+    return st.builds(A, dirs(max_coord), turn_counts(max_turns))
 
 
 @st.composite
@@ -111,7 +123,7 @@ def quarter_profiles(draw, max_segments=6, max_turns=0):
     """Strictly monotone profiles whose values are all pi/4 directions,
     one to nine quarter turns apart, shifted by up to max_turns turns."""
     breaks = draw(ascending_breaks(max_segments))
-    qs = [draw(st.integers(-40, 40)) + 8 * draw(st.integers(-max_turns, max_turns))]
+    qs = [draw(st.integers(-40, 40)) + 8 * draw(turn_counts(max_turns))]
     for _ in range(len(breaks) - 1):
         qs.append(qs[-1] + draw(st.integers(1, 9)))
     if draw(st.booleans()):
@@ -405,57 +417,43 @@ class TestSolveBisection:
                 w[4] if w[2] is not None else pytest.approx(w[4], rel=1e-12) for w in want
             ]
 
-    def test_lattice_enumeration_cost_is_n_plus_j(self, monkeypatch):
+    def test_lattice_enumeration_cost_is_n_plus_j(self):
         # the n = 1000 rung of the contact_reduce ladder (perfbench/ladder.py),
         # whose values are pi/4 directions, and the same with irrational ones;
-        # a name a module does not import is added to it and never called
+        # each function counts on its code object, whatever name calls it
         n = 1000
-        calls = Counter()
-        for module, name in (
-            (forms, "angle_compare"),
-            (forms, "angle_add"),
-            (forms, "angle_sub"),
-            (forms, "_half_turns"),
-        ):
-
-            def counted(*args, _real=getattr(module, name, None), _key=(module, name)):
-                calls[_key] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(module, name, counted, raising=False)
-        solve, pi_multiple = AngleProfile.solve, Angle.pi_multiple
-        monkeypatch.setattr(
-            AngleProfile, "solve", lambda *args: calls.update(["solve"]) or solve(*args)
-        )
-        monkeypatch.setattr(
-            Angle, "pi_multiple", lambda a: calls.update(["pi_multiple"]) or pi_multiple(a)
-        )
-        neg = D.__neg__
-        monkeypatch.setattr(D, "__neg__", lambda v: calls.update(["neg"]) or neg(v))
         for d in (D(1, 0), D(2, 1)):
-            calls.clear()
-            phi = AngleProfile(
-                tuple(F(i, n - 1) for i in range(n)), tuple(A(d, i) for i in range(n))
-            )
-            circles = contact_reduce(InvariantContactForm.unit(phi), (1, 0))
+            with CallCounts(
+                (angle_module, "angle_compare"),
+                (angle_module, "angle_add"),
+                (angle_module, "angle_sub"),
+                (angle_module, "_half_turns"),
+                (AngleProfile, "solve"),
+                (A, "pi_multiple"),
+                (D, "__neg__"),
+            ) as calls:
+                phi = AngleProfile(
+                    tuple(F(i, n - 1) for i in range(n)), tuple(A(d, i) for i in range(n))
+                )
+                circles = contact_reduce(InvariantContactForm.unit(phi), (1, 0))
             hits = len(circles)
             assert hits == 2 * (n - 1)
             assert calls["solve"] == 0
             # one solve per hit makes about J log n angle comparisons
-            assert sum(calls.values()) <= 4 * (n + hits)
+            assert sum(calls.values()) <= 4 * (n + hits), calls
             # a direction is negated at most once per segment and once per
             # call, never per hit or per circle
-            assert calls["neg"] <= n, calls["neg"]
+            assert calls["__neg__"] <= n, calls["__neg__"]
             # a pi/4 lattice on pi/4 values is walked in integer quarter turns
-            walked_in_angles = [calls[forms, k] for k in ("angle_add", "_half_turns")]
+            walked_in_angles = [calls[k] for k in ("angle_add", "_half_turns")]
             assert (sum(walked_in_angles) == 0) == (d == D(1, 0)), walked_in_angles
             assert calls["pi_multiple"] == 0
 
 
 def walk_by_constructors(phi, base):
-    """solve_half_turn_lattice's two per-hit loops as written before the
-    walk built its hits by slots: every hit by the public constructors,
-    a pi/4 hit's t by one Fraction of its own integers."""
+    """solve_half_turn_lattice's two per-hit loops, written out apart from
+    it: a pi/4 hit's offset by `quarter_angle` and its t by one Fraction
+    of its own integers, with no `_quarter_t`."""
     b, qs, q_base = phi.breaks, phi._quarters, base.quarters()
     hits = []
     if qs is not None and q_base is not None:
@@ -481,8 +479,8 @@ def walk_by_constructors(phi, base):
 
 
 def reduce_by_constructors(form, eta):
-    """contact_reduce's loop as written before it built its circles by
-    slots, over `walk_by_constructors`."""
+    """contact_reduce's loop, written out apart from it, over
+    `walk_by_constructors`."""
     x, y = to_float(eta[0]), to_float(eta[1])
     mag = None if x is None or y is None else math.hypot(x, y)
     hits = walk_by_constructors(form.phi, direction_angle((-eta[1], eta[0])))
@@ -516,8 +514,9 @@ def assert_same_objects(got, want):
 
 
 class TestWalkBuiltObjects:
-    """The walk's hits and contact_reduce's circles, built by slots, against
-    the same objects built by the public constructors."""
+    """The walk's hits and contact_reduce's circles against the same objects
+    from the reference loops: the hand-written `__init__`s give equal,
+    slotted and frozen objects."""
 
     @given(far_profiles(), st.data())
     @settings(derandomize=True, max_examples=200)
@@ -1136,6 +1135,25 @@ class TestTracerTargets:
 
 
 class TestValueTypes:
+    def test_init_takes_the_fields(self):
+        # the hand-written __init__s take the fields in order, with their
+        # defaults, and set every slot: a field added without its
+        # __init__ line fails here
+        point = ProfilePoint(2, F(1, 3), F(1, 2), A(D(1, 1)), A(D(0, 1)), F(5, 12))
+        for value in (A(D(1, 2), -3), point, cuts.ReducedCircle(1, point, 0.5)):
+            kind, fields = type(value), dataclasses.fields(value)
+            params = inspect.signature(kind).parameters.values()
+            assert [p.name for p in params] == [f.name for f in fields]
+            assert [p.default for p in params] == [
+                inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+                for f in fields
+            ]
+            args = [getattr(value, f.name) for f in fields]
+            by_name = kind(**{f.name: a for f, a in zip(fields, args)})
+            for made in (kind(*args), by_name, dataclasses.replace(value)):
+                assert made == value
+                assert [getattr(made, f.name) for f in fields] == args
+
     def test_no_instance_dict(self):
         from toruscut.invariants import Arc, PlanarZero, cc_profile, homotopy_certificate
         from toruscut.report import Item, Record
